@@ -16,7 +16,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from ric.checker import check_chunk  # noqa: E402
 from ric.chunks import load_chunk_file  # noqa: E402
-from ric.oracle import TrialConfig, oracle_check  # noqa: E402
+from ric.oracle import OracleRun, TrialConfig, oracle_check  # noqa: E402
 from ric.report import classify_pattern, severity_policy  # noqa: E402
 
 
@@ -71,8 +71,9 @@ def main():
         for c in chunks:
             if results[c.context.file].verdict != "compliant":
                 continue
+            run = OracleRun(c, cfg)
             for prop in ("frame_write", "frame_read", "unicity"):
-                v = oracle_check(c, prop, cfg)
+                v = oracle_check(c, prop, cfg, run=run)
                 if v.verdict == "violation":
                     unsound += 1
                     print(f"UNSOUND {c.context.file} {prop}: {v.witness.location}")

@@ -10,7 +10,7 @@ from . import patcher, refiner
 from .checker import check_chunk
 from .chunks import extract_chunks, load_chunk_file, render
 from .errors import RicError, SpanStale
-from .oracle import TrialConfig, oracle_check
+from .oracle import OracleRun, TrialConfig, oracle_check
 from .report import build_report, chunk_report, render_text
 
 
@@ -157,9 +157,10 @@ def _cmd_oracle(args):
     reports = []
     for path, chunk in pairs:
         result = check_chunk(chunk)
+        run = OracleRun(chunk, cfg)
         oracle = {}
         for prop in ("frame_write", "frame_read", "unicity"):
-            verdict = oracle_check(chunk, prop, cfg)
+            verdict = oracle_check(chunk, prop, cfg, run=run)
             entry = {"verdict": verdict.verdict, "trials": verdict.trials_run}
             if verdict.reason:
                 entry["reason"] = verdict.reason

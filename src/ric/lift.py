@@ -12,17 +12,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import ImmediateInt, Match, MatchOf, MemoryRef, RegisterSet, UnionClass, eval_letter
-from .errors import BadTokenRef, MalformedInterface, UnknownMnemonic
+from .constraints import (
+    ImmediateInt,
+    ImmOperand,
+    Match,
+    MatchOf,
+    MemOperand,
+    MemoryRef,
+    RegisterSet,
+    RegOperand,
+    UnionClass,
+    eval_letter,
+)
+from .errors import BadTokenRef, MalformedInterface, MissingToken, UnknownMnemonic
 from .expr import (
     Assign,
     BinOp,
     Branch,
+    Cast,
     Const,
+    Extract,
     Flag,
     Goto,
     Halt,
     IRProgram,
+    Ite,
     Load,
     MemoryWhole,
     ReadLoc,
@@ -32,6 +46,7 @@ from .expr import (
     Temp,
     Token,
     TokenAddr,
+    UnOp,
     mk_binop,
     mk_cast,
     mk_extract,
@@ -642,15 +657,9 @@ def _lift_instr(lf, ins, tidx):
 # Token substitution
 
 
-def substitute(prog, assignment, slot_addrs=None, cell_sizes=None):
-    """Replace token locations by concrete operands.
-
-    Register operands substitute directly; memory operands need the
-    concrete cell address, supplied per token via slot_addrs (used by
-    the oracle, which controls operand placement).
-    """
-    from .constraints import ImmOperand, MemOperand, RegOperand
-    from .errors import MissingToken
+def substitute(prog, assignment):
+    """Replace token locations by concrete operands: a register or an
+    immediate directly, a memory operand by its address expression."""
 
     def addr_of(pos):
         op = assignment[pos] if pos in assignment else None
@@ -692,8 +701,6 @@ def substitute(prog, assignment, slot_addrs=None, cell_sizes=None):
             return Load(sub_expr(e.addr), e.size)
         if isinstance(e, BinOp):
             return mk_binop(e.op, sub_expr(e.a), sub_expr(e.b))
-        from .expr import Cast, Extract, Ite, UnOp
-
         if isinstance(e, UnOp):
             return mk_unop(e.op, sub_expr(e.e))
         if isinstance(e, Cast):

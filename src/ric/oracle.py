@@ -3,8 +3,12 @@
 The oracle enumerates token assignments, binds memory operands to
 disjoint sandbox slots (shared per token across the two sides of a
 differential pair), executes the substituted program, and compares
-observable results. A pass is testimony within the trial budget, not a
-proof.
+observable results. A pass is testimony within the trial budget and the
+per-property step budget, not a proof.
+
+Each substituted program is compiled once into Python closures
+(Feeley & Lapalme, "Using closures for code generation", 1987) that
+compute exactly what `eval_expr` computes.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .checker import init_read
 from .constraints import (
     ImmOperand,
     MemOperand,
@@ -20,28 +23,41 @@ from .constraints import (
     enumerate_assignments,
     format_operand,
 )
-from .errors import OutOfSandbox, RicError, StepLimit, UnknownMnemonic
+from .errors import OutOfSandbox, RicError, StepLimit, UnknownMnemonic, WidthError
 from .expr import (
     Assign,
+    BinOp,
     Branch,
+    Cast,
+    Const,
+    Extract,
     Flag,
     Goto,
     Halt,
+    IRProgram,
+    Ite,
+    Load,
+    ReadLoc,
     Reg,
     StoreLhs,
+    Sym,
     Temp,
-    eval_expr,
+    UnOp,
+    _fold_binop,
+    _ones,
+    _to_signed,
     format_loc,
 )
-from .lift import lift, substitute, token_kinds
+from .lift import lift, substitute
 from .template import parse_template
 
 SANDBOX_BASE = 0x10000
-STEP_BUDGET = 10**6
+STEP_BUDGET = 10**6  # IR steps per (chunk, property), across all trials
 
 GP = ("eax", "ebx", "ecx", "edx", "esi", "edi", "ebp", "esp")
 FLAG_NAMES = ("z", "c", "s", "o", "p", "a")
 WIDE = tuple(f"mm{i}" for i in range(8)) + tuple(f"xmm{i}" for i in range(8))
+SYM_ADDR = SANDBOX_BASE + 0x8000
 
 
 @dataclass
@@ -53,97 +69,284 @@ class TrialConfig:
 
 
 class MachineState:
+    """Registers, flags and a sandbox of `size` bytes at SANDBOX_BASE.
+
+    The sandbox is an immutable integer `mem` (byte i is bits 8i..8i+7)
+    under `stored`, a sparse map from offset to each byte written since.
+    Copies share the integer, so a copy costs only the overlay.
+    """
+
     def __init__(self, sandbox_size):
         self.regs = {r: 0 for r in GP}
         self.wide = {r: 0 for r in WIDE}
         self.flags = {f: 0 for f in FLAG_NAMES}
-        self.mem = bytearray(sandbox_size)
+        self.size = sandbox_size
+        self.mem = 0
+        self.stored = {}
         self.temps = {}
         self.syms = {}
 
     def copy(self):
-        m = MachineState(0)
+        m = MachineState.__new__(MachineState)
         m.regs = dict(self.regs)
         m.wide = dict(self.wide)
         m.flags = dict(self.flags)
-        m.mem = bytearray(self.mem)
+        m.copy_memory(self)
         m.temps = {}
         m.syms = dict(self.syms)
         return m
 
-    def load(self, addr, size):
+    def copy_memory(self, other):
+        """Give this sandbox the bytes of other's."""
+        self.size, self.mem, self.stored = other.size, other.mem, dict(other.stored)
+
+    def _offset(self, addr, size):
         off = addr - SANDBOX_BASE
-        if off < 0 or off + size > len(self.mem):
+        if off < 0 or off + size > self.size:
             raise OutOfSandbox(addr)
-        return int.from_bytes(self.mem[off : off + size], "little")
+        return off
+
+    def to_bytes(self):
+        buf = bytearray(self.mem.to_bytes(self.size, "little"))
+        for off, b in self.stored.items():
+            buf[off] = b
+        return buf
+
+    def load(self, addr, size):
+        off = self._offset(addr, size)
+        stored = self.stored
+        window = None
+        value = 0
+        for i in range(off + size - 1, off - 1, -1):
+            b = stored.get(i)
+            if b is None:
+                if window is None:
+                    window = (self.mem >> (8 * off)) & ((1 << (8 * size)) - 1)
+                b = (window >> (8 * (i - off))) & 0xFF
+            value = (value << 8) | b
+        return value
 
     def store(self, addr, size, value):
-        off = addr - SANDBOX_BASE
-        if off < 0 or off + size > len(self.mem):
-            raise OutOfSandbox(addr)
-        self.mem[off : off + size] = (value & ((1 << (size * 8)) - 1)).to_bytes(
-            size, "little"
-        )
+        off = self._offset(addr, size)
+        stored = self.stored
+        for i in range(off, off + size):
+            stored[i] = value & 0xFF
+            value >>= 8
 
-    def get_loc(self, loc):
-        from .expr import Sym
 
-        if isinstance(loc, Reg):
-            if loc.name in self.regs:
-                return self.regs[loc.name]
-            return self.wide[loc.name]
-        if isinstance(loc, Flag):
-            return self.flags[loc.name]
-        if isinstance(loc, Temp):
-            return self.temps[loc]
-        if isinstance(loc, Sym):
-            return self.syms.setdefault(loc.name, SANDBOX_BASE + 0x8000)
+# ---------------------------------------------------------------------------
+# Compiling programs to closures
+#
+# An expression compiles to a function of the machine state; an
+# instruction to a function that runs it and returns the next pc.
+
+
+def _fits(e):
+    """Whether eval_expr's value of e always fits e.width bits. Only an
+    ite whose second arm is wider than its first can overflow."""
+    if isinstance(e, Ite):
+        return _fits(e.a) and _fits(e.b) and e.b.width <= e.a.width
+    return True
+
+
+def _temp_key(t):
+    """Temps keyed by their fields: a tuple hashes faster than the
+    dataclass."""
+    return (t.index, t.width)
+
+
+def _compile_read(loc, m):
+    if isinstance(loc, Reg):
+        name = loc.name
+        if name in GP:
+            return lambda s: s.regs[name] & m
+        return lambda s: s.wide[name] & m
+    if isinstance(loc, Flag):
+        name = loc.name
+        return lambda s: s.flags[name] & m
+    if isinstance(loc, Temp):
+        key = _temp_key(loc)
+        return lambda s: s.temps[key] & m
+    if isinstance(loc, Sym):
+        name = loc.name
+        return lambda s: s.syms.setdefault(name, SYM_ADDR) & m
+
+    def unbound(s):
         raise RicError(f"unbound location {format_loc(loc)} in concrete execution")
 
-    def set_loc(self, loc, value):
-        if isinstance(loc, Reg):
-            if loc.name in self.regs:
-                self.regs[loc.name] = value & 0xFFFFFFFF
-            else:
-                self.wide[loc.name] = value & ((1 << loc.width) - 1)
-            return
-        if isinstance(loc, Flag):
-            self.flags[loc.name] = value & 1
-            return
-        if isinstance(loc, Temp):
-            self.temps[loc] = value & ((1 << loc.width) - 1)
-            return
+    return unbound
+
+
+def _compile_operand(e):
+    """e's value masked to e.width, as a BinOp operand is."""
+    f = compile_expr(e)
+    if _fits(e):
+        return f
+    m = _ones(e.width)
+    return lambda s: f(s) & m
+
+
+def _compile_binop(e):
+    op, wa, wb, m = e.op, e.a.width, e.b.width, _ones(e.width)
+    fa, fb = _compile_operand(e.a), _compile_operand(e.b)
+    if op == "add":
+        return lambda s: (fa(s) + fb(s)) & m
+    if op == "sub":
+        return lambda s: (fa(s) - fb(s)) & m
+    if op == "mul":
+        return lambda s: (fa(s) * fb(s)) & m
+    if op == "and":
+        return lambda s: fa(s) & fb(s) & m
+    if op == "or":
+        return lambda s: (fa(s) | fb(s)) & m
+    if op == "xor":
+        return lambda s: (fa(s) ^ fb(s)) & m
+    if op == "shl":
+        return lambda s: (fa(s) << min(fb(s), 256)) & m
+    if op == "shr":
+        return lambda s: (fa(s) >> min(fb(s), 256)) & m
+    if op == "sar":
+        return lambda s: (_to_signed(fa(s), wa) >> min(fb(s), 256)) & m
+    if op == "concat":
+        return lambda s: ((fa(s) << wb) | fb(s)) & m
+    if op == "eq":
+        return lambda s: int(fa(s) == fb(s))
+    if op == "ne":
+        return lambda s: int(fa(s) != fb(s))
+    if op == "ugt":
+        return lambda s: int(fa(s) > fb(s))
+    if op == "ult":
+        return lambda s: int(fa(s) < fb(s))
+    if op == "sgt":
+        return lambda s: int(_to_signed(fa(s), wa) > _to_signed(fb(s), wa))
+    if op == "slt":
+        return lambda s: int(_to_signed(fa(s), wa) < _to_signed(fb(s), wa))
+    # division, remainder and unknown operators: fold as constants do
+    return lambda s: _fold_binop(op, Const(fa(s), wa), Const(fb(s), wb)).value
+
+
+def compile_expr(e):
+    """A function of the machine state returning eval_expr's value of e."""
+    if isinstance(e, Const):
+        v = e.value
+        return lambda s: v
+    if isinstance(e, ReadLoc):
+        return _compile_read(e.loc, _ones(e.width))
+    if isinstance(e, Load):
+        fa, size = compile_expr(e.addr), e.size
+        return lambda s: s.load(fa(s), size)
+    if isinstance(e, UnOp):
+        f, m = compile_expr(e.e), _ones(e.width)
+        if e.op == "not":
+            return lambda s: ~f(s) & m
+        return lambda s: -f(s) & m
+    if isinstance(e, Cast):
+        f, m, w = compile_expr(e.e), _ones(e.width), e.e.width
+        if e.kind == "sext":
+            return lambda s: _to_signed(f(s), w) & m
+        return lambda s: f(s) & m
+    if isinstance(e, Extract):
+        f, lo, m = compile_expr(e.e), e.lo, _ones(e.width)
+        return lambda s: (f(s) >> lo) & m
+    if isinstance(e, BinOp):
+        return _compile_binop(e)
+    if isinstance(e, Ite):
+        fc, fa, fb = compile_expr(e.c), compile_expr(e.a), compile_expr(e.b)
+        return lambda s: fa(s) if fc(s) else fb(s)
+
+    def bad(s):
+        raise WidthError(f"not an expression: {e!r}")
+
+    return bad
+
+
+def _compile_write(loc, f, nxt):
+    """Run `loc <- f`, masked to the location's width, and go to nxt."""
+    if isinstance(loc, Reg) and loc.name in GP:
+        name = loc.name
+
+        def write_reg(s):
+            s.regs[name] = f(s) & 0xFFFFFFFF
+            return nxt
+
+        return write_reg
+    if isinstance(loc, Reg):
+        name, m = loc.name, _ones(loc.width)
+
+        def write_wide(s):
+            s.wide[name] = f(s) & m
+            return nxt
+
+        return write_wide
+    if isinstance(loc, Flag):
+        name = loc.name
+
+        def write_flag(s):
+            s.flags[name] = f(s) & 1
+            return nxt
+
+        return write_flag
+    if isinstance(loc, Temp):
+        key, m = _temp_key(loc), _ones(loc.width)
+
+        def write_temp(s):
+            s.temps[key] = f(s) & m
+            return nxt
+
+        return write_temp
+
+    def unwritable(s):
+        f(s)
         raise RicError(f"cannot write location {format_loc(loc)}")
 
+    return unwritable
 
-def exec_program(prog, state):
-    """Small-step interpretation to Halt; mutates and returns state."""
-    pc = 0
-    steps = 0
-    n = len(prog.instrs)
+
+def _compile_instr(prog, i):
+    ins, nxt = prog.instrs[i], i + 1
+    if isinstance(ins, Halt):
+        end = len(prog.instrs)
+        return lambda s: end
+    if isinstance(ins, Assign):
+        f = compile_expr(ins.rhs)
+        if not isinstance(ins.lhs, StoreLhs):
+            return _compile_write(ins.lhs, f, nxt)
+        fa, size = compile_expr(ins.lhs.addr), ins.lhs.size
+
+        def store(s):
+            v = f(s)
+            s.store(fa(s), size, v)
+            return nxt
+
+        return store
+    if isinstance(ins, Goto):
+        target = prog.resolve(ins.target)
+        return lambda s: target
+    if isinstance(ins, Branch):
+        fc = compile_expr(ins.cond)
+        then, other = prog.resolve(ins.then_target), prog.resolve(ins.else_target)
+        return lambda s: then if fc(s) else other
+    return lambda s: nxt
+
+
+def compile_program(prog):
+    """One closure per instruction; each runs it on a state and returns
+    the next pc. Labels resolve here: lift validated them."""
+    return tuple(_compile_instr(prog, i) for i in range(len(prog.instrs)))
+
+
+def exec_program(prog, state, budget=STEP_BUDGET):
+    """Small-step execution to Halt of an IRProgram or its compiled form;
+    mutates state. Returns the number of steps taken and raises StepLimit
+    on the step past `budget`."""
+    code = compile_program(prog) if isinstance(prog, IRProgram) else prog
+    pc, steps, n = 0, 0, len(code)
     while pc < n:
         steps += 1
-        if steps > STEP_BUDGET:
-            raise StepLimit("step budget exceeded")
-        ins = prog.instrs[pc]
-        if isinstance(ins, Halt):
-            return state
-        if isinstance(ins, Assign):
-            val = eval_expr(ins.rhs, state.get_loc, state.load)
-            if isinstance(ins.lhs, StoreLhs):
-                addr = eval_expr(ins.lhs.addr, state.get_loc, state.load)
-                state.store(addr, ins.lhs.size, val)
-            else:
-                state.set_loc(ins.lhs, val)
-            pc += 1
-        elif isinstance(ins, Goto):
-            pc = prog.resolve(ins.target)
-        elif isinstance(ins, Branch):
-            c = eval_expr(ins.cond, state.get_loc, state.load)
-            pc = prog.resolve(ins.then_target if c else ins.else_target)
-        else:
-            pc += 1
-    return state
+        if steps > budget:
+            raise StepLimit(f"step budget of {budget} steps exceeded")
+        pc = code[pc](state)
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +361,7 @@ class Binding:
     cells: dict = field(default_factory=dict)  # token -> concrete cell address
 
 
-def _slot(cfg, i):
+def _slot(i):
     return SANDBOX_BASE + 0x800 + i * 64
 
 
@@ -206,7 +409,7 @@ def bind_assignment(fi, assignment, rng, cfg, anchors=()):
                 idx_val = rng.randrange(0, 8) * 4
                 b.pins[op.index] = idx_val
             idx_part = (idx_val * op.scale) & 0xFFFFFFFF
-        slot = _slot(cfg, i)
+        slot = _slot(i)
         if op.base in b.pins:
             addr = (b.pins[op.base] + op.disp + idx_part) & 0xFFFFFFFF
             if not (SANDBOX_BASE <= addr and addr + 16 <= SANDBOX_BASE + cfg.sandbox_size):
@@ -245,7 +448,8 @@ def random_state(rng, cfg, binding, fi=None, esp_base=None):
     m.regs["esp"] = esp_base if esp_base is not None else (
         SANDBOX_BASE + cfg.sandbox_size - 0x400 - rng.randrange(0, 16) * 4
     )
-    m.mem = bytearray(rng.randbytes(cfg.sandbox_size))
+    # the integer rng.randbytes(n) would turn into bytes: same stream
+    m.mem = rng.getrandbits(8 * cfg.sandbox_size)
     if fi is not None:
         for p, addr in binding.cells.items():
             size = fi.sizes.get(p, 4)
@@ -309,48 +513,65 @@ def _scratch_range(m_in, m_out):
 
 
 def _mem_equal(m1, m2, exempt_ranges):
-    a, b = m1.mem, m2.mem
-    if len(a) != len(b):
-        return None
-    if a == b:
-        return None
-    n = len(a)
-    pos = 0
-    block = 4096
-    while pos < n:
-        end = min(pos + block, n)
-        if a[pos:end] == b[pos:end]:
-            pos = end
-            continue
-        for i in range(pos, end):
-            if a[i] != b[i] and not any(lo <= i < hi for lo, hi in exempt_ranges):
-                return i
-        pos = end
+    """Offset of the first byte outside the exempt ranges where the two
+    sandboxes differ, or None. Sandboxes sharing their random integer can
+    differ only at stored offsets."""
+    if m1.size != m2.size:
+        raise RicError(f"cannot compare sandboxes of {m1.size} and {m2.size} bytes")
+    if m1.mem == m2.mem:
+        offsets = sorted(m1.stored.keys() | m2.stored.keys())
+        differing = (
+            i
+            for i in offsets
+            if m1.load(SANDBOX_BASE + i, 1) != m2.load(SANDBOX_BASE + i, 1)
+        )
+    else:
+        a, b = m1.to_bytes(), m2.to_bytes()
+        differing = (i for i in range(m1.size) if a[i] != b[i])
+    for i in differing:
+        if not any(lo <= i < hi for lo, hi in exempt_ranges):
+            return i
     return None
 
 
 class OracleRun:
+    """What the oracle derives once per chunk and shares across the three
+    properties: interface, lifted program, anchors, assignment set, and
+    the compiled program of each assignment drawn. `unrunnable` is the
+    reason every property is inconclusive, or empty."""
+
     def __init__(self, chunk, cfg):
+        from .checker import build_anchors
         from .constraints import derive_interface
+        from .template import template_tokens
 
         self.cfg = cfg
         self.chunk = chunk
-        self.fi = derive_interface(chunk)
-        parsed = parse_template(chunk.template, chunk)
-        self.prog, self.kinds, _ = lift(parsed, self.fi)
-        from .checker import build_anchors
-        from .template import template_tokens
-
-        self.anchors = tuple(build_anchors(chunk, self.fi, self.kinds))
-        refs = template_tokens(parsed)
-        collapse = frozenset(
-            a.entry for a in self.anchors if a.entry not in refs
-        )
-        aset = enumerate_assignments(
-            self.fi, cap=cfg.assignment_cap, collapse=collapse
-        )
+        self.unrunnable = ""
+        self.steps_left = STEP_BUDGET
+        self._programs = {}  # id(assignment) -> (assignment, compiled program)
+        try:
+            self.fi = derive_interface(chunk)
+            parsed = parse_template(chunk.template, chunk)
+            self.prog, self.kinds, _ = lift(parsed, self.fi)
+            self.anchors = tuple(build_anchors(chunk, self.fi, self.kinds))
+            refs = template_tokens(parsed)
+            collapse = frozenset(
+                a.entry for a in self.anchors if a.entry not in refs
+            )
+            aset = enumerate_assignments(
+                self.fi, cap=cfg.assignment_cap, collapse=collapse
+            )
+        except UnknownMnemonic as e:
+            self.unrunnable = f"out of scope: {e}"
+            return
+        except RicError as e:
+            self.unrunnable = str(e)
+            return
         self.assignments = aset.assignments
         self.truncated = aset.truncated
+        if not self.assignments:
+            self.unrunnable = "no valid token assignment"
 
     def bind(self, assignment, rng):
         b = bind_assignment(self.fi, assignment, rng, self.cfg, self.anchors)
@@ -358,21 +579,27 @@ class OracleRun:
             raise _Skip
         return b
 
-    def run_one(self, assignment, binding, state):
-        prog = substitute(self.prog, assignment.mapping)
-        return exec_program(prog, state)
+    def program(self, assignment):
+        """The assignment's substituted program, compiled on first use."""
+        entry = self._programs.get(id(assignment))
+        if entry is None:
+            code = compile_program(substitute(self.prog, assignment.mapping))
+            entry = self._programs[id(assignment)] = (assignment, code)
+        return entry[1]
+
+    def run_one(self, assignment, state):
+        """Execute on state within what is left of the step budget."""
+        self.steps_left -= exec_program(self.program(assignment), state, self.steps_left)
+        return state
 
 
-def oracle_check(chunk, prop, cfg=None):
-    cfg = cfg or TrialConfig()
-    try:
-        run = OracleRun(chunk, cfg)
-    except UnknownMnemonic as e:
-        return OracleVerdict("inconclusive", reason=f"out of scope: {e}")
-    except RicError as e:
-        return OracleVerdict("inconclusive", reason=str(e))
-    if not run.assignments:
-        return OracleVerdict("inconclusive", reason="no valid token assignment")
+def oracle_check(chunk, prop, cfg=None, run=None):
+    """Verdict of one property. Pass `run`, the chunk's OracleRun, to
+    check several properties on one derivation; its cfg then applies."""
+    run = run or OracleRun(chunk, cfg or TrialConfig())
+    cfg = run.cfg
+    if run.unrunnable:
+        return OracleVerdict("inconclusive", reason=run.unrunnable)
 
     checker = {
         "frame_write": _check_frame_write,
@@ -380,12 +607,20 @@ def oracle_check(chunk, prop, cfg=None):
         "unicity": _check_unicity,
     }[prop]
 
+    run.steps_left = STEP_BUDGET
     bad_trials = 0
     for trial in range(cfg.trials):
         rng = random.Random((cfg.seed << 20) ^ (trial * 2654435761 % 2**31))
         try:
             witness = checker(run, rng, cfg)
-        except (StepLimit, OutOfSandbox, _Skip):
+        except StepLimit:
+            return OracleVerdict(
+                "inconclusive",
+                reason=f"step budget of {STEP_BUDGET} steps used up after "
+                f"{trial} of {cfg.trials} trials",
+                trials_run=trial,
+            )
+        except (OutOfSandbox, _Skip):
             bad_trials += 1
             continue
         if witness is not None:
@@ -426,7 +661,7 @@ def _check_frame_write(run, rng, cfg):
     assignment = rng.choice(run.assignments)
     binding = run.bind(assignment, rng)
     m_in = random_state(rng, cfg, binding, fi)
-    m_out = run.run_one(assignment, binding, m_in.copy())
+    m_out = run.run_one(assignment, m_in.copy())
 
     assignable = _assignable_regs(fi, assignment)
     for r in GP:
@@ -503,12 +738,12 @@ def _check_frame_read(run, rng, cfg):
     m1 = random_state(rng, cfg, binding, fi)
     m2 = random_state(rng, cfg, binding, fi, esp_base=m1.regs["esp"])
     if not fi.f:
-        m2.mem = bytearray(m1.mem)
+        m2.copy_memory(m1)
     if not _equalize_inputs(fi, assignment, binding, m1, m2):
         raise _Skip
 
-    o1 = run.run_one(assignment, binding, m1.copy())
-    o2 = run.run_one(assignment, binding, m2.copy())
+    o1 = run.run_one(assignment, m1.copy())
+    o2 = run.run_one(assignment, m2.copy())
     return _compare_outputs(
         run, "frame_read", assignment, binding, assignment, binding, m1, m2, o1, o2
     )
@@ -562,11 +797,11 @@ def _check_unicity(run, rng, cfg):
     m2 = random_state(rng, cfg, b2, fi, esp_base=m1.regs["esp"])
     if not fi.f:
         # the memory-equality clause of input equivalence
-        m2.mem = bytearray(m1.mem)
+        m2.copy_memory(m1)
     if not _equalize_inputs(fi, a1, b1, m1, m2, assignment2=a2, binding2=b2):
         raise _Skip
     if not fi.f and _mem_equal(m1, m2, []) is not None:
         raise _Skip
-    o1 = run.run_one(a1, b1, m1.copy())
-    o2 = run.run_one(a2, b2, m2.copy())
+    o1 = run.run_one(a1, m1.copy())
+    o2 = run.run_one(a2, m2.copy())
     return _compare_outputs(run, "unicity", a1, b1, a2, b2, m1, m2, o1, o2)

@@ -2,14 +2,20 @@
 compliant ones, determinism, and interpreter spot checks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ric import oracle
 from ric.chunks import load_chunk_records
 from ric.constraints import derive_interface
+from ric.errors import OutOfSandbox, RicError
 from ric.lift import lift
 from ric.oracle import (
     SANDBOX_BASE,
+    STEP_BUDGET,
     MachineState,
     TrialConfig,
+    _mem_equal,
     exec_program,
     oracle_check,
 )
@@ -121,6 +127,27 @@ def test_seed_changes_witness_search(corpus_by_id):
     assert a.verdict == "violation"  # the bug is found under any seed
 
 
+def test_step_budget_bounds_a_data_dependent_loop(monkeypatch):
+    # the counter is drawn from sandbox addresses, so each run loops
+    # 0x10000 times or more and the budget is gone within two trials
+    c = chunk("1: decl %0; jnz 1b", outputs=[("+r", "n", 4)], clobbers=["cc"])
+    budgets = []
+
+    def counted(prog, state, budget):
+        budgets.append(budget)
+        return exec_program(prog, state, budget)
+
+    monkeypatch.setattr(oracle, "exec_program", counted)
+    v = oracle_check(c, "frame_write", CFG)
+    assert v.verdict == "inconclusive"
+    assert f"step budget of {STEP_BUDGET} steps" in v.reason
+    assert f"after {v.trials_run} of {CFG.trials} trials" in v.reason
+    assert v.trials_run < CFG.trials
+    # each execution gets what the earlier ones left: one budget in all
+    assert budgets[0] == STEP_BUDGET
+    assert all(b <= a for a, b in zip(budgets, budgets[1:]))
+
+
 # ---------------------------------------------------------------------------
 # Interpreter spot checks
 
@@ -184,3 +211,111 @@ def test_exec_memory_store_load():
     )
     assert m.load(SANDBOX_BASE + 512, 4) == 0xDEADBEEF
     assert m.regs["ecx"] == 0xEF
+
+
+# ---------------------------------------------------------------------------
+# The sandbox against a plain bytearray
+
+SMALL = 48
+
+_MEM_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("store"),
+            st.integers(-8, SMALL + 8),
+            st.sampled_from((1, 2, 4, 8)),
+            st.integers(0, 2**64 - 1),
+        ),
+        st.tuples(
+            st.just("load"),
+            st.integers(-8, SMALL + 8),
+            st.sampled_from((1, 2, 4, 8, 16)),
+            st.just(0),
+        ),
+        st.just(("copy", 0, 0, 0)),
+    ),
+    max_size=40,
+)
+_RANGES = st.lists(
+    st.tuples(st.integers(0, SMALL), st.integers(0, SMALL)), max_size=3
+)
+
+
+def _first_difference(a, b, exempt):
+    return next(
+        (
+            i
+            for i in range(len(a))
+            if a[i] != b[i] and not any(lo <= i < hi for lo, hi in exempt)
+        ),
+        None,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2 ** (8 * SMALL) - 1),
+    st.integers(0, 2 ** (8 * SMALL) - 1),
+    _MEM_OPS,
+    _RANGES,
+)
+def test_sandbox_matches_bytearray(base, other_base, ops, exempt):
+    m = MachineState(SMALL)
+    m.mem = base
+    ref = bytearray(base.to_bytes(SMALL, "little"))
+    start, start_ref = m.copy(), bytes(ref)
+    copies = []
+    for op, off, size, value in ops:
+        if op == "copy":
+            copies.append((m, bytes(ref)))
+            m = m.copy()
+            continue
+        addr = SANDBOX_BASE + off
+        if off < 0 or off + size > SMALL:
+            with pytest.raises(OutOfSandbox):
+                if op == "store":
+                    m.store(addr, size, value)
+                else:
+                    m.load(addr, size)
+            continue
+        if op == "store":
+            m.store(addr, size, value)
+            ref[off : off + size] = (value % 2 ** (8 * size)).to_bytes(size, "little")
+        else:
+            assert m.load(addr, size) == int.from_bytes(ref[off : off + size], "little")
+    assert m.to_bytes() == ref
+    for old, old_ref in copies:  # a copy never sees later stores
+        assert old.to_bytes() == old_ref
+
+    want = _first_difference(start_ref, ref, exempt)
+    assert _mem_equal(start, m, exempt) == want
+    assert _mem_equal(m, start, exempt) == want
+    # a different random integer: the full comparison
+    other = MachineState(SMALL)
+    other.mem = other_base
+    other_ref = other_base.to_bytes(SMALL, "little")
+    assert _mem_equal(m, other, exempt) == _first_difference(ref, other_ref, exempt)
+
+
+def test_sandbox_bounds_at_both_ends():
+    m = MachineState(SMALL)
+    m.store(SANDBOX_BASE, 4, 0x11223344)
+    m.store(SANDBOX_BASE + SMALL - 4, 4, 0x55667788)
+    assert m.load(SANDBOX_BASE, 4) == 0x11223344
+    assert m.load(SANDBOX_BASE + SMALL - 4, 4) == 0x55667788
+    outside = (
+        (SANDBOX_BASE - 1, 1),
+        (SANDBOX_BASE - 2, 4),
+        (SANDBOX_BASE + SMALL, 1),
+        (SANDBOX_BASE + SMALL - 3, 4),
+    )
+    for addr, size in outside:
+        with pytest.raises(OutOfSandbox):
+            m.load(addr, size)
+        with pytest.raises(OutOfSandbox):
+            m.store(addr, size, 0)
+
+
+def test_mem_equal_rejects_sandboxes_of_different_sizes():
+    with pytest.raises(RicError):
+        _mem_equal(MachineState(SMALL), MachineState(2 * SMALL), [])

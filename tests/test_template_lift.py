@@ -10,6 +10,7 @@ from ric.constraints import derive_interface
 from ric.errors import UnknownMnemonic
 from ric.expr import (
     BinOp,
+    Cast,
     Const,
     Extract,
     Ite,
@@ -21,6 +22,7 @@ from ric.expr import (
     simplify,
 )
 from ric.lift import lift
+from ric.oracle import MachineState, compile_expr
 from ric.template import classify_mnemonic, parse_template
 
 
@@ -161,9 +163,10 @@ def test_lift_sib_addressing():
 _REGS = [Reg("eax", 32), Reg("ebx", 32), Reg("ecx", 32)]
 _ARITH = ["add", "sub", "mul", "and", "or", "xor", "shl", "shr", "sar"]
 _CMPS = ["eq", "ne", "ult", "slt", "ugt", "sgt"]
+_DIVS = ["udiv", "urem", "sdiv", "srem"]
 
 
-def _exprs():
+def _exprs(ops=_ARITH, casts=False):
     leaves = st.one_of(
         st.integers(0, 2**32 - 1).map(lambda v: Const(v, 32)),
         st.sampled_from(_REGS).map(ReadLoc),
@@ -171,7 +174,7 @@ def _exprs():
 
     def extend(children):
         return st.one_of(
-            st.tuples(st.sampled_from(_ARITH), children, children).map(
+            st.tuples(st.sampled_from(ops), children, children).map(
                 lambda t: BinOp(t[0], t[1], t[2])
             ),
             st.tuples(st.sampled_from(["not", "neg"]), children).map(
@@ -188,7 +191,18 @@ def _exprs():
             children.map(lambda e: Load(e, 4)),
         )
 
-    return st.recursive(leaves, extend, max_leaves=12)
+    def extend_with_casts(children):
+        # the high half of a 64-bit cast: zero, or the sign for sext
+        return st.one_of(
+            extend(children),
+            st.tuples(st.sampled_from(["zext", "sext"]), children).map(
+                lambda t: Extract(63, 32, Cast(t[0], 64, t[1]))
+            ),
+        )
+
+    return st.recursive(
+        leaves, extend_with_casts if casts else extend, max_leaves=12
+    )
 
 
 def _env(seed):
@@ -213,3 +227,52 @@ def test_simplify_preserves_semantics(e, seed):
     assert s.width == e.width
     after = eval_expr(s, get_loc, load_mem) & mask
     assert before == after
+
+
+def _env_state(seed):
+    """A machine state that reads registers and memory as _env does."""
+    get_loc, load_mem = _env(seed)
+    s = MachineState(0)
+    s.regs.update({r.name: get_loc(r) for r in _REGS})
+    s.load = load_mem
+    return s
+
+
+# an ite whose value overflows its width: the shr operand must be masked
+_WIDE_ITE = BinOp(
+    "shr",
+    Ite(
+        BinOp("ne", ReadLoc(_REGS[0]), ReadLoc(_REGS[0])),
+        Const(0xFF, 8),
+        Const(0x1FF, 16),
+    ),
+    Const(1, 8),
+)
+
+
+def _agree(e, seed):
+    get_loc, load_mem = _env(seed)
+    return compile_expr(e)(_env_state(seed)) == eval_expr(e, get_loc, load_mem)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs(_ARITH + _DIVS, casts=True), st.integers(1, 2**16))
+def test_compiled_expr_matches_eval_expr(e, seed):
+    assert _agree(e, seed)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(_ARITH + _DIVS + _CMPS + ["concat"]),
+    _exprs(),
+    _exprs(),
+    st.integers(1, 2**16),
+)
+def test_compiled_binop_matches_eval_expr(op, a, b, seed):
+    assert _agree(BinOp(op, a, b), seed)
+
+
+def test_compiled_expr_masks_an_overflowing_ite():
+    get_loc, load_mem = _env(1)
+    assert eval_expr(_WIDE_ITE, get_loc, load_mem) == 0x7F
+    assert _agree(_WIDE_ITE, 1)
