@@ -1182,6 +1182,7 @@ def check_chunk(chunk, opts=None):
     result.verdict = "compliant" if not issues else "issues"
     result.timings = {
         "lift_ms": (t1 - t0) * 1000,
+        "forward_ms": (t2 - t1) * 1000,
         "frame_write_ms": (t3 - t2) * 1000,
         "frame_read_ms": (t4 - t3) * 1000,
         "unicity_ms": (t5 - t4) * 1000,

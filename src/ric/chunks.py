@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     BadConstraintChar,
@@ -76,14 +76,13 @@ class ScannedStatement:
 # ---------------------------------------------------------------------------
 # Scanner
 
-_ASM_KEYWORD = re.compile(r"\b(?:asm|__asm__|__asm)\b")
+_ASM_KEYWORD = r"\b(?:asm|__asm__|__asm)\b"
+# Points of interest outside a statement: a comment or literal to skip,
+# or an asm keyword. Everything between two of them is plain C text.
+_SCAN_STOP = re.compile(r"//|/\*|[\"']|" + _ASM_KEYWORD)
+# Points of interest inside a statement's parentheses.
+_PAREN_STOP = re.compile(r"[()\"'/]")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-def _line_col(text, pos):
-    line = text.count("\n", 0, pos) + 1
-    nl = text.rfind("\n", 0, pos)
-    return line, pos - nl
 
 
 def _skip_lexical(text, i, n):
@@ -110,23 +109,48 @@ def _skip_lexical(text, i, n):
     return None
 
 
+def _close_paren(text, j, n):
+    """Index of the ')' that closes the '(' at j, or None at end of text."""
+    depth = 0
+    k = j
+    while True:
+        m = _PAREN_STOP.search(text, k)
+        if m is None:
+            return None
+        k = m.start()
+        c = text[k]
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+            if depth == 0:
+                return k
+        else:
+            skipped = _skip_lexical(text, k, n)
+            if skipped is not None:
+                k = skipped
+                continue
+        k += 1
+
+
 def scan_c_source(text, file="<input>"):
     """Return (statements, diagnostics). Each statement is a
     ScannedStatement whose body is the text between the outer parens."""
     statements = []
     diagnostics = []
     n = len(text)
+    # statement starts only increase, so lines are counted once, from
+    # the previous start up to the next
+    line, line_start, counted = 1, 0, 0
     i = 0
-    while i < n:
-        skipped = _skip_lexical(text, i, n)
-        if skipped is not None:
-            i = skipped
+    while True:
+        m = _SCAN_STOP.search(text, i)
+        if m is None:
+            break
+        start = m.start()
+        if text[start] in "/\"'":
+            i = _skip_lexical(text, start, n)
             continue
-        m = _ASM_KEYWORD.match(text, i)
-        if not m:
-            i += 1
-            continue
-        start = i
         j = m.end()
         quals = set()
         while True:
@@ -142,25 +166,15 @@ def scan_c_source(text, file="<input>"):
         if j >= n or text[j] != "(":
             i = m.end()
             continue
-        depth = 0
-        k = j
         body_start = j + 1
-        closed = False
-        while k < n:
-            skipped = _skip_lexical(text, k, n)
-            if skipped is not None:
-                k = skipped
-                continue
-            if text[k] == "(":
-                depth += 1
-            elif text[k] == ")":
-                depth -= 1
-                if depth == 0:
-                    closed = True
-                    break
-            k += 1
-        line, col = _line_col(text, start)
-        if not closed:
+        k = _close_paren(text, j, n)
+        newlines = text.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", counted, start) + 1
+        counted = start
+        col = start - line_start + 1
+        if k is None:
             diagnostics.append(
                 UnterminatedStatement(SourceSpan(file, line, col, start, n))
             )
@@ -453,7 +467,3 @@ def load_chunk_file(path):
         except json.JSONDecodeError as e:
             raise SchemaViolation("$", f"invalid JSON: {e}") from None
     return load_chunk_records(records, file=str(path))
-
-
-def with_context(chunk, **kwargs):
-    return replace(chunk, context=replace(chunk.context, **kwargs))

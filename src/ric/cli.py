@@ -115,6 +115,7 @@ def _cmd_patch(args):
                         (chunk.span, render(pr.patched))
                     )
         reports.append(chunk_report(result, extra))
+    patcher.line_table.cache_clear()  # the report does not need the last file's lines
     if args.in_place:
         _apply_rewrites(sources, rewrites)
     _emit(build_report(reports), args)
@@ -175,10 +176,16 @@ def _cmd_oracle(args):
 def _apply_rewrites(sources, rewrites):
     for path, edits in rewrites.items():
         text = sources[path]
-        for span, replacement in sorted(edits, key=lambda e: -e[0].byte_start):
-            text = text[: span.byte_start] + replacement + text[span.byte_end :]
+        pieces = []
+        kept_from = 0
+        for span, replacement in sorted(edits, key=lambda e: e[0].byte_start):
+            if span.byte_start < kept_from:
+                continue  # a file named twice on the command line
+            pieces += (text[kept_from : span.byte_start], replacement)
+            kept_from = span.byte_end
+        pieces.append(text[kept_from:])
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            f.write("".join(pieces))
 
 
 def run(argv=None):

@@ -145,7 +145,6 @@ class Lifter:
 
     def access(self, op, instr_width):
         if isinstance(op, RegT):
-            parent_width = 32 if op.parent[0] == "e" else (64 if op.parent.startswith("mm") else 128)
             if op.parent[0] == "e":
                 parent_width = 32
             elif op.parent.startswith("xmm"):

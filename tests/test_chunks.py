@@ -1,19 +1,24 @@
 """Extraction: scanning C text, parsing statements, chunk files, rendering."""
 
 import json
+import re
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ric.chunks import (
+    QUALIFIERS,
+    ScannedStatement,
+    SourceSpan,
     extract_chunks,
     load_chunk_records,
     parse_asm_statement,
     render,
     scan_c_source,
 )
-from ric.errors import MalformedInterface, SchemaViolation
+from ric.errors import MalformedInterface, SchemaViolation, UnterminatedStatement
 
 
 def scan(text):
@@ -150,3 +155,165 @@ def test_corpus_json_matches_loader(corpus_chunks):
     with open("corpus/corpus.json", encoding="utf-8") as f:
         raw = json.load(f)
     assert len(raw) == len(corpus_chunks)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass scanner against the character-by-character reference
+
+
+def _reference_skip_lexical(text, i, n):
+    c = text[i]
+    if c == "/" and i + 1 < n:
+        if text[i + 1] == "/":
+            j = text.find("\n", i)
+            return n if j < 0 else j + 1
+        if text[i + 1] == "*":
+            j = text.find("*/", i + 2)
+            return n if j < 0 else j + 2
+    if c in "\"'":
+        j = i + 1
+        while j < n:
+            if text[j] == "\\":
+                j += 2
+                continue
+            if text[j] == c:
+                return j + 1
+            j += 1
+        return n
+    return None
+
+
+def _reference_scan(text, file):
+    """Steps through the text one character at a time and counts lines
+    from byte 0 for every statement: quadratic, but plainly right."""
+    keyword = re.compile(r"\b(?:asm|__asm__|__asm)\b")
+    ident = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+    statements, diagnostics = [], []
+    n = len(text)
+    i = 0
+    while i < n:
+        skipped = _reference_skip_lexical(text, i, n)
+        if skipped is not None:
+            i = skipped
+            continue
+        m = keyword.match(text, i)
+        if not m:
+            i += 1
+            continue
+        start = i
+        j = m.end()
+        quals = set()
+        while True:
+            while j < n and text[j].isspace():
+                j += 1
+            qm = ident.match(text, j)
+            word = qm.group(0) if qm else None
+            if word in QUALIFIERS:
+                quals.add("volatile" if word == "__volatile__" else word)
+                j = qm.end()
+            else:
+                break
+        if j >= n or text[j] != "(":
+            i = m.end()
+            continue
+        depth = 0
+        k = j
+        closed = False
+        while k < n:
+            skipped = _reference_skip_lexical(text, k, n)
+            if skipped is not None:
+                k = skipped
+                continue
+            if text[k] == "(":
+                depth += 1
+            elif text[k] == ")":
+                depth -= 1
+                if depth == 0:
+                    closed = True
+                    break
+            k += 1
+        line = text.count("\n", 0, start) + 1
+        col = start - text.rfind("\n", 0, start)
+        if not closed:
+            diagnostics.append(UnterminatedStatement(SourceSpan(file, line, col, start, n)))
+            i = j + 1
+            continue
+        span = SourceSpan(file, line, col, start, k + 1)
+        statements.append(ScannedStatement(span, frozenset(quals), text[j + 1 : k]))
+        i = k + 1
+    return statements, diagnostics
+
+
+_SCAN_FRAGMENTS = st.sampled_from(
+    [
+        "asm", "__asm__", "__asm", "__asm__ __volatile__", "asm volatile",
+        "asm inline goto", "__asm volatile", "volatile",
+        "myasm", "asm_x", "x",
+        '"nop"', '"r" (x)', " : ", ", ", ";", "(", ")", " ", "\n", "\r\n", "\x0c", "\t",
+        "/* asm ( */", "// asm (\n", '"asm ("', '"))("', "/* ) */", "/", "*",
+        '"\\""', "'\\''", "')'", "'('", "\\",
+        '"', "'", "/*", "//", "asm (",
+    ]
+)
+
+
+def _scan_view(result):
+    statements, diagnostics = result
+    return (
+        [(s.span, s.qualifiers, s.body) for s in statements],
+        [(type(d).__name__, str(d), d.span) for d in diagnostics],
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_SCAN_FRAGMENTS, max_size=30))
+@example(["asm (", "')'", ")", ";", "asm (", "'('", ")"])
+@example(["asm (", '"))("', " : ", "/* ) */", "// asm (\n", ")", "\r\n", "asm"])
+def test_scanner_matches_reference(fragments):
+    """Same statements (spans with line, column and bytes; qualifiers;
+    body) and the same diagnostics as the character-by-character scan,
+    including unterminated statements, comments and strings at the end."""
+    text = "".join(fragments)
+    assert _scan_view(scan_c_source(text, "t.c")) == _scan_view(_reference_scan(text, "t.c"))
+
+
+def test_scanner_counts_lines_by_newline_only():
+    text = 'int a;\r\n\x0c asm ("nop");\rasm ("nop");\n  asm ("nop");'
+    spans = [s.span for s in scan(text)]
+    assert [(s.line, s.column) for s in spans] == [(2, 3), (2, 16), (3, 3)]
+    assert _scan_view(scan_c_source(text, "t.c")) == _scan_view(_reference_scan(text, "t.c"))
+
+
+def _c_file(statements):
+    """A C file with one asm statement per function, between comments and
+    strings the scanner must skip."""
+    out = []
+    for k in range(statements):
+        out += [
+            f'/* function {k}: asm ("not code") */\n',
+            f'static const char *s{k} = "asm (\\"\\")";\n',
+            f"void f{k}(int x, int y)\n",
+            "{\n",
+            f'    asm volatile ("addl %1, %0" : "+r" (x) : "r" (y + {k}));\n',
+            "}\n",
+            "\n",
+        ]
+    return "".join(out)
+
+
+def _best_of_3(fn):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_scan_time_grows_linearly():
+    """8x the statements in an 8x larger file take under 20x the time; a
+    scan that counts lines from byte 0 per statement takes about 55x."""
+    small, large = _c_file(500), _c_file(4000)
+    assert len(scan(large)) == 4000
+    ratio = _best_of_3(lambda: scan(large)) / _best_of_3(lambda: scan(small))
+    assert ratio < 20, ratio

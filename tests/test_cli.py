@@ -120,6 +120,16 @@ def test_patch_in_place_round_trip(tmp_path):
     assert rep["chunks"][0]["verdict"] == "compliant"
 
 
+def test_patch_in_place_file_named_twice(tmp_path):
+    path = write(tmp_path, "f.c", FAULTY_SRC + FAULTY_SRC)
+    run_json(["patch", "--in-place", path], tmp_path)
+    once = open(path).read()
+    write(tmp_path, "f.c", FAULTY_SRC + FAULTY_SRC)
+    run_json(["patch", "--in-place", path, path], tmp_path)
+    assert open(path).read() == once
+    assert once.count('"cc"') == 2
+
+
 def test_refine_in_place_round_trip(tmp_path):
     path = write(tmp_path, "r.c", REFINABLE_SRC)
     code, rep = run_json(["refine", "--in-place", path], tmp_path)

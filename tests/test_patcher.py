@@ -1,12 +1,22 @@
 """Patch synthesis: edit shapes, renumbering, verification, minimality."""
 
+import dataclasses
+import difflib
+import re
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ric.checker import check_chunk
-from ric.chunks import load_chunk_records, render
+from ric.chunks import extract_chunks, load_chunk_records, render
 from ric.patcher import (
     AddClobber,
     AddInput,
     AddOutput,
     MarkEarlyClobber,
+    PatchResult,
     PromoteToReadWrite,
     SetMemoryClobber,
     render_diff,
@@ -220,3 +230,216 @@ def test_patched_statement_renders():
     pr = patch(c)
     text = render(pr.patched)
     assert text.endswith(': "cc")')
+
+
+# ---------------------------------------------------------------------------
+# Hunk-local diffs against the whole-file reference
+
+_STMT = 'asm ("addl %1, %0" : "+r" (x) : "r" (y));'
+_STMT_MULTILINE = 'asm ("addl %1, %0"\n      : "+r" (x)\n      : "r" (y));'
+
+
+def _full_file_diff(source, pr):
+    """The reference: difflib over every line of the old and new file."""
+    span = pr.patched.span
+    new_source = source[: span.byte_start] + render(pr.patched) + source[span.byte_end :]
+    return "".join(
+        difflib.unified_diff(
+            source.splitlines(keepends=True),
+            new_source.splitlines(keepends=True),
+            fromfile=f"a/{span.file}",
+            tofile=f"b/{span.file}",
+        )
+    )
+
+
+def _patch_nth(source, k):
+    chunks, _ = extract_chunks(source, "f.c")
+    c = chunks[k]
+    return synthesize_patches(c, check_chunk(c).issues)
+
+
+def _apply_hunks(source, diff):
+    """Apply a unified diff to source, one line list to another."""
+    old = source.splitlines(keepends=True)
+    out = []
+    done = 0
+    for line in diff.splitlines(keepends=True)[2:]:
+        if line.startswith("@@"):
+            start, length = re.match(r"@@ -(\d+)(?:,(\d+))?", line).groups()
+            start = int(start) - (length != "0")
+            out += old[done:start]
+            done = start
+        elif line[0] in " -":
+            assert old[done] == line[1:]
+            done += 1
+            if line[0] == " ":
+                out.append(line[1:])
+        else:
+            out.append(line[1:])
+    return "".join(out + old[done:])
+
+
+@pytest.mark.parametrize(
+    "source, k",
+    [
+        (f"{_STMT}\nint a;\nint b;\nint c;\nint d;\n", 0),
+        (f"int a;\n  {_STMT}\nint b;\nint c;\nint d;\nint e;\n", 0),
+        (f"int a;\nint b;\nint c;\nint d;\nint e;\n{_STMT}\n", 0),
+        (f"int a;\nint b;\nint c;\nint d;\nint e;\n{_STMT}", 0),
+        (f"int a;\r\nint b;\r\n\r\n  {_STMT}\r\n}}\r\nint c;\r\n", 0),
+        (f"\x0c\nint a;\x0cint b;\n\x0c{_STMT}\x0c\nint c;\n", 0),
+        (f"int a;\rint b;\r  {_STMT}\rint c;\rint d;\r", 0),
+        (f"int a; {_STMT} int b;\nint c;\n", 0),
+        # copies of the statement: difflib may pair the patched one with a copy
+        ("".join(f"  {_STMT}\n" for _ in range(5)), 0),
+        ("".join(f"  {_STMT}\n" for _ in range(5)), 2),
+        ("".join(f"  {_STMT}\n" for _ in range(5)) + f"x\n}}\n}}\n  {_STMT}\n", 0),
+        (f"z\n  {_STMT}\nz\n  {_STMT}\n" + "".join(f"int u{i};\n" for i in range(9)), 0),
+        # the patched statement's new text is already in the file
+        (f'z\n  {_STMT}\nz\n  {_STMT[:-2]} : "cc");\nz\nx\n', 0),
+        # a file of 200 lines or more ignores lines that occur in more than
+        # 1% of it, "}" here
+        ("".join(f"int v{i};\n}}\n" for i in range(150)) + f"  {_STMT}\n}}\n}}\n", 0),
+        ("".join(f"int v{i};\n}}\n" for i in range(150)) + f"  {_STMT}\nint w;\n}}\n", 0),
+        ("}\n" * 150 + f"  {_STMT}\n" + "".join(f"int u{i};\n" for i in range(60)), 0),
+        (
+            f"y\nz\n  {_STMT}\n"
+            + "".join(f"int v{i};\n}}\n" for i in range(100))
+            + f"y\nz\n  {_STMT}\n}}\n}}\nint w;\n}}\n",
+            0,
+        ),
+        # operand text over many lines: the new text repeats a line (and
+        # moves it), or is long enough for autojunk on its own
+        (
+            "".join(f"int v{i};\n" for i in range(200))
+            + '  asm ("movl %0, %1\\nincl %1" : : "r" (q\nr), "r" (z\n+\n+\n+\n+\n1) : "cc");\n'
+            + "int w;\n",
+            0,
+        ),
+        (
+            "".join(f"int v{i};\n" for i in range(800))
+            + '}\n}\n}\n  asm ("addl %1, %0" : "+r" (x'
+            + "".join(f"\n+ a{i}" for i in range(200))
+            + ') : "r" (y));\n}\n}\n}\n',
+            0,
+        ),
+        (
+            "".join(f"int v{i};\n}}\n" for i in range(110))
+            + f"  {_STMT_MULTILINE}\n}}\nint w;\n}}\n"
+            + _STMT_MULTILINE.split("\n", 1)[1]
+            + "\n}\n"
+            + "".join(f"int u{i};\n}}\n" for i in range(10)),
+            0,
+        ),
+    ],
+    ids=[
+        "line-1", "line-2", "last-line", "last-line-no-newline", "crlf", "form-feeds",
+        "lone-cr", "mid-line", "copies-first", "copies-middle", "copy-after-context",
+        "copy-far", "new-text-present", "ignored-tail", "kept-tail", "ignored-head",
+        "copy-with-shared-neighbours", "repeated-new-lines", "long-statement",
+        "multiline-copied-lines",
+    ],
+)
+def test_render_diff_matches_full_file_diff(source, k):
+    pr = _patch_nth(source, k)
+    diff = render_diff(source, pr)
+    assert diff and diff == _full_file_diff(source, pr)
+
+
+def test_render_diff_span_ending_a_line():
+    """A span that takes in the line break after the statement (a source
+    edited since the scan) joins the patched statement to the next line."""
+    source = f"int a;\n  {_STMT}\nint b;\nint c;\n"
+    pr = _patch_nth(source, 0)
+    span = pr.patched.span
+    stale = dataclasses.replace(span, byte_end=source.index("\n", span.byte_end) + 1)
+    pr = dataclasses.replace(pr, patched=dataclasses.replace(pr.patched, span=stale))
+    assert render_diff(source, pr) == _full_file_diff(source, pr)
+
+
+def test_render_diff_multiline_hunk_applies():
+    source = f"int f(void)\n{{\n  {_STMT_MULTILINE}\n  return x;\n}}\n"
+    pr = _patch_nth(source, 0)
+    diff = render_diff(source, pr)
+    span = pr.patched.span
+    patched = source[: span.byte_start] + render(pr.patched) + source[span.byte_end :]
+    assert _apply_hunks(source, diff) == patched
+    assert diff == _full_file_diff(source, pr)
+
+
+_DIFF_LINES = st.sampled_from(
+    [
+        "}\n", "\n", "{\n", "int x;\n", "  return 0;\n", "/* c */\n", "\x0c\n", "a\rb\n",
+        "\r\n", f"  {_STMT}\n", f"{_STMT}\n", f"  {_STMT_MULTILINE}\n", f"x = 1; {_STMT} y = 2;\n",
+    ]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(_DIFF_LINES, st.integers(0, 60).map(lambda i: f"int v{i};\n")), max_size=30
+    ),
+    st.sampled_from([f"  {_STMT}\n", f"  {_STMT_MULTILINE}\n"]),
+    st.integers(0, 30),
+    st.integers(0, 10),
+    st.sampled_from(["\n", "\r\n", ""]),
+    st.sampled_from([0, 100, 120]),
+    st.integers(0, 30),
+)
+def test_render_diff_equals_full_file_diff(lines, statement, at, k, end, padding, pad_at):
+    """Byte-equal to the whole-file diff, on files with repeated
+    statements and on files long enough (padding) for difflib to ignore
+    popular lines; the hunks applied to the source give the patched
+    source."""
+    lines.insert(min(at, len(lines)), statement)
+    pad = [line for i in range(padding) for line in (f"int w{i};\n", "}\n")]
+    lines[pad_at:pad_at] = pad
+    source = "".join(lines).replace("\n", "\r\n") if end == "\r\n" else "".join(lines)
+    if not end:
+        source = source[:-1]
+    chunks, _ = extract_chunks(source, "f.c")
+    pr = _patch_nth(source, k % len(chunks))
+    diff = render_diff(source, pr)
+    assert diff == _full_file_diff(source, pr)
+    if end:
+        span = pr.patched.span
+        patched = source[: span.byte_start] + render(pr.patched) + source[span.byte_end :]
+        assert _apply_hunks(source, diff) == patched
+
+
+def _patched_file(functions):
+    """A C file with one statement per function, every fourth a copy of
+    the same text, and each statement's patch adding "cc"."""
+    source = "".join(
+        f"/* function {k} */\nvoid f{k}(void)\n{{\n    "
+        + ('asm ("movl $0, %%eax")' if k % 4 == 0 else f'asm ("incl %0" : "+r" (x{k}))')
+        + ";\n}\n\n"
+        for k in range(functions)
+    )
+    chunks, _ = extract_chunks(source, "f.c")
+    patches = [
+        PatchResult(
+            dataclasses.replace(c, clobbers=c.clobbers + ("cc",)), [AddClobber("cc")], [], {}, c
+        )
+        for c in chunks
+    ]
+    return source, patches
+
+
+def test_diff_time_grows_linearly():
+    """The diffs of 8x the patches in an 8x larger file take under 20x
+    the time; diffing the whole file per patch takes about 64x."""
+    timings = []
+    for functions in (50, 400):
+        source, patches = _patched_file(functions)
+        assert all(render_diff(source, pr).count("\n@@ ") == 1 for pr in patches)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            for pr in patches:
+                render_diff(source, pr)
+            best = min(best, time.perf_counter() - start)
+        timings.append(best)
+    assert timings[1] / timings[0] < 20, timings

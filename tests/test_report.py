@@ -47,6 +47,18 @@ def test_chunk_report_has_no_timings_by_default(corpus_by_id, monkeypatch):
     assert isinstance(rep["timings"], dict) and rep["timings"]
 
 
+def test_chunk_report_timings_include_the_forward_pass(corpus_by_id, monkeypatch):
+    c = corpus_by_id["paper/cas8_x86.c"]
+    monkeypatch.delenv("RIC_TIMINGS", raising=False)
+    assert report_for(c)["timings"] is None
+    monkeypatch.setenv("RIC_TIMINGS", "1")
+    timings = report_for(c)["timings"]
+    assert set(timings) == {
+        "lift_ms", "forward_ms", "frame_write_ms", "frame_read_ms", "unicity_ms", "total_ms"
+    }
+    assert all(v >= 0 for v in timings.values())
+
+
 def test_summary_buckets(corpus_chunks, corpus_labels):
     reps = [report_for(c) for c in corpus_chunks]
     s = build_summary(reps)
