@@ -55,17 +55,6 @@ from .expr import (
 from .lift import lift
 from .template import parse_template, uses_push_pop
 
-CATEGORIES = (
-    "FlagClobbered",
-    "ReadOnlyInputClobbered",
-    "UnboundRegisterClobbered",
-    "UnboundMemoryWrite",
-    "NonWrittenWriteOnlyOutput",
-    "UnboundRegisterRead",
-    "UnboundMemoryRead",
-    "Unicity",
-)
-
 
 def severity_of(category):
     return "benign" if category == "FlagClobbered" else "serious"
@@ -445,7 +434,6 @@ class BackwardPass:
         state = self.in_states[point]
         if state is None:
             return ("whole",)
-        terms_stack = [addr]
         # evaluate the address against the forward in-state, without
         # recording events or touching the memory model
         def ev(e):
@@ -673,22 +661,32 @@ class Anchor:
     is_output: bool
 
 
-def build_anchors(chunk, fi, kinds):
-    """Map m-class entries of the form "m"(*(ptr + k)) to the token
-    holding ptr, so refined interfaces re-check cleanly."""
+def _anchor_refs(chunk):
+    """Per entry, (position of the first entry whose expression is ptr,
+    k) if the entry's expression is *(ptr + k) or *ptr, else None. This
+    is all the checker reads of the operand expressions."""
     by_text = {}
     for e in chunk.entries:
         by_text.setdefault(e.expr_text.strip(), e.position)
-    anchors = []
+    refs = []
     for e in chunk.entries:
-        if kinds.get(e.position) != "mem":
-            continue
         m = _ANCHOR_RE.match(e.expr_text.strip())
-        if not m:
+        if m:
+            inner = (m.group(1) or m.group(3)).strip()
+            refs.append((by_text.get(inner), int(m.group(2)) if m.group(2) else 0))
+        else:
+            refs.append(None)
+    return tuple(refs)
+
+
+def build_anchors(chunk, fi, kinds):
+    """Map m-class entries of the form "m"(*(ptr + k)) to the token
+    holding ptr, so refined interfaces re-check cleanly."""
+    anchors = []
+    for e, ref in zip(chunk.entries, _anchor_refs(chunk)):
+        if kinds.get(e.position) != "mem" or ref is None:
             continue
-        inner = (m.group(1) or m.group(3)).strip()
-        off = int(m.group(2)) if m.group(2) else 0
-        base = by_text.get(inner)
+        base, off = ref
         if base is None or base == e.position or kinds.get(base) == "mem":
             continue
         spec = fi.constraints[e.position]
@@ -1107,8 +1105,39 @@ def analyze_unicity(fi, prog, kinds, fwd, live_out, domains, classify):
 # Pipeline
 
 
-def check_chunk(chunk, opts=None):
+def interface_key(chunk, opts):
+    """Everything the analysis reads of a chunk and its options. Chunks
+    that differ only in the names inside their operand expressions
+    share a key, and their analyses differ only in the chunk."""
+    return (
+        chunk.template,
+        tuple(chunk.clobbers),
+        len(chunk.outputs),
+        tuple((e.constraint, e.position, e.size_bytes, e.name) for e in chunk.entries),
+        _anchor_refs(chunk),
+        opts.expression_propagation,
+        opts.bit_liveness,
+    )
+
+
+def check_chunk(chunk, opts=None, memo=None):
+    """Check one chunk. memo, a dict kept for one command, maps each
+    interface_key to the first result with that key; a later chunk with
+    the key gets a copy of that result rebound to it, whose timings hold
+    only the lookup's total_ms. Callers must not mutate a result."""
     opts = opts or CheckOptions()
+    if memo is None:
+        return _analyze(chunk, opts)
+    t0 = time.perf_counter()
+    key = interface_key(chunk, opts)
+    first = memo.get(key)
+    if first is None:
+        memo[key] = first = _analyze(chunk, opts)
+        return first
+    return replace(first, chunk=chunk, timings={"total_ms": (time.perf_counter() - t0) * 1000})
+
+
+def _analyze(chunk, opts):
     t0 = time.perf_counter()
     result = CheckResult(chunk=chunk, verdict="error")
     try:

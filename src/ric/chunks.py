@@ -247,6 +247,10 @@ def _decode_strings(text, span):
                 nxt = text[i + 1]
                 if nxt == "x":
                     m = re.match(r"[0-9a-fA-F]{1,2}", text[i + 2 :])
+                    if m is None:
+                        raise MalformedInterface(
+                            f"{span.file}:{span.line}: \\x used with no following hex digits"
+                        )
                     out.append(chr(int(m.group(0), 16)))
                     i += 2 + m.end()
                     continue
@@ -354,7 +358,7 @@ def render(chunk):
         f" {q}" for q in ("volatile", "inline", "goto") if q in chunk.qualifiers
     )
     template = chunk.template.replace("\\", "\\\\").replace('"', '\\"')
-    template = template.replace("\n", "\\n")
+    template = template.replace("\n", "\\n").replace("\r", "\\r")
     parts = [f'"{template}"']
     need = 0
     if chunk.clobbers:

@@ -40,7 +40,9 @@ def _collect(args):
     sources = {}  # path -> source text (None for chunk files)
     per_file = []  # (path, chunk)
     for path in sorted(args.files):
-        with open(path, encoding="utf-8") as f:
+        # newline="" keeps \r\n, so spans index the file's own text and
+        # --in-place rewrites keep its line ends
+        with open(path, encoding="utf-8", newline="") as f:
             text = f.read()
         sources[path] = text
         found, diags = extract_chunks(text, path)
@@ -79,7 +81,8 @@ def _emit(report, args):
 
 def _cmd_check(args):
     sources, pairs = _collect(args)
-    reports = [chunk_report(check_chunk(c)) for _, c in pairs]
+    memo = {}
+    reports = [chunk_report(check_chunk(c, memo=memo)) for _, c in pairs]
     _emit(build_report(reports), args)
     return _exit_code(reports)
 
@@ -88,12 +91,13 @@ def _cmd_patch(args):
     sources, pairs = _collect(args)
     reports = []
     rewrites = {}  # path -> list of (span, replacement)
+    memo = {}
     for path, chunk in pairs:
-        result = check_chunk(chunk)
+        result = check_chunk(chunk, memo=memo)
         extra = {}
         if result.verdict == "issues":
             pr = patcher.synthesize_patches(chunk, result.issues)
-            verification = patcher.verify_patch(pr)
+            verification = patcher.verify_patch(pr, memo)
             extra["patch"] = {
                 "edits": [patcher.edit_to_json(e) for e in pr.edits],
                 "unresolved": [
@@ -131,11 +135,12 @@ def _cmd_refine(args):
     )
     reports = []
     rewrites = {}
+    memo = {}
     for path, chunk in pairs:
-        result = check_chunk(chunk)
+        result = check_chunk(chunk, memo=memo)
         extra = {}
         if result.verdict == "compliant":
-            rr = refiner.refine_interface(result, options)
+            rr = refiner.refine_interface(result, options, memo)
             extra["refinements"] = {
                 "edits": [refiner.edit_to_json(e) for e in rr.edits],
                 "suggestions": [refiner.edit_to_json(e) for e in rr.suggestions],

@@ -564,17 +564,6 @@ class IndirectLoc:
     reg: str
 
 
-def abstract_operand(op):
-    """Abstract description of a concrete operand."""
-    if isinstance(op, ImmOperand):
-        return frozenset({Immediate()})
-    if isinstance(op, RegOperand):
-        return frozenset({DirectLoc(op.reg)})
-    if isinstance(op, MemOperand):
-        return frozenset(IndirectLoc(r) for r in op.registers())
-    raise MalformedInterface(f"cannot abstract {op!r}")
-
-
 def abstract_domain(fi):
     """Per-token over-approximation of the possible operand shapes.
 

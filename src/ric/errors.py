@@ -73,10 +73,6 @@ class SpanStale(RicError):
     """Source text changed since the chunk was scanned."""
 
 
-class Unsatisfiable(RicError):
-    """No valid token assignment exists for the interface."""
-
-
 class StepLimit(RicError):
     """Concrete execution exceeded its step budget."""
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .errors import WidthError
 
 GP_REGS = ("eax", "ebx", "ecx", "edx", "esi", "edi", "ebp", "esp")
-FLAGS = ("z", "c", "s", "o", "p", "a")
 MMX_REGS = tuple(f"mm{i}" for i in range(8))
 XMM_REGS = tuple(f"xmm{i}" for i in range(8))
 
@@ -113,8 +112,6 @@ def reg(name):
 # Expressions
 
 CMP_OPS = frozenset({"eq", "ne", "ugt", "ult", "sgt", "slt"})
-ARITH_OPS = frozenset({"add", "sub", "mul", "udiv", "urem", "sdiv", "srem"})
-BITWISE_OPS = frozenset({"and", "or", "xor"})
 SHIFT_OPS = frozenset({"shl", "shr", "sar"})
 COMMUTATIVE = frozenset({"add", "mul", "and", "or", "xor", "eq", "ne"})
 
@@ -501,26 +498,6 @@ def eval_expr(e, get_loc, load_mem):
         c = eval_expr(e.c, get_loc, load_mem)
         return eval_expr(e.a if c else e.b, get_loc, load_mem)
     raise WidthError(f"not an expression: {e!r}")
-
-
-def expr_locations(e):
-    """Yield every location read by the expression (addresses included)."""
-    if isinstance(e, ReadLoc):
-        yield e.loc
-    elif isinstance(e, Load):
-        yield MemoryWhole()
-        yield from expr_locations(e.addr)
-    elif isinstance(e, UnOp):
-        yield from expr_locations(e.e)
-    elif isinstance(e, (Cast, Extract)):
-        yield from expr_locations(e.e)
-    elif isinstance(e, BinOp):
-        yield from expr_locations(e.a)
-        yield from expr_locations(e.b)
-    elif isinstance(e, Ite):
-        yield from expr_locations(e.c)
-        yield from expr_locations(e.a)
-        yield from expr_locations(e.b)
 
 
 # ---------------------------------------------------------------------------

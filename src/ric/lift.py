@@ -318,7 +318,6 @@ def _cond(cc):
 
 SUFFIX_WIDTHS = {"b": 8, "w": 16, "l": 32}
 
-ALU2 = {"add", "adc", "sub", "sbb", "and", "or", "xor", "cmp", "test", "mov", "imul"}
 SHIFTS = {"shl", "sal", "shr", "sar", "rol", "ror"}
 SIMD_MOVES = {"movq": 64, "movd": 32, "movaps": 128, "movdqa": 128, "movdqu": 128}
 

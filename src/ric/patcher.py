@@ -289,8 +289,8 @@ FRAMING_CATEGORIES = (
 )
 
 
-def verify_patch(pr):
-    result = check_chunk(pr.patched)
+def verify_patch(pr, memo=None):
+    result = check_chunk(pr.patched, memo=memo)
     framing_ok = result.verdict in ("compliant", "issues") and not any(
         i.category in FRAMING_CATEGORIES for i in result.issues
     )

@@ -285,8 +285,9 @@ def _clobber_written(result, name):
     return any(isinstance(loc, Reg) and loc.name == name for loc in result.writes)
 
 
-def refine_interface(result, options=None):
-    """Compute guarded refinements for a compliant check result."""
+def refine_interface(result, options=None, memo=None):
+    """Compute guarded refinements for a compliant check result. memo
+    is passed on to check_chunk for the re-checks."""
     options = options or RefineOptions()
     chunk = result.chunk
     if result.verdict != "compliant" or result.fi is None:
@@ -312,7 +313,7 @@ def refine_interface(result, options=None):
 
     def still_compliant(candidate):
         try:
-            return check_chunk(candidate).verdict == "compliant"
+            return check_chunk(candidate, memo=memo).verdict == "compliant"
         except RicError:
             return False
 

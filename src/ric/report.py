@@ -16,9 +16,6 @@ class PatternTag:
     rationale: str
 
 
-PATTERN_NAMES = ("P1", "P2", "P3", "P4", "P5", "P6")
-
-
 def severity_policy(issue):
     return severity_of(issue.category)
 

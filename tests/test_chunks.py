@@ -87,6 +87,16 @@ def test_malformed_entry_is_diagnostic_not_crash():
     assert isinstance(diags[0], MalformedInterface)
 
 
+def test_hex_escape_without_digits_is_diagnostic_not_crash():
+    for src in ('asm ("nop\\xg");', 'asm ("nop\\x");', 'asm ("nop" : : : "\\xz");'):
+        chunks, diags = extract_chunks(src)
+        assert chunks == [] and len(diags) == 1, src
+        assert isinstance(diags[0], MalformedInterface)
+        assert "\\x used with no following hex digits" in str(diags[0])
+    (c,), _ = extract_chunks('asm ("nop\\x41\\x9z");')
+    assert c.template == "nopA\x09z"
+
+
 def test_schema_rejects_unknown_field():
     with pytest.raises(SchemaViolation):
         load_chunk_records([{"template": "nop", "bogus": 1}])
@@ -123,6 +133,18 @@ def test_render_round_trip(corpus_chunks):
             (e.constraint, e.expr_text) for e in c.entries
         ]
         assert c2.clobbers == c.clobbers
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(st.sampled_from(["\r", "\n", '"', "\\", "\t", "a", "%", "0", " ", ";"])))
+def test_render_round_trips_escaped_templates(template):
+    (c,) = load_chunk_records(
+        [{"template": template, "outputs": [{"constraint": "=r", "expr_text": "x"}]}]
+    )
+    text = render(c)
+    assert "\r" not in text and "\n" not in text  # a C string literal cannot span lines
+    chunks, diags = extract_chunks(text + ";")
+    assert not diags and [c2.template for c2 in chunks] == [template]
 
 
 _FILLERS = st.sampled_from(

@@ -64,6 +64,13 @@ def test_exit_three_on_out_of_scope_only(tmp_path):
     assert rep["chunks"][0]["verdict"] == "out_of_scope"
 
 
+def test_bad_hex_escape_is_reported_not_a_crash(tmp_path, capsys):
+    path = write(tmp_path, "x.c", 'void f(void) { asm ("nop\\xg"); }\n' + CLEAN_SRC)
+    code, rep = run_json(["check", path], tmp_path)
+    assert code == 0 and len(rep["chunks"]) == 1
+    assert "x.c:1: \\x used with no following hex digits" in capsys.readouterr().err
+
+
 def test_exit_two_on_bad_usage(tmp_path, capsys):
     assert run(["check", str(tmp_path / "missing.c")]) == 2
     assert run(["frobnicate"]) == 2
@@ -128,6 +135,33 @@ def test_patch_in_place_file_named_twice(tmp_path):
     run_json(["patch", "--in-place", path, path], tmp_path)
     assert open(path).read() == once
     assert once.count('"cc"') == 2
+
+
+MULTILINE_SRC = (
+    "int m(int x, int y) {\n"
+    "  int z = x;\n"
+    '  asm ("addl %1, %0"\n'
+    '       : "+r" (x)\n'
+    '       : "r" (y));\n'
+    '  asm ("movl %1, %0" : "=r" (z) : "r" (y));\n'
+    "  return x + z;\n"
+    "}\n"
+)
+
+
+def test_patch_in_place_keeps_crlf_line_ends(tmp_path):
+    lf = tmp_path / "lf.c"
+    crlf = tmp_path / "crlf.c"
+    lf.write_bytes(MULTILINE_SRC.encode())
+    crlf.write_bytes(MULTILINE_SRC.replace("\n", "\r\n").encode())
+    _, lf_rep = run_json(["patch", "--in-place", str(lf)], tmp_path)
+    _, crlf_rep = run_json(["patch", "--in-place", str(crlf)], tmp_path)
+    spans = [(c["span"]["line"], c["span"]["column"]) for c in crlf_rep["chunks"]]
+    assert spans == [(c["span"]["line"], c["span"]["column"]) for c in lf_rep["chunks"]]
+    assert spans == [(3, 3), (6, 3)]
+    patched = lf.read_bytes().decode()
+    assert patched != MULTILINE_SRC and patched.count("asm") == 2
+    assert crlf.read_bytes().decode() == patched.replace("\n", "\r\n")
 
 
 def test_refine_in_place_round_trip(tmp_path):
