@@ -83,6 +83,8 @@ _SCAN_STOP = re.compile(r"//|/\*|[\"']|" + _ASM_KEYWORD)
 # Points of interest inside a statement's parentheses.
 _PAREN_STOP = re.compile(r"[()\"'/]")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# A // comment ends at a line end; as for GCC, a lone \r is one too.
+_LINE_END = re.compile(r"[\r\n]")
 
 
 def _skip_lexical(text, i, n):
@@ -90,8 +92,8 @@ def _skip_lexical(text, i, n):
     c = text[i]
     if c == "/" and i + 1 < n:
         if text[i + 1] == "/":
-            j = text.find("\n", i)
-            return n if j < 0 else j + 1
+            m = _LINE_END.search(text, i)
+            return n if m is None else m.end()
         if text[i + 1] == "*":
             j = text.find("*/", i + 2)
             return n if j < 0 else j + 2

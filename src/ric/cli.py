@@ -5,13 +5,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import patcher, refiner
 from .checker import check_chunk
 from .chunks import extract_chunks, load_chunk_file, render
 from .errors import RicError, SpanStale
 from .oracle import OracleRun, TrialConfig, oracle_check
-from .report import build_report, chunk_report, render_text
+from .report import build_report, chunk_report, render_text, timings_enabled
 
 
 def _parser():
@@ -161,17 +162,22 @@ def _cmd_oracle(args):
         trials=args.trials, seed=args.seed, assignment_cap=args.assignment_cap
     )
     reports = []
+    streams = {}  # trial seed -> WordStream, shared by every chunk
+    timed = timings_enabled()
     for path, chunk in pairs:
         result = check_chunk(chunk)
-        run = OracleRun(chunk, cfg)
+        run = OracleRun(chunk, cfg, streams=streams)
         oracle = {}
         for prop in ("frame_write", "frame_read", "unicity"):
+            t0 = time.perf_counter()
             verdict = oracle_check(chunk, prop, cfg, run=run)
             entry = {"verdict": verdict.verdict, "trials": verdict.trials_run}
             if verdict.reason:
                 entry["reason"] = verdict.reason
             if verdict.witness:
                 entry["witness"] = verdict.witness.to_json()
+            if timed:
+                entry["ms"] = round((time.perf_counter() - t0) * 1000, 3)
             oracle[prop] = entry
         reports.append(chunk_report(result, {"oracle": oracle}))
     _emit(build_report(reports), args)

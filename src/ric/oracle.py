@@ -14,6 +14,8 @@ compute exactly what `eval_expr` computes.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass, field
 
 from .constraints import (
@@ -68,12 +70,187 @@ class TrialConfig:
     sandbox_size: int = 65536
 
 
+# ---------------------------------------------------------------------------
+# Trial random streams
+#
+# A trial's seed depends only on (cfg.seed, trial), so every chunk and
+# property of a run replays the same few Mersenne Twister streams. A
+# WordStream keeps the 32-bit output words of random.Random(seed) that a
+# reader needed; TrialRandom draws from it exactly as random.Random(seed)
+# would, and a sandbox reads its bytes from it only when a load needs
+# them.
+
+BLOCK = 624  # words per Mersenne Twister state: the unit a stream keeps
+
+
+def _words(x, n):
+    """The n 32-bit words of x, low word first."""
+    words = array("I", x.to_bytes(4 * n, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _from_words(words):
+    if sys.byteorder == "big":
+        words = array("I", words)
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+class _Twister:
+    """random.Random(seed)'s output words, one block at a time."""
+
+    def __init__(self, seed):
+        self.seed, self.next, self._rng = seed, 0, random.Random(seed)
+
+    def advance(self):
+        """The words of block `next`; moves on to the block after it."""
+        self.next += 1
+        return _words(self._rng.getrandbits(32 * BLOCK), BLOCK)
+
+
+class WordStream:
+    """The output words of random.Random(seed), kept per block read.
+
+    One generator passes forward through the stream once; the blocks it
+    passes that nothing reads are dropped. A dropped block read later is
+    regenerated from the seed."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.kept = {}  # block index -> words
+        self._ahead = _Twister(seed)
+
+    def block(self, b):
+        words = self.kept.get(b)
+        if words is None:
+            gen = self._ahead if b >= self._ahead.next else _Twister(self.seed)
+            while gen.next < b:
+                gen.advance()
+            words = self.kept[b] = gen.advance()
+        return words
+
+    def bits(self, pos, k):
+        """What getrandbits(k), k > 0, returns after `pos` words: the next
+        ceil(k/32) words, low word first, the last shifted right to its
+        top k - 32 * (ceil(k/32) - 1) bits, as CPython lays them out."""
+        n = (k + 31) >> 5
+        words = array("I")
+        while len(words) < n:
+            b, i = divmod(pos + len(words), BLOCK)
+            words.extend(self.block(b)[i : i + n - len(words)])
+        top = words.pop() >> (32 * n - k)
+        return _from_words(words) | top << (32 * (n - 1))
+
+
+class TrialRandom(random.Random):
+    """random.Random(seed), read from the seed's WordStream in `streams`
+    (a dict from seed to stream, filled on first use), so that all
+    readers of a seed share the words generated. Only getrandbits reads
+    the stream; the stdlib's choice, randrange and the rest run on it
+    unchanged. Seeding and state access raise: the stream is fixed."""
+
+    def __init__(self, seed, streams):
+        stream = streams.get(seed)
+        if stream is None:
+            stream = streams[seed] = WordStream(seed)
+        self._stream = stream
+        self.gauss_next = None
+        self._seek(0)
+
+    def _seek(self, pos):
+        # the block at pos is looked at only if the stream already keeps
+        # it; otherwise the next draw fetches it
+        self._b, self._i = divmod(pos, BLOCK)
+        self._words = self._stream.kept.get(self._b)
+        self._n = 0 if self._words is None else BLOCK
+
+    def getrandbits(self, k):
+        i = self._i
+        if 0 < k <= 32 and i < self._n:
+            self._i = i + 1
+            return self._words[i] >> (32 - k)
+        if 32 < k <= 64 and i + 1 < self._n:
+            self._i = i + 2
+            words = self._words
+            return words[i] | (words[i + 1] >> (64 - k)) << 32
+        if k <= 0:
+            if k < 0:
+                raise ValueError("number of bits must be non-negative")
+            return 0
+        pos = self._b * BLOCK + i
+        value = self._stream.bits(pos, k)
+        self._seek(pos + ((k + 31) >> 5))
+        return value
+
+    def random(self):
+        a, b = self.getrandbits(27), self.getrandbits(26)
+        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+
+    def window(self, size):
+        """The bytes randbytes(size) would draw next, read on demand."""
+        pos = self._b * BLOCK + self._i
+        self._seek(pos + ((size + 3) >> 2))
+        return StreamBytes(self._stream, pos, size)
+
+    def seed(self, *args, **kwargs):
+        raise TypeError("TrialRandom replays a fixed seed's stream")
+
+    def getstate(self):
+        raise TypeError("TrialRandom has no Mersenne Twister state")
+
+    def setstate(self, state):
+        raise TypeError("TrialRandom has no Mersenne Twister state")
+
+
+# ---------------------------------------------------------------------------
+# Sandbox byte sources: read(off, size) is bytes off..off+size-1 as a
+# little-endian integer.
+
+
+class IntBytes:
+    """The bytes of an integer, byte i being bits 8i..8i+7."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def read(self, off, size):
+        return (self.value >> (8 * off)) & ((1 << (8 * size)) - 1)
+
+
+_ZEROS = IntBytes(0)
+
+
+class StreamBytes:
+    """`size` bytes that randbytes(size) draws after `start` words of a
+    stream: word j gives bytes 4j..4j+3, and a last partial word gives
+    its high bytes."""
+
+    __slots__ = ("stream", "start", "size")
+
+    def __init__(self, stream, start, size):
+        self.stream, self.start, self.size = stream, start, size
+
+    def read(self, off, size):
+        first, end = off >> 2, (off + size + 3) >> 2
+        if end < (self.size + 3) >> 2:
+            k = 32 * (end - first)
+        else:  # through the last word, shifted as in the whole draw
+            k = 8 * self.size - 32 * first
+        value = self.stream.bits(self.start + first, k)
+        return (value >> (8 * (off & 3))) & ((1 << (8 * size)) - 1)
+
+
 class MachineState:
     """Registers, flags and a sandbox of `size` bytes at SANDBOX_BASE.
 
-    The sandbox is an immutable integer `mem` (byte i is bits 8i..8i+7)
-    under `stored`, a sparse map from offset to each byte written since.
-    Copies share the integer, so a copy costs only the overlay.
+    The sandbox is a byte source `mem`, never written, under `stored`, a
+    sparse map from offset to each byte written since. Copies share the
+    source, so a copy costs only the overlay. An integer assigned to
+    `mem` stands for its bytes, byte i being bits 8i..8i+7.
     """
 
     def __init__(self, sandbox_size):
@@ -81,10 +258,18 @@ class MachineState:
         self.wide = {r: 0 for r in WIDE}
         self.flags = {f: 0 for f in FLAG_NAMES}
         self.size = sandbox_size
-        self.mem = 0
+        self._mem = _ZEROS
         self.stored = {}
         self.temps = {}
         self.syms = {}
+
+    @property
+    def mem(self):
+        return self._mem
+
+    @mem.setter
+    def mem(self, source):
+        self._mem = IntBytes(source) if isinstance(source, int) else source
 
     def copy(self):
         m = MachineState.__new__(MachineState)
@@ -98,7 +283,7 @@ class MachineState:
 
     def copy_memory(self, other):
         """Give this sandbox the bytes of other's."""
-        self.size, self.mem, self.stored = other.size, other.mem, dict(other.stored)
+        self.size, self._mem, self.stored = other.size, other._mem, dict(other.stored)
 
     def _offset(self, addr, size):
         off = addr - SANDBOX_BASE
@@ -107,7 +292,7 @@ class MachineState:
         return off
 
     def to_bytes(self):
-        buf = bytearray(self.mem.to_bytes(self.size, "little"))
+        buf = bytearray(self._mem.read(0, self.size).to_bytes(self.size, "little"))
         for off, b in self.stored.items():
             buf[off] = b
         return buf
@@ -121,7 +306,7 @@ class MachineState:
             b = stored.get(i)
             if b is None:
                 if window is None:
-                    window = (self.mem >> (8 * off)) & ((1 << (8 * size)) - 1)
+                    window = self._mem.read(off, size)
                 b = (window >> (8 * (i - off))) & 0xFF
             value = (value << 8) | b
         return value
@@ -448,8 +633,8 @@ def random_state(rng, cfg, binding, fi=None, esp_base=None):
     m.regs["esp"] = esp_base if esp_base is not None else (
         SANDBOX_BASE + cfg.sandbox_size - 0x400 - rng.randrange(0, 16) * 4
     )
-    # the integer rng.randbytes(n) would turn into bytes: same stream
-    m.mem = rng.getrandbits(8 * cfg.sandbox_size)
+    # the bytes rng.randbytes(n) would draw, read only where loaded
+    m.mem = rng.window(cfg.sandbox_size)
     if fi is not None:
         for p, addr in binding.cells.items():
             size = fi.sizes.get(p, 4)
@@ -514,11 +699,11 @@ def _scratch_range(m_in, m_out):
 
 def _mem_equal(m1, m2, exempt_ranges):
     """Offset of the first byte outside the exempt ranges where the two
-    sandboxes differ, or None. Sandboxes sharing their random integer can
+    sandboxes differ, or None. Sandboxes sharing their byte source can
     differ only at stored offsets."""
     if m1.size != m2.size:
         raise RicError(f"cannot compare sandboxes of {m1.size} and {m2.size} bytes")
-    if m1.mem == m2.mem:
+    if m1.mem is m2.mem:
         offsets = sorted(m1.stored.keys() | m2.stored.keys())
         differing = (
             i
@@ -538,15 +723,18 @@ class OracleRun:
     """What the oracle derives once per chunk and shares across the three
     properties: interface, lifted program, anchors, assignment set, and
     the compiled program of each assignment drawn. `unrunnable` is the
-    reason every property is inconclusive, or empty."""
+    reason every property is inconclusive, or empty. `streams` maps a
+    trial seed to its WordStream; runs may share one dict, as a seed's
+    stream is the same for every reader."""
 
-    def __init__(self, chunk, cfg):
+    def __init__(self, chunk, cfg, streams=None):
         from .checker import build_anchors
         from .constraints import derive_interface
         from .template import template_tokens
 
         self.cfg = cfg
         self.chunk = chunk
+        self.streams = {} if streams is None else streams
         self.unrunnable = ""
         self.steps_left = STEP_BUDGET
         self._programs = {}  # id(assignment) -> (assignment, compiled program)
@@ -610,7 +798,7 @@ def oracle_check(chunk, prop, cfg=None, run=None):
     run.steps_left = STEP_BUDGET
     bad_trials = 0
     for trial in range(cfg.trials):
-        rng = random.Random((cfg.seed << 20) ^ (trial * 2654435761 % 2**31))
+        rng = TrialRandom((cfg.seed << 20) ^ (trial * 2654435761 % 2**31), run.streams)
         try:
             witness = checker(run, rng, cfg)
         except StepLimit:

@@ -64,7 +64,7 @@ def issue_to_json(issue, chunk):
     }
 
 
-def _timings_enabled():
+def timings_enabled():
     return os.environ.get("RIC_TIMINGS", "0") == "1"
 
 
@@ -82,7 +82,7 @@ def chunk_report(result, extra=None):
         # report reproducibility; opt in via RIC_TIMINGS=1
         "timings": (
             {k: round(v, 3) for k, v in result.timings.items()}
-            if _timings_enabled()
+            if timings_enabled()
             else None
         ),
     }

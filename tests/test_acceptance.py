@@ -11,7 +11,7 @@ from ric.checker import CheckOptions, check_chunk
 from ric.cli import run
 from ric.constraints import RegisterSet, derive_interface, eval_letter
 from ric.expr import Reg
-from ric.oracle import TrialConfig, oracle_check
+from ric.oracle import OracleRun, TrialConfig, oracle_check
 from ric.patcher import AddClobber, AddOutput, synthesize_patches, verify_patch
 from ric.refiner import (
     DropClobber,
@@ -114,11 +114,13 @@ def test_criterion_04_constraint_table():
 def test_criterion_05_checker_oracle_soundness(corpus_chunks, corpus_results):
     t0 = time.perf_counter()
     unsound = []
+    streams = {}  # one random stream per trial seed, as `ric oracle` keeps
     for c in corpus_chunks:
         if corpus_results[c.context.file].verdict != "compliant":
             continue
+        oracle_run = OracleRun(c, ORACLE_CFG, streams=streams)
         for prop in ("frame_write", "frame_read", "unicity"):
-            v = oracle_check(c, prop, ORACLE_CFG)
+            v = oracle_check(c, prop, ORACLE_CFG, run=oracle_run)
             if v.verdict == "violation":
                 unsound.append((c.context.file, prop))
     elapsed = time.perf_counter() - t0

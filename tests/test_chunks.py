@@ -187,8 +187,10 @@ def _reference_skip_lexical(text, i, n):
     c = text[i]
     if c == "/" and i + 1 < n:
         if text[i + 1] == "/":
-            j = text.find("\n", i)
-            return n if j < 0 else j + 1
+            j = i + 2
+            while j < n and text[j] not in "\r\n":
+                j += 1
+            return min(j + 1, n)
         if text[i + 1] == "*":
             j = text.find("*/", i + 2)
             return n if j < 0 else j + 2
@@ -271,7 +273,7 @@ _SCAN_FRAGMENTS = st.sampled_from(
         "asm", "__asm__", "__asm", "__asm__ __volatile__", "asm volatile",
         "asm inline goto", "__asm volatile", "volatile",
         "myasm", "asm_x", "x",
-        '"nop"', '"r" (x)', " : ", ", ", ";", "(", ")", " ", "\n", "\r\n", "\x0c", "\t",
+        '"nop"', '"r" (x)', " : ", ", ", ";", "(", ")", " ", "\n", "\r\n", "\r", "\x0c", "\t",
         "/* asm ( */", "// asm (\n", '"asm ("', '"))("', "/* ) */", "/", "*",
         '"\\""', "'\\''", "')'", "'('", "\\",
         '"', "'", "/*", "//", "asm (",
@@ -304,6 +306,15 @@ def test_scanner_counts_lines_by_newline_only():
     spans = [s.span for s in scan(text)]
     assert [(s.line, s.column) for s in spans] == [(2, 3), (2, 16), (3, 3)]
     assert _scan_view(scan_c_source(text, "t.c")) == _scan_view(_reference_scan(text, "t.c"))
+
+
+def test_line_comment_ends_at_a_lone_cr():
+    # GCC ends a // comment at a lone \r as at \n; the statement after
+    # it is no part of the comment
+    text = 'int f(int x)\r{\r  // note\r  asm ("incl %0" : "+r" (x));\r  return x;\r}\r'
+    assert [s.body for s in scan(text)] == ['"incl %0" : "+r" (x)']
+    chunks, diagnostics = extract_chunks(text, "cr.c")
+    assert [c.template for c in chunks] == ["incl %0"] and not diagnostics
 
 
 def _c_file(statements):

@@ -164,6 +164,16 @@ def test_patch_in_place_keeps_crlf_line_ends(tmp_path):
     assert crlf.read_bytes().decode() == patched.replace("\n", "\r\n")
 
 
+def test_line_comment_in_lone_cr_file_hides_no_statement(tmp_path):
+    path = tmp_path / "cr.c"
+    path.write_bytes(
+        b'int f(int x)\r{\r  // note\r  asm ("incl %0" : "+r" (x));\r  return x;\r}\r'
+    )
+    code, rep = run_json(["check", str(path)], tmp_path)
+    assert code == 1
+    assert [c["issues"][0]["category"] for c in rep["chunks"]] == ["FlagClobbered"]
+
+
 def test_refine_in_place_round_trip(tmp_path):
     path = write(tmp_path, "r.c", REFINABLE_SRC)
     code, rep = run_json(["refine", "--in-place", path], tmp_path)
@@ -191,6 +201,17 @@ def test_oracle_command(tmp_path):
     oracle = rep["chunks"][0]["oracle"]
     assert oracle["frame_write"]["verdict"] == "violation"
     assert "witness" in oracle["frame_write"]
+
+
+def test_oracle_property_times_only_under_ric_timings(tmp_path, monkeypatch):
+    args = ["oracle", "--trials", "5", write(tmp_path, "g.c", CLEAN_SRC)]
+    monkeypatch.delenv("RIC_TIMINGS", raising=False)
+    _, rep = run_json(args, tmp_path)
+    assert all("ms" not in entry for entry in rep["chunks"][0]["oracle"].values())
+    monkeypatch.setenv("RIC_TIMINGS", "1")
+    _, rep = run_json(args, tmp_path)
+    entries = rep["chunks"][0]["oracle"].values()
+    assert len(entries) == 3 and all(entry["ms"] >= 0 for entry in entries)
 
 
 # ---------------------------------------------------------------------------

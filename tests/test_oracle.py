@@ -14,6 +14,7 @@ from ric.oracle import (
     SANDBOX_BASE,
     STEP_BUDGET,
     MachineState,
+    OracleRun,
     TrialConfig,
     _mem_equal,
     exec_program,
@@ -88,11 +89,13 @@ def test_motivating_frame_write_violates(corpus_by_id):
 
 
 def test_no_violation_on_compliant_corpus(corpus_chunks, corpus_results):
+    streams = {}  # one random stream per trial seed, as `ric oracle` keeps
     for c in corpus_chunks:
         if corpus_results[c.context.file].verdict != "compliant":
             continue
+        run = OracleRun(c, CFG, streams=streams)
         for prop in PROPS:
-            v = oracle_check(c, prop, CFG)
+            v = oracle_check(c, prop, CFG, run=run)
             assert v.verdict != "violation", (c.context.file, prop, v.witness)
 
 
