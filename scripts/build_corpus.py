@@ -262,7 +262,7 @@ add("oos/fld.c", "fldl (%0)", [], [("r", "p")], clobbers=["memory"],
 def actual_findings(result):
     out = []
     for i in result.issues:
-        tag = classify_pattern(i, result.chunk)
+        tag = classify_pattern(i, result)
         out.append((i.category, severity_policy(i), tag.tag if tag else None))
     return sorted(out, key=lambda t: (t[0], t[1], t[2] or ""))
 

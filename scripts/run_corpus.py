@@ -44,7 +44,7 @@ def main():
             (
                 i.category,
                 severity_policy(i),
-                tag.tag if (tag := classify_pattern(i, c)) else None,
+                tag.tag if (tag := classify_pattern(i, result)) else None,
             )
             for i in result.issues
         )
@@ -70,9 +70,10 @@ def main():
         streams = {}  # trial seed -> WordStream, shared by every chunk
         t0 = time.perf_counter()
         for c in chunks:
-            if results[c.context.file].verdict != "compliant":
+            result = results[c.context.file]
+            if result.verdict != "compliant":
                 continue
-            run = OracleRun(c, cfg, streams=streams)
+            run = OracleRun(result, cfg, streams=streams)
             for prop in ("frame_write", "frame_read", "unicity"):
                 v = oracle_check(c, prop, cfg, run=run)
                 if v.verdict == "violation":

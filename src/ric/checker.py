@@ -4,8 +4,9 @@ Three passes over the lifted IR:
  - a forward symbolic pass tracking each location's value as an
    expression over entry-state symbols, with store-to-load forwarding
    for stack scratch slots and token cells; it also classifies every
-   memory access (token cell, stack slot, pointer-token region, global
-   symbol, or unresolved whole-memory),
+   memory access (token cell, stack slot, pointer-token region, or
+   unresolved whole-memory) and records the region of each load and
+   store, which the other two passes read,
  - a backward liveness pass over per-location bitsets seeded with the
    declared output widths,
  - a unicity pass checking every interface-visible write against the
@@ -40,7 +41,6 @@ from .expr import (
     Reg,
     StackSlot,
     StoreLhs,
-    Sym,
     Temp,
     Token,
     TokenAddr,
@@ -87,6 +87,7 @@ class CheckResult:
     prog: object = None
     parsed: object = None
     kinds: dict = field(default_factory=dict)
+    anchors: tuple = ()
     entry_live: dict = field(default_factory=dict)
     entry_regions: frozenset = frozenset()
     live_out: list = field(default_factory=list)
@@ -96,6 +97,7 @@ class CheckResult:
     exit_state: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     details: str = ""
+    error: RicError = None  # what ended the analysis before the passes
     warnings: tuple = ()
 
 
@@ -130,8 +132,7 @@ def init_read(loc):
 class MemEvent:
     point: int
     kind: str  # 'load' | 'store'
-    region: tuple  # ('cell',p,off) ('stack',off) ('tokptr',p,off)
-    #                ('sym',s,off) ('whole',)
+    region: tuple  # ('cell',p,off) ('stack',off) ('tokptr',p,off) ('whole',)
     size: int
     addr: object
 
@@ -171,8 +172,6 @@ def make_classifier(fi, kinds):
             base = t.loc.loc
             if isinstance(base, TokenAddr):
                 return ("cell", base.index, c)
-            if isinstance(base, Sym):
-                return ("sym", base.name, c)
             if isinstance(base, Token):
                 return ("tokptr", base.index, c)
             if isinstance(base, Reg):
@@ -276,6 +275,7 @@ class ForwardPass:
         self.classify = classify
         self.nhavoc = 0
         self.events = []
+        self.regions = {}  # (point, Load or StoreLhs) -> classified region
         self.in_states = [None] * len(prog.instrs)
         self.in_mems = [None] * len(prog.instrs)
         self.exit_state = None
@@ -285,36 +285,64 @@ class ForwardPass:
         self.nhavoc += 1
         return ReadLoc(Havoc((tag, self.nhavoc), width))
 
-    def eval(self, e, state, mem, point, record):
+    def region(self, point, node):
+        """The region classified for the load or store node at point;
+        ("whole",) at a point the pass never reached."""
+        return self.regions.get((point, node), ("whole",))
+
+    def access(self, point, node, kind, addr):
+        """Classify and record a memory access; returns its region."""
+        region = self.classify(addr)
+        self.events.append(MemEvent(point, kind, region, node.size, addr))
+        self.regions[point, node] = region
+        return region
+
+    def eval(self, e, state, mem, point):
         if isinstance(e, Const):
             return e
         if isinstance(e, ReadLoc):
             return state.get(e.loc, init_read(e.loc))
         if isinstance(e, Load):
-            addr = self.eval(e.addr, state, mem, point, record)
-            region = self.classify(addr)
-            if record:
-                self.events.append(MemEvent(point, "load", region, e.size, addr))
+            addr = self.eval(e.addr, state, mem, point)
+            region = self.access(point, e, "load", addr)
             return mem.load(region, e.size, addr, lambda: self.havoc(e.size * 8, point))
         if isinstance(e, UnOp):
-            return mk_unop(e.op, self.eval(e.e, state, mem, point, record))
+            return mk_unop(e.op, self.eval(e.e, state, mem, point))
         if isinstance(e, Cast):
-            return mk_cast(e.kind, e.width, self.eval(e.e, state, mem, point, record))
+            return mk_cast(e.kind, e.width, self.eval(e.e, state, mem, point))
         if isinstance(e, Extract):
-            return mk_extract(e.hi, e.lo, self.eval(e.e, state, mem, point, record))
+            return mk_extract(e.hi, e.lo, self.eval(e.e, state, mem, point))
         if isinstance(e, BinOp):
             return mk_binop(
                 e.op,
-                self.eval(e.a, state, mem, point, record),
-                self.eval(e.b, state, mem, point, record),
+                self.eval(e.a, state, mem, point),
+                self.eval(e.b, state, mem, point),
             )
         if isinstance(e, Ite):
             return mk_ite(
-                self.eval(e.c, state, mem, point, record),
-                self.eval(e.a, state, mem, point, record),
-                self.eval(e.b, state, mem, point, record),
+                self.eval(e.c, state, mem, point),
+                self.eval(e.a, state, mem, point),
+                self.eval(e.b, state, mem, point),
             )
         raise RicError(f"cannot evaluate {e!r}")
+
+    def step(self, i, state, mem):
+        """Evaluate instruction i on (state, mem), recording its memory
+        accesses; returns the state and memory after it."""
+        ins = self.prog.instrs[i]
+        if isinstance(ins, Branch):
+            self.eval(ins.cond, state, mem, i)
+        if not isinstance(ins, Assign):
+            return state, mem
+        val = self.eval(ins.rhs, state, mem, i)
+        out_state = dict(state)
+        out_mem = mem.copy()
+        if isinstance(ins.lhs, StoreLhs):
+            addr = self.eval(ins.lhs.addr, state, mem, i)
+            out_mem.store(self.access(i, ins.lhs, "store", addr), ins.lhs.size, val)
+        else:
+            out_state[ins.lhs] = val
+        return out_state, out_mem
 
     def run(self):
         prog = self.prog
@@ -340,27 +368,13 @@ class ForwardPass:
                 self.in_states[i] = joined
                 self.in_mems[i] = self.in_mems[i].join(mem)
 
+        back_targets = set()
         for i in range(n):
             state = self.in_states[i]
             mem = self.in_mems[i]
             if state is None:
                 continue  # unreachable
-            ins = prog.instrs[i]
-            out_state, out_mem = state, mem
-            if isinstance(ins, Assign):
-                val = self.eval(ins.rhs, state, mem, i, record=True)
-                out_state = dict(state)
-                out_mem = mem.copy()
-                if isinstance(ins.lhs, StoreLhs):
-                    addr = self.eval(ins.lhs.addr, state, mem, i, record=True)
-                    region = self.classify(addr)
-                    self.events.append(MemEvent(i, "store", region, ins.lhs.size, addr))
-                    out_mem.store(region, ins.lhs.size, val)
-                else:
-                    out_state[ins.lhs] = val
-            elif isinstance(ins, Branch):
-                self.eval(ins.cond, state, mem, i, record=True)
-            if isinstance(ins, Halt):
+            if isinstance(prog.instrs[i], Halt):
                 if self.exit_state is None:
                     self.exit_state, self.exit_mem = dict(state), mem.copy()
                 else:
@@ -375,8 +389,18 @@ class ForwardPass:
                     self.exit_state = joined
                     self.exit_mem = self.exit_mem.join(mem)
                 continue
+            out_state, out_mem = self.step(i, state, mem)
             for s in prog.successors(i):
+                if s <= i:
+                    back_targets.add(s)
                 merge(s, out_state, out_mem)
+        # a back edge joins into a point already passed: classify its
+        # accesses again against the joined in-state; events keep the
+        # first pass
+        events, self.events = self.events, []
+        for i in sorted(back_targets):
+            self.step(i, self.in_states[i], self.in_mems[i])
+        self.events = events
         if self.exit_state is None:
             self.exit_state, self.exit_mem = {}, MemModel()
 
@@ -422,40 +446,12 @@ class LiveSet:
 
 
 class BackwardPass:
-    def __init__(self, prog, classify, in_states, fi, kinds, coarse):
+    def __init__(self, prog, region, fi, kinds, coarse):
         self.prog = prog
-        self.classify = classify
-        self.in_states = in_states
+        self.region = region  # ForwardPass.region
         self.fi = fi
         self.kinds = kinds
         self.coarse = coarse
-
-    def _sym_addr(self, addr, point):
-        state = self.in_states[point]
-        if state is None:
-            return ("whole",)
-        # evaluate the address against the forward in-state, without
-        # recording events or touching the memory model
-        def ev(e):
-            if isinstance(e, Const):
-                return e
-            if isinstance(e, ReadLoc):
-                return state.get(e.loc, init_read(e.loc))
-            if isinstance(e, Load):
-                return Load(ev(e.addr), e.size)
-            if isinstance(e, UnOp):
-                return mk_unop(e.op, ev(e.e))
-            if isinstance(e, Cast):
-                return mk_cast(e.kind, e.width, ev(e.e))
-            if isinstance(e, Extract):
-                return mk_extract(e.hi, e.lo, ev(e.e))
-            if isinstance(e, BinOp):
-                return mk_binop(e.op, ev(e.a), ev(e.b))
-            if isinstance(e, Ite):
-                return mk_ite(ev(e.c), ev(e.a), ev(e.b))
-            return e
-
-        return self.classify(ev(addr))
 
     def demand(self, e, mask, point, acc):
         if not mask:
@@ -466,15 +462,14 @@ class BackwardPass:
             return
         if isinstance(e, ReadLoc):
             loc = e.loc
-            if isinstance(loc, (Init, Havoc, Sym)):
+            if isinstance(loc, (Init, Havoc)):
                 return
             if isinstance(loc, TokenAddr):
                 return  # cell addresses are interface constants
             acc.add(self._canon(loc), mask & _ones(loc.width))
             return
         if isinstance(e, Load):
-            region = self._sym_addr(e.addr, point)
-            self._demand_region(region, e.size, mask, acc)
+            self._demand_region(self.region(point, e), e.size, mask, acc)
             self.demand(e.addr, _ones(32), point, acc)
             return
         if isinstance(e, UnOp):
@@ -591,7 +586,7 @@ class BackwardPass:
         if not isinstance(ins, Assign):
             return live_out
         if isinstance(ins.lhs, StoreLhs):
-            region = self._sym_addr(ins.lhs.addr, i)
+            region = self.region(i, ins.lhs)
             size = ins.lhs.size
             if region[0] == "cell":
                 _, p, off = region
@@ -878,8 +873,8 @@ def _seed_liveness(fi, kinds, coarse, anchors=()):
     return seed
 
 
-def analyze_frame_read(fi, prog, kinds, fwd, anchors, writes, opts, classify):
-    bwd = BackwardPass(prog, classify, fwd.in_states, fi, kinds, coarse=not opts.bit_liveness)
+def analyze_frame_read(fi, prog, kinds, fwd, anchors, writes, opts):
+    bwd = BackwardPass(prog, fwd.region, fi, kinds, coarse=not opts.bit_liveness)
     seed = _seed_liveness(fi, kinds, coarse=not opts.bit_liveness, anchors=anchors)
     live_in, live_out = bwd.run(seed)
     entry = live_in[0] if prog.instrs else seed
@@ -889,7 +884,7 @@ def analyze_frame_read(fi, prog, kinds, fwd, anchors, writes, opts, classify):
 
     for loc in sorted(entry.masks, key=format_loc):
         mask = entry.masks[loc]
-        if not mask or isinstance(loc, (Temp, Sym)):
+        if not mask or isinstance(loc, Temp):
             continue
         if isinstance(loc, Reg):
             if loc.name == "esp" or loc.name in allowed_regs:
@@ -1032,7 +1027,7 @@ def _related(dl, dlp):
     return False
 
 
-def analyze_unicity(fi, prog, kinds, fwd, live_out, domains, classify):
+def analyze_unicity(fi, prog, kinds, fwd, live_out, domains):
     issues = []
 
     def dom(loc):
@@ -1059,9 +1054,7 @@ def analyze_unicity(fi, prog, kinds, fwd, live_out, domains, classify):
         if not isinstance(ins, Assign):
             continue
         if isinstance(ins.lhs, StoreLhs):
-            region = classify(
-                fwd.eval(ins.lhs.addr, fwd.in_states[i] or {}, MemModel(), i, record=False)
-            )
+            region = fwd.region(i, ins.lhs)
             if region[0] != "cell":
                 continue
             l = bwd_canon(Token(region[1], 32))
@@ -1077,7 +1070,7 @@ def analyze_unicity(fi, prog, kinds, fwd, live_out, domains, classify):
         for lp in sorted(live_out[i].masks, key=format_loc):
             if not live_out[i].masks[lp]:
                 continue
-            if lp == l or isinstance(lp, (Temp, MemoryWhole, StackSlot, Flag, Sym)):
+            if lp == l or isinstance(lp, (Temp, MemoryWhole, StackSlot, Flag)):
                 continue
             dlp = dom(lp)
             if not dlp or in_clobbers(lp):
@@ -1140,23 +1133,18 @@ def check_chunk(chunk, opts=None, memo=None):
 def _analyze(chunk, opts):
     t0 = time.perf_counter()
     result = CheckResult(chunk=chunk, verdict="error")
+    stage = "interface"
     try:
-        fi = derive_interface(chunk)
-        result.fi = fi
-    except RicError as e:
-        result.details = f"interface: {e}"
-        result.timings["total_ms"] = (time.perf_counter() - t0) * 1000
-        return result
-    try:
+        result.fi = fi = derive_interface(chunk)
+        stage = "template"
         parsed = parse_template(chunk.template, chunk)
         prog, kinds, warnings = lift(parsed, fi)
-    except UnknownMnemonic as e:
-        result.verdict = "out_of_scope"
-        result.details = str(e)
-        result.timings["total_ms"] = (time.perf_counter() - t0) * 1000
-        return result
     except RicError as e:
-        result.details = f"template: {e}"
+        result.error = e
+        if isinstance(e, UnknownMnemonic):
+            result.verdict, result.details = "out_of_scope", str(e)
+        else:
+            result.details = f"{stage}: {e}"
         result.timings["total_ms"] = (time.perf_counter() - t0) * 1000
         return result
     result.parsed = parsed
@@ -1164,11 +1152,10 @@ def _analyze(chunk, opts):
     result.kinds = kinds
     result.warnings = warnings
 
-    classify = make_classifier(fi, kinds)
-    anchors = build_anchors(chunk, fi, kinds)
+    result.anchors = anchors = tuple(build_anchors(chunk, fi, kinds))
 
     t1 = time.perf_counter()
-    fwd = ForwardPass(prog, classify)
+    fwd = ForwardPass(prog, make_classifier(fi, kinds))
     fwd.run()
     result.exit_state = fwd.exit_state
     result.mem_events = fwd.events
@@ -1188,7 +1175,7 @@ def _analyze(chunk, opts):
     t3 = time.perf_counter()
 
     fr_issues, live_in, live_out = analyze_frame_read(
-        fi, prog, kinds, fwd, anchors, writes, opts, classify
+        fi, prog, kinds, fwd, anchors, writes, opts
     )
     result.entry_live = dict(live_in[0].masks) if prog.instrs else {}
     result.entry_regions = frozenset(live_in[0].regions) if prog.instrs else frozenset()
@@ -1196,7 +1183,7 @@ def _analyze(chunk, opts):
     t4 = time.perf_counter()
 
     domains = abstract_domain(fi)
-    un_issues = analyze_unicity(fi, prog, kinds, fwd, live_out, domains, classify)
+    un_issues = analyze_unicity(fi, prog, kinds, fwd, live_out, domains)
     t5 = time.perf_counter()
 
     seen = set()

@@ -170,10 +170,17 @@ def scan_c_source(text, file="<input>"):
             continue
         body_start = j + 1
         k = _close_paren(text, j, n)
-        newlines = text.count("\n", counted, start)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", counted, start) + 1
+        # as for GCC, \n, \r\n and a lone \r each end a line
+        ends = (
+            text.count("\n", counted, start)
+            + text.count("\r", counted, start)
+            - text.count("\r\n", counted, start)
+        )
+        if ends:
+            line += ends
+            line_start = 1 + max(
+                text.rfind("\n", counted, start), text.rfind("\r", counted, start)
+            )
         counted = start
         col = start - line_start + 1
         if k is None:
@@ -334,13 +341,15 @@ def parse_asm_statement(raw, span, qualifiers=frozenset()):
 
 
 def extract_chunks(text, file="<input>"):
-    """scan + parse; returns (chunks, diagnostics)."""
+    """scan + parse; returns (chunks, diagnostics). Each diagnostic is
+    an error whose `span` is the statement's."""
     statements, diagnostics = scan_c_source(text, file)
     chunks = []
     for st in statements:
         try:
             chunks.append(parse_asm_statement(st.body, st.span, st.qualifiers))
         except (MalformedInterface, BadConstraintChar) as e:
+            e.span = st.span
             diagnostics.append(e)
     return chunks, diagnostics
 

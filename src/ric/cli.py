@@ -12,7 +12,7 @@ from .checker import check_chunk
 from .chunks import extract_chunks, load_chunk_file, render
 from .errors import RicError, SpanStale
 from .oracle import OracleRun, TrialConfig, oracle_check
-from .report import build_report, chunk_report, render_text, timings_enabled
+from .report import build_report, chunk_report, diagnostic_report, render_text, timings_enabled
 
 
 def _parser():
@@ -37,9 +37,11 @@ def _parser():
 
 
 def _collect(args):
-    """Load all chunks, grouped per source file for in-place edits."""
+    """Load all chunks, grouped per source file for in-place edits, and
+    the report entries of the statements that did not parse."""
     sources = {}  # path -> source text (None for chunk files)
     per_file = []  # (path, chunk)
+    unparsed = []
     for path in sorted(args.files):
         # newline="" keeps \r\n, so spans index the file's own text and
         # --in-place rewrites keep its line ends
@@ -49,13 +51,14 @@ def _collect(args):
         found, diags = extract_chunks(text, path)
         for d in diags:
             print(f"ric: {path}: {d}", file=sys.stderr)
+            unparsed.append(diagnostic_report(d))
         for c in found:
             per_file.append((path, c))
     for path in sorted(args.chunks):
         for c in load_chunk_file(path):
             per_file.append((path, c))
     per_file.sort(key=lambda pc: (pc[1].span.file, pc[1].span.line, pc[1].span.column))
-    return sources, per_file
+    return sources, per_file, unparsed
 
 
 def _exit_code(reports):
@@ -66,6 +69,17 @@ def _exit_code(reports):
     if "out_of_scope" in verdicts:
         return 3
     return 0
+
+
+def _finish(reports, unparsed, args):
+    """Emit the report, with the unparsed statements in source order;
+    returns the exit code."""
+    reports = sorted(
+        reports + unparsed,
+        key=lambda r: (r["span"]["file"], r["span"]["line"], r["span"]["column"]),
+    )
+    _emit(build_report(reports), args)
+    return _exit_code(reports)
 
 
 def _emit(report, args):
@@ -81,15 +95,14 @@ def _emit(report, args):
 
 
 def _cmd_check(args):
-    sources, pairs = _collect(args)
+    sources, pairs, unparsed = _collect(args)
     memo = {}
     reports = [chunk_report(check_chunk(c, memo=memo)) for _, c in pairs]
-    _emit(build_report(reports), args)
-    return _exit_code(reports)
+    return _finish(reports, unparsed, args)
 
 
 def _cmd_patch(args):
-    sources, pairs = _collect(args)
+    sources, pairs, unparsed = _collect(args)
     reports = []
     rewrites = {}  # path -> list of (span, replacement)
     memo = {}
@@ -123,12 +136,11 @@ def _cmd_patch(args):
     patcher.line_table.cache_clear()  # the report does not need the last file's lines
     if args.in_place:
         _apply_rewrites(sources, rewrites)
-    _emit(build_report(reports), args)
-    return _exit_code(reports)
+    return _finish(reports, unparsed, args)
 
 
 def _cmd_refine(args):
-    sources, pairs = _collect(args)
+    sources, pairs, unparsed = _collect(args)
     options = refiner.RefineOptions(
         refine_inputs=not args.no_refine_inputs,
         refine_clobbers=not args.no_refine_clobbers,
@@ -152,12 +164,11 @@ def _cmd_refine(args):
         reports.append(chunk_report(result, extra))
     if args.in_place:
         _apply_rewrites(sources, rewrites)
-    _emit(build_report(reports), args)
-    return _exit_code(reports)
+    return _finish(reports, unparsed, args)
 
 
 def _cmd_oracle(args):
-    sources, pairs = _collect(args)
+    sources, pairs, unparsed = _collect(args)
     cfg = TrialConfig(
         trials=args.trials, seed=args.seed, assignment_cap=args.assignment_cap
     )
@@ -166,7 +177,7 @@ def _cmd_oracle(args):
     timed = timings_enabled()
     for path, chunk in pairs:
         result = check_chunk(chunk)
-        run = OracleRun(chunk, cfg, streams=streams)
+        run = OracleRun(result, cfg, streams=streams)
         oracle = {}
         for prop in ("frame_write", "frame_read", "unicity"):
             t0 = time.perf_counter()
@@ -180,8 +191,7 @@ def _cmd_oracle(args):
                 entry["ms"] = round((time.perf_counter() - t0) * 1000, 3)
             oracle[prop] = entry
         reports.append(chunk_report(result, {"oracle": oracle}))
-    _emit(build_report(reports), args)
-    return _exit_code(reports)
+    return _finish(reports, unparsed, args)
 
 
 def _apply_rewrites(sources, rewrites):

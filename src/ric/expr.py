@@ -84,17 +84,6 @@ class Temp:
     width: int = 32
 
 
-@dataclass(frozen=True)
-class Sym:
-    """Link-time constant address of a global symbol."""
-
-    name: str
-
-    @property
-    def width(self):
-        return 32
-
-
 Location = object  # union of the classes above; kept informal
 
 
@@ -628,8 +617,6 @@ def format_loc(loc):
         return f"stack[-{loc.offset}]{loc.size}"
     if isinstance(loc, Temp):
         return f"t{loc.index}"
-    if isinstance(loc, Sym):
-        return f"sym:{loc.name}"
     return repr(loc)
 
 

@@ -42,7 +42,6 @@ from .expr import (
     ReadLoc,
     Reg,
     StoreLhs,
-    Sym,
     Temp,
     Token,
     TokenAddr,
@@ -162,8 +161,6 @@ class Lifter:
 
     def address(self, op):
         parts = []
-        if op.symbol is not None:
-            parts.append(ReadLoc(Sym(op.symbol)))
         if op.disp:
             parts.append(Const(op.disp, 32))
         if op.base is not None:

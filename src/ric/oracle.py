@@ -18,6 +18,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 
+from .checker import check_chunk
 from .constraints import (
     ImmOperand,
     MemOperand,
@@ -42,7 +43,6 @@ from .expr import (
     ReadLoc,
     Reg,
     StoreLhs,
-    Sym,
     Temp,
     UnOp,
     _fold_binop,
@@ -50,8 +50,8 @@ from .expr import (
     _to_signed,
     format_loc,
 )
-from .lift import lift, substitute
-from .template import parse_template
+from .lift import substitute
+from .template import template_tokens
 
 SANDBOX_BASE = 0x10000
 STEP_BUDGET = 10**6  # IR steps per (chunk, property), across all trials
@@ -59,7 +59,6 @@ STEP_BUDGET = 10**6  # IR steps per (chunk, property), across all trials
 GP = ("eax", "ebx", "ecx", "edx", "esi", "edi", "ebp", "esp")
 FLAG_NAMES = ("z", "c", "s", "o", "p", "a")
 WIDE = tuple(f"mm{i}" for i in range(8)) + tuple(f"xmm{i}" for i in range(8))
-SYM_ADDR = SANDBOX_BASE + 0x8000
 
 
 @dataclass
@@ -261,7 +260,6 @@ class MachineState:
         self._mem = _ZEROS
         self.stored = {}
         self.temps = {}
-        self.syms = {}
 
     @property
     def mem(self):
@@ -278,7 +276,6 @@ class MachineState:
         m.flags = dict(self.flags)
         m.copy_memory(self)
         m.temps = {}
-        m.syms = dict(self.syms)
         return m
 
     def copy_memory(self, other):
@@ -352,9 +349,6 @@ def _compile_read(loc, m):
     if isinstance(loc, Temp):
         key = _temp_key(loc)
         return lambda s: s.temps[key] & m
-    if isinstance(loc, Sym):
-        name = loc.name
-        return lambda s: s.syms.setdefault(name, SYM_ADDR) & m
 
     def unbound(s):
         raise RicError(f"unbound location {format_loc(loc)} in concrete execution")
@@ -720,42 +714,31 @@ def _mem_equal(m1, m2, exempt_ranges):
 
 
 class OracleRun:
-    """What the oracle derives once per chunk and shares across the three
-    properties: interface, lifted program, anchors, assignment set, and
-    the compiled program of each assignment drawn. `unrunnable` is the
-    reason every property is inconclusive, or empty. `streams` maps a
-    trial seed to its WordStream; runs may share one dict, as a seed's
-    stream is the same for every reader."""
+    """What the oracle shares across the three properties of a chunk:
+    the interface, lifted program and anchors of the chunk's
+    CheckResult, the assignment set, and the compiled program of each
+    assignment drawn. `unrunnable` is the reason every property is
+    inconclusive, or empty. `streams` maps a trial seed to its
+    WordStream; runs may share one dict, as a seed's stream is the same
+    for every reader."""
 
-    def __init__(self, chunk, cfg, streams=None):
-        from .checker import build_anchors
-        from .constraints import derive_interface
-        from .template import template_tokens
-
+    def __init__(self, result, cfg, streams=None):
         self.cfg = cfg
-        self.chunk = chunk
         self.streams = {} if streams is None else streams
         self.unrunnable = ""
         self.steps_left = STEP_BUDGET
         self._programs = {}  # id(assignment) -> (assignment, compiled program)
-        try:
-            self.fi = derive_interface(chunk)
-            parsed = parse_template(chunk.template, chunk)
-            self.prog, self.kinds, _ = lift(parsed, self.fi)
-            self.anchors = tuple(build_anchors(chunk, self.fi, self.kinds))
-            refs = template_tokens(parsed)
-            collapse = frozenset(
-                a.entry for a in self.anchors if a.entry not in refs
-            )
-            aset = enumerate_assignments(
-                self.fi, cap=cfg.assignment_cap, collapse=collapse
-            )
-        except UnknownMnemonic as e:
-            self.unrunnable = f"out of scope: {e}"
+        self.fi, self.prog, self.kinds = result.fi, result.prog, result.kinds
+        self.anchors = result.anchors
+        if isinstance(result.error, UnknownMnemonic):
+            self.unrunnable = f"out of scope: {result.error}"
             return
-        except RicError as e:
-            self.unrunnable = str(e)
+        if result.error is not None:
+            self.unrunnable = str(result.error)
             return
+        refs = template_tokens(result.parsed)
+        collapse = frozenset(a.entry for a in self.anchors if a.entry not in refs)
+        aset = enumerate_assignments(self.fi, cap=cfg.assignment_cap, collapse=collapse)
         self.assignments = aset.assignments
         self.truncated = aset.truncated
         if not self.assignments:
@@ -784,7 +767,7 @@ class OracleRun:
 def oracle_check(chunk, prop, cfg=None, run=None):
     """Verdict of one property. Pass `run`, the chunk's OracleRun, to
     check several properties on one derivation; its cfg then applies."""
-    run = run or OracleRun(chunk, cfg or TrialConfig())
+    run = run or OracleRun(check_chunk(chunk), cfg or TrialConfig())
     cfg = run.cfg
     if run.unrunnable:
         return OracleVerdict("inconclusive", reason=run.unrunnable)

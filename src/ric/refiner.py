@@ -23,11 +23,6 @@ class TokenBase:
 
 
 @dataclass(frozen=True)
-class SymbolBase:
-    name: str
-
-
-@dataclass(frozen=True)
 class Unresolved:
     pass
 
@@ -74,6 +69,8 @@ class EntrySpan:
 @dataclass(frozen=True)
 class MemoryToEntries:
     spans: tuple  # of EntrySpan
+    # stays in the report schema, as RefineResult.suggestions does;
+    # every access resolves to a token, so no edit is suggestion-only
     suggestion_only: bool = False
 
     def describe(self):
@@ -125,14 +122,8 @@ def memory_access_analysis(result):
     accesses = []
     for ev in result.mem_events:
         region = ev.region
-        if region[0] == "cell":
+        if region[0] in ("cell", "tokptr"):
             base = TokenBase(region[1])
-            off = region[2]
-        elif region[0] == "tokptr":
-            base = TokenBase(region[1])
-            off = region[2]
-        elif region[0] == "sym":
-            base = SymbolBase(region[1])
             off = region[2]
         elif region[0] == "stack" and result.esp_restored:
             # private scratch below the entry stack pointer
@@ -161,12 +152,7 @@ def memory_to_m_entries(chunk, accesses):
     if any(isinstance(a.base, Unresolved) for a in accesses):
         return Failure("unresolved memory access")
     spans = []
-    suggestion = any(isinstance(a.base, SymbolBase) for a in accesses)
-    bases = sorted(
-        {a.base for a in accesses},
-        key=lambda b: (0, b.token) if isinstance(b, TokenBase) else (1, b.name),
-    )
-    for base in bases:
+    for base in sorted({a.base for a in accesses}, key=lambda b: b.token):
         here = [a for a in accesses if a.base == base]
         has_load = any(a.kind == "load" for a in here)
         has_store = any(a.kind == "store" for a in here)
@@ -177,21 +163,20 @@ def memory_to_m_entries(chunk, accesses):
         # maximal contiguous runs, chunked to the 8-byte entry limit
         run_start = None
         prev = None
-        key = base.token if isinstance(base, TokenBase) else base.name
         for b in sorted(covered) + [None]:
             if run_start is not None and (b is None or b != prev + 1):
                 length = prev + 1 - run_start
                 off = run_start
                 while length > 0:
                     sz = next(s for s in (8, 4, 2, 1) if s <= length)
-                    spans.append(EntrySpan(key, mode, off, sz))
+                    spans.append(EntrySpan(base.token, mode, off, sz))
                     off += sz
                     length -= sz
                 run_start = None
             if b is not None and run_start is None:
                 run_start = b
             prev = b if b is not None else prev
-    return MemoryToEntries(tuple(spans), suggestion_only=suggestion)
+    return MemoryToEntries(tuple(spans))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +284,6 @@ def refine_interface(result, options=None, memo=None):
     accepted_memory = False
     accepted_adds = []
     edits = []
-    suggestions = []
 
     def current(extra_inputs=frozenset(), extra_clobbers=frozenset(),
                 memory=None, adds=None):
@@ -343,17 +327,11 @@ def refine_interface(result, options=None, memo=None):
         else:
             edit = memory_to_m_entries(chunk, accesses)
             if isinstance(edit, MemoryToEntries):
-                if edit.suggestion_only:
-                    suggestions.append(edit)
-                else:
-                    adds = _entries_for_spans(chunk, edit.spans)
-                    if adds is not None and still_compliant(
-                        current(memory=True, adds=adds)
-                    ):
-                        accepted_memory = True
-                        accepted_adds = adds
-                        edits.append(edit)
-                        edits.append(DropMemoryKeyword())
+                adds = _entries_for_spans(chunk, edit.spans)
+                if adds is not None and still_compliant(current(memory=True, adds=adds)):
+                    accepted_memory = True
+                    accepted_adds = adds
+                    edits.append(edit)
+                    edits.append(DropMemoryKeyword())
 
-    refined = current()
-    return RefineResult(edits, suggestions, refined)
+    return RefineResult(edits, [], current())

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .checker import severity_of
 from .expr import MMX_REGS, XMM_REGS, Flag, MemoryWhole, Reg, StackSlot, format_loc
-from .template import parse_template, uses_push_pop
+from .template import uses_push_pop
 
 
 @dataclass(frozen=True)
@@ -26,20 +26,18 @@ def _loc_name(loc):
     return None
 
 
-def classify_pattern(issue, chunk):
-    """First matching recurrent-error pattern, or None."""
+def classify_pattern(issue, result):
+    """First matching recurrent-error pattern of an issue of the
+    CheckResult, or None."""
+    chunk = result.chunk
     loc = issue.location
     name = _loc_name(loc)
     if issue.category == "FlagClobbered":
         return PatternTag("P1", "condition flags clobbered without a cc clobber")
     if name == "ebx" or "ebx" in issue.details.split():
         return PatternTag("P2", "ebx written; reserved for PIC code")
-    if name == "esp" or isinstance(loc, StackSlot):
-        try:
-            if uses_push_pop(parse_template(chunk.template)):
-                return PatternTag("P3", "stack pointer manipulated via push/pop")
-        except Exception:
-            pass
+    if (name == "esp" or isinstance(loc, StackSlot)) and uses_push_pop(result.parsed):
+        return PatternTag("P3", "stack pointer manipulated via push/pop")
     if (
         issue.category in ("UnboundMemoryWrite", "UnboundMemoryRead")
         or isinstance(loc, MemoryWhole)
@@ -52,8 +50,8 @@ def classify_pattern(issue, chunk):
     return None
 
 
-def issue_to_json(issue, chunk):
-    tag = classify_pattern(issue, chunk)
+def issue_to_json(issue, result):
+    tag = classify_pattern(issue, result)
     return {
         "category": issue.category,
         "severity": severity_policy(issue),
@@ -68,16 +66,16 @@ def timings_enabled():
     return os.environ.get("RIC_TIMINGS", "0") == "1"
 
 
+def _span_json(span):
+    return {"file": span.file, "line": span.line, "column": span.column}
+
+
 def chunk_report(result, extra=None):
     chunk = result.chunk
     out = {
-        "span": {
-            "file": chunk.span.file,
-            "line": chunk.span.line,
-            "column": chunk.span.column,
-        },
+        "span": _span_json(chunk.span),
         "verdict": result.verdict,
-        "issues": [issue_to_json(i, chunk) for i in result.issues],
+        "issues": [issue_to_json(i, result) for i in result.issues],
         # wall-clock values vary run to run and would break byte-level
         # report reproducibility; opt in via RIC_TIMINGS=1
         "timings": (
@@ -91,6 +89,17 @@ def chunk_report(result, extra=None):
     if extra:
         out.update(extra)
     return out
+
+
+def diagnostic_report(diagnostic):
+    """The entry of a statement that did not parse: verdict error."""
+    return {
+        "span": _span_json(diagnostic.span),
+        "verdict": "error",
+        "issues": [],
+        "timings": None,
+        "details": str(diagnostic),
+    }
 
 
 def build_summary(chunk_reports):

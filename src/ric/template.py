@@ -41,7 +41,6 @@ class ImmT:
 @dataclass(frozen=True)
 class MemT:
     disp: int = 0
-    symbol: str = None  # symbolic displacement (global), optional
     base: object = None  # RegT | TokenRef | None
     index: object = None  # RegT | None
     scale: int = 1
@@ -157,6 +156,21 @@ def _parse_int(text):
         raise BadTokenRef(f"malformed integer literal {text!r}") from None
 
 
+_SYMBOL = re.compile(r"(?<![A-Za-z0-9_.%])[A-Za-z_.][A-Za-z0-9_.]*")
+
+
+def _displacement(dtext, operand):
+    """The integer displacement dtext of a memory operand. The address
+    of a global symbol is not modelled, so a symbol in it is an error."""
+    symbol = _SYMBOL.search(dtext)
+    if symbol:
+        raise MalformedInterface(
+            f"symbolic displacement {symbol.group(0)!r} in {operand!r}:"
+            " global symbol addresses are out of scope"
+        )
+    return _parse_int(dtext)
+
+
 def _split_operands(text):
     parts = []
     depth = 0
@@ -207,16 +221,11 @@ def _parse_operand(text, warnings):
     if m:
         warnings.append(f"ignored template modifier %{m.group(1)} on %{m.group(2)}")
         return TokenRef(int(m.group(2)), None)
-    # memory operand disp(base,index,scale), or bare symbol/displacement
+    # memory operand disp(base,index,scale), or bare displacement
     paren = text.find("(")
     if paren >= 0 and text.endswith(")"):
         dtext = text[:paren].strip()
-        disp, symbol = 0, None
-        if dtext:
-            try:
-                disp = _parse_int(dtext)
-            except ValueError:
-                symbol = dtext
+        disp = _displacement(dtext, text) if dtext else 0
         inner = text[paren + 1 : -1]
         comps = [c.strip() for c in inner.split(",")]
         base = _parse_mem_component(comps[0], warnings) if comps[0] else None
@@ -226,13 +235,10 @@ def _parse_operand(text, warnings):
             index = _parse_mem_component(comps[1], warnings)
         if len(comps) > 2 and comps[2]:
             scale = _parse_int(comps[2])
-        return MemT(disp, symbol, base, index, scale)
+        return MemT(disp, base, index, scale)
     if re.fullmatch(r"\d+[fb]", text) or re.fullmatch(r"[A-Za-z_.][A-Za-z0-9_.]*", text):
         return LabelRef(text)
-    try:
-        return MemT(disp=_parse_int(text))
-    except ValueError:
-        raise MalformedInterface(f"cannot parse operand {text!r}") from None
+    return MemT(disp=_displacement(text, text))
 
 
 def parse_template(template, chunk=None):

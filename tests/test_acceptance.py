@@ -11,7 +11,6 @@ from ric.checker import CheckOptions, check_chunk
 from ric.cli import run
 from ric.constraints import RegisterSet, derive_interface, eval_letter
 from ric.expr import Reg
-from ric.oracle import OracleRun, TrialConfig, oracle_check
 from ric.patcher import AddClobber, AddOutput, synthesize_patches, verify_patch
 from ric.refiner import (
     DropClobber,
@@ -22,8 +21,6 @@ from ric.refiner import (
 from ric.report import classify_pattern, severity_policy
 
 from conftest import chunks_with_tag
-
-ORACLE_CFG = TrialConfig(trials=100, seed=0, assignment_cap=256)
 
 
 def conclude(number, name, ok, detail=""):
@@ -111,19 +108,11 @@ def test_criterion_04_constraint_table():
     conclude(4, "constraint table", ok)
 
 
-def test_criterion_05_checker_oracle_soundness(corpus_chunks, corpus_results):
-    t0 = time.perf_counter()
-    unsound = []
-    streams = {}  # one random stream per trial seed, as `ric oracle` keeps
-    for c in corpus_chunks:
-        if corpus_results[c.context.file].verdict != "compliant":
-            continue
-        oracle_run = OracleRun(c, ORACLE_CFG, streams=streams)
-        for prop in ("frame_write", "frame_read", "unicity"):
-            v = oracle_check(c, prop, ORACLE_CFG, run=oracle_run)
-            if v.verdict == "violation":
-                unsound.append((c.context.file, prop))
-    elapsed = time.perf_counter() - t0
+def test_criterion_05_checker_oracle_soundness(corpus_chunks, compliant_corpus_oracle):
+    unsound = [
+        key for key, v in compliant_corpus_oracle.verdicts.items() if v.verdict == "violation"
+    ]
+    elapsed = compliant_corpus_oracle.elapsed_s  # the oracle work alone
     ok = len(corpus_chunks) >= 60 and not unsound and elapsed < 60.0
     conclude(
         5,
@@ -192,7 +181,7 @@ def test_criterion_09_taxonomy_and_severity(corpus_chunks, corpus_labels):
             (
                 i.category,
                 severity_policy(i),
-                (classify_pattern(i, c) or None) and classify_pattern(i, c).tag,
+                (classify_pattern(i, result) or None) and classify_pattern(i, result).tag,
             )
             for i in result.issues
         )

@@ -32,7 +32,7 @@ def chunk(template, outputs=(), inputs=(), clobbers=()):
 def findings(result):
     out = []
     for i in result.issues:
-        tag = classify_pattern(i, result.chunk)
+        tag = classify_pattern(i, result)
         out.append((i.category, severity_policy(i), tag.tag if tag else None))
     return sorted(out, key=lambda t: (t[0], t[1], t[2] or ""))
 
@@ -224,6 +224,27 @@ def test_error_verdict_on_bad_token_reference():
     result = check_chunk(c)
     assert result.verdict == "error"
     assert result.details
+
+
+def test_symbolic_displacement_is_an_error_naming_the_symbol():
+    for operand, symbol in (
+        ("foo(%%eax)", "foo"),
+        ("foo+4(%%eax,%%ebx,4)", "foo"),
+        (".Ltab+8", ".Ltab"),
+    ):
+        c = chunk(f"movl {operand}, %0", [("=r", "y", 4)], clobbers=["eax", "ebx"])
+        result = check_chunk(c)
+        assert result.verdict == "error", operand
+        assert result.details == (
+            f"template: symbolic displacement {symbol!r} in {operand!r}:"
+            " global symbol addresses are out of scope"
+        )
+    # an operand with one % is no symbol
+    c = chunk("movl %eax, %0", [("=r", "y", 4)])
+    assert check_chunk(c).details == "template: malformed integer literal '%eax'"
+    # integer displacements still parse
+    c = chunk("movl 0x10(%1), %0", [("=r", "y", 4)], [("r", "p", 4)], clobbers=["memory"])
+    assert check_chunk(c).verdict == "compliant"
 
 
 def test_out_of_scope_verdict(corpus_by_id):

@@ -256,8 +256,10 @@ def _reference_scan(text, file):
                     closed = True
                     break
             k += 1
-        line = text.count("\n", 0, start) + 1
-        col = start - text.rfind("\n", 0, start)
+        # \r\n, a lone \r and \n each end a line, as for GCC
+        ends = [m.end() for m in re.finditer(r"\r\n|\r|\n", text[:start])]
+        line = len(ends) + 1
+        col = start - (ends[-1] if ends else 0) + 1
         if not closed:
             diagnostics.append(UnterminatedStatement(SourceSpan(file, line, col, start, n)))
             i = j + 1
@@ -301,10 +303,10 @@ def test_scanner_matches_reference(fragments):
     assert _scan_view(scan_c_source(text, "t.c")) == _scan_view(_reference_scan(text, "t.c"))
 
 
-def test_scanner_counts_lines_by_newline_only():
+def test_scanner_counts_lone_cr_as_a_line_end():
     text = 'int a;\r\n\x0c asm ("nop");\rasm ("nop");\n  asm ("nop");'
     spans = [s.span for s in scan(text)]
-    assert [(s.line, s.column) for s in spans] == [(2, 3), (2, 16), (3, 3)]
+    assert [(s.line, s.column) for s in spans] == [(2, 3), (3, 1), (4, 3)]
     assert _scan_view(scan_c_source(text, "t.c")) == _scan_view(_reference_scan(text, "t.c"))
 
 

@@ -67,8 +67,28 @@ def test_exit_three_on_out_of_scope_only(tmp_path):
 def test_bad_hex_escape_is_reported_not_a_crash(tmp_path, capsys):
     path = write(tmp_path, "x.c", 'void f(void) { asm ("nop\\xg"); }\n' + CLEAN_SRC)
     code, rep = run_json(["check", path], tmp_path)
-    assert code == 0 and len(rep["chunks"]) == 1
+    assert code == 1
+    assert [c["verdict"] for c in rep["chunks"]] == ["error", "compliant"]
+    assert rep["chunks"][0]["details"] == f"{path}:1: \\x used with no following hex digits"
     assert "x.c:1: \\x used with no following hex digits" in capsys.readouterr().err
+
+
+def test_unparsable_statement_is_an_error_entry(tmp_path, capsys):
+    path = write(tmp_path, "a.c", 'void f(long long x)\n{\n  asm ("" : "+A"(x));\n}\n')
+    for command in ("check", "patch", "refine", "oracle"):
+        code, rep = run_json([command, path], tmp_path)
+        assert code == 1, command
+        assert rep["chunks"] == [
+            {
+                "span": {"file": path, "line": 3, "column": 3},
+                "verdict": "error",
+                "issues": [],
+                "timings": None,
+                "details": "unsupported constraint character 'A'",
+            }
+        ]
+        assert rep["summary"]["totals"]["error"] == 1
+    assert "unsupported constraint character 'A'" in capsys.readouterr().err
 
 
 def test_exit_two_on_bad_usage(tmp_path, capsys):
@@ -172,6 +192,15 @@ def test_line_comment_in_lone_cr_file_hides_no_statement(tmp_path):
     code, rep = run_json(["check", str(path)], tmp_path)
     assert code == 1
     assert [c["issues"][0]["category"] for c in rep["chunks"]] == ["FlagClobbered"]
+
+
+def test_lone_cr_file_reports_the_line_gcc_gives(tmp_path):
+    path = tmp_path / "cr.c"
+    path.write_bytes(
+        b'int f(int x)\r{\r  // note\r  asm ("incl %0" : "+r" (x));\r  return x;\r}\r'
+    )
+    _, rep = run_json(["check", str(path)], tmp_path)
+    assert [(c["span"]["line"], c["span"]["column"]) for c in rep["chunks"]] == [(4, 3)]
 
 
 def test_refine_in_place_round_trip(tmp_path):

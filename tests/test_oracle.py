@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ric import oracle
+from ric.checker import check_chunk
 from ric.chunks import load_chunk_records
 from ric.constraints import derive_interface
 from ric.errors import OutOfSandbox, RicError
@@ -23,8 +24,6 @@ from ric.oracle import (
 from ric.template import parse_template
 
 CFG = TrialConfig(trials=100, seed=0, assignment_cap=256)
-
-PROPS = ("frame_write", "frame_read", "unicity")
 
 
 def chunk(template, outputs=(), inputs=(), clobbers=()):
@@ -88,15 +87,9 @@ def test_motivating_frame_write_violates(corpus_by_id):
 # Compliant chunks never produce a violation
 
 
-def test_no_violation_on_compliant_corpus(corpus_chunks, corpus_results):
-    streams = {}  # one random stream per trial seed, as `ric oracle` keeps
-    for c in corpus_chunks:
-        if corpus_results[c.context.file].verdict != "compliant":
-            continue
-        run = OracleRun(c, CFG, streams=streams)
-        for prop in PROPS:
-            v = oracle_check(c, prop, CFG, run=run)
-            assert v.verdict != "violation", (c.context.file, prop, v.witness)
+def test_no_violation_on_compliant_corpus(compliant_corpus_oracle):
+    for (cid, prop), v in compliant_corpus_oracle.verdicts.items():
+        assert v.verdict != "violation", (cid, prop, v.witness)
 
 
 def test_truncated_assignment_set_is_inconclusive():
@@ -110,6 +103,23 @@ def test_out_of_scope_is_inconclusive(corpus_by_id):
     v = oracle_check(corpus_by_id["oos/fld.c"], "frame_write", CFG)
     assert v.verdict == "inconclusive"
     assert "out of scope" in v.reason
+
+
+def test_unrunnable_reason_is_the_raw_error(corpus_by_id):
+    """The checker's error, without the prefix its details give it."""
+    cases = [
+        (corpus_by_id["oos/fld.c"], "out of scope: unsupported mnemonic 'fldl'"),
+        (chunk("nop", outputs=[("r", "x", 4)]), None),
+        (chunk("movl foo(%%eax), %0", outputs=[("=r", "x", 4)]), None),
+    ]
+    for c, want in cases:
+        result = check_chunk(c)
+        run = OracleRun(result, CFG)
+        if want is None:
+            assert result.verdict == "error"
+            want = result.details.split(": ", 1)[1]
+        assert run.unrunnable == want
+        assert oracle_check(c, "unicity", CFG).reason == want
 
 
 def test_oracle_is_deterministic(corpus_by_id):

@@ -20,7 +20,7 @@ def test_issue_json_fields(corpus_by_id):
     c = corpus_by_id["paper/cas8_x86.c"]
     result = check_chunk(c)
     flag = next(i for i in result.issues if i.category == "FlagClobbered")
-    j = issue_to_json(flag, c)
+    j = issue_to_json(flag, result)
     assert j["severity"] == "benign" and j["pattern"] == "P1"
     assert set(j) == {"category", "severity", "pattern", "location", "point", "details"}
 
@@ -32,8 +32,9 @@ def test_pattern_tags_match_labels(corpus_chunks, corpus_labels):
             for i in corpus_labels[c.context.file]["issues"]
         )
         got = []
-        for issue in check_chunk(c).issues:
-            tag = classify_pattern(issue, c)
+        result = check_chunk(c)
+        for issue in result.issues:
+            tag = classify_pattern(issue, result)
             got.append((issue.category, tag.tag if tag else None))
         assert sorted(got) == want, c.context.file
 

@@ -183,8 +183,8 @@ def test_oracle_run_builds_no_sandbox_sized_integer(monkeypatch, tmp_path):
     def materialized(self):
         raise AssertionError("a sandbox was turned into bytes")
 
-    def recorded_run(self, chunk, cfg, streams=None):
-        run_init(self, chunk, cfg, streams)
+    def recorded_run(self, result, cfg, streams=None):
+        run_init(self, result, cfg, streams)
         stores.append(self.streams)
 
     monkeypatch.setattr(oracle._Twister, "advance", counted_advance)
