@@ -67,13 +67,12 @@ def main():
             trials=args.trials, seed=args.seed, assignment_cap=args.assignment_cap
         )
         unsound = 0
-        streams = {}  # trial seed -> WordStream, shared by every chunk
         t0 = time.perf_counter()
         for c in chunks:
             result = results[c.context.file]
             if result.verdict != "compliant":
                 continue
-            run = OracleRun(result, cfg, streams=streams)
+            run = OracleRun(result, cfg)
             for prop in ("frame_write", "frame_read", "unicity"):
                 v = oracle_check(c, prop, cfg, run=run)
                 if v.verdict == "violation":

@@ -1027,7 +1027,7 @@ def _related(dl, dlp):
     return False
 
 
-def analyze_unicity(fi, prog, kinds, fwd, live_out, domains):
+def analyze_unicity(fi, prog, live_out, domains):
     issues = []
 
     def dom(loc):
@@ -1044,26 +1044,17 @@ def analyze_unicity(fi, prog, kinds, fwd, live_out, domains):
             return "cc" in fi.s_c
         return False
 
-    bwd_canon = lambda loc: (
-        Token(loc.index, fi.sizes.get(loc.index, 4) * 8)
-        if isinstance(loc, Token) and kinds.get(loc.index) == "mem"
-        else loc
-    )
-
+    # Stores are skipped: a store's region can only be the cell of an
+    # m-class token, whose domain holds only IndirectLocs, and _related
+    # needs a DirectLoc on the written side.
     for i, ins in enumerate(prog.instrs):
         if not isinstance(ins, Assign):
             continue
-        if isinstance(ins.lhs, StoreLhs):
-            region = fwd.region(i, ins.lhs)
-            if region[0] != "cell":
-                continue
-            l = bwd_canon(Token(region[1], 32))
-        else:
-            l = ins.lhs
-            if not isinstance(l, (Reg, Token)):
-                continue
-            if isinstance(l, Reg) and l.width != 32:
-                continue  # wide SIMD registers have no abstract pairs
+        l = ins.lhs
+        if not isinstance(l, (Reg, Token)):
+            continue
+        if isinstance(l, Reg) and l.width != 32:
+            continue  # wide SIMD registers have no abstract pairs
         dl = dom(l)
         if not dl or in_clobbers(l):
             continue
@@ -1183,7 +1174,7 @@ def _analyze(chunk, opts):
     t4 = time.perf_counter()
 
     domains = abstract_domain(fi)
-    un_issues = analyze_unicity(fi, prog, kinds, fwd, live_out, domains)
+    un_issues = analyze_unicity(fi, prog, live_out, domains)
     t5 = time.perf_counter()
 
     seen = set()

@@ -173,11 +173,10 @@ def _cmd_oracle(args):
         trials=args.trials, seed=args.seed, assignment_cap=args.assignment_cap
     )
     reports = []
-    streams = {}  # trial seed -> WordStream, shared by every chunk
     timed = timings_enabled()
     for path, chunk in pairs:
         result = check_chunk(chunk)
-        run = OracleRun(result, cfg, streams=streams)
+        run = OracleRun(result, cfg)
         oracle = {}
         for prop in ("frame_write", "frame_read", "unicity"):
             t0 = time.perf_counter()

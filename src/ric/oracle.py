@@ -14,8 +14,6 @@ compute exactly what `eval_expr` computes.
 from __future__ import annotations
 
 import random
-import sys
-from array import array
 from dataclasses import dataclass, field
 
 from .checker import check_chunk
@@ -70,140 +68,6 @@ class TrialConfig:
 
 
 # ---------------------------------------------------------------------------
-# Trial random streams
-#
-# A trial's seed depends only on (cfg.seed, trial), so every chunk and
-# property of a run replays the same few Mersenne Twister streams. A
-# WordStream keeps the 32-bit output words of random.Random(seed) that a
-# reader needed; TrialRandom draws from it exactly as random.Random(seed)
-# would, and a sandbox reads its bytes from it only when a load needs
-# them.
-
-BLOCK = 624  # words per Mersenne Twister state: the unit a stream keeps
-
-
-def _words(x, n):
-    """The n 32-bit words of x, low word first."""
-    words = array("I", x.to_bytes(4 * n, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
-
-
-def _from_words(words):
-    if sys.byteorder == "big":
-        words = array("I", words)
-        words.byteswap()
-    return int.from_bytes(words.tobytes(), "little")
-
-
-class _Twister:
-    """random.Random(seed)'s output words, one block at a time."""
-
-    def __init__(self, seed):
-        self.seed, self.next, self._rng = seed, 0, random.Random(seed)
-
-    def advance(self):
-        """The words of block `next`; moves on to the block after it."""
-        self.next += 1
-        return _words(self._rng.getrandbits(32 * BLOCK), BLOCK)
-
-
-class WordStream:
-    """The output words of random.Random(seed), kept per block read.
-
-    One generator passes forward through the stream once; the blocks it
-    passes that nothing reads are dropped. A dropped block read later is
-    regenerated from the seed."""
-
-    def __init__(self, seed):
-        self.seed = seed
-        self.kept = {}  # block index -> words
-        self._ahead = _Twister(seed)
-
-    def block(self, b):
-        words = self.kept.get(b)
-        if words is None:
-            gen = self._ahead if b >= self._ahead.next else _Twister(self.seed)
-            while gen.next < b:
-                gen.advance()
-            words = self.kept[b] = gen.advance()
-        return words
-
-    def bits(self, pos, k):
-        """What getrandbits(k), k > 0, returns after `pos` words: the next
-        ceil(k/32) words, low word first, the last shifted right to its
-        top k - 32 * (ceil(k/32) - 1) bits, as CPython lays them out."""
-        n = (k + 31) >> 5
-        words = array("I")
-        while len(words) < n:
-            b, i = divmod(pos + len(words), BLOCK)
-            words.extend(self.block(b)[i : i + n - len(words)])
-        top = words.pop() >> (32 * n - k)
-        return _from_words(words) | top << (32 * (n - 1))
-
-
-class TrialRandom(random.Random):
-    """random.Random(seed), read from the seed's WordStream in `streams`
-    (a dict from seed to stream, filled on first use), so that all
-    readers of a seed share the words generated. Only getrandbits reads
-    the stream; the stdlib's choice, randrange and the rest run on it
-    unchanged. Seeding and state access raise: the stream is fixed."""
-
-    def __init__(self, seed, streams):
-        stream = streams.get(seed)
-        if stream is None:
-            stream = streams[seed] = WordStream(seed)
-        self._stream = stream
-        self.gauss_next = None
-        self._seek(0)
-
-    def _seek(self, pos):
-        # the block at pos is looked at only if the stream already keeps
-        # it; otherwise the next draw fetches it
-        self._b, self._i = divmod(pos, BLOCK)
-        self._words = self._stream.kept.get(self._b)
-        self._n = 0 if self._words is None else BLOCK
-
-    def getrandbits(self, k):
-        i = self._i
-        if 0 < k <= 32 and i < self._n:
-            self._i = i + 1
-            return self._words[i] >> (32 - k)
-        if 32 < k <= 64 and i + 1 < self._n:
-            self._i = i + 2
-            words = self._words
-            return words[i] | (words[i + 1] >> (64 - k)) << 32
-        if k <= 0:
-            if k < 0:
-                raise ValueError("number of bits must be non-negative")
-            return 0
-        pos = self._b * BLOCK + i
-        value = self._stream.bits(pos, k)
-        self._seek(pos + ((k + 31) >> 5))
-        return value
-
-    def random(self):
-        a, b = self.getrandbits(27), self.getrandbits(26)
-        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
-
-    def window(self, size):
-        """The bytes randbytes(size) would draw next, read on demand."""
-        pos = self._b * BLOCK + self._i
-        self._seek(pos + ((size + 3) >> 2))
-        return StreamBytes(self._stream, pos, size)
-
-    def seed(self, *args, **kwargs):
-        raise TypeError("TrialRandom replays a fixed seed's stream")
-
-    def getstate(self):
-        raise TypeError("TrialRandom has no Mersenne Twister state")
-
-    def setstate(self, state):
-        raise TypeError("TrialRandom has no Mersenne Twister state")
-
-
-# ---------------------------------------------------------------------------
 # Sandbox byte sources: read(off, size) is bytes off..off+size-1 as a
 # little-endian integer.
 
@@ -223,24 +87,44 @@ class IntBytes:
 _ZEROS = IntBytes(0)
 
 
-class StreamBytes:
-    """`size` bytes that randbytes(size) draws after `start` words of a
-    stream: word j gives bytes 4j..4j+3, and a last partial word gives
-    its high bytes."""
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter increment
+_M64 = (1 << 64) - 1
 
-    __slots__ = ("stream", "start", "size")
 
-    def __init__(self, stream, start, size):
-        self.stream, self.start, self.size = stream, start, size
+class PageBytes:
+    """Bytes that are a pure function of (key, offset). The 8-byte word
+    w, bytes 8w..8w+7 little-endian, is SplitMix64's output w + 1 from
+    seed `key` (Steele, Lea & Flood, OOPSLA 2014): its mixer applied to
+    the counter key + (w + 1) * gamma. A 64-byte page is computed when
+    first read and kept, so copies of a state sharing the source share
+    its pages."""
+
+    __slots__ = ("key", "pages")
+
+    def __init__(self, key):
+        self.key, self.pages = key, {}
+
+    def page(self, p):
+        """Bytes 64p..64p+63 as a little-endian integer."""
+        value = self.pages.get(p)
+        if value is None:
+            value = 0
+            x = self.key + 8 * p * _GAMMA
+            for shift in range(0, 512, 64):
+                x += _GAMMA
+                z = x & _M64
+                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+                value |= (z ^ (z >> 31)) << shift
+            self.pages[p] = value
+        return value
 
     def read(self, off, size):
-        first, end = off >> 2, (off + size + 3) >> 2
-        if end < (self.size + 3) >> 2:
-            k = 32 * (end - first)
-        else:  # through the last word, shifted as in the whole draw
-            k = 8 * self.size - 32 * first
-        value = self.stream.bits(self.start + first, k)
-        return (value >> (8 * (off & 3))) & ((1 << (8 * size)) - 1)
+        first, last = off >> 6, (off + size - 1) >> 6
+        value = self.page(first)
+        for p in range(first + 1, last + 1):
+            value |= self.page(p) << (512 * (p - first))
+        return (value >> (8 * (off & 63))) & ((1 << (8 * size)) - 1)
 
 
 class MachineState:
@@ -627,8 +511,7 @@ def random_state(rng, cfg, binding, fi=None, esp_base=None):
     m.regs["esp"] = esp_base if esp_base is not None else (
         SANDBOX_BASE + cfg.sandbox_size - 0x400 - rng.randrange(0, 16) * 4
     )
-    # the bytes rng.randbytes(n) would draw, read only where loaded
-    m.mem = rng.window(cfg.sandbox_size)
+    m.mem = PageBytes(rng.getrandbits(64))
     if fi is not None:
         for p, addr in binding.cells.items():
             size = fi.sizes.get(p, 4)
@@ -718,13 +601,10 @@ class OracleRun:
     the interface, lifted program and anchors of the chunk's
     CheckResult, the assignment set, and the compiled program of each
     assignment drawn. `unrunnable` is the reason every property is
-    inconclusive, or empty. `streams` maps a trial seed to its
-    WordStream; runs may share one dict, as a seed's stream is the same
-    for every reader."""
+    inconclusive, or empty."""
 
-    def __init__(self, result, cfg, streams=None):
+    def __init__(self, result, cfg):
         self.cfg = cfg
-        self.streams = {} if streams is None else streams
         self.unrunnable = ""
         self.steps_left = STEP_BUDGET
         self._programs = {}  # id(assignment) -> (assignment, compiled program)
@@ -781,7 +661,7 @@ def oracle_check(chunk, prop, cfg=None, run=None):
     run.steps_left = STEP_BUDGET
     bad_trials = 0
     for trial in range(cfg.trials):
-        rng = TrialRandom((cfg.seed << 20) ^ (trial * 2654435761 % 2**31), run.streams)
+        rng = random.Random((cfg.seed << 20) ^ (trial * 2654435761 % 2**31))
         try:
             witness = checker(run, rng, cfg)
         except StepLimit:

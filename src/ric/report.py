@@ -184,12 +184,13 @@ def render_text(report):
     s = report["summary"]
     lines.append(
         "summary: {chunks} chunks, {c} compliant, {b} benign-only, {s} serious,"
-        " {o} out of scope".format(
+        " {o} out of scope, {e} error".format(
             chunks=s["chunks"],
             c=s["totals"]["compliant"],
             b=s["totals"]["benign_only"],
             s=s["totals"]["serious"],
             o=s["totals"]["out_of_scope"],
+            e=s["totals"]["error"],
         )
     )
     return "\n".join(lines) + "\n"

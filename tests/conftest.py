@@ -38,20 +38,18 @@ def corpus_results(corpus_chunks):
 @pytest.fixture(scope="session")
 def compliant_corpus_oracle(corpus_chunks, corpus_results):
     """The oracle's verdict on each property of each chunk the checker
-    calls compliant, at 100 trials, seed 0 and cap 256, with one random
-    stream per trial seed as `ric oracle` keeps; `elapsed_s` is the wall
-    time of that oracle work."""
+    calls compliant, at 100 trials, seed 0 and cap 256; `elapsed_s` is
+    the wall time of that oracle work."""
     from ric.oracle import OracleRun, TrialConfig, oracle_check
 
     cfg = TrialConfig(trials=100, seed=0, assignment_cap=256)
     t0 = time.perf_counter()
     verdicts = {}
-    streams = {}
     for c in corpus_chunks:
         result = corpus_results[c.context.file]
         if result.verdict != "compliant":
             continue
-        run = OracleRun(result, cfg, streams=streams)
+        run = OracleRun(result, cfg)
         for prop in ("frame_write", "frame_read", "unicity"):
             verdicts[c.context.file, prop] = oracle_check(c, prop, cfg, run=run)
     return SimpleNamespace(verdicts=verdicts, elapsed_s=time.perf_counter() - t0)

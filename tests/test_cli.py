@@ -91,6 +91,14 @@ def test_unparsable_statement_is_an_error_entry(tmp_path, capsys):
     assert "unsupported constraint character 'A'" in capsys.readouterr().err
 
 
+def test_text_summary_counts_errors(tmp_path, capsys):
+    path = write(tmp_path, "a.c", 'void f(long long x)\n{\n  asm ("" : "+A"(x));\n}\n')
+    assert run(["check", "--format", "text", path]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "summary: 1 chunks, 0 compliant, 0 benign-only, 0 serious, 0 out of scope, 1 error"
+    )
+
+
 def test_exit_two_on_bad_usage(tmp_path, capsys):
     assert run(["check", str(tmp_path / "missing.c")]) == 2
     assert run(["frobnicate"]) == 2
