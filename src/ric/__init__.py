@@ -1,37 +1,10 @@
 """Interface compliance tooling for GNU extended inline assembly (i386).
 
-Public surface: chunk extraction, interface derivation, the compliance
-checker, the patch synthesizer, the interface refiner, and the
-differential oracle.
+Modules: chunk extraction (`ric.chunks`), interface derivation
+(`ric.constraints`), the compliance checker (`ric.checker`), the patch
+synthesizer (`ric.patcher`), the interface refiner (`ric.refiner`), and
+the differential oracle (`ric.oracle`). Importing the package loads none
+of them.
 """
-
-from .checker import CheckOptions, Issue, check_chunk
-from .chunks import ChunkAst, OperandEntry, extract_chunks, load_chunk_file
-from .constraints import FormalInterface, derive_interface, enumerate_assignments
-from .oracle import TrialConfig, oracle_check
-from .patcher import synthesize_patches, verify_patch
-from .refiner import RefineOptions, refine_interface
-from .report import classify_pattern, severity_policy
-
-__all__ = [
-    "CheckOptions",
-    "ChunkAst",
-    "FormalInterface",
-    "Issue",
-    "OperandEntry",
-    "RefineOptions",
-    "TrialConfig",
-    "check_chunk",
-    "classify_pattern",
-    "derive_interface",
-    "enumerate_assignments",
-    "extract_chunks",
-    "load_chunk_file",
-    "oracle_check",
-    "refine_interface",
-    "severity_policy",
-    "synthesize_patches",
-    "verify_patch",
-]
 
 __version__ = "0.1.0"

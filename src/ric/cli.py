@@ -1,4 +1,5 @@
-"""Command-line driver: check, patch, refine, oracle."""
+"""Command-line driver: check, patch, refine, oracle. The patcher, the
+refiner and the oracle are imported by the one command that uses each."""
 
 from __future__ import annotations
 
@@ -7,11 +8,9 @@ import json
 import sys
 import time
 
-from . import patcher, refiner
 from .checker import check_chunk
 from .chunks import extract_chunks, load_chunk_file, render
 from .errors import RicError, SpanStale
-from .oracle import OracleRun, TrialConfig, oracle_check
 from .report import build_report, chunk_report, diagnostic_report, render_text, timings_enabled
 
 
@@ -44,8 +43,9 @@ def _collect(args):
     unparsed = []
     for path in sorted(args.files):
         # newline="" keeps \r\n, so spans index the file's own text and
-        # --in-place rewrites keep its line ends
-        with open(path, encoding="utf-8", newline="") as f:
+        # --in-place rewrites keep its line ends; a byte that is not
+        # UTF-8 is kept as a lone surrogate and written back as itself
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as f:
             text = f.read()
         sources[path] = text
         found, diags = extract_chunks(text, path)
@@ -84,7 +84,9 @@ def _finish(reports, unparsed, args):
 
 def _emit(report, args):
     if args.format == "text":
-        text = render_text(report)
+        # a source byte that is not UTF-8 shows as \xNN
+        text = render_text(report).encode(errors="surrogateescape")
+        text = text.decode(errors="backslashreplace")
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -102,6 +104,8 @@ def _cmd_check(args):
 
 
 def _cmd_patch(args):
+    from . import patcher
+
     sources, pairs, unparsed = _collect(args)
     reports = []
     rewrites = {}  # path -> list of (span, replacement)
@@ -140,6 +144,8 @@ def _cmd_patch(args):
 
 
 def _cmd_refine(args):
+    from . import refiner
+
     sources, pairs, unparsed = _collect(args)
     options = refiner.RefineOptions(
         refine_inputs=not args.no_refine_inputs,
@@ -167,7 +173,16 @@ def _cmd_refine(args):
     return _finish(reports, unparsed, args)
 
 
+def oracle_check(chunk, prop, cfg, run):
+    """ric.oracle.oracle_check, imported on the first call."""
+    from .oracle import oracle_check
+
+    return oracle_check(chunk, prop, cfg, run=run)
+
+
 def _cmd_oracle(args):
+    from .oracle import OracleRun, TrialConfig
+
     sources, pairs, unparsed = _collect(args)
     cfg = TrialConfig(
         trials=args.trials, seed=args.seed, assignment_cap=args.assignment_cap
@@ -204,7 +219,7 @@ def _apply_rewrites(sources, rewrites):
             pieces += (text[kept_from : span.byte_start], replacement)
             kept_from = span.byte_end
         pieces.append(text[kept_from:])
-        with open(path, "w", encoding="utf-8", newline="") as f:
+        with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as f:
             f.write("".join(pieces))
 
 

@@ -10,42 +10,28 @@ bit-level liveness meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .constraints import (
-    ImmediateInt,
-    ImmOperand,
     Match,
-    MatchOf,
-    MemOperand,
     MemoryRef,
-    RegisterSet,
-    RegOperand,
     UnionClass,
     eval_letter,
 )
-from .errors import BadTokenRef, MalformedInterface, MissingToken, UnknownMnemonic
+from .errors import BadTokenRef, MalformedInterface, UnknownMnemonic
 from .expr import (
     Assign,
-    BinOp,
     Branch,
-    Cast,
     Const,
-    Extract,
     Flag,
     Goto,
     Halt,
     IRProgram,
-    Ite,
     Load,
-    MemoryWhole,
     ReadLoc,
     Reg,
     StoreLhs,
     Temp,
     Token,
     TokenAddr,
-    UnOp,
     mk_binop,
     mk_cast,
     mk_extract,
@@ -646,87 +632,3 @@ def _lift_instr(lf, ins, tidx):
         return
 
     raise UnknownMnemonic(m)
-
-
-# ---------------------------------------------------------------------------
-# Token substitution
-
-
-def substitute(prog, assignment):
-    """Replace token locations by concrete operands: a register or an
-    immediate directly, a memory operand by its address expression."""
-
-    def addr_of(pos):
-        op = assignment[pos] if pos in assignment else None
-        if op is None:
-            raise MissingToken(f"%{pos} not covered by the assignment")
-        if isinstance(op, MemOperand):
-            parts = []
-            if op.base:
-                parts.append(ReadLoc(Reg(op.base, 32)))
-            if op.index:
-                parts.append(mk_binop("mul", ReadLoc(Reg(op.index, 32)), Const(op.scale, 32)))
-            if op.disp or not parts:
-                parts.append(Const(op.disp, 32))
-            e = parts[0]
-            for p in parts[1:]:
-                e = mk_binop("add", e, p)
-            return e
-        raise MissingToken(f"%{pos} is not a memory operand")
-
-    def sub_expr(e):
-        if isinstance(e, ReadLoc):
-            loc = e.loc
-            if isinstance(loc, Token):
-                if loc.index not in assignment:
-                    raise MissingToken(f"%{loc.index} not covered by the assignment")
-                op = assignment[loc.index]
-                if isinstance(op, RegOperand):
-                    return ReadLoc(Reg(op.reg, 32))
-                if isinstance(op, ImmOperand):
-                    return Const(op.value, 32)
-                # a memory operand bound to a register-like use: its value
-                return Load(addr_of(loc.index), 4)
-            if isinstance(loc, TokenAddr):
-                return addr_of(loc.index)
-            return e
-        if isinstance(e, Const):
-            return e
-        if isinstance(e, Load):
-            return Load(sub_expr(e.addr), e.size)
-        if isinstance(e, BinOp):
-            return mk_binop(e.op, sub_expr(e.a), sub_expr(e.b))
-        if isinstance(e, UnOp):
-            return mk_unop(e.op, sub_expr(e.e))
-        if isinstance(e, Cast):
-            return mk_cast(e.kind, e.width, sub_expr(e.e))
-        if isinstance(e, Extract):
-            return mk_extract(e.hi, e.lo, sub_expr(e.e))
-        if isinstance(e, Ite):
-            return mk_ite(sub_expr(e.c), sub_expr(e.a), sub_expr(e.b))
-        raise MissingToken(f"cannot substitute in {e!r}")
-
-    out = []
-    for ins in prog.instrs:
-        if isinstance(ins, Assign):
-            rhs = sub_expr(ins.rhs)
-            lhs = ins.lhs
-            if isinstance(lhs, StoreLhs):
-                out.append(Assign(StoreLhs(sub_expr(lhs.addr), lhs.size), rhs))
-            elif isinstance(lhs, Token):
-                op = assignment[lhs.index] if lhs.index in assignment else None
-                if op is None:
-                    raise MissingToken(f"%{lhs.index} not covered by the assignment")
-                if isinstance(op, RegOperand):
-                    out.append(Assign(Reg(op.reg, 32), rhs))
-                elif isinstance(op, MemOperand):
-                    out.append(Assign(StoreLhs(addr_of(lhs.index), 4), rhs))
-                else:
-                    raise MissingToken(f"%{lhs.index} bound to an immediate is written")
-            else:
-                out.append(Assign(lhs, rhs))
-        elif isinstance(ins, Branch):
-            out.append(Branch(sub_expr(ins.cond), ins.then_target, ins.else_target))
-        else:
-            out.append(ins)
-    return IRProgram(out, dict(prog.labels))

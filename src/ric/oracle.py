@@ -2,13 +2,14 @@
 
 The oracle enumerates token assignments, binds memory operands to
 disjoint sandbox slots (shared per token across the two sides of a
-differential pair), executes the substituted program, and compares
-observable results. A pass is testimony within the trial budget and the
+differential pair), executes the program, and compares observable
+results. A pass is testimony within the trial budget and the
 per-property step budget, not a proof.
 
-Each substituted program is compiled once into Python closures
-(Feeley & Lapalme, "Using closures for code generation", 1987) that
-compute exactly what `eval_expr` computes.
+A chunk's program is compiled once into Python closures (Feeley &
+Lapalme, "Using closures for code generation", 1987) that compute
+exactly what `eval_expr` computes; each token reads the operand that the
+state binds to it at run time.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from .constraints import (
     enumerate_assignments,
     format_operand,
 )
-from .errors import OutOfSandbox, RicError, StepLimit, UnknownMnemonic, WidthError
+from .errors import MissingToken, OutOfSandbox, RicError, StepLimit, UnknownMnemonic, WidthError
 from .expr import (
     Assign,
     BinOp,
     Branch,
     Cast,
     Const,
+    Expr,
     Extract,
     Flag,
     Goto,
@@ -42,13 +44,14 @@ from .expr import (
     Reg,
     StoreLhs,
     Temp,
+    Token,
+    TokenAddr,
     UnOp,
     _fold_binop,
     _ones,
     _to_signed,
     format_loc,
 )
-from .lift import substitute
 from .template import template_tokens
 
 SANDBOX_BASE = 0x10000
@@ -133,7 +136,8 @@ class MachineState:
     The sandbox is a byte source `mem`, never written, under `stored`, a
     sparse map from offset to each byte written since. Copies share the
     source, so a copy costs only the overlay. An integer assigned to
-    `mem` stands for its bytes, byte i being bits 8i..8i+7.
+    `mem` stands for its bytes, byte i being bits 8i..8i+7. `operands`
+    maps each token to the Operand bound to it while a program runs.
     """
 
     def __init__(self, sandbox_size):
@@ -144,6 +148,7 @@ class MachineState:
         self._mem = _ZEROS
         self.stored = {}
         self.temps = {}
+        self.operands = {}
 
     @property
     def mem(self):
@@ -160,6 +165,7 @@ class MachineState:
         m.flags = dict(self.flags)
         m.copy_memory(self)
         m.temps = {}
+        m.operands = {}
         return m
 
     def copy_memory(self, other):
@@ -201,6 +207,68 @@ class MachineState:
 
 
 # ---------------------------------------------------------------------------
+# Operands bound at run time
+
+_M32 = 0xFFFFFFFF
+
+
+class Operand:
+    """The operand bound to a token, as functions of the state: its value,
+    its address (a memory operand's) and a store to it (not an
+    immediate's). A register is the 32-bit register, an immediate a
+    32-bit constant, and a memory operand the 4 bytes at its address."""
+
+    __slots__ = ("read", "addr", "write")
+
+    def __init__(self, op):
+        self.addr = self.write = None
+        if isinstance(op, ImmOperand):
+            v = op.value & _M32
+            self.read = lambda s: v
+        elif isinstance(op, RegOperand):
+            r = op.reg
+
+            def write_reg(s, v):
+                s.regs[r] = v & _M32
+
+            self.read, self.write = lambda s: s.regs[r] & _M32, write_reg
+        else:
+            # a missing base or index reads as 0: regs has no key None
+            base, index, scale, disp = op.base, op.index, op.scale, op.disp
+            addr = self.addr = lambda s: (
+                s.regs.get(base, 0) + s.regs.get(index, 0) * scale + disp
+            ) & _M32
+            self.read = lambda s: s.load(addr(s), 4)
+            self.write = lambda s, v: s.store(addr(s), 4, v)
+
+
+def program_tokens(prog):
+    """(tokens, addressed, written): the tokens the program uses, those
+    whose cell address it reads, and those it writes."""
+    tokens, addressed, written = set(), set(), set()
+    todo = []
+    for ins in prog.instrs:
+        if isinstance(ins, Assign):
+            todo.append(ins.rhs)
+            if isinstance(ins.lhs, StoreLhs):
+                todo.append(ins.lhs.addr)
+            elif isinstance(ins.lhs, Token):
+                written.add(ins.lhs.index)
+        elif isinstance(ins, Branch):
+            todo.append(ins.cond)
+    while todo:
+        e = todo.pop()
+        if isinstance(e, ReadLoc):
+            if isinstance(e.loc, TokenAddr):
+                addressed.add(e.loc.index)
+            elif isinstance(e.loc, Token):
+                tokens.add(e.loc.index)
+        else:
+            todo.extend(v for v in vars(e).values() if isinstance(v, Expr))
+    return tokens | addressed | written, addressed, written
+
+
+# ---------------------------------------------------------------------------
 # Compiling programs to closures
 #
 # An expression compiles to a function of the machine state; an
@@ -233,6 +301,12 @@ def _compile_read(loc, m):
     if isinstance(loc, Temp):
         key = _temp_key(loc)
         return lambda s: s.temps[key] & m
+    if isinstance(loc, Token):
+        p = loc.index
+        return lambda s: s.operands[p].read(s)
+    if isinstance(loc, TokenAddr):
+        p = loc.index
+        return lambda s: s.operands[p].addr(s)
 
     def unbound(s):
         raise RicError(f"unbound location {format_loc(loc)} in concrete execution")
@@ -357,6 +431,14 @@ def _compile_write(loc, f, nxt):
             return nxt
 
         return write_temp
+    if isinstance(loc, Token):
+        p = loc.index
+
+        def write_token(s):
+            s.operands[p].write(s, f(s))
+            return nxt
+
+        return write_token
 
     def unwritable(s):
         f(s)
@@ -599,16 +681,15 @@ def _mem_equal(m1, m2, exempt_ranges):
 class OracleRun:
     """What the oracle shares across the three properties of a chunk:
     the interface, lifted program and anchors of the chunk's
-    CheckResult, the assignment set, and the compiled program of each
-    assignment drawn. `unrunnable` is the reason every property is
-    inconclusive, or empty."""
+    CheckResult, the assignment set, and the program, compiled once.
+    `unrunnable` is the reason every property is inconclusive, or
+    empty."""
 
     def __init__(self, result, cfg):
         self.cfg = cfg
         self.unrunnable = ""
         self.steps_left = STEP_BUDGET
-        self._programs = {}  # id(assignment) -> (assignment, compiled program)
-        self.fi, self.prog, self.kinds = result.fi, result.prog, result.kinds
+        self.fi, self.prog = result.fi, result.prog
         self.anchors = result.anchors
         if isinstance(result.error, UnknownMnemonic):
             self.unrunnable = f"out of scope: {result.error}"
@@ -619,10 +700,20 @@ class OracleRun:
         refs = template_tokens(result.parsed)
         collapse = frozenset(a.entry for a in self.anchors if a.entry not in refs)
         aset = enumerate_assignments(self.fi, cap=cfg.assignment_cap, collapse=collapse)
-        self.assignments = aset.assignments
+        tokens, self.addressed, self.written = program_tokens(self.prog)
+        self.tokens = sorted(tokens)
+        # the assembler rejects a write to an immediate operand, so no
+        # compiler can realize such an assignment
+        self.assignments = [
+            a
+            for a in aset.assignments
+            if not any(isinstance(a.mapping.get(p), ImmOperand) for p in self.written)
+        ]
         self.truncated = aset.truncated
         if not self.assignments:
             self.unrunnable = "no valid token assignment"
+            return
+        self.code = compile_program(self.prog)
 
     def bind(self, assignment, rng):
         b = bind_assignment(self.fi, assignment, rng, self.cfg, self.anchors)
@@ -630,17 +721,27 @@ class OracleRun:
             raise _Skip
         return b
 
-    def program(self, assignment):
-        """The assignment's substituted program, compiled on first use."""
-        entry = self._programs.get(id(assignment))
-        if entry is None:
-            code = compile_program(substitute(self.prog, assignment.mapping))
-            entry = self._programs[id(assignment)] = (assignment, code)
-        return entry[1]
+    def operands(self, assignment):
+        """The Operand of each token of the program. Raises MissingToken,
+        before anything runs, unless the assignment binds every token
+        to an operand that can serve it."""
+        out = {}
+        for p in self.tokens:
+            op = assignment.mapping.get(p)
+            if op is None:
+                raise MissingToken(f"%{p} not covered by the assignment")
+            if p in self.addressed and not isinstance(op, MemOperand):
+                raise MissingToken(f"%{p} is not a memory operand")
+            if p in self.written and isinstance(op, ImmOperand):
+                raise MissingToken(f"%{p} bound to an immediate is written")
+            out[p] = Operand(op)
+        return out
 
     def run_one(self, assignment, state):
-        """Execute on state within what is left of the step budget."""
-        self.steps_left -= exec_program(self.program(assignment), state, self.steps_left)
+        """Execute under the assignment on state within what is left of
+        the step budget."""
+        state.operands = self.operands(assignment)
+        self.steps_left -= exec_program(self.code, state, self.steps_left)
         return state
 
 

@@ -20,6 +20,7 @@ from .checker import check_chunk
 from .chunks import OperandEntry, render
 from .constraints import derive_interface, enumerate_assignments
 from .errors import RicError, SpanStale
+from .template import renumber_template
 
 REG_LETTER = {"eax": "a", "ebx": "b", "ecx": "c", "edx": "d", "esi": "S", "edi": "D"}
 
@@ -30,48 +31,31 @@ class AddOutput:
     lvalue: str
     matched_input: int = None
 
-    def describe(self):
-        tail = f" matching %{self.matched_input}" if self.matched_input is not None else ""
-        return f'add output "{self.constraint}" ({self.lvalue}){tail}'
-
 
 @dataclass(frozen=True)
 class AddInput:
     constraint: str
     source: str
 
-    def describe(self):
-        return f'add input "{self.constraint}" ({self.source})'
-
 
 @dataclass(frozen=True)
 class AddClobber:
     name: str
 
-    def describe(self):
-        return f'add clobber "{self.name}"'
-
 
 @dataclass(frozen=True)
 class SetMemoryClobber:
-    def describe(self):
-        return 'add clobber "memory"'
+    pass
 
 
 @dataclass(frozen=True)
 class MarkEarlyClobber:
     token: int
 
-    def describe(self):
-        return f"mark %{self.token} early-clobber (&)"
-
 
 @dataclass(frozen=True)
 class PromoteToReadWrite:
     token: int
-
-    def describe(self):
-        return f"promote %{self.token} to read-write (+)"
 
 
 def edit_to_json(edit):
@@ -240,7 +224,7 @@ def synthesize_patches(chunk, issues):
 
     # matching digits always name outputs, and original output positions
     # are preserved, so constraints need no renumbering here
-    template = _renumber_template(chunk.template, renumber)
+    template = renumber_template(chunk.template, renumber)
     patched = replace(
         chunk,
         template=template,
@@ -249,33 +233,6 @@ def synthesize_patches(chunk, issues):
         clobbers=tuple(clobbers),
     )
     return PatchResult(patched, edits, unresolved, renumber, original=chunk)
-
-
-_NUM_TOKEN = re.compile(r"%([bwk]?)(\d+)")
-
-
-def _renumber_template(template, renumber):
-    def sub(m):
-        start = m.start()
-        if start > 0 and template[start - 1] == "%":
-            return m.group(0)
-        old = int(m.group(2))
-        return f"%{m.group(1)}{renumber.get(old, old)}"
-
-    return _NUM_TOKEN.sub(sub, template)
-
-
-def _renumber_matches(entry, renumber):
-    """Rewrite matching-digit constraints through the renumber map."""
-
-    def sub(m):
-        old = int(m.group(0))
-        return str(renumber.get(old, old))
-
-    new = re.sub(r"\d+", sub, entry.constraint)
-    if new == entry.constraint:
-        return entry
-    return replace(entry, constraint=new)
 
 
 FRAMING_CATEGORIES = (

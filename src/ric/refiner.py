@@ -14,7 +14,7 @@ from .checker import build_anchors, check_chunk
 from .chunks import OperandEntry
 from .errors import RicError
 from .expr import Flag, Reg, Token
-from .patcher import _renumber_matches, _renumber_template
+from .template import renumber_matches, renumber_template
 
 
 @dataclass(frozen=True)
@@ -40,22 +40,15 @@ class MemAccess:
 class DropInput:
     position: int
 
-    def describe(self):
-        return f"drop dead input %{self.position}"
-
 
 @dataclass(frozen=True)
 class DropClobber:
     name: str
 
-    def describe(self):
-        return f'drop dead clobber "{self.name}"'
-
 
 @dataclass(frozen=True)
 class DropMemoryKeyword:
-    def describe(self):
-        return 'drop unnecessary "memory" clobber'
+    pass
 
 
 @dataclass(frozen=True)
@@ -72,12 +65,6 @@ class MemoryToEntries:
     # stays in the report schema, as RefineResult.suggestions does;
     # every access resolves to a token, so no edit is suggestion-only
     suggestion_only: bool = False
-
-    def describe(self):
-        parts = ", ".join(
-            f"%{s.base}+{s.offset}..{s.offset + s.length} ({s.mode})" for s in self.spans
-        )
-        return f'replace "memory" with m-class entries: {parts}'
 
 
 @dataclass(frozen=True)
@@ -210,12 +197,12 @@ def _rebuild(chunk, drop_inputs=frozenset(), drop_clobbers=frozenset(),
         c for c in chunk.clobbers
         if c not in drop_clobbers and not (drop_memory and c == "memory")
     )
-    template = _renumber_template(chunk.template, renumber)
+    template = renumber_template(chunk.template, renumber)
     return replace(
         chunk,
         template=template,
-        outputs=tuple(_renumber_matches(e, renumber) for e in outputs),
-        inputs=tuple(_renumber_matches(e, renumber) for e in inputs),
+        outputs=tuple(renumber_matches(e, renumber) for e in outputs),
+        inputs=tuple(renumber_matches(e, renumber) for e in inputs),
         clobbers=clobbers,
     )
 

@@ -154,6 +154,59 @@ def _color_enabled():
     return False
 
 
+def _edit_text(edit):
+    """`Name key=value ...` of one edit's JSON."""
+    args = []
+    for key, value in sorted(edit.items()):
+        if key == "spans":
+            value = ",".join(
+                f"{sp['mode']} %{sp['base']}[{sp['offset']}:{sp['offset'] + sp['length']}]"
+                for sp in value
+            )
+        if key != "edit":
+            args.append(f"{key}={value}")
+    return " ".join([edit["edit"], *args])
+
+
+def _edit_lines(name, entry):
+    """One line per edit, suggestion and unresolved finding of a patch or
+    refinement entry, then its verification and statement."""
+    lines = [f"  {name} edit: {_edit_text(e)}" for e in entry["edits"]]
+    lines += [f"  {name} suggestion: {_edit_text(e)}" for e in entry.get("suggestions", ())]
+    lines += [
+        f"  {name} unresolved: {u['category']} at {u['location']}"
+        for u in entry.get("unresolved", ())
+    ]
+    if "verification" in entry:
+        checks = sorted(entry["verification"].items())
+        verified = ", ".join(f"{key} {'yes' if ok else 'no'}" for key, ok in checks)
+        lines.append(f"  {name} verification: {verified}")
+    if entry["statement"] is not None:
+        lines.append(f"  {name} statement: {entry['statement']}")
+    return lines
+
+
+def _assignment_text(assignment):
+    return " ".join(f"{token}={op}" for token, op in sorted(assignment.items()))
+
+
+def _oracle_lines(oracle):
+    """One line per property of an oracle entry."""
+    lines = []
+    for prop, entry in oracle.items():
+        line = f"  oracle {prop}: {entry['verdict']} ({entry['trials']} trials)"
+        if "reason" in entry:
+            line += f": {entry['reason']}"
+        w = entry.get("witness")
+        if w:
+            line += f" at {w['location']}: {w['detail']}"
+            line += f" under {_assignment_text(w['assignment'])}"
+            if "assignment2" in w:
+                line += f" vs {_assignment_text(w['assignment2'])}"
+        lines.append(line)
+    return lines
+
+
 def render_text(report):
     color = _color_enabled()
 
@@ -178,9 +231,12 @@ def render_text(report):
             lines.append(paint(line, i["severity"]))
         if rep.get("details"):
             lines.append(f"  note: {rep['details']}")
-        for key in ("patch", "refinements", "oracle"):
-            if rep.get(key):
-                lines.append(f"  {key}: {rep[key]}")
+        if rep.get("patch"):
+            lines += _edit_lines("patch", rep["patch"])
+        if rep.get("refinements"):
+            lines += _edit_lines("refine", rep["refinements"])
+        if rep.get("oracle"):
+            lines += _oracle_lines(rep["oracle"])
     s = report["summary"]
     lines.append(
         "summary: {chunks} chunks, {c} compliant, {b} benign-only, {s} serious,"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .errors import BadTokenRef, MalformedInterface, UnknownMnemonic
 
@@ -134,6 +134,34 @@ def classify_mnemonic(word):
 
 _TOKEN_RE = re.compile(r"%([bwk]?)(\d+)|%([bwk]?)\[([A-Za-z_][A-Za-z0-9_]*)\]")
 _LABEL_DEF = re.compile(r"^([A-Za-z_0-9.]+):\s*")
+
+
+def renumber_template(template, renumber):
+    """The template with each numbered token %[bwk]N renamed through the
+    renumber map; %%N and named tokens are kept."""
+
+    def sub(m):
+        start = m.start()
+        if m.group(2) is None or (start > 0 and template[start - 1] == "%"):
+            return m.group(0)
+        old = int(m.group(2))
+        return f"%{m.group(1)}{renumber.get(old, old)}"
+
+    return _TOKEN_RE.sub(sub, template)
+
+
+def renumber_matches(entry, renumber):
+    """An operand entry with its matching-digit constraint renamed
+    through the renumber map."""
+
+    def sub(m):
+        old = int(m.group(0))
+        return str(renumber.get(old, old))
+
+    new = re.sub(r"\d+", sub, entry.constraint)
+    if new == entry.constraint:
+        return entry
+    return replace(entry, constraint=new)
 
 
 def _parse_register(name):

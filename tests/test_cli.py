@@ -252,6 +252,83 @@ def test_oracle_property_times_only_under_ric_timings(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Text view of patch, refine and oracle entries
+
+
+def _no_reprs(out):
+    assert "{'" not in out and "[{" not in out
+
+
+def test_patch_text_has_a_line_per_edit(tmp_path, capsys):
+    run(["patch", "--format", "text", write(tmp_path, "f.c", FAULTY_SRC)])
+    out = capsys.readouterr().out
+    _no_reprs(out)
+    assert "  patch edit: AddClobber name=cc\n" in out
+    assert (
+        "  patch verification: framing_ok yes, fully_compliant yes,"
+        " interface_satisfiable yes\n" in out
+    )
+    assert '  patch statement: asm ("addl %1, %0" : "+r" (x) : "r" (y) : "cc")\n' in out
+
+
+def test_refine_text_has_a_line_per_edit(tmp_path, capsys):
+    run(["refine", "--format", "text", write(tmp_path, "r.c", REFINABLE_SRC)])
+    out = capsys.readouterr().out
+    _no_reprs(out)
+    assert "  refine edit: DropInput position=2\n" in out
+    assert '  refine statement: asm ("movl %1, %0" : "=r" (x) : "r" (y))\n' in out
+
+
+def test_refine_text_spans(capsys):
+    run(["refine", "--format", "text", "--chunks", "corpus/corpus.json"])
+    out = capsys.readouterr().out
+    _no_reprs(out)
+    assert "  refine edit: MemoryToEntries spans=in %1[0:4] suggestion_only=False\n" in out
+
+
+def test_oracle_text_has_a_line_per_property(tmp_path, capsys):
+    run(["oracle", "--trials", "50", "--format", "text", write(tmp_path, "f.c", FAULTY_SRC)])
+    out = capsys.readouterr().out
+    _no_reprs(out)
+    lines = [line for line in out.splitlines() if line.startswith("  oracle ")]
+    assert [line.split(":")[0] for line in lines] == [
+        "  oracle frame_write",
+        "  oracle frame_read",
+        "  oracle unicity",
+    ]
+    assert lines[0].startswith("  oracle frame_write: violation (")
+    assert " at flag:" in lines[0] and " under %0=%" in lines[0]
+
+
+# ---------------------------------------------------------------------------
+# Sources that are not UTF-8
+
+LATIN1_SRC = b"/* caf\xe9 */\n" + CLEAN_SRC.encode()
+# a statement holding a Latin-1 byte itself, in an operand's comment
+LATIN1_STMT = b'  asm ("addl %1, %0" : "+r" (x) : "r" (y /* \xff */));\n'
+
+
+def test_check_reads_a_latin1_file(tmp_path):
+    path = tmp_path / "l.c"
+    path.write_bytes(LATIN1_SRC)
+    code, rep = run_json(["check", str(path)], tmp_path)
+    assert code == 0
+    assert [c["verdict"] for c in rep["chunks"]] == ["compliant"]
+
+
+def test_patch_in_place_keeps_latin1_bytes(tmp_path, capsys):
+    path = tmp_path / "l.c"
+    before = LATIN1_SRC + b"int f(int x, int y) {\n" + LATIN1_STMT + b"}\n"
+    path.write_bytes(before)
+    assert run(["patch", "--in-place", "--format", "text", str(path)]) == 1
+    out = capsys.readouterr().out
+    statement = 'asm ("addl %1, %0" : "+r" (x) : "r" (y /* \\xff */) : "cc")'
+    assert f"  patch statement: {statement}\n" in out
+    patched = b'  asm ("addl %1, %0" : "+r" (x) : "r" (y /* \xff */) : "cc");\n'
+    assert path.read_bytes() == before.replace(LATIN1_STMT, patched)
+
+
+# ---------------------------------------------------------------------------
 # Reproducibility
 
 

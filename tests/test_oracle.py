@@ -1,12 +1,15 @@
 """Concrete-execution oracle: violations on faulty chunks, silence on
 compliant ones, determinism, and interpreter spot checks."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ric import oracle
 from ric.checker import check_chunk
+from ric.cli import run as cli_run
 from ric.chunks import load_chunk_records
 from ric.constraints import derive_interface
 from ric.errors import OutOfSandbox, RicError
@@ -120,6 +123,34 @@ def test_unrunnable_reason_is_the_raw_error(corpus_by_id):
             want = result.details.split(": ", 1)[1]
         assert run.unrunnable == want
         assert oracle_check(c, "unicity", CFG).reason == want
+
+
+WRITTEN_IMMEDIATE_SRC = (
+    "int f(int x, int y) {\n"
+    '  asm ("movl %1, %0; addl $1, %1" : "=r" (x) : "ir" (y) : "cc");\n'
+    "  return x;\n"
+    "}\n"
+    "int g(int x, int y) {\n"
+    '  asm ("movl %1, %0" : "=r" (x) : "r" (y));\n'
+    "  return x;\n"
+    "}\n"
+)
+
+
+def test_assignment_writing_an_immediate_is_left_out(tmp_path):
+    """No compiler can bind "i" to a token the template writes; the run
+    goes on, and the oracle confirms the checker's findings."""
+    path = tmp_path / "wi.c"
+    path.write_text(WRITTEN_IMMEDIATE_SRC)
+    out = tmp_path / "oracle.json"
+    assert cli_run(["oracle", "--trials", "20", "--out", str(out), str(path)]) == 1
+    first, second = json.loads(out.read_text())["chunks"]
+    assert {i["category"] for i in first["issues"]} == {"ReadOnlyInputClobbered", "Unicity"}
+    assert first["oracle"]["frame_write"]["verdict"] == "violation"
+    assert first["oracle"]["unicity"]["verdict"] == "violation"
+    assert first["oracle"]["frame_read"]["verdict"] == "pass"
+    assert second["verdict"] == "compliant"
+    assert {e["verdict"] for e in second["oracle"].values()} == {"pass"}
 
 
 def test_oracle_is_deterministic(corpus_by_id):
