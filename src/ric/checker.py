@@ -22,8 +22,8 @@ import re
 import time
 from dataclasses import dataclass, field, replace
 
-from .constraints import DirectLoc, Immediate, IndirectLoc, abstract_domain, derive_interface
-from .errors import RicError, UnknownMnemonic
+from .constraints import DirectLoc, IndirectLoc, abstract_domain, derive_interface
+from .errors import OutOfScope, RicError
 from .expr import (
     Assign,
     BinOp,
@@ -53,7 +53,7 @@ from .expr import (
     mk_unop,
 )
 from .lift import lift
-from .template import parse_template, uses_push_pop
+from .template import parse_template
 
 
 def severity_of(category):
@@ -86,19 +86,15 @@ class CheckResult:
     fi: object = None
     prog: object = None
     parsed: object = None
-    kinds: dict = field(default_factory=dict)
     anchors: tuple = ()
     entry_live: dict = field(default_factory=dict)
     entry_regions: frozenset = frozenset()
-    live_out: list = field(default_factory=list)
     writes: dict = field(default_factory=dict)  # loc -> first write point
     mem_events: list = field(default_factory=list)
     esp_restored: bool = False
-    exit_state: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     details: str = ""
     error: RicError = None  # what ended the analysis before the passes
-    warnings: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +154,7 @@ def _flatten_add(e):
     return terms, const
 
 
-def make_classifier(fi, kinds):
+def make_classifier(fi):
     reg_to_input = {}
     for p, r in fi.fixed.items():
         reg_to_input.setdefault(r, p)
@@ -446,11 +442,10 @@ class LiveSet:
 
 
 class BackwardPass:
-    def __init__(self, prog, region, fi, kinds, coarse):
+    def __init__(self, prog, region, fi, coarse):
         self.prog = prog
         self.region = region  # ForwardPass.region
         self.fi = fi
-        self.kinds = kinds
         self.coarse = coarse
 
     def demand(self, e, mask, point, acc):
@@ -526,8 +521,8 @@ class BackwardPass:
 
     def _canon(self, loc):
         if isinstance(loc, Token):
-            bits = self.fi.sizes.get(loc.index, 4) * 8 if self.kinds.get(loc.index) == "mem" else 32
-            return Token(loc.index, bits)
+            mem = self.fi.kinds.get(loc.index) == "mem"
+            return Token(loc.index, self.fi.sizes.get(loc.index, 4) * 8 if mem else 32)
         return loc
 
     def _demand_region(self, region, size, mask, acc):
@@ -674,15 +669,15 @@ def _anchor_refs(chunk):
     return tuple(refs)
 
 
-def build_anchors(chunk, fi, kinds):
+def build_anchors(chunk, fi):
     """Map m-class entries of the form "m"(*(ptr + k)) to the token
     holding ptr, so refined interfaces re-check cleanly."""
     anchors = []
     for e, ref in zip(chunk.entries, _anchor_refs(chunk)):
-        if kinds.get(e.position) != "mem" or ref is None:
+        if fi.kinds.get(e.position) != "mem" or ref is None:
             continue
         base, off = ref
-        if base is None or base == e.position or kinds.get(base) == "mem":
+        if base is None or base == e.position or fi.kinds.get(base) == "mem":
             continue
         spec = fi.constraints[e.position]
         anchors.append(
@@ -737,7 +732,7 @@ def _first_writes(events, prog):
     return writes
 
 
-def analyze_frame_write(fi, prog, kinds, fwd, anchors, opts):
+def analyze_frame_write(fi, prog, fwd, anchors, opts):
     issues = []
     writes = _first_writes(fwd.events, prog)
     prop = opts.expression_propagation
@@ -848,11 +843,11 @@ def analyze_frame_write(fi, prog, kinds, fwd, anchors, opts):
     return issues, writes, esp_restored
 
 
-def _seed_liveness(fi, kinds, coarse, anchors=()):
+def _seed_liveness(fi, coarse, anchors=()):
     seed = LiveSet()
     for p in sorted(fi.b_o):
         bits = min(fi.sizes.get(p, 4) * 8, 32)
-        kind = kinds.get(p)
+        kind = fi.kinds.get(p)
         if kind == "fixed":
             seed.add(Reg(fi.fixed[p], 32), _ones(32) if coarse else _ones(bits))
         elif kind == "mem":
@@ -873,9 +868,9 @@ def _seed_liveness(fi, kinds, coarse, anchors=()):
     return seed
 
 
-def analyze_frame_read(fi, prog, kinds, fwd, anchors, writes, opts):
-    bwd = BackwardPass(prog, fwd.region, fi, kinds, coarse=not opts.bit_liveness)
-    seed = _seed_liveness(fi, kinds, coarse=not opts.bit_liveness, anchors=anchors)
+def analyze_frame_read(fi, prog, fwd, anchors, writes, opts):
+    bwd = BackwardPass(prog, fwd.region, fi, coarse=not opts.bit_liveness)
+    seed = _seed_liveness(fi, coarse=not opts.bit_liveness, anchors=anchors)
     live_in, live_out = bwd.run(seed)
     entry = live_in[0] if prog.instrs else seed
     issues = []
@@ -905,7 +900,7 @@ def analyze_frame_read(fi, prog, kinds, fwd, anchors, writes, opts):
             p = loc.index
             if fi.canonical(p) in eff or p in eff:
                 continue
-            if kinds.get(p) == "mem":
+            if fi.kinds.get(p) == "mem":
                 if not fi.f:
                     continue
                 issues.append(
@@ -983,7 +978,7 @@ def analyze_frame_read(fi, prog, kinds, fwd, anchors, writes, opts):
     for p in sorted(fi.b_o):
         if p in fi.effective_inputs:
             continue
-        kind = kinds.get(p)
+        kind = fi.kinds.get(p)
         if kind == "fixed":
             written = Reg(fi.fixed[p], 32) in writes
         elif kind == "mem":
@@ -1129,10 +1124,10 @@ def _analyze(chunk, opts):
         result.fi = fi = derive_interface(chunk)
         stage = "template"
         parsed = parse_template(chunk.template, chunk)
-        prog, kinds, warnings = lift(parsed, fi)
+        prog = lift(parsed, fi)
     except RicError as e:
         result.error = e
-        if isinstance(e, UnknownMnemonic):
+        if isinstance(e, OutOfScope):
             result.verdict, result.details = "out_of_scope", str(e)
         else:
             result.details = f"{stage}: {e}"
@@ -1140,15 +1135,11 @@ def _analyze(chunk, opts):
         return result
     result.parsed = parsed
     result.prog = prog
-    result.kinds = kinds
-    result.warnings = warnings
-
-    result.anchors = anchors = tuple(build_anchors(chunk, fi, kinds))
+    result.anchors = anchors = tuple(build_anchors(chunk, fi))
 
     t1 = time.perf_counter()
-    fwd = ForwardPass(prog, make_classifier(fi, kinds))
+    fwd = ForwardPass(prog, make_classifier(fi))
     fwd.run()
-    result.exit_state = fwd.exit_state
     result.mem_events = fwd.events
     t2 = time.perf_counter()
 
@@ -1159,18 +1150,17 @@ def _analyze(chunk, opts):
         loop_opts = replace(opts, expression_propagation=False)
 
     fw_issues, writes, esp_restored = analyze_frame_write(
-        fi, prog, kinds, fwd, anchors, loop_opts
+        fi, prog, fwd, anchors, loop_opts
     )
     result.writes = writes
     result.esp_restored = esp_restored
     t3 = time.perf_counter()
 
     fr_issues, live_in, live_out = analyze_frame_read(
-        fi, prog, kinds, fwd, anchors, writes, opts
+        fi, prog, fwd, anchors, writes, opts
     )
     result.entry_live = dict(live_in[0].masks) if prog.instrs else {}
     result.entry_regions = frozenset(live_in[0].regions) if prog.instrs else frozenset()
-    result.live_out = live_out
     t4 = time.perf_counter()
 
     domains = abstract_domain(fi)

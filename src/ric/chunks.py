@@ -62,9 +62,6 @@ class ChunkAst:
     def entries(self):
         return self.outputs + self.inputs
 
-    def chunk_id(self):
-        return f"{self.span.file}:{self.span.line}:{self.span.column}"
-
 
 @dataclass(frozen=True)
 class ScannedStatement:

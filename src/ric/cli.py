@@ -11,7 +11,10 @@ import time
 from .checker import check_chunk
 from .chunks import extract_chunks, load_chunk_file, render
 from .errors import RicError, SpanStale
-from .report import build_report, chunk_report, diagnostic_report, render_text, timings_enabled
+from .expr import format_loc
+from .report import (
+    build_report, chunk_report, diagnostic_report, edit_to_json, render_text, timings_enabled
+)
 
 
 def _parser():
@@ -114,12 +117,12 @@ def _cmd_patch(args):
         result = check_chunk(chunk, memo=memo)
         extra = {}
         if result.verdict == "issues":
-            pr = patcher.synthesize_patches(chunk, result.issues)
+            pr = patcher.synthesize_patches(result, result.issues)
             verification = patcher.verify_patch(pr, memo)
             extra["patch"] = {
-                "edits": [patcher.edit_to_json(e) for e in pr.edits],
+                "edits": [edit_to_json(e) for e in pr.edits],
                 "unresolved": [
-                    {"category": i.category, "location": str(i.location)}
+                    {"category": i.category, "location": format_loc(i.location)}
                     for i in pr.unresolved
                 ],
                 "renumber_map": {str(k): v for k, v in sorted(pr.renumber_map.items())},
@@ -161,8 +164,8 @@ def _cmd_refine(args):
         if result.verdict == "compliant":
             rr = refiner.refine_interface(result, options, memo)
             extra["refinements"] = {
-                "edits": [refiner.edit_to_json(e) for e in rr.edits],
-                "suggestions": [refiner.edit_to_json(e) for e in rr.suggestions],
+                "edits": [edit_to_json(e) for e in rr.edits],
+                "suggestions": [edit_to_json(e) for e in rr.suggestions],
                 "statement": render(rr.refined) if rr.edits else None,
             }
             if rr.edits and args.in_place and path in sources:

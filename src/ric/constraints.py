@@ -9,7 +9,7 @@ output locations, clobber-free, early-clobber exclusion).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BadConstraintChar,
@@ -53,11 +53,6 @@ class MemoryRef:
     bases: tuple = ADDR_BASES
     indices: tuple = ADDR_INDICES
     scales: tuple = ADDR_SCALES
-
-
-@dataclass(frozen=True)
-class MatchOf:
-    token: int
 
 
 @dataclass(frozen=True)
@@ -186,6 +181,7 @@ class FormalInterface:
     early_clobber: frozenset
     unified: dict  # original input position -> canonical output token
     fixed: dict  # position -> register forced by a singleton constraint
+    kinds: dict  # position -> 'fixed' | 'mem' | 'var'
 
     @property
     def tokens(self):
@@ -224,6 +220,30 @@ def _forced_register(spec, specs):
                     return None
                 regs.add(next(iter(cls.registers)))
     return regs.pop() if len(regs) == 1 else None
+
+
+def _token_kind(p, spec, fixed):
+    """'fixed' register, 'mem' cell, or register 'var'. Mixed-class
+    constraints fall back to 'var'."""
+    if p in fixed:
+        return "fixed"
+    classes = set()
+
+    def collect(cls):
+        if isinstance(cls, UnionClass):
+            for m in cls.members:
+                collect(m)
+        else:
+            deref = ":deref" if isinstance(cls, MemoryRef) and cls.deref else ""
+            classes.add(type(cls).__name__ + deref)
+
+    has_match = False
+    for atom in _atoms_of(spec):
+        if isinstance(atom, Match):
+            has_match = True
+        else:
+            collect(eval_letter(atom.char))
+    return "mem" if classes == {"MemoryRef:deref"} and not has_match else "var"
 
 
 CLOBBER_NAMES = frozenset(GP_REGS) | frozenset(MMX_REGS) | frozenset(XMM_REGS) | {
@@ -329,6 +349,7 @@ def derive_interface(chunk):
         early,
         unified,
         fixed,
+        {p: _token_kind(p, spec, fixed) for p, spec in specs.items()},
     )
 
 

@@ -49,7 +49,11 @@ class ClobberOverlap(RicError):
     """A clobber names a register already forced by an operand constraint."""
 
 
-class UnknownMnemonic(RicError):
+class OutOfScope(RicError):
+    """Template uses a construct outside the supported subset."""
+
+
+class UnknownMnemonic(OutOfScope):
     """Template uses an instruction outside the supported subset."""
 
     def __init__(self, mnemonic):

@@ -10,12 +10,6 @@ bit-level liveness meaningful.
 
 from __future__ import annotations
 
-from .constraints import (
-    Match,
-    MemoryRef,
-    UnionClass,
-    eval_letter,
-)
 from .errors import BadTokenRef, MalformedInterface, UnknownMnemonic
 from .expr import (
     Assign,
@@ -43,37 +37,6 @@ from .template import ImmT, LabelRef, MemT, RegT, TokenRef
 MOD_WIDTHS = {"b": 8, "w": 16, "k": 32}
 
 
-def token_kinds(fi):
-    """Classify each token: 'fixed' register, 'mem' cell, or register
-    'var'. Mixed-class constraints fall back to 'var'."""
-    kinds = {}
-    for p, spec in fi.constraints.items():
-        if p in fi.fixed:
-            kinds[p] = "fixed"
-            continue
-        classes = set()
-
-        def collect(cls):
-            if isinstance(cls, UnionClass):
-                for m in cls.members:
-                    collect(m)
-            else:
-                classes.add(type(cls).__name__ + (":deref" if isinstance(cls, MemoryRef) and cls.deref else ""))
-
-        has_match = False
-        for alt in spec.alternatives:
-            for atom in alt:
-                if isinstance(atom, Match):
-                    has_match = True
-                else:
-                    collect(eval_letter(atom.char))
-        if classes == {"MemoryRef:deref"} and not has_match:
-            kinds[p] = "mem"
-        else:
-            kinds[p] = "var"
-    return kinds
-
-
 # ---------------------------------------------------------------------------
 # Operand accessors
 
@@ -82,11 +45,9 @@ class Lifter:
     def __init__(self, parsed, fi):
         self.parsed = parsed
         self.fi = fi
-        self.kinds = token_kinds(fi)
         self.instrs = []
         self.labels = {}
         self.ntemp = 0
-        self.warnings = list(parsed.warnings)
 
     def emit(self, ins):
         self.instrs.append(ins)
@@ -120,7 +81,7 @@ class Lifter:
         pos = self._resolve_token(ref)
         size_bits = min(self.fi.sizes[pos] * 8, 32)
         width = MOD_WIDTHS.get(ref.modifier) or instr_width or size_bits
-        kind = self.kinds[pos]
+        kind = self.fi.kinds[pos]
         if kind == "fixed":
             return SliceAccess(self, Reg(self.fi.fixed[pos], 32), 0, min(width, 32))
         if kind == "mem":
@@ -152,9 +113,9 @@ class Lifter:
         if op.base is not None:
             if isinstance(op.base, TokenRef):
                 pos = self._resolve_token(op.base)
-                if self.kinds[pos] == "mem":
+                if self.fi.kinds[pos] == "mem":
                     parts.append(ReadLoc(TokenAddr(pos)))
-                elif self.kinds[pos] == "fixed":
+                elif self.fi.kinds[pos] == "fixed":
                     parts.append(ReadLoc(Reg(self.fi.fixed[pos], 32)))
                 else:
                     parts.append(ReadLoc(Token(pos, 32)))
@@ -163,7 +124,7 @@ class Lifter:
         if op.index is not None:
             if isinstance(op.index, TokenRef):
                 pos = self._resolve_token(op.index)
-                if self.kinds[pos] == "fixed":
+                if self.fi.kinds[pos] == "fixed":
                     idx = ReadLoc(Reg(self.fi.fixed[pos], 32))
                 else:
                     idx = ReadLoc(Token(pos, 32))
@@ -318,7 +279,7 @@ def lift(parsed, fi):
     lf.emit(Halt())
     prog = IRProgram(lf.instrs, lf.labels)
     prog.validate()
-    return prog, lf.kinds, tuple(lf.warnings)
+    return prog
 
 
 def _instr_width(lf, ins):

@@ -25,7 +25,7 @@ from .constraints import (
     enumerate_assignments,
     format_operand,
 )
-from .errors import MissingToken, OutOfSandbox, RicError, StepLimit, UnknownMnemonic, WidthError
+from .errors import MissingToken, OutOfSandbox, OutOfScope, RicError, StepLimit, WidthError
 from .expr import (
     Assign,
     BinOp,
@@ -691,7 +691,7 @@ class OracleRun:
         self.steps_left = STEP_BUDGET
         self.fi, self.prog = result.fi, result.prog
         self.anchors = result.anchors
-        if isinstance(result.error, UnknownMnemonic):
+        if isinstance(result.error, OutOfScope):
             self.unrunnable = f"out of scope: {result.error}"
             return
         if result.error is not None:

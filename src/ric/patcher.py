@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 
 from .checker import check_chunk
 from .chunks import OperandEntry, render
-from .constraints import derive_interface, enumerate_assignments
-from .errors import RicError, SpanStale
+from .constraints import enumerate_assignments
+from .errors import SpanStale
+from .expr import Reg, Token
 from .template import renumber_template
 
 REG_LETTER = {"eax": "a", "ebx": "b", "ecx": "c", "edx": "d", "esi": "S", "edi": "D"}
@@ -58,13 +59,6 @@ class PromoteToReadWrite:
     token: int
 
 
-def edit_to_json(edit):
-    out = {"edit": type(edit).__name__}
-    for f in getattr(edit, "__dataclass_fields__", {}):
-        out[f] = getattr(edit, f)
-    return out
-
-
 @dataclass
 class PatchResult:
     patched: object  # ChunkAst
@@ -86,14 +80,9 @@ def _input_entry_fixed_to(chunk, fi, reg):
     return None
 
 
-def synthesize_patches(chunk, issues):
-    from .expr import Flag, MemoryWhole, Reg, Token
-
-    try:
-        fi = derive_interface(chunk)
-    except RicError:
-        return PatchResult(chunk, [], list(issues), {}, original=chunk)
-
+def synthesize_patches(result, issues):
+    """Edits for the issues of a check result, on a copy of its chunk."""
+    chunk, fi = result.chunk, result.fi
     edits = []
     unresolved = []
     clobbers_to_add = []
@@ -251,16 +240,13 @@ def verify_patch(pr, memo=None):
     framing_ok = result.verdict in ("compliant", "issues") and not any(
         i.category in FRAMING_CATEGORIES for i in result.issues
     )
-    fully = result.verdict == "compliant"
-    try:
-        fi = derive_interface(pr.patched)
-        satisfiable = enumerate_assignments(fi).satisfiable
-    except RicError:
-        satisfiable = False
     return {
         "framing_ok": framing_ok,
-        "fully_compliant": fully,
-        "interface_satisfiable": satisfiable,
+        "fully_compliant": result.verdict == "compliant",
+        # no interface means the patched constraints do not parse
+        "interface_satisfiable": (
+            result.fi is not None and enumerate_assignments(result.fi).satisfiable
+        ),
     }
 
 

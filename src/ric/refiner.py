@@ -10,30 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .checker import build_anchors, check_chunk
+from .checker import check_chunk
 from .chunks import OperandEntry
 from .errors import RicError
 from .expr import Flag, Reg, Token
 from .template import renumber_matches, renumber_template
-
-
-@dataclass(frozen=True)
-class TokenBase:
-    token: int
-
-
-@dataclass(frozen=True)
-class Unresolved:
-    pass
-
-
-@dataclass(frozen=True)
-class MemAccess:
-    point: int
-    kind: str  # 'load' | 'store'
-    base: object
-    offset: int
-    size: int
 
 
 @dataclass(frozen=True)
@@ -72,19 +53,6 @@ class Failure:
     reason: str
 
 
-def edit_to_json(edit):
-    out = {"edit": type(edit).__name__}
-    for f in getattr(edit, "__dataclass_fields__", {}):
-        v = getattr(edit, f)
-        if f == "spans":
-            v = [
-                {"base": s.base, "mode": s.mode, "offset": s.offset, "length": s.length}
-                for s in edit.spans
-            ]
-        out[f] = v
-    return out
-
-
 @dataclass
 class RefineOptions:
     refine_inputs: bool = True
@@ -104,49 +72,27 @@ class RefineResult:
 # Memory access classification
 
 
-def memory_access_analysis(result):
-    """Fold the checker's raw memory events into base+offset accesses."""
-    accesses = []
+def memory_to_m_entries(result):
+    """The m-entries that declare the memory accesses a compliant
+    result leaves undeclared, with no spans when there are none, or
+    None when an access is not a pointer token plus a constant offset.
+    The cell of an m-class entry is declared already, and a stack slot
+    is private scratch when the stack pointer is restored."""
+    by_base = {}  # pointer token -> [(kind, offset, size)]
     for ev in result.mem_events:
         region = ev.region
-        if region[0] in ("cell", "tokptr"):
-            base = TokenBase(region[1])
-            off = region[2]
-        elif region[0] == "stack" and result.esp_restored:
-            # private scratch below the entry stack pointer
+        if region[0] == "cell" or (region[0] == "stack" and result.esp_restored):
             continue
-        else:
-            base = Unresolved()
-            off = 0
-        accesses.append(MemAccess(ev.point, ev.kind, base, off, ev.size))
-    return accesses
-
-
-def _pointer_accesses(result, accesses):
-    """Accesses that the interface does not already declare: everything
-    except the cells of m-class entries."""
-    out = []
-    for a in accesses:
-        if isinstance(a.base, TokenBase) and result.kinds.get(a.base.token) == "mem":
-            continue
-        out.append(a)
-    return out
-
-
-def memory_to_m_entries(chunk, accesses):
-    if not accesses:
-        return Failure("no memory access to declare")
-    if any(isinstance(a.base, Unresolved) for a in accesses):
-        return Failure("unresolved memory access")
+        if region[0] != "tokptr":
+            return None
+        by_base.setdefault(region[1], []).append((ev.kind, region[2], ev.size))
     spans = []
-    for base in sorted({a.base for a in accesses}, key=lambda b: b.token):
-        here = [a for a in accesses if a.base == base]
-        has_load = any(a.kind == "load" for a in here)
-        has_store = any(a.kind == "store" for a in here)
-        mode = "inout" if has_load and has_store else ("out" if has_store else "in")
+    for base, here in sorted(by_base.items()):
+        ops = {kind for kind, _, _ in here}
+        mode = "inout" if ops == {"load", "store"} else ("out" if "store" in ops else "in")
         covered = set()
-        for a in here:
-            covered.update(range(a.offset, a.offset + a.size))
+        for _, off, size in here:
+            covered.update(range(off, off + size))
         # maximal contiguous runs, chunked to the 8-byte entry limit
         run_start = None
         prev = None
@@ -156,7 +102,7 @@ def memory_to_m_entries(chunk, accesses):
                 off = run_start
                 while length > 0:
                     sz = next(s for s in (8, 4, 2, 1) if s <= length)
-                    spans.append(EntrySpan(base.token, mode, off, sz))
+                    spans.append(EntrySpan(base, mode, off, sz))
                     off += sz
                     length -= sz
                 run_start = None
@@ -241,8 +187,7 @@ def _token_used(result, p):
             return True
     # an m-class anchor whose pointer base has live covered regions is
     # load-bearing even though the cell itself is read through the base
-    anchors = build_anchors(result.chunk, fi, result.kinds)
-    for a in anchors:
+    for a in result.anchors:
         if a.entry != p:
             continue
         for (b, off, size) in result.entry_regions:
@@ -306,19 +251,13 @@ def refine_interface(result, options=None, memo=None):
                 edits.append(DropClobber(name))
 
     if options.refine_memory and not fi.f:
-        accesses = _pointer_accesses(result, memory_access_analysis(result))
-        if not accesses:
-            if still_compliant(current(memory=True)):
-                accepted_memory = True
-                edits.append(DropMemoryKeyword())
-        else:
-            edit = memory_to_m_entries(chunk, accesses)
-            if isinstance(edit, MemoryToEntries):
-                adds = _entries_for_spans(chunk, edit.spans)
-                if adds is not None and still_compliant(current(memory=True, adds=adds)):
-                    accepted_memory = True
-                    accepted_adds = adds
-                    edits.append(edit)
-                    edits.append(DropMemoryKeyword())
+        edit = memory_to_m_entries(result)
+        adds = None if edit is None else _entries_for_spans(chunk, edit.spans)
+        if adds is not None and still_compliant(current(memory=True, adds=adds)):
+            accepted_memory = True
+            accepted_adds = adds
+            if edit.spans:
+                edits.append(edit)
+            edits.append(DropMemoryKeyword())
 
     return RefineResult(edits, [], current())

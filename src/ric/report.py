@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .checker import severity_of
-from .expr import MMX_REGS, XMM_REGS, Flag, MemoryWhole, Reg, StackSlot, format_loc
+from .expr import MMX_REGS, XMM_REGS, MemoryWhole, Reg, StackSlot, format_loc
 from .template import uses_push_pop
 
 
@@ -152,6 +152,11 @@ def _color_enabled():
     if v == "1":
         return True
     return False
+
+
+def edit_to_json(edit):
+    """The JSON of a patch or refinement edit: its class name and fields."""
+    return {"edit": type(edit).__name__, **asdict(edit)}
 
 
 def _edit_text(edit):

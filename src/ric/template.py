@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .errors import BadTokenRef, MalformedInterface, UnknownMnemonic
+from .errors import BadTokenRef, MalformedInterface, OutOfScope, UnknownMnemonic
 
 REG8 = {
     "al": ("eax", 0), "ah": ("eax", 8),
@@ -30,7 +30,7 @@ class RegT:
 @dataclass(frozen=True)
 class TokenRef:
     ref: object  # int position or str name
-    modifier: str = None  # size modifiers b/w/k honored, others ignored
+    modifier: str = None  # size modifier b, w or k
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,6 @@ class TemplateInstr:
 class ParsedTemplate:
     instrs: tuple
     label_defs: tuple  # (name, instruction index), in definition order
-    warnings: tuple = ()
 
     def resolve_label(self, ref, from_index):
         """Resolve a label reference; numeric `1b`/`1f` refs pick the
@@ -133,6 +132,7 @@ def classify_mnemonic(word):
 
 
 _TOKEN_RE = re.compile(r"%([bwk]?)(\d+)|%([bwk]?)\[([A-Za-z_][A-Za-z0-9_]*)\]")
+_MODIFIED_TOKEN = re.compile(r"%([A-Za-z])(?:\d+|\[[A-Za-z_][A-Za-z0-9_]*\])")
 _LABEL_DEF = re.compile(r"^([A-Za-z_0-9.]+):\s*")
 
 
@@ -219,19 +219,32 @@ def _split_operands(text):
     return parts
 
 
-def _parse_mem_component(text, warnings):
-    text = text.strip()
-    if text.startswith("%%"):
-        return _parse_register(text[2:])
+def _token_ref(text):
+    """The token reference that text is, or None. Of GCC's operand
+    modifiers only the sizes b, w and k are lifted; any other, such as
+    %h0 (the high byte), is out of scope."""
     m = _TOKEN_RE.fullmatch(text)
     if m:
         mod = m.group(1) or m.group(3) or None
         ref = int(m.group(2)) if m.group(2) is not None else m.group(4)
         return TokenRef(ref, mod)
+    m = _MODIFIED_TOKEN.fullmatch(text)
+    if m:
+        raise OutOfScope(f"unsupported template modifier %{m.group(1)} in {text!r}")
+    return None
+
+
+def _parse_mem_component(text):
+    text = text.strip()
+    if text.startswith("%%"):
+        return _parse_register(text[2:])
+    ref = _token_ref(text)
+    if ref is not None:
+        return ref
     raise MalformedInterface(f"bad address component {text!r}")
 
 
-def _parse_operand(text, warnings):
+def _parse_operand(text):
     text = text.strip()
     if not text:
         raise MalformedInterface("empty operand")
@@ -239,16 +252,9 @@ def _parse_operand(text, warnings):
         return ImmT(_parse_int(text[1:]))
     if text.startswith("%%"):
         return _parse_register(text[2:])
-    m = _TOKEN_RE.fullmatch(text)
-    if m:
-        mod = m.group(1) or m.group(3) or None
-        ref = int(m.group(2)) if m.group(2) is not None else m.group(4)
-        return TokenRef(ref, mod)
-    # token with an unknown modifier char: parse, warn, drop the modifier
-    m = re.fullmatch(r"%([a-zA-Z])(\d+)", text)
-    if m:
-        warnings.append(f"ignored template modifier %{m.group(1)} on %{m.group(2)}")
-        return TokenRef(int(m.group(2)), None)
+    ref = _token_ref(text)
+    if ref is not None:
+        return ref
     # memory operand disp(base,index,scale), or bare displacement
     paren = text.find("(")
     if paren >= 0 and text.endswith(")"):
@@ -256,11 +262,11 @@ def _parse_operand(text, warnings):
         disp = _displacement(dtext, text) if dtext else 0
         inner = text[paren + 1 : -1]
         comps = [c.strip() for c in inner.split(",")]
-        base = _parse_mem_component(comps[0], warnings) if comps[0] else None
+        base = _parse_mem_component(comps[0]) if comps[0] else None
         index = None
         scale = 1
         if len(comps) > 1 and comps[1]:
-            index = _parse_mem_component(comps[1], warnings)
+            index = _parse_mem_component(comps[1])
         if len(comps) > 2 and comps[2]:
             scale = _parse_int(comps[2])
         return MemT(disp, base, index, scale)
@@ -275,7 +281,6 @@ def parse_template(template, chunk=None):
     When a chunk is given, named/numbered token references are checked
     against its operand entries.
     """
-    warnings = []
     instrs = []
     label_defs = []
     pending_prefixes = set()
@@ -302,7 +307,7 @@ def parse_template(template, chunk=None):
                 continue
         mnemonic, suffix = classify_mnemonic(word)
         optext = words[1] if len(words) > 1 else ""
-        operands = tuple(_parse_operand(o, warnings) for o in _split_operands(optext))
+        operands = tuple(_parse_operand(o) for o in _split_operands(optext))
         instrs.append(
             TemplateInstr(mnemonic, suffix, operands, frozenset(pending_prefixes), stmt)
         )
@@ -324,7 +329,7 @@ def parse_template(template, chunk=None):
                         raise BadTokenRef(f"%{ref.ref} has no interface entry")
                     if isinstance(ref.ref, str) and ref.ref not in names:
                         raise BadTokenRef(f"%[{ref.ref}] has no interface entry")
-    return ParsedTemplate(tuple(instrs), tuple(label_defs), tuple(warnings))
+    return ParsedTemplate(tuple(instrs), tuple(label_defs))
 
 
 def template_tokens(pt):

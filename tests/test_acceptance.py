@@ -71,7 +71,8 @@ def test_criterion_02_interface_fidelity(corpus_by_id):
 
 def test_criterion_03_patch_round_trip(corpus_by_id):
     c = corpus_by_id["paper/cas8_x86.c"]
-    pr = synthesize_patches(c, check_chunk(c).issues)
+    result = check_chunk(c)
+    pr = synthesize_patches(result, result.issues)
     dummy = [e for e in pr.edits if isinstance(e, AddOutput)]
     v = verify_patch(pr)
     ok = (

@@ -3,6 +3,7 @@ and `ric oracle` runs on the checker's result."""
 
 import collections
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -133,7 +134,7 @@ def test_recorded_regions_match_the_reference_evaluator(corpus_chunks):
         result = check_chunk(c)
         if result.prog is None:
             continue
-        classify = make_classifier(result.fi, result.kinds)
+        classify = make_classifier(result.fi)
         fwd = ForwardPass(result.prog, classify)
         fwd.run()
         for i, ins in enumerate(result.prog.instrs):
@@ -149,7 +150,7 @@ def test_back_edge_targets_read_the_joined_state():
     along the back edge, while the events keep the first pass."""
     result = check_chunk(BRANCHY[0])
     store = result.prog.instrs[0].lhs
-    fwd = ForwardPass(result.prog, make_classifier(result.fi, result.kinds))
+    fwd = ForwardPass(result.prog, make_classifier(result.fi))
     fwd.run()
     assert fwd.region(0, store) == ("whole",)
     assert [ev.region for ev in fwd.events if ev.point == 0] == [("tokptr", 1, 0)]
@@ -173,8 +174,8 @@ def test_no_address_is_evaluated_after_the_forward_pass(corpus_chunks, monkeypat
         assert not finished, "an expression was evaluated after the forward pass"
         return evaluate(self, *args)
 
-    def watched_classifier(fi, kinds):
-        classify = make(fi, kinds)
+    def watched_classifier(fi):
+        classify = make(fi)
 
         def call(addr):
             assert not finished, "an address was classified after the forward pass"
@@ -237,3 +238,47 @@ def test_oracle_derives_parses_and_lifts_once_per_chunk(corpus_chunks, monkeypat
         assert 0 < calls[name] <= n, name
     assert calls["parse_template in classify_pattern"] == 0
     assert '"P3"' in out.read_text()  # a stack issue got its tag
+
+
+def test_patch_and_refine_read_the_check_result(monkeypatch, tmp_path):
+    """In `ric patch` and `ric refine`, every interface is derived and
+    every anchor built by the checker's analysis; the patcher and the
+    refiner read the check result instead of deriving it again."""
+    from ric import patcher, refiner  # so their bindings are wrapped too
+
+    sys.path.insert(0, str(CORPUS.parent.parent / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(CORPUS.parent.parent / "perfbench"))
+    source = tmp_path / "big.c"
+    source.write_text(gen.generate(json.loads(CORPUS.read_text()), 300, 0).text)
+
+    analyze = checker._analyze.__code__
+    callers = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            code = sys._getframe(1).f_code
+            callers[name, "_analyze" if code is analyze else code.co_name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    targets = {
+        "derive_interface": constraints.derive_interface,
+        "build_anchors": checker.build_anchors,
+    }
+    for module in (checker, constraints, patcher, refiner):
+        for name, fn in targets.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    out = str(tmp_path / "report.json")
+    for args in (
+        ["patch", "--chunks", str(CORPUS)],
+        ["refine", "--chunks", str(CORPUS)],
+        ["patch", "--in-place", str(source)],
+        ["refine", "--in-place", str(source)],
+    ):
+        run([*args, "--out", out])
+    assert set(callers) == {("derive_interface", "_analyze"), ("build_anchors", "_analyze")}

@@ -14,11 +14,9 @@ from ric import checker
 from ric.checker import CheckOptions, check_chunk, interface_key
 from ric.chunks import load_chunk_records, render
 from ric.cli import run
-from ric.patcher import edit_to_json as patch_edit_json
 from ric.patcher import synthesize_patches, verify_patch
-from ric.refiner import edit_to_json as refine_edit_json
 from ric.refiner import refine_interface
-from ric.report import chunk_report
+from ric.report import chunk_report, edit_to_json
 
 from conftest import CORPUS, ROOT
 
@@ -37,9 +35,9 @@ def outputs(chunk, memo):
     result = check_chunk(chunk, memo=memo)
     out = report(result)
     if result.verdict == "issues":
-        pr = synthesize_patches(chunk, result.issues)
+        pr = synthesize_patches(result, result.issues)
         out["patch"] = (
-            [patch_edit_json(e) for e in pr.edits],
+            [edit_to_json(e) for e in pr.edits],
             [(i.category, str(i.location)) for i in pr.unresolved],
             pr.renumber_map,
             render(pr.patched),
@@ -48,8 +46,8 @@ def outputs(chunk, memo):
     elif result.verdict == "compliant":
         rr = refine_interface(result, memo=memo)
         out["refine"] = (
-            [refine_edit_json(e) for e in rr.edits],
-            [refine_edit_json(e) for e in rr.suggestions],
+            [edit_to_json(e) for e in rr.edits],
+            [edit_to_json(e) for e in rr.suggestions],
             render(rr.refined),
         )
     return out

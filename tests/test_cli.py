@@ -3,6 +3,8 @@ report reproducibility."""
 
 import json
 
+import pytest
+
 from ric.cli import run
 
 FAULTY_SRC = (
@@ -56,6 +58,32 @@ def test_exit_one_on_issues(tmp_path):
     code, rep = run_json(["check", write(tmp_path, "f.c", FAULTY_SRC)], tmp_path)
     assert code == 1
     assert rep["chunks"][0]["issues"]
+
+
+# %h names the high byte of a register (%dh for %edx), which is not
+# lifted. Read as %0, the statement, which writes all 16 bits of x,
+# would look like a serious UnboundRegisterRead.
+HIGH_BYTE = {
+    "numbered": ("movb $0, %b0; movb $1, %h0", None),
+    "named": ("movb $0, %b[x]; movb $1, %h[x]", "x"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(HIGH_BYTE))
+def test_unsupported_template_modifier_is_out_of_scope(tmp_path, form):
+    template, name = HIGH_BYTE[form]
+    output = {"constraint": "=q", "expr_text": "x", "size_bytes": 2, "name": name}
+    record = {"template": template, "outputs": [output], "inputs": [], "clobbers": []}
+    path = write(tmp_path, "h.json", json.dumps([record]))
+    code, rep = run_json(["check", "--chunks", path], tmp_path)
+    (entry,) = rep["chunks"]
+    assert code == 3 and entry["verdict"] == "out_of_scope" and entry["issues"] == []
+    assert entry["details"].startswith("unsupported template modifier %h in '%h")
+    code, rep = run_json(["oracle", "--trials", "5", "--chunks", path], tmp_path)
+    assert code == 3
+    for prop in rep["chunks"][0]["oracle"].values():
+        assert prop["verdict"] == "inconclusive"
+        assert prop["reason"].startswith("out of scope: unsupported template modifier %h")
 
 
 def test_exit_three_on_out_of_scope_only(tmp_path):

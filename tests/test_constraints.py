@@ -223,3 +223,16 @@ def test_single_letter_enumeration_stays_in_class(letter):
     fi = derive_interface(c)
     for t in enumerate_assignments(fi, cap=64).assignments:
         assert assignment_valid(fi, t)
+
+
+def test_token_kinds():
+    """A token is a 'fixed' register, an 'mem' cell only when every
+    alternative is "m", or else a register 'var'."""
+    c = chunk(
+        "",
+        [("=a", "x", 4), ("=m", "*p", 4), ("=r", "y", 4)],
+        [("g", "z", 4), ("m,0", "w", 4), ("mr", "v", 4), ("p", "u", 4), ("2", "t", 4)],
+    )
+    assert derive_interface(c).kinds == {
+        0: "fixed", 1: "mem", 2: "var", 3: "var", 4: "var", 5: "var", 6: "var", 7: "var"
+    }

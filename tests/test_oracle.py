@@ -199,7 +199,7 @@ def test_step_budget_bounds_a_data_dependent_loop(monkeypatch):
 def run_program(template, outputs=(), inputs=(), clobbers=(), setup=None):
     c = chunk(template, outputs, inputs, clobbers)
     fi = derive_interface(c)
-    prog, _, _ = lift(parse_template(c.template, c), fi)
+    prog = lift(parse_template(c.template, c), fi)
     m = MachineState(4096)
     if setup:
         setup(m)

@@ -47,7 +47,7 @@ def chunk(template, outputs=(), inputs=(), clobbers=()):
 def patch(c):
     result = check_chunk(c)
     assert result.verdict == "issues"
-    return synthesize_patches(c, result.issues)
+    return synthesize_patches(result, result.issues)
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +67,13 @@ def test_motivating_patch_shape(corpus_by_id):
     # matched input now names the dummy output via a digit constraint
     matched = next(e for e in pr.patched.inputs if e.constraint.isdigit())
     assert pr.patched.outputs[int(matched.constraint)].expr_text.startswith("_ric_dummy")
+
+
+def test_patch_whose_interface_does_not_derive_is_unsatisfiable():
+    c = chunk("addl %1, %0", [("+r", "x", 4)], [("c", "n", 4)], ["ecx", "cc"])
+    assert check_chunk(c).fi is None  # clobber ecx overlaps operand 1
+    v = verify_patch(PatchResult(c, [], [], {}))
+    assert v == {"framing_ok": False, "fully_compliant": False, "interface_satisfiable": False}
 
 
 def test_motivating_patch_verifies(corpus_by_id):
@@ -167,7 +174,7 @@ def test_framing_guarantee_on_corpus(corpus_chunks):
         result = check_chunk(c)
         if result.verdict != "issues":
             continue
-        pr = synthesize_patches(c, result.issues)
+        pr = synthesize_patches(result, result.issues)
         if pr.unresolved:
             continue
         v = verify_patch(pr)
@@ -181,13 +188,13 @@ def test_patch_minimality_on_corpus(corpus_chunks):
         result = check_chunk(c)
         if result.verdict != "issues" or len(result.issues) < 2:
             continue
-        full = synthesize_patches(c, result.issues)
+        full = synthesize_patches(result, result.issues)
         if full.unresolved:
             continue
         full_edits = [repr(e) for e in full.edits]
         for k in range(len(result.issues)):
             reduced = [i for j, i in enumerate(result.issues) if j != k]
-            pr = synthesize_patches(c, reduced)
+            pr = synthesize_patches(result, reduced)
             if [repr(e) for e in pr.edits] == full_edits:
                 continue  # another issue demands the same edit
             assert check_chunk(pr.patched).verdict != "compliant", (
@@ -206,7 +213,7 @@ def test_render_diff_roundtrip():
 
     (c,), _ = extract_chunks(src, "f.c")
     result = check_chunk(c)
-    pr = synthesize_patches(c, result.issues)
+    pr = synthesize_patches(result, result.issues)
     diff = render_diff(src, pr)
     assert diff.startswith("--- a/f.c")
     assert '"cc"' in diff
@@ -220,7 +227,8 @@ def test_render_diff_detects_stale_span():
 
     src = 'int f(int x) {\n  asm ("addl %1, %0" : "+r" (x) : "r" (x));\n  return x;\n}\n'
     (c,), _ = extract_chunks(src, "f.c")
-    pr = synthesize_patches(c, check_chunk(c).issues)
+    result = check_chunk(c)
+    pr = synthesize_patches(result, result.issues)
     with pytest.raises(SpanStale):
         render_diff(src.replace("addl", "subl"), pr)
 
@@ -256,7 +264,8 @@ def _full_file_diff(source, pr):
 def _patch_nth(source, k):
     chunks, _ = extract_chunks(source, "f.c")
     c = chunks[k]
-    return synthesize_patches(c, check_chunk(c).issues)
+    result = check_chunk(c)
+    return synthesize_patches(result, result.issues)
 
 
 def _apply_hunks(source, diff):

@@ -1,6 +1,8 @@
 """Interface refinement: dead-entry drops, memory-to-entry rewrites, and the
 guarded-acceptance invariant (every refinement re-checks compliant)."""
 
+import pytest
+
 from ric.checker import check_chunk
 from ric.refiner import (
     DropClobber,
@@ -128,3 +130,51 @@ def test_refinement_is_deterministic(corpus_by_id):
     a = refine(c)
     b = refine(c)
     assert [repr(e) for e in a.edits] == [repr(e) for e in b.edits]
+
+
+def _chunk(template, outputs, inputs, clobbers):
+    from ric.chunks import load_chunk_records
+
+    return load_chunk_records(
+        [
+            {
+                "template": template,
+                "outputs": [{"constraint": c, "expr_text": e} for c, e in outputs],
+                "inputs": [{"constraint": c, "expr_text": e} for c, e in inputs],
+                "clobbers": clobbers,
+            }
+        ]
+    )[0]
+
+
+# what replaces "memory" follows the region of each memory event
+MEMORY_EVENTS = {
+    # the cell of an "m" entry is declared already
+    "cell": (("movl $1, %0", [("=m", "*q")], []), [DropMemoryKeyword()]),
+    # a stack slot is private scratch when esp is restored
+    "stack": (("pushl %1; popl %0", [("=r", "x")], [("r", "y")]), [DropMemoryKeyword()]),
+    # an address of two registers is no pointer token plus an offset
+    "whole": (("movl (%1,%2), %0", [("=r", "x")], [("r", "p"), ("r", "i")]), []),
+}
+
+
+@pytest.mark.parametrize("region", sorted(MEMORY_EVENTS))
+def test_memory_refinement_follows_the_event_regions(region):
+    (template, outputs, inputs), edits = MEMORY_EVENTS[region]
+    result = check_chunk(_chunk(template, outputs, inputs, ["memory"]))
+    assert {ev.region[0] for ev in result.mem_events} == {region}
+    assert refine_interface(result).edits == edits
+
+
+def test_anchored_memory_input_is_used_without_a_recheck(monkeypatch):
+    """An "m" input anchored to a pointer whose bytes are read is
+    load-bearing: the refiner reads that off the result's anchors and
+    does not try dropping it."""
+    from ric import refiner
+
+    inputs = [("r", "p"), ("m", "*(p + 4)")]
+    result = check_chunk(_chunk("movl 4(%1), %0", [("=r", "x")], inputs, []))
+    assert [(a.entry, a.base, a.offset) for a in result.anchors] == [(2, 1, 4)]
+    rechecks = []
+    monkeypatch.setattr(refiner, "check_chunk", lambda *a, **k: rechecks.append(a))
+    assert refine_interface(result).edits == [] and rechecks == []

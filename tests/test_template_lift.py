@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ric.chunks import load_chunk_records
 from ric.constraints import derive_interface
-from ric.errors import UnknownMnemonic
+from ric.errors import OutOfScope, UnknownMnemonic
 from ric.expr import (
     BinOp,
     Cast,
@@ -114,6 +114,17 @@ def test_prefix_lock():
     assert "lock" in ins.prefixes
 
 
+def test_size_modifiers_parse():
+    parsed = parse_template("movb %b0, %%al; movw %w[x], %%ax; movl %k1, %%eax")
+    assert [ins.operands[0].modifier for ins in parsed.instrs] == ["b", "w", "k"]
+
+
+@pytest.mark.parametrize("operand", ["%h0", "%h[x]", "%c1", "(%h0)", "4(%%eax,%P1)"])
+def test_other_template_modifiers_are_out_of_scope(operand):
+    with pytest.raises(OutOfScope, match="unsupported template modifier"):
+        parse_template(f"movl {operand}, %%edx")
+
+
 # ---------------------------------------------------------------------------
 # Lifting
 
@@ -125,20 +136,20 @@ def lift_chunk(c):
 
 def test_lift_kinds():
     c = chunk("movl %1, %0", [("=a", "y")], [("m", "*(p)")])
-    _, kinds, _ = lift_chunk(c)
+    kinds = derive_interface(c).kinds
     assert kinds[0] == "fixed" and kinds[1] == "mem"
 
 
 def test_lift_mov_token_to_token():
     c = chunk("movl %1, %0", [("=r", "y")], [("r", "x")])
-    prog, kinds, _ = lift_chunk(c)
-    assert kinds == {0: "var", 1: "var"}
+    prog = lift_chunk(c)
+    assert derive_interface(c).kinds == {0: "var", 1: "var"}
     assert len(prog.instrs) >= 1
 
 
 def test_lift_flags_for_add():
     c = chunk("addl %1, %0", [("+r", "y")], [("r", "x")], ["cc"])
-    prog, _, _ = lift_chunk(c)
+    prog = lift_chunk(c)
     from ric.expr import Flag
     from ric.lift import Assign
 
@@ -152,7 +163,7 @@ def test_lift_flags_for_add():
 
 def test_lift_sib_addressing():
     c = chunk("leal 8(%1,%2,4), %0", [("=r", "a")], [("r", "b"), ("r", "i")])
-    prog, _, _ = lift_chunk(c)
+    prog = lift_chunk(c)
     assert prog.instrs  # lifts without error
 
 
