@@ -281,6 +281,16 @@ class ForwardPass:
         self.nhavoc += 1
         return ReadLoc(Havoc((tag, self.nhavoc), width))
 
+    def join(self, a, b, tag):
+        """The join of two register states: a location the two disagree
+        on becomes a havoc tagged tag + (its name,)."""
+        joined = {}
+        for k in set(a) | set(b):
+            x = a.get(k, init_read(k))
+            y = b.get(k, init_read(k))
+            joined[k] = x if x == y else self.havoc(k.width, (*tag, format_loc(k)))
+        return joined
+
     def region(self, point, node):
         """The region classified for the load or store node at point;
         ("whole",) at a point the pass never reached."""
@@ -354,14 +364,7 @@ class ForwardPass:
                 self.in_states[i] = dict(state)
                 self.in_mems[i] = mem.copy()
             else:
-                cur = self.in_states[i]
-                keys = set(cur) | set(state)
-                joined = {}
-                for k in keys:
-                    a = cur.get(k, init_read(k))
-                    b = state.get(k, init_read(k))
-                    joined[k] = a if a == b else self.havoc(k.width, ("join", i, format_loc(k)))
-                self.in_states[i] = joined
+                self.in_states[i] = self.join(self.in_states[i], state, ("join", i))
                 self.in_mems[i] = self.in_mems[i].join(mem)
 
         back_targets = set()
@@ -374,15 +377,7 @@ class ForwardPass:
                 if self.exit_state is None:
                     self.exit_state, self.exit_mem = dict(state), mem.copy()
                 else:
-                    keys = set(self.exit_state) | set(state)
-                    joined = {}
-                    for k in keys:
-                        a = self.exit_state.get(k, init_read(k))
-                        b = state.get(k, init_read(k))
-                        joined[k] = (
-                            a if a == b else self.havoc(k.width, ("exit", format_loc(k)))
-                        )
-                    self.exit_state = joined
+                    self.exit_state = self.join(self.exit_state, state, ("exit",))
                     self.exit_mem = self.exit_mem.join(mem)
                 continue
             out_state, out_mem = self.step(i, state, mem)
@@ -442,11 +437,14 @@ class LiveSet:
 
 
 class BackwardPass:
-    def __init__(self, prog, region, fi, coarse):
+    def __init__(self, prog, region, fi, coarse, esp_restored):
         self.prog = prog
         self.region = region  # ForwardPass.region
         self.fi = fi
         self.coarse = coarse
+        # a stack slot below a restored entry esp is private scratch:
+        # only a later load of the slot itself demands what was stored
+        self.esp_restored = esp_restored
 
     def demand(self, e, mask, point, acc):
         if not mask:
@@ -596,7 +594,7 @@ class BackwardPass:
                 ) else 0
             else:
                 rmask = _ones(size * 8) if live_out.get(MemoryWhole()) else 0
-            if live_out.get(MemoryWhole()):
+            if live_out.get(MemoryWhole()) and not (region[0] == "stack" and self.esp_restored):
                 rmask = _ones(size * 8)
             out = self._kill_region(region, size, live_out)
             if rmask:
@@ -868,8 +866,8 @@ def _seed_liveness(fi, coarse, anchors=()):
     return seed
 
 
-def analyze_frame_read(fi, prog, fwd, anchors, writes, opts):
-    bwd = BackwardPass(prog, fwd.region, fi, coarse=not opts.bit_liveness)
+def analyze_frame_read(fi, prog, fwd, anchors, writes, esp_restored, opts):
+    bwd = BackwardPass(prog, fwd.region, fi, not opts.bit_liveness, esp_restored)
     seed = _seed_liveness(fi, coarse=not opts.bit_liveness, anchors=anchors)
     live_in, live_out = bwd.run(seed)
     entry = live_in[0] if prog.instrs else seed
@@ -1157,7 +1155,7 @@ def _analyze(chunk, opts):
     t3 = time.perf_counter()
 
     fr_issues, live_in, live_out = analyze_frame_read(
-        fi, prog, fwd, anchors, writes, opts
+        fi, prog, fwd, anchors, writes, esp_restored, opts
     )
     result.entry_live = dict(live_in[0].masks) if prog.instrs else {}
     result.entry_regions = frozenset(live_in[0].regions) if prog.instrs else frozenset()

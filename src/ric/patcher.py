@@ -1,8 +1,8 @@
 """Interface edits that repair framing and unicity findings.
 
-Each finding category maps to a fixed edit shape; the edits are applied
-to a copy of the chunk with consistent renumbering of template tokens
-and matching digits, then the result is re-checked.
+Each finding category maps to a fixed edit shape; the edit list is
+applied to the chunk by `edits.apply_edits`, and the result is
+re-checked.
 """
 
 from __future__ import annotations
@@ -14,49 +14,24 @@ import functools
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .checker import check_chunk
-from .chunks import OperandEntry, render
+from .chunks import render
 from .constraints import enumerate_assignments
+from .edits import (
+    AddClobber,
+    AddInput,
+    AddOutput,
+    MarkEarlyClobber,
+    PromoteToReadWrite,
+    SetMemoryClobber,
+    apply_edits,
+)
 from .errors import SpanStale
 from .expr import Reg, Token
-from .template import renumber_template
 
 REG_LETTER = {"eax": "a", "ebx": "b", "ecx": "c", "edx": "d", "esi": "S", "edi": "D"}
-
-
-@dataclass(frozen=True)
-class AddOutput:
-    constraint: str
-    lvalue: str
-    matched_input: int = None
-
-
-@dataclass(frozen=True)
-class AddInput:
-    constraint: str
-    source: str
-
-
-@dataclass(frozen=True)
-class AddClobber:
-    name: str
-
-
-@dataclass(frozen=True)
-class SetMemoryClobber:
-    pass
-
-
-@dataclass(frozen=True)
-class MarkEarlyClobber:
-    token: int
-
-
-@dataclass(frozen=True)
-class PromoteToReadWrite:
-    token: int
 
 
 @dataclass
@@ -68,29 +43,29 @@ class PatchResult:
     original: object = None
 
 
-def _strip_modifiers(constraint):
-    return constraint.lstrip("=+&%")
-
-
-def _input_entry_fixed_to(chunk, fi, reg):
-    """The input entry whose constraint pins it to the given register."""
-    for e in chunk.inputs:
-        if fi.fixed.get(e.position) == reg:
-            return e
+def _read_output(fi, loc):
+    """The write-only output whose entry value an UnboundRegisterRead at
+    loc reads: its token, or the register it is pinned to; else None."""
+    if isinstance(loc, Token):
+        return loc.index if loc.index in fi.b_o else None
+    if isinstance(loc, Reg):
+        return next((p for p in sorted(fi.b_o) if fi.fixed.get(p) == loc.name), None)
     return None
 
 
 def synthesize_patches(result, issues):
-    """Edits for the issues of a check result, on a copy of its chunk."""
+    """Edits for the issues of a check result, and its chunk with them
+    applied."""
     chunk, fi = result.chunk, result.fi
-    edits = []
+    outputs = {e.position: e for e in chunk.outputs}
     unresolved = []
     clobbers_to_add = []
     memory_clobber = False
     promote = set()
     early = set()
-    dummy_outputs = []  # (constraint, lvalue, matched input position)
-    add_inputs = []  # (matched output position, source text)
+    dummy_outputs = {}  # input position -> constraint of its dummy output
+    add_inputs = []  # output positions whose entry value is read
+    never_written = []
 
     def add_clobber(name):
         if name not in chunk.clobbers and name not in clobbers_to_add:
@@ -105,16 +80,14 @@ def synthesize_patches(result, issues):
             add_clobber(loc.name)
         elif cat == "ReadOnlyInputClobbered":
             if isinstance(loc, Reg):
-                entry = _input_entry_fixed_to(chunk, fi, loc.name)
                 letter = REG_LETTER.get(loc.name)
-                if entry is None or letter is None:
-                    if letter is None:
-                        add_clobber(loc.name)
-                    else:
-                        unresolved.append(issue)
-                    continue
-                if not any(m == entry.position for _, _, m in dummy_outputs):
-                    dummy_outputs.append((f"={letter}", None, entry.position))
+                pinned = [e.position for e in chunk.inputs if fi.fixed.get(e.position) == loc.name]
+                if letter is None:
+                    add_clobber(loc.name)
+                elif not pinned:
+                    unresolved.append(issue)
+                else:
+                    dummy_outputs.setdefault(pinned[0], f"={letter}")
             elif isinstance(loc, Token):
                 promote.add(loc.index)
             else:
@@ -122,20 +95,16 @@ def synthesize_patches(result, issues):
         elif cat in ("UnboundMemoryWrite", "UnboundMemoryRead"):
             if "memory" not in chunk.clobbers:
                 memory_clobber = True
-        elif cat == "NonWrittenWriteOnlyOutput" and isinstance(loc, Token):
-            promote.add(loc.index)
+        elif cat == "NonWrittenWriteOnlyOutput":
+            never_written.append(issue)
         elif cat == "UnboundRegisterRead":
-            if isinstance(loc, Token):
-                p = loc.index
-                if p in fi.b_o:
-                    out = next(e for e in chunk.outputs if e.position == p)
-                    add_inputs.append((p, out.expr_text))
-                else:
-                    unresolved.append(issue)
-            else:
+            p = _read_output(fi, loc)
+            if p is None:
                 # reading a register (or entry flags) before assigning it
                 # cannot be expressed as an interface edit
                 unresolved.append(issue)
+            else:
+                add_inputs.append(p)
         elif cat == "Unicity":
             if isinstance(loc, Reg):
                 add_clobber(loc.name)
@@ -145,82 +114,23 @@ def synthesize_patches(result, issues):
                 unresolved.append(issue)
         else:
             unresolved.append(issue)
+    # an output never written is answered by reading its entry value in
+    unresolved += [i for i in never_written if i.location.index not in add_inputs]
 
-    # materialize the new entry lists
-    outputs = list(chunk.outputs)
-    inputs = [e for e in chunk.inputs if e.position not in promote]
-    promoted = [e for e in chunk.inputs if e.position in promote]
-    renumber = {}
-
-    for e in outputs:
-        renumber[e.position] = e.position
-    next_pos = len(outputs)
-
-    new_outputs = []
-    for e in promoted:
-        new_outputs.append(
-            OperandEntry("+" + _strip_modifiers(e.constraint), e.expr_text, next_pos,
-                         e.size_bytes, e.name)
-        )
-        renumber[e.position] = next_pos
-        edits.append(PromoteToReadWrite(e.position))
-        next_pos += 1
-
+    edits = [PromoteToReadWrite(e.position) for e in chunk.inputs if e.position in promote]
     taken = " ".join(e.expr_text for e in chunk.entries)
-    matched_at = {}
     dummy_n = 0
-    for constraint, _, matched in dummy_outputs:
+    for matched, constraint in dummy_outputs.items():
         while f"_ric_dummy{dummy_n}" in taken:
             dummy_n += 1
-        lvalue = f"_ric_dummy{dummy_n}"
+        edits.append(AddOutput(constraint, f"_ric_dummy{dummy_n}", matched))
         dummy_n += 1
-        new_outputs.append(OperandEntry(constraint, lvalue, next_pos, 4, None))
-        matched_at[matched] = next_pos
-        edits.append(AddOutput(constraint, lvalue, matched))
-        next_pos += 1
-
-    outputs.extend(new_outputs)
-
-    new_inputs = []
-    for e in inputs:
-        constraint = e.constraint
-        if e.position in matched_at:
-            constraint = str(matched_at[e.position])
-        new_inputs.append(replace(e, constraint=constraint, position=next_pos))
-        renumber[e.position] = next_pos
-        next_pos += 1
-    for p, source in add_inputs:
-        constraint = str(renumber[p])
-        new_inputs.append(OperandEntry(constraint, source, next_pos, fi.sizes.get(p, 4)))
-        edits.append(AddInput(constraint, source))
-        next_pos += 1
-
-    for p in sorted(early):
-        idx = next(i for i, e in enumerate(outputs) if e.position == renumber.get(p, p))
-        e = outputs[idx]
-        if "&" not in e.constraint:
-            mode = e.constraint[0]
-            outputs[idx] = replace(e, constraint=mode + "&" + e.constraint[1:])
-            edits.append(MarkEarlyClobber(p))
-
-    clobbers = list(chunk.clobbers)
-    for name in clobbers_to_add:
-        clobbers.append(name)
-        edits.append(AddClobber(name))
+    edits += [AddInput(str(p), outputs[p].expr_text) for p in add_inputs]
+    edits += [MarkEarlyClobber(p) for p in sorted(early) if "&" not in outputs[p].constraint]
+    edits += [AddClobber(name) for name in clobbers_to_add]
     if memory_clobber:
-        clobbers.append("memory")
         edits.append(SetMemoryClobber())
-
-    # matching digits always name outputs, and original output positions
-    # are preserved, so constraints need no renumbering here
-    template = renumber_template(chunk.template, renumber)
-    patched = replace(
-        chunk,
-        template=template,
-        outputs=tuple(outputs),
-        inputs=tuple(new_inputs),
-        clobbers=tuple(clobbers),
-    )
+    patched, renumber = apply_edits(chunk, edits)
     return PatchResult(patched, edits, unresolved, renumber, original=chunk)
 
 

@@ -8,44 +8,19 @@ chunk re-checks compliant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .checker import check_chunk
-from .chunks import OperandEntry
+from .edits import (
+    DropClobber,
+    DropInput,
+    DropMemoryKeyword,
+    EntrySpan,
+    MemoryToEntries,
+    apply_edits,
+)
 from .errors import RicError
 from .expr import Flag, Reg, Token
-from .template import renumber_matches, renumber_template
-
-
-@dataclass(frozen=True)
-class DropInput:
-    position: int
-
-
-@dataclass(frozen=True)
-class DropClobber:
-    name: str
-
-
-@dataclass(frozen=True)
-class DropMemoryKeyword:
-    pass
-
-
-@dataclass(frozen=True)
-class EntrySpan:
-    base: int  # pointer token position
-    mode: str  # in | out | inout
-    offset: int
-    length: int
-
-
-@dataclass(frozen=True)
-class MemoryToEntries:
-    spans: tuple  # of EntrySpan
-    # stays in the report schema, as RefineResult.suggestions does;
-    # every access resolves to a token, so no edit is suggestion-only
-    suggestion_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -113,65 +88,6 @@ def memory_to_m_entries(result):
 
 
 # ---------------------------------------------------------------------------
-# Chunk rewriting
-
-
-def _rebuild(chunk, drop_inputs=frozenset(), drop_clobbers=frozenset(),
-             drop_memory=False, add_entries=()):
-    """Rebuild the chunk with consistent renumbering. add_entries is a
-    sequence of (section, constraint, expr_text, size_bytes) with
-    section in {'out','in'}."""
-    outputs = list(chunk.outputs)
-    renumber = {e.position: e.position for e in outputs}
-    next_pos = len(outputs)
-    for section, constraint, expr_text, size in add_entries:
-        if section == "out":
-            outputs.append(OperandEntry(constraint, expr_text, next_pos, size))
-            next_pos += 1
-    inputs = []
-    for e in chunk.inputs:
-        if e.position in drop_inputs:
-            continue
-        renumber[e.position] = next_pos
-        inputs.append(replace(e, position=next_pos))
-        next_pos += 1
-    for section, constraint, expr_text, size in add_entries:
-        if section == "in":
-            inputs.append(OperandEntry(constraint, expr_text, next_pos, size))
-            next_pos += 1
-    clobbers = tuple(
-        c for c in chunk.clobbers
-        if c not in drop_clobbers and not (drop_memory and c == "memory")
-    )
-    template = renumber_template(chunk.template, renumber)
-    return replace(
-        chunk,
-        template=template,
-        outputs=tuple(renumber_matches(e, renumber) for e in outputs),
-        inputs=tuple(renumber_matches(e, renumber) for e in inputs),
-        clobbers=clobbers,
-    )
-
-
-def _entries_for_spans(chunk, spans):
-    by_pos = {e.position: e for e in chunk.entries}
-    adds = []
-    for s in spans:
-        base_entry = by_pos.get(s.base)
-        if base_entry is None:
-            return None
-        expr = base_entry.expr_text.strip()
-        text = f"*({expr})" if s.offset == 0 else f"*({expr} + {s.offset})"
-        if s.mode == "in":
-            adds.append(("in", "m", text, s.length))
-        elif s.mode == "out":
-            adds.append(("out", "=m", text, s.length))
-        else:
-            adds.append(("out", "+m", text, s.length))
-    return adds
-
-
-# ---------------------------------------------------------------------------
 # The refinement driver
 
 
@@ -210,54 +126,34 @@ def refine_interface(result, options=None, memo=None):
     if result.verdict != "compliant" or result.fi is None:
         return RefineResult([], [], chunk, Failure("chunk is not compliant"))
     fi = result.fi
-
-    accepted_inputs = set()
-    accepted_clobbers = set()
-    accepted_memory = False
-    accepted_adds = []
     edits = []
 
-    def current(extra_inputs=frozenset(), extra_clobbers=frozenset(),
-                memory=None, adds=None):
-        return _rebuild(
-            chunk,
-            drop_inputs=accepted_inputs | set(extra_inputs),
-            drop_clobbers=accepted_clobbers | set(extra_clobbers),
-            drop_memory=accepted_memory if memory is None else memory,
-            add_entries=tuple(accepted_adds if adds is None else adds),
-        )
-
-    def still_compliant(candidate):
+    def accept(*candidate):
+        """Keep the candidate edits if the chunk with them and the edits
+        kept so far re-checks compliant."""
         try:
-            return check_chunk(candidate, memo=memo).verdict == "compliant"
+            check = check_chunk(apply_edits(chunk, edits + list(candidate))[0], memo=memo)
         except RicError:
-            return False
+            return
+        if check.verdict == "compliant":
+            edits.extend(candidate)
 
     if options.refine_inputs:
         for e in chunk.inputs:
             p = e.position
             if p not in fi.b_i or _token_used(result, p):
                 continue
-            if still_compliant(current(extra_inputs={p})):
-                accepted_inputs.add(p)
-                edits.append(DropInput(p))
+            accept(DropInput(p))
 
     if options.refine_clobbers:
         for name in chunk.clobbers:
             if name == "memory" or _clobber_written(result, name):
                 continue
-            if still_compliant(current(extra_clobbers={name})):
-                accepted_clobbers.add(name)
-                edits.append(DropClobber(name))
+            accept(DropClobber(name))
 
     if options.refine_memory and not fi.f:
         edit = memory_to_m_entries(result)
-        adds = None if edit is None else _entries_for_spans(chunk, edit.spans)
-        if adds is not None and still_compliant(current(memory=True, adds=adds)):
-            accepted_memory = True
-            accepted_adds = adds
-            if edit.spans:
-                edits.append(edit)
-            edits.append(DropMemoryKeyword())
+        if edit is not None:
+            accept(*([edit] if edit.spans else []), DropMemoryKeyword())
 
-    return RefineResult(edits, [], current())
+    return RefineResult(edits, [], apply_edits(chunk, edits)[0])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import BadTokenRef, MalformedInterface, OutOfScope, UnknownMnemonic
 
@@ -148,20 +148,6 @@ def renumber_template(template, renumber):
         return f"%{m.group(1)}{renumber.get(old, old)}"
 
     return _TOKEN_RE.sub(sub, template)
-
-
-def renumber_matches(entry, renumber):
-    """An operand entry with its matching-digit constraint renamed
-    through the renumber map."""
-
-    def sub(m):
-        old = int(m.group(0))
-        return str(renumber.get(old, old))
-
-    new = re.sub(r"\d+", sub, entry.constraint)
-    if new == entry.constraint:
-        return entry
-    return replace(entry, constraint=new)
 
 
 def _parse_register(name):

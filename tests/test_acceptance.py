@@ -11,13 +11,15 @@ from ric.checker import CheckOptions, check_chunk
 from ric.cli import run
 from ric.constraints import RegisterSet, derive_interface, eval_letter
 from ric.expr import Reg
-from ric.patcher import AddClobber, AddOutput, synthesize_patches, verify_patch
-from ric.refiner import (
+from ric.edits import (
+    AddClobber,
+    AddOutput,
     DropClobber,
     DropInput,
     MemoryToEntries,
-    refine_interface,
 )
+from ric.patcher import synthesize_patches, verify_patch
+from ric.refiner import refine_interface
 from ric.report import classify_pattern, severity_policy
 
 from conftest import chunks_with_tag

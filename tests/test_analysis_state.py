@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from ric import checker, constraints, lift, report, template
-from ric.checker import ForwardPass, check_chunk, make_classifier
+from ric.checker import ForwardPass, Havoc, check_chunk, init_read, make_classifier
 from ric.chunks import load_chunk_records
 from ric.cli import run
 from ric.expr import (
@@ -22,6 +22,7 @@ from ric.expr import (
     Ite,
     Load,
     ReadLoc,
+    Reg,
     StoreLhs,
     UnOp,
     mk_binop,
@@ -158,6 +159,39 @@ def test_back_edge_targets_read_the_joined_state():
     # a store first reached along a back edge has a region but no event
     reached_late = check_chunk(BRANCHY[2])
     assert reached_late.mem_events == []
+
+
+def _havoc_tags(state):
+    return {
+        v.loc.tag[0] for v in state.values() if isinstance(v, ReadLoc) and isinstance(v.loc, Havoc)
+    }
+
+
+def test_merge_point_and_exit_join_alike():
+    """A merge point and the exit join states the same way: a location
+    the two disagree on becomes a havoc tagged with the join's tag and
+    its name, and a location one side lacks reads its entry value."""
+    c = load_chunk_records(
+        [
+            {
+                "template": "testl %1, %1; jz 1f; movl $1, %0; 1: addl $2, %0",
+                "outputs": [{"constraint": "+r", "expr_text": "x"}],
+                "inputs": [{"constraint": "r", "expr_text": "y"}],
+                "clobbers": ["cc"],
+            }
+        ]
+    )[0]
+    result = check_chunk(c)
+    fwd = ForwardPass(result.prog, make_classifier(result.fi))
+    fwd.run()
+    label = next(i for i, state in enumerate(fwd.in_states) if _havoc_tags(state))
+    assert _havoc_tags(fwd.in_states[label]) == {("join", label, "%0")}
+    eax, ebx, ecx = (Reg(name, 32) for name in ("eax", "ebx", "ecx"))
+    joined = fwd.join(
+        {eax: Const(1, 32), ebx: Const(2, 32), ecx: init_read(ecx)}, {eax: Const(1, 32)}, ("exit",)
+    )
+    assert joined[eax] == Const(1, 32) and joined[ecx] == init_read(ecx)
+    assert _havoc_tags(joined) == {("exit", "ebx")}
 
 
 def test_no_address_is_evaluated_after_the_forward_pass(corpus_chunks, monkeypatch):

@@ -1,10 +1,15 @@
 """Compliance checker: findings, the two precision optimizations, and
 corpus-label agreement."""
 
+import pytest
+
 from ric.checker import CheckOptions, check_chunk
 from ric.chunks import load_chunk_records
 from ric.constraints import derive_interface
+from ric.edits import DropMemoryKeyword
 from ric.expr import Reg, Token
+from ric.oracle import TrialConfig, oracle_check
+from ric.refiner import refine_interface
 from ric.report import classify_pattern, severity_policy
 
 from conftest import chunks_with_tag
@@ -169,6 +174,26 @@ def test_issue_dedup():
 def test_stack_scratch_exempt_when_esp_restored():
     c = chunk("pushl %1\npopl %0", [("=r", "y", 4)], [("r", "x", 4)])
     assert check_chunk(c).verdict == "compliant"
+
+
+@pytest.mark.parametrize("clobbers", [[], ["memory"]])
+def test_saved_register_is_not_read_with_or_without_memory(clobbers):
+    """A register saved on the stack and restored is not an input, even
+    when "memory" makes all of memory live at exit: with esp restored, a
+    stack slot is demanded only by a later load of the slot itself."""
+    c = chunk(
+        "pushl %%ebx; movl %1, %%ebx; movl %%ebx, %0; popl %%ebx",
+        [("=a", "x", 4)],
+        [("r", "y", 4)],
+        clobbers,
+    )
+    result = check_chunk(c)
+    assert result.verdict == "compliant", result.issues
+    for prop in ("frame_write", "frame_read", "unicity"):
+        v = oracle_check(c, prop, TrialConfig(trials=50, seed=0))
+        assert v.verdict == "pass", (prop, v.reason)
+    want = [DropMemoryKeyword()] if clobbers else []
+    assert refine_interface(result).edits == want
 
 
 def test_push_without_pop_flags_esp():

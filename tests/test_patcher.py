@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 
 from ric.checker import check_chunk
 from ric.chunks import extract_chunks, load_chunk_records, render
-from ric.patcher import (
+from ric.edits import (
     AddClobber,
     AddInput,
     AddOutput,
     MarkEarlyClobber,
-    PatchResult,
     PromoteToReadWrite,
     SetMemoryClobber,
+)
+from ric.patcher import (
+    PatchResult,
     render_diff,
     synthesize_patches,
     verify_patch,
@@ -162,6 +164,33 @@ def test_unresolved_hard_register_read():
     pr = patch(c)
     assert pr.unresolved
     assert all(i.category == "UnboundRegisterRead" for i in pr.unresolved)
+
+
+@pytest.mark.parametrize("constraint", ["=r", "=a"])
+def test_never_written_output_reads_its_entry_value(constraint):
+    """A write-only output the template never writes keeps its entry
+    value; whether the read is of its token or of the register it is
+    pinned to, the patch reads that value in."""
+    pr = patch(chunk("nop", [(constraint, "x", 4)]))
+    assert pr.edits == [AddInput("0", "x")]
+    assert pr.unresolved == []
+    assert render(pr.patched) == f'asm ("nop" : "{constraint}" (x) : "0" (x))'
+    assert verify_patch(pr) == {
+        "framing_ok": True,
+        "fully_compliant": True,
+        "interface_satisfiable": True,
+    }
+
+
+def test_never_written_output_without_an_added_input_is_unresolved():
+    """With "memory" clobbered no read of the m-entry is reported, so no
+    edit answers the finding, and the patch says so."""
+    result = check_chunk(chunk("nop", [("=m", "x", 4)], [], ["memory"]))
+    assert [i.category for i in result.issues] == ["NonWrittenWriteOnlyOutput"]
+    pr = synthesize_patches(result, result.issues)
+    assert pr.edits == []
+    assert pr.unresolved == result.issues
+    assert not verify_patch(pr)["framing_ok"]
 
 
 # ---------------------------------------------------------------------------

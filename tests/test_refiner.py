@@ -4,13 +4,15 @@ guarded-acceptance invariant (every refinement re-checks compliant)."""
 import pytest
 
 from ric.checker import check_chunk
-from ric.refiner import (
+from ric.edits import (
     DropClobber,
     DropInput,
     DropMemoryKeyword,
     EntrySpan,
-    Failure,
     MemoryToEntries,
+)
+from ric.refiner import (
+    Failure,
     RefineOptions,
     refine_interface,
 )
