@@ -436,14 +436,21 @@ class LiveSet:
         return self.masks == other.masks and self.regions == other.regions
 
 
+@dataclass(frozen=True)
+class AnyStackSlot:
+    """Liveness fact: a later load of unclassified address may read any
+    stack slot."""
+
+
 class BackwardPass:
     def __init__(self, prog, region, fi, coarse, esp_restored):
         self.prog = prog
         self.region = region  # ForwardPass.region
         self.fi = fi
         self.coarse = coarse
-        # a stack slot below a restored entry esp is private scratch:
-        # only a later load of the slot itself demands what was stored
+        # a stack slot below a restored entry esp is private scratch: the
+        # "memory" clobber's live MemoryWhole does not demand what was
+        # stored there, only a later load that may read the slot does
         self.esp_restored = esp_restored
 
     def demand(self, e, mask, point, acc):
@@ -538,6 +545,20 @@ class BackwardPass:
             acc.regions.add((region[1], region[2], size))
             return
         acc.add(MemoryWhole(), 1)
+        acc.add(AnyStackSlot(), 1)
+
+    @staticmethod
+    def _stack_demand(offset, size, live):
+        """The bits of a store to the stack slot at esp0 - offset that a
+        live slot overlapping it, or a load of any slot, reads later."""
+        if live.get(AnyStackSlot()):
+            return _ones(size * 8)
+        rmask = 0
+        for loc, mask in live.masks.items():
+            if isinstance(loc, StackSlot):
+                shift = 8 * (offset - loc.offset)
+                rmask |= mask << shift if shift >= 0 else mask >> -shift
+        return rmask & _ones(size * 8)
 
     def _kill_region(self, region, size, live):
         out = live.copy()
@@ -550,8 +571,14 @@ class BackwardPass:
                 if not out.masks[cell]:
                     del out.masks[cell]
         elif region[0] == "stack":
-            key = StackSlot(region[1], size)
-            out.masks.pop(key, None)
+            # clear the stored bytes of every live slot they overlap
+            for loc in [l for l in out.masks if isinstance(l, StackSlot)]:
+                shift = 8 * (loc.offset - region[1])
+                kill = _ones(size * 8)
+                kill = kill << shift if shift >= 0 else kill >> -shift
+                out.masks[loc] &= ~kill
+                if not out.masks[loc]:
+                    del out.masks[loc]
         elif region[0] == "tokptr":
             _, p, off = region
             lo, hi = off, off + size
@@ -586,7 +613,7 @@ class BackwardPass:
                 cell = self._canon(Token(p, 32))
                 rmask = (live_out.get(cell) >> (off * 8)) & _ones(size * 8)
             elif region[0] == "stack":
-                rmask = live_out.get(StackSlot(region[1], size))
+                rmask = self._stack_demand(region[1], size, live_out)
             elif region[0] == "tokptr":
                 rmask = _ones(size * 8) if (
                     any(r[0] == region[1] for r in live_out.regions)

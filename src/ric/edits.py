@@ -140,8 +140,6 @@ def apply_edits(chunk, edits):
                     new_inputs.append(("m", text, s.length))
                 else:
                     add_output("=m" if s.mode == "out" else "+m", text, s.length)
-        else:
-            raise TypeError(f"not an interface edit: {edit!r}")
 
     inputs = []
     for e in chunk.inputs:

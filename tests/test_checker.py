@@ -196,6 +196,33 @@ def test_saved_register_is_not_read_with_or_without_memory(clobbers):
     assert refine_interface(result).edits == want
 
 
+@pytest.mark.parametrize("clobbers", [[], ["memory"]], ids=["", "memory"])
+@pytest.mark.parametrize(
+    "template, inputs",
+    [
+        # an index off esp: the load's address is not classified, so it
+        # may read the saved slot (with %1 == 0, %0 is ebx's entry value)
+        ("pushl %%ebx; movl (%%esp,%1), %0; popl %%ebx", [("r", "i", 4)]),
+        # a narrower reload of the saved slot
+        ("pushl %%ebx; movb (%%esp), %0; popl %%ebx", []),
+        ("pushl %%ebx; movb 1(%%esp), %0; popl %%ebx", []),
+    ],
+    ids=["index-off-esp", "low-byte", "second-byte"],
+)
+def test_reloaded_saved_register_is_read(template, inputs, clobbers):
+    """A stack slot below a restored esp is demanded by any later load
+    that may read it, so reloading a saved register reads its entry
+    value, with or without "memory"; the push wrote the reloaded bytes,
+    so they are no read of a never-written slot."""
+    c = chunk(template, [("=q", "x", 4)], inputs, clobbers)
+    result = check_chunk(c)
+    assert any(
+        i.category == "UnboundRegisterRead" and getattr(i.location, "name", "") == "ebx"
+        for i in result.issues
+    ), result.issues
+    assert not any("never-written stack slot" in i.details for i in result.issues)
+
+
 def test_push_without_pop_flags_esp():
     c = chunk("pushl %0", [], [("r", "x", 4)])
     result = check_chunk(c)

@@ -196,8 +196,3 @@ def test_positions_name_the_original_chunk():
     came before it in the list."""
     edited, _ = apply_edits(PATCH_BASE, [PromoteToReadWrite(1), DropInput(2), AddInput("0", "x")])
     assert entries(edited) == [("=r", "x", 0, 2), ("+r", "y", 1, 2), ("0", "x", 2, 2)]
-
-
-def test_unknown_edit_is_refused():
-    with pytest.raises(TypeError):
-        apply_edits(PATCH_BASE, [object()])
