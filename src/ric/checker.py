@@ -1047,6 +1047,16 @@ def _related(dl, dlp):
     return False
 
 
+def _output_register(fi, loc):
+    """Whether loc is a register that holds an output: a token of a
+    non-memory output, an input matched to one, or a register pinned to
+    an output."""
+    if isinstance(loc, Token):
+        p = fi.canonical(loc.index)
+        return p in fi.b_o and fi.kinds.get(p) != "mem"
+    return isinstance(loc, Reg) and any(fi.fixed.get(p) == loc.name for p in fi.b_o)
+
+
 def analyze_unicity(fi, prog, live_out, domains):
     issues = []
 
@@ -1088,6 +1098,8 @@ def analyze_unicity(fi, prog, live_out, domains):
                 continue
             if not _related(dl, dlp):
                 continue
+            if _output_register(fi, l) and _output_register(fi, lp):
+                continue  # two outputs never share a register
             if (
                 isinstance(l, Token)
                 and isinstance(lp, Token)

@@ -117,8 +117,8 @@ def _cmd_patch(args):
         result = check_chunk(chunk, memo=memo)
         extra = {}
         if result.verdict == "issues":
-            pr = patcher.synthesize_patches(result, result.issues)
-            verification = patcher.verify_patch(pr, memo)
+            pr = patcher.synthesize_patches(result, result.issues, memo)
+            verification = patcher.verify_patch(pr)
             extra["patch"] = {
                 "edits": [edit_to_json(e) for e in pr.edits],
                 "unresolved": [

@@ -1,4 +1,5 @@
-"""Interface edits, and the one function that applies them.
+"""Interface edits, the one function that applies them, and the one
+search that decides which of them to keep.
 
 A patch or a refinement is a list of edits against one chunk: every
 operand position an edit names is a position in that chunk.
@@ -14,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .checker import check_chunk
 from .chunks import OperandEntry
+from .errors import RicError
 from .template import renumber_template
 
 # ---------------------------------------------------------------------------
@@ -111,6 +114,9 @@ def apply_edits(chunk, edits):
     for edit in edits:
         if isinstance(edit, PromoteToReadWrite):
             e = by_pos[edit.token]
+            if e.position < len(chunk.outputs):  # "=" becomes "+" in place
+                outputs[e.position] = replace(e, constraint="+" + e.constraint[1:])
+                continue
             mode = "+" + e.constraint.lstrip("=+&%")
             renumber[e.position] = add_output(mode, e.expr_text, e.size_bytes, e.name)
             removed.add(e.position)
@@ -158,3 +164,43 @@ def apply_edits(chunk, edits):
         clobbers=tuple(clobbers),
     )
     return edited, renumber
+
+
+# ---------------------------------------------------------------------------
+# Keeping edits
+
+# the order in which a patch or a refinement lists its edits
+_KINDS = (
+    PromoteToReadWrite, AddOutput, AddInput, MarkEarlyClobber, AddClobber, SetMemoryClobber,
+    DropInput, DropClobber, MemoryToEntries, DropMemoryKeyword,
+)
+
+
+def _kind_order(edit):
+    return _KINDS.index(type(edit)), getattr(edit, "token", 0)
+
+
+def search(result, groups, goal, memo=None):
+    """The edits kept for a check result's chunk, in kind order, and the
+    re-check of the chunk with them.
+
+    groups holds one entry per finding or refinement candidate, each a
+    list of alternative edit tuples, most preferred first. Each
+    alternative is applied with the edits kept so far and re-checked
+    through memo. The first for which goal(best, check) holds is kept,
+    where best is the re-check of the edits kept before (result at
+    first). An alternative that is kept already ends its group."""
+    kept, best = [], result
+    for group in groups:
+        for alt in group:
+            if all(e in kept for e in alt):
+                break
+            edits = sorted(kept + list(alt), key=_kind_order)
+            try:
+                check = check_chunk(apply_edits(result.chunk, edits)[0], memo=memo)
+            except RicError:
+                continue
+            if goal(best, check):
+                kept, best = edits, check
+                break
+    return kept, best

@@ -569,18 +569,6 @@ class IRProgram:
                 self.resolve(ins.target)
         return self
 
-    def dump(self):
-        """Deterministic one-instruction-per-line text form."""
-        by_index = {}
-        for name, idx in sorted(self.labels.items()):
-            by_index.setdefault(idx, []).append(name)
-        out = []
-        for i, ins in enumerate(self.instrs):
-            for name in by_index.get(i, []):
-                out.append(f"{name}:")
-            out.append(f"  {i:3d}: {format_instr(ins)}")
-        return "\n".join(out) + "\n"
-
 
 def format_expr(e):
     if isinstance(e, Const):

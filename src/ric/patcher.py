@@ -1,8 +1,9 @@
 """Interface edits that repair framing and unicity findings.
 
-Each finding category maps to a fixed edit shape; the edit list is
-applied to the chunk by `edits.apply_edits`, and the result is
-re-checked.
+Each finding offers the edits that may answer it, most preferred
+first. `edits.search` applies each on top of the edits kept so far and
+keeps the first whose re-check derives and has fewer findings; the
+findings left in the final re-check are unresolved.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .checker import check_chunk
 from .chunks import render
 from .constraints import enumerate_assignments
 from .edits import (
@@ -27,9 +27,10 @@ from .edits import (
     PromoteToReadWrite,
     SetMemoryClobber,
     apply_edits,
+    search,
 )
 from .errors import SpanStale
-from .expr import Reg, Token
+from .expr import Reg, Token, format_loc
 
 REG_LETTER = {"eax": "a", "ebx": "b", "ecx": "c", "edx": "d", "esi": "S", "edi": "D"}
 
@@ -41,6 +42,7 @@ class PatchResult:
     unresolved: list
     renumber_map: dict
     original: object = None
+    check: object = None  # CheckResult of patched
 
 
 def _read_output(fi, loc):
@@ -53,85 +55,71 @@ def _read_output(fi, loc):
     return None
 
 
-def synthesize_patches(result, issues):
-    """Edits for the issues of a check result, and its chunk with them
-    applied."""
+def _candidates(result, issues):
+    """One group per finding: the edits that may answer it, each a
+    one-edit alternative, most preferred first."""
     chunk, fi = result.chunk, result.fi
     outputs = {e.position: e for e in chunk.outputs}
-    unresolved = []
-    clobbers_to_add = []
-    memory_clobber = False
-    promote = set()
-    early = set()
-    dummy_outputs = {}  # input position -> constraint of its dummy output
-    add_inputs = []  # output positions whose entry value is read
-    never_written = []
+    taken = " ".join(e.expr_text for e in chunk.entries)
+    names = (f"_ric_dummy{n}" for n in itertools.count() if f"_ric_dummy{n}" not in taken)
 
-    def add_clobber(name):
-        if name not in chunk.clobbers and name not in clobbers_to_add:
-            clobbers_to_add.append(name)
+    def read_in(p):
+        return AddInput(str(p), outputs[p].expr_text)
 
     for issue in sorted(issues, key=lambda i: (i.point, i.category)):
-        cat = issue.category
-        loc = issue.location
+        cat, loc = issue.category, issue.location
+        edits = []
         if cat == "FlagClobbered":
-            add_clobber("cc")
-        elif cat == "UnboundRegisterClobbered" and isinstance(loc, Reg):
-            add_clobber(loc.name)
-        elif cat == "ReadOnlyInputClobbered":
-            if isinstance(loc, Reg):
-                letter = REG_LETTER.get(loc.name)
-                pinned = [e.position for e in chunk.inputs if fi.fixed.get(e.position) == loc.name]
-                if letter is None:
-                    add_clobber(loc.name)
-                elif not pinned:
-                    unresolved.append(issue)
-                else:
-                    dummy_outputs.setdefault(pinned[0], f"={letter}")
-            elif isinstance(loc, Token):
-                promote.add(loc.index)
-            else:
-                unresolved.append(issue)
+            edits = [AddClobber("cc")]
+        elif cat in ("UnboundRegisterClobbered", "Unicity") and isinstance(loc, Reg):
+            edits = [AddClobber(loc.name)]
+        elif cat == "ReadOnlyInputClobbered" and isinstance(loc, Token):
+            edits = [PromoteToReadWrite(loc.index)]
+        elif cat == "ReadOnlyInputClobbered" and isinstance(loc, Reg):
+            letter = REG_LETTER.get(loc.name)
+            pinned = [e.position for e in chunk.inputs if fi.fixed.get(e.position) == loc.name]
+            if letter is None:
+                edits = [AddClobber(loc.name)]
+            elif pinned:
+                edits = [AddOutput(f"={letter}", next(names), pinned[0])]
         elif cat in ("UnboundMemoryWrite", "UnboundMemoryRead"):
-            if "memory" not in chunk.clobbers:
-                memory_clobber = True
+            edits = [SetMemoryClobber()]
         elif cat == "NonWrittenWriteOnlyOutput":
-            never_written.append(issue)
+            # a matching digit on a memory output does not allow a register
+            p = loc.index
+            edits = [PromoteToReadWrite(p) if fi.kinds.get(p) == "mem" else read_in(p)]
         elif cat == "UnboundRegisterRead":
+            # reading a register (or entry flags) before assigning it
+            # cannot be expressed as an interface edit
             p = _read_output(fi, loc)
-            if p is None:
-                # reading a register (or entry flags) before assigning it
-                # cannot be expressed as an interface edit
-                unresolved.append(issue)
-            else:
-                add_inputs.append(p)
-        elif cat == "Unicity":
-            if isinstance(loc, Reg):
-                add_clobber(loc.name)
-            elif isinstance(loc, Token) and loc.index in fi.b_o:
-                early.add(loc.index)
-            else:
-                unresolved.append(issue)
-        else:
-            unresolved.append(issue)
-    # an output never written is answered by reading its entry value in
-    unresolved += [i for i in never_written if i.location.index not in add_inputs]
+            edits = [] if p is None else [read_in(p)]
+        elif cat == "Unicity" and isinstance(loc, Token) and loc.index in fi.b_o:
+            if "&" not in outputs[loc.index].constraint:
+                edits = [MarkEarlyClobber(loc.index)]
+        yield [(e,) for e in edits]
 
-    edits = [PromoteToReadWrite(e.position) for e in chunk.inputs if e.position in promote]
-    taken = " ".join(e.expr_text for e in chunk.entries)
-    dummy_n = 0
-    for matched, constraint in dummy_outputs.items():
-        while f"_ric_dummy{dummy_n}" in taken:
-            dummy_n += 1
-        edits.append(AddOutput(constraint, f"_ric_dummy{dummy_n}", matched))
-        dummy_n += 1
-    edits += [AddInput(str(p), outputs[p].expr_text) for p in add_inputs]
-    edits += [MarkEarlyClobber(p) for p in sorted(early) if "&" not in outputs[p].constraint]
-    edits += [AddClobber(name) for name in clobbers_to_add]
-    if memory_clobber:
-        edits.append(SetMemoryClobber())
-    patched, renumber = apply_edits(chunk, edits)
-    return PatchResult(patched, edits, unresolved, renumber, original=chunk)
+
+def _fewer_findings(best, check):
+    return check.verdict in ("compliant", "issues") and len(check.issues) < len(best.issues)
+
+
+def _finding(issue, renumber=None):
+    """An issue's category and location, its token renumbered if asked."""
+    loc = issue.location
+    if renumber and isinstance(loc, Token):
+        loc = Token(renumber[loc.index], loc.width)
+    return issue.category, format_loc(loc)
+
+
+def synthesize_patches(result, issues, memo=None):
+    """The edits kept for the issues of a check result, its chunk with
+    them applied, and the issues the final re-check still reports. memo
+    is passed on to check_chunk for the re-checks."""
+    edits, check = search(result, _candidates(result, issues), _fewer_findings, memo)
+    patched, renumber = apply_edits(result.chunk, edits)
+    left = {_finding(i) for i in check.issues}
+    unresolved = [i for i in issues if _finding(i, renumber) in left]
+    return PatchResult(patched, edits, unresolved, renumber, result.chunk, check)
 
 
 FRAMING_CATEGORIES = (
@@ -145,17 +133,18 @@ FRAMING_CATEGORIES = (
 )
 
 
-def verify_patch(pr, memo=None):
-    result = check_chunk(pr.patched, memo=memo)
-    framing_ok = result.verdict in ("compliant", "issues") and not any(
-        i.category in FRAMING_CATEGORIES for i in result.issues
+def verify_patch(pr):
+    """What the re-check of the patched chunk says of it."""
+    check = pr.check
+    framing_ok = check.verdict in ("compliant", "issues") and not any(
+        i.category in FRAMING_CATEGORIES for i in check.issues
     )
     return {
         "framing_ok": framing_ok,
-        "fully_compliant": result.verdict == "compliant",
+        "fully_compliant": check.verdict == "compliant",
         # no interface means the patched constraints do not parse
         "interface_satisfiable": (
-            result.fi is not None and enumerate_assignments(result.fi).satisfiable
+            check.fi is not None and enumerate_assignments(check.fi).satisfiable
         ),
     }
 

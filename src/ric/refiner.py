@@ -2,24 +2,22 @@
 "memory" clobber with precise "m"-class entries when every access
 resolves to a pointer token plus constant offset.
 
-All refinements are guarded: an edit is kept only if the rewritten
-chunk re-checks compliant.
+All refinements are guarded: `edits.search` keeps an edit only if the
+rewritten chunk re-checks compliant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checker import check_chunk
 from .edits import (
     DropClobber,
     DropInput,
     DropMemoryKeyword,
     EntrySpan,
     MemoryToEntries,
-    apply_edits,
+    search,
 )
-from .errors import RicError
 from .expr import Flag, Reg, Token
 
 
@@ -118,42 +116,32 @@ def _clobber_written(result, name):
     return any(isinstance(loc, Reg) and loc.name == name for loc in result.writes)
 
 
+def _candidates(result, options):
+    """One group per refinement: its edits as the one alternative."""
+    chunk, fi = result.chunk, result.fi
+    if options.refine_inputs:
+        for e in chunk.inputs:
+            if e.position in fi.b_i and not _token_used(result, e.position):
+                yield [(DropInput(e.position),)]
+    if options.refine_clobbers:
+        for name in chunk.clobbers:
+            if name != "memory" and not _clobber_written(result, name):
+                yield [(DropClobber(name),)]
+    if options.refine_memory and not fi.f:
+        edit = memory_to_m_entries(result)
+        if edit is not None:
+            yield [(*([edit] if edit.spans else []), DropMemoryKeyword())]
+
+
+def _still_compliant(best, check):
+    return check.verdict == "compliant"
+
+
 def refine_interface(result, options=None, memo=None):
     """Compute guarded refinements for a compliant check result. memo
     is passed on to check_chunk for the re-checks."""
     options = options or RefineOptions()
-    chunk = result.chunk
     if result.verdict != "compliant" or result.fi is None:
-        return RefineResult([], [], chunk, Failure("chunk is not compliant"))
-    fi = result.fi
-    edits = []
-
-    def accept(*candidate):
-        """Keep the candidate edits if the chunk with them and the edits
-        kept so far re-checks compliant."""
-        try:
-            check = check_chunk(apply_edits(chunk, edits + list(candidate))[0], memo=memo)
-        except RicError:
-            return
-        if check.verdict == "compliant":
-            edits.extend(candidate)
-
-    if options.refine_inputs:
-        for e in chunk.inputs:
-            p = e.position
-            if p not in fi.b_i or _token_used(result, p):
-                continue
-            accept(DropInput(p))
-
-    if options.refine_clobbers:
-        for name in chunk.clobbers:
-            if name == "memory" or _clobber_written(result, name):
-                continue
-            accept(DropClobber(name))
-
-    if options.refine_memory and not fi.f:
-        edit = memory_to_m_entries(result)
-        if edit is not None:
-            accept(*([edit] if edit.spans else []), DropMemoryKeyword())
-
-    return RefineResult(edits, [], apply_edits(chunk, edits)[0])
+        return RefineResult([], [], result.chunk, Failure("chunk is not compliant"))
+    edits, check = search(result, _candidates(result, options), _still_compliant, memo)
+    return RefineResult(edits, [], check.chunk)

@@ -32,6 +32,7 @@ from ric.expr import (
     Token,
     TokenAddr,
     UnOp,
+    format_instr,
     mk_binop,
     mk_cast,
     mk_extract,
@@ -197,7 +198,8 @@ def test_compiled_once_matches_substituted(runs, data):
             return exec_program(run.code, s, BUDGET)
 
         want = _outcome(substituted, state.copy())
-        assert _outcome(bound, state.copy()) == want, (run.prog.dump(), mapping)
+        listing = [format_instr(ins) for ins in run.prog.instrs]
+        assert _outcome(bound, state.copy()) == want, (listing, mapping)
 
 
 def test_uncovered_token_raises_before_running():

@@ -35,13 +35,13 @@ def outputs(chunk, memo):
     result = check_chunk(chunk, memo=memo)
     out = report(result)
     if result.verdict == "issues":
-        pr = synthesize_patches(result, result.issues)
+        pr = synthesize_patches(result, result.issues, memo)
         out["patch"] = (
             [edit_to_json(e) for e in pr.edits],
             [(i.category, str(i.location)) for i in pr.unresolved],
             pr.renumber_map,
             render(pr.patched),
-            verify_patch(pr, memo),
+            verify_patch(pr),
         )
     elif result.verdict == "compliant":
         rr = refine_interface(result, memo=memo)

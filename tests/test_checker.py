@@ -196,6 +196,37 @@ def test_saved_register_is_not_read_with_or_without_memory(clobbers):
     assert refine_interface(result).edits == want
 
 
+@pytest.mark.parametrize(
+    "template, outputs, inputs",
+    [
+        ("addl $1,%0; addl $2,%1", [("+r", "a", 4), ("+r", "b", 4)], []),
+        ("addl $1,%0; addl $2,%1", [("+r", "a", 4), ("+c", "b", 4)], []),
+        ("subl $1,%0; sbbl $0,%1", [("+r", "a", 4), ("+r", "b", 4)], []),
+        ("movl $2, %1; addl %2, %0", [("=r", "a", 4), ("=c", "b", 4)], [("0", "x", 4)]),
+    ],
+    ids=["two-r", "r-and-c", "sub-sbb", "matched-input"],
+)
+def test_two_outputs_are_never_one_register(template, outputs, inputs):
+    """Writing one output cannot affect another, or an input matched to
+    another: GCC gives distinct outputs distinct registers, as the
+    oracle's assignments do."""
+    c = chunk(template, outputs, inputs, ["cc"])
+    assert check_chunk(c).verdict == "compliant"
+    for prop in ("frame_write", "frame_read", "unicity"):
+        v = oracle_check(c, prop, TrialConfig(trials=200, seed=0))
+        assert v.verdict == "pass", (prop, v.reason)
+
+
+def test_register_output_may_share_a_memory_outputs_address():
+    """A memory output's address may use any register, an output's too:
+    writing that output first moves the address, as the oracle sees."""
+    c = chunk("movl $0, %0; addl $1, %1", [("=r", "x", 4), ("+m", "*p", 4)], [], ["cc"])
+    assert [(i.category, i.location) for i in check_chunk(c).issues] == [
+        ("Unicity", Token(0, 32))
+    ]
+    assert oracle_check(c, "unicity", TrialConfig(trials=100, seed=0)).verdict == "violation"
+
+
 @pytest.mark.parametrize("clobbers", [[], ["memory"]], ids=["", "memory"])
 @pytest.mark.parametrize(
     "template, inputs",

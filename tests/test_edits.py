@@ -1,10 +1,12 @@
-"""apply_edits: one renumbering rule for every patch and refinement edit.
+"""apply_edits: one renumbering rule for every patch and refinement edit;
+search: one rule for which edits are kept.
 
 The expected statements are those the patcher and the refiner built
 when each rebuilt statements by hand."""
 
 import pytest
 
+from ric.checker import check_chunk
 from ric.chunks import load_chunk_records, render
 from ric.edits import (
     AddClobber,
@@ -19,6 +21,7 @@ from ric.edits import (
     PromoteToReadWrite,
     SetMemoryClobber,
     apply_edits,
+    search,
 )
 
 
@@ -59,6 +62,12 @@ ONE_EDIT = {
         PromoteToReadWrite(2),
         'asm ("movw %w2, %w0; addw %w1, %w0" : "=r" (x), "+c" (n) : "r" (y) : "cc")',
         [("=r", "x", 0, 2), ("+c", "n", 1, 2), ("r", "y", 2, 2)],
+    ),
+    "promote-output": (
+        PATCH_BASE,
+        PromoteToReadWrite(0),
+        'asm ("movw %w1, %w0; addw %w2, %w0" : "+r" (x) : "r" (y), "c" (n) : "cc")',
+        [("+r", "x", 0, 2), ("r", "y", 1, 2), ("c", "n", 2, 2)],
     ),
     "dummy-output": (
         PATCH_BASE,
@@ -196,3 +205,28 @@ def test_positions_name_the_original_chunk():
     came before it in the list."""
     edited, _ = apply_edits(PATCH_BASE, [PromoteToReadWrite(1), DropInput(2), AddInput("0", "x")])
     assert entries(edited) == [("=r", "x", 0, 2), ("+r", "y", 1, 2), ("0", "x", 2, 2)]
+
+
+def _fewer(best, check):
+    return check.verdict != "error" and len(check.issues) < len(best.issues)
+
+
+def test_search_keeps_the_first_alternative_that_meets_the_goal():
+    c = chunk("incl %0", [], [("r", "x", 4)])
+    result = check_chunk(c)
+    groups = [
+        [(AddClobber("edx"),), (AddClobber("cc"),)],  # edx: no finding goes
+        [(PromoteToReadWrite(0),), (SetMemoryClobber(),)],
+        [(AddClobber("cc"),)],  # kept already: not tried again
+    ]
+    edits, check = search(result, groups, _fewer, {})
+    assert edits == [PromoteToReadWrite(0), AddClobber("cc")]
+    assert check.verdict == "compliant"
+    assert render(check.chunk) == render(apply_edits(c, edits)[0])
+
+
+def test_search_keeps_nothing_when_no_alternative_meets_the_goal():
+    c = chunk("movl %%edx, %0", [("=r", "x", 4)])
+    result = check_chunk(c)
+    edits, check = search(result, [[(AddClobber("edx"),)], []], _fewer, {})
+    assert edits == [] and check is result

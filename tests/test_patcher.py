@@ -74,7 +74,7 @@ def test_motivating_patch_shape(corpus_by_id):
 def test_patch_whose_interface_does_not_derive_is_unsatisfiable():
     c = chunk("addl %1, %0", [("+r", "x", 4)], [("c", "n", 4)], ["ecx", "cc"])
     assert check_chunk(c).fi is None  # clobber ecx overlaps operand 1
-    v = verify_patch(PatchResult(c, [], [], {}))
+    v = verify_patch(PatchResult(c, [], [], {}, check=check_chunk(c)))
     assert v == {"framing_ok": False, "fully_compliant": False, "interface_satisfiable": False}
 
 
@@ -183,14 +183,83 @@ def test_never_written_output_reads_its_entry_value(constraint):
 
 
 def test_never_written_output_without_an_added_input_is_unresolved():
-    """With "memory" clobbered no read of the m-entry is reported, so no
-    edit answers the finding, and the patch says so."""
+    """With "memory" clobbered no read of the m-entry is reported, and a
+    matching digit on a memory output does not allow a register, so no
+    input is added: the entry turns read-write instead."""
     result = check_chunk(chunk("nop", [("=m", "x", 4)], [], ["memory"]))
     assert [i.category for i in result.issues] == ["NonWrittenWriteOnlyOutput"]
     pr = synthesize_patches(result, result.issues)
-    assert pr.edits == []
-    assert pr.unresolved == result.issues
-    assert not verify_patch(pr)["framing_ok"]
+    assert pr.edits == [PromoteToReadWrite(0)]
+    assert pr.unresolved == []
+    assert render(pr.patched) == 'asm ("nop" : "+m" (x) :  : "memory")'
+    assert verify_patch(pr)["fully_compliant"]
+
+
+# one patch each for statements where a fixed edit per finding failed:
+# a clobber that overlaps the dummy output, and "memory" for an m-entry
+SEARCHED = {
+    "dummy-output-not-clobber": (
+        chunk("movl $0, %%ecx; addl %%ecx, %0", [("+r", "x", 4)], [("c", "n", 4)]),
+        'asm ("movl $0, %%ecx; addl %%ecx, %0" : "+r" (x), "=c" (_ric_dummy0)'
+        ' : "1" (n) : "cc")',
+    ),
+    "read-write-m-entry": (chunk("nop", [("=m", "x", 4)]), 'asm ("nop" : "+m" (x))'),
+}
+
+
+@pytest.mark.parametrize("name", SEARCHED)
+def test_edit_kept_only_when_its_recheck_improves(name):
+    c, statement = SEARCHED[name]
+    pr = patch(c)
+    assert render(pr.patched) == statement
+    assert pr.unresolved == []
+    assert verify_patch(pr)["fully_compliant"]
+
+
+def test_candidate_that_adds_a_finding_is_not_kept():
+    """Each kept edit leaves strictly fewer findings than before it; an
+    edit whose re-check does not derive is dropped, not applied."""
+    c, _ = SEARCHED["dummy-output-not-clobber"]
+    result = check_chunk(c)
+    assert [i.category for i in result.issues] == [
+        "ReadOnlyInputClobbered", "Unicity", "FlagClobbered"
+    ]
+    pr = synthesize_patches(result, result.issues)
+    assert pr.edits == [AddOutput("=c", "_ric_dummy0", 1), AddClobber("cc")]
+    assert AddClobber("ecx") not in pr.edits
+
+
+def test_unresolved_are_the_findings_left_after_the_search():
+    c = chunk("movl %%edx, %0; incl %0", [("=r", "x", 4)])
+    result = check_chunk(c)
+    pr = synthesize_patches(result, result.issues)
+    assert pr.edits == [AddClobber("cc")]
+    assert [(i.category, str(i.location)) for i in pr.unresolved] == [
+        ("UnboundRegisterRead", "Reg(name='edx', width=32)")
+    ]
+    assert [i.category for i in pr.check.issues] == ["UnboundRegisterRead"]
+
+
+def test_fully_compliant_patches_pass_the_oracle(corpus_chunks):
+    """Every patch verification calls fully compliant, on the corpus and
+    on the searched statements, passes all three oracle properties."""
+    from ric.oracle import OracleRun, TrialConfig, oracle_check
+
+    cfg = TrialConfig(trials=100, seed=0, assignment_cap=256)
+    passed = []
+    for c in list(corpus_chunks) + [c for c, _ in SEARCHED.values()]:
+        result = check_chunk(c)
+        if result.verdict != "issues":
+            continue
+        pr = synthesize_patches(result, result.issues)
+        if not verify_patch(pr)["fully_compliant"]:
+            continue
+        run = OracleRun(pr.check, cfg)
+        for prop in ("frame_write", "frame_read", "unicity"):
+            v = oracle_check(pr.patched, prop, cfg, run=run)
+            assert v.verdict == "pass", (c.context.file, prop, v.reason)
+        passed.append(c)
+    assert len(passed) >= 15
 
 
 # ---------------------------------------------------------------------------

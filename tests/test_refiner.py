@@ -172,11 +172,11 @@ def test_anchored_memory_input_is_used_without_a_recheck(monkeypatch):
     """An "m" input anchored to a pointer whose bytes are read is
     load-bearing: the refiner reads that off the result's anchors and
     does not try dropping it."""
-    from ric import refiner
+    from ric import edits
 
     inputs = [("r", "p"), ("m", "*(p + 4)")]
     result = check_chunk(_chunk("movl 4(%1), %0", [("=r", "x")], inputs, []))
     assert [(a.entry, a.base, a.offset) for a in result.anchors] == [(2, 1, 4)]
     rechecks = []
-    monkeypatch.setattr(refiner, "check_chunk", lambda *a, **k: rechecks.append(a))
+    monkeypatch.setattr(edits, "check_chunk", lambda *a, **k: rechecks.append(a))
     assert refine_interface(result).edits == [] and rechecks == []
