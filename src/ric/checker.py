@@ -1047,13 +1047,11 @@ def _related(dl, dlp):
     return False
 
 
-def _output_register(fi, loc):
-    """Whether loc is a register that holds an output: a token of a
-    non-memory output, an input matched to one, or a register pinned to
-    an output."""
+def _holds_output(fi, loc):
+    """Whether loc holds an output: an output's token, an input matched
+    to one, or a register pinned to an output."""
     if isinstance(loc, Token):
-        p = fi.canonical(loc.index)
-        return p in fi.b_o and fi.kinds.get(p) != "mem"
+        return fi.canonical(loc.index) in fi.b_o
     return isinstance(loc, Reg) and any(fi.fixed.get(p) == loc.name for p in fi.b_o)
 
 
@@ -1096,10 +1094,12 @@ def analyze_unicity(fi, prog, live_out, domains):
             dlp = dom(lp)
             if not dlp or in_clobbers(lp):
                 continue
+            if _holds_output(fi, l) and _holds_output(fi, lp):
+                # two outputs never share a register, but one output's
+                # register may address the other's memory
+                dlp = frozenset(d for d in dlp if isinstance(d, IndirectLoc))
             if not _related(dl, dlp):
                 continue
-            if _output_register(fi, l) and _output_register(fi, lp):
-                continue  # two outputs never share a register
             if (
                 isinstance(l, Token)
                 and isinstance(lp, Token)

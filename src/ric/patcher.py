@@ -82,6 +82,10 @@ def _candidates(result, issues):
                 edits = [AddClobber(loc.name)]
             elif pinned:
                 edits = [AddOutput(f"={letter}", next(names), pinned[0])]
+        elif cat == "UnboundMemoryRead" and isinstance(loc, Token) and loc.index in fi.b_o:
+            # the entry value of a write-only memory output: "+m" says
+            # it is read, so "memory" is only the fallback
+            edits = [PromoteToReadWrite(loc.index), SetMemoryClobber()]
         elif cat in ("UnboundMemoryWrite", "UnboundMemoryRead"):
             edits = [SetMemoryClobber()]
         elif cat == "NonWrittenWriteOnlyOutput":

@@ -217,10 +217,12 @@ def test_two_outputs_are_never_one_register(template, outputs, inputs):
         assert v.verdict == "pass", (prop, v.reason)
 
 
-def test_register_output_may_share_a_memory_outputs_address():
+@pytest.mark.parametrize("constraint", ["+m", "+rm"])
+def test_register_output_may_share_a_memory_outputs_address(constraint):
     """A memory output's address may use any register, an output's too:
-    writing that output first moves the address, as the oracle sees."""
-    c = chunk("movl $0, %0; addl $1, %1", [("=r", "x", 4), ("+m", "*p", 4)], [], ["cc"])
+    writing that output first moves the address, as the oracle sees. An
+    output that may be a register or memory is paired the same way."""
+    c = chunk("movl $0, %0; addl $1, %1", [("=r", "x", 4), (constraint, "*p", 4)], [], ["cc"])
     assert [(i.category, i.location) for i in check_chunk(c).issues] == [
         ("Unicity", Token(0, 32))
     ]

@@ -204,6 +204,15 @@ SEARCHED = {
         ' : "1" (n) : "cc")',
     ),
     "read-write-m-entry": (chunk("nop", [("=m", "x", 4)]), 'asm ("nop" : "+m" (x))'),
+    "read-write-m-entry-two-nops": (
+        chunk("nop; nop", [("=m", "x", 4)]), 'asm ("nop; nop" : "+m" (x))'
+    ),
+    # the UnboundMemoryRead (point 0) comes before the never-written
+    # output (the last point): "+m" is preferred to "memory" there too
+    "read-write-m-entry-before-memory": (
+        chunk("movl $0, %%ecx; movl $1, %%ecx", [("=m", "x", 4)], [], ["ecx"]),
+        'asm ("movl $0, %%ecx; movl $1, %%ecx" : "+m" (x) :  : "ecx")',
+    ),
 }
 
 
