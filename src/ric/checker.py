@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field, replace
 
 from .constraints import DirectLoc, IndirectLoc, abstract_domain, derive_interface
 from .errors import OutOfScope, RicError
@@ -54,14 +53,14 @@ from .expr import (
 )
 from .lift import lift
 from .template import parse_template
+from .value import Record, factory, replace
 
 
 def severity_of(category):
     return "benign" if category == "FlagClobbered" else "serious"
 
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(Record):
     category: str
     location: object
     point: int
@@ -72,27 +71,25 @@ class Issue:
         return severity_of(self.category)
 
 
-@dataclass
-class CheckOptions:
+class CheckOptions(Record, frozen=False):
     expression_propagation: bool = True
     bit_liveness: bool = True
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record, frozen=False):
     chunk: object
     verdict: str  # compliant | issues | out_of_scope | error
-    issues: list = field(default_factory=list)
+    issues: list = factory(list)
     fi: object = None
     prog: object = None
     parsed: object = None
     anchors: tuple = ()
-    entry_live: dict = field(default_factory=dict)
+    entry_live: dict = factory(dict)
     entry_regions: frozenset = frozenset()
-    writes: dict = field(default_factory=dict)  # loc -> first write point
-    mem_events: list = field(default_factory=list)
+    writes: dict = factory(dict)  # loc -> first write point
+    mem_events: list = factory(list)
     esp_restored: bool = False
-    timings: dict = field(default_factory=dict)
+    timings: dict = factory(dict)
     details: str = ""
     error: RicError = None  # what ended the analysis before the passes
 
@@ -101,8 +98,7 @@ class CheckResult:
 # Symbols of the entry state
 
 
-@dataclass(frozen=True)
-class Init:
+class Init(Record):
     loc: object
 
     @property
@@ -110,8 +106,7 @@ class Init:
         return self.loc.width
 
 
-@dataclass(frozen=True)
-class Havoc:
+class Havoc(Record):
     tag: object
     width: int
 
@@ -124,8 +119,7 @@ def init_read(loc):
 # Memory access classification
 
 
-@dataclass(frozen=True)
-class MemEvent:
+class MemEvent(Record):
     point: int
     kind: str  # 'load' | 'store'
     region: tuple  # ('cell',p,off) ('stack',off) ('tokptr',p,off) ('whole',)
@@ -436,8 +430,7 @@ class LiveSet:
         return self.masks == other.masks and self.regions == other.regions
 
 
-@dataclass(frozen=True)
-class AnyStackSlot:
+class AnyStackSlot(Record):
     """Liveness fact: a later load of unclassified address may read any
     stack slot."""
 
@@ -666,8 +659,7 @@ class BackwardPass:
 _ANCHOR_RE = re.compile(r"^\*\(\s*(.+?)\s*(?:\+\s*(\d+)\s*)?\)$|^\*\s*([A-Za-z_][A-Za-z0-9_]*)$")
 
 
-@dataclass(frozen=True)
-class Anchor:
+class Anchor(Record):
     entry: int  # the m-class entry's own position
     base: int  # pointer token position
     offset: int

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
 from .errors import (
     BadConstraintChar,
@@ -18,12 +17,12 @@ from .errors import (
     SchemaViolation,
     UnterminatedStatement,
 )
+from .value import Record
 
 QUALIFIERS = ("volatile", "inline", "goto", "__volatile__")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     file: str
     line: int
     column: int
@@ -31,8 +30,7 @@ class SourceSpan:
     byte_end: int
 
 
-@dataclass(frozen=True)
-class OperandEntry:
+class OperandEntry(Record):
     constraint: str
     expr_text: str
     position: int
@@ -40,31 +38,28 @@ class OperandEntry:
     name: str = None
 
 
-@dataclass(frozen=True)
-class ChunkContext:
+class ChunkContext(Record):
     file: str = None
     line: int = None
     single_chunk_function: bool = None
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class ChunkAst:
+class ChunkAst(Record):
     span: SourceSpan
     qualifiers: frozenset
     template: str
     outputs: tuple
     inputs: tuple
     clobbers: tuple
-    context: ChunkContext = field(default_factory=ChunkContext)
+    context: ChunkContext = ChunkContext()
 
     @property
     def entries(self):
         return self.outputs + self.inputs
 
 
-@dataclass(frozen=True)
-class ScannedStatement:
+class ScannedStatement(Record):
     span: SourceSpan
     qualifiers: frozenset
     body: str
@@ -333,7 +328,7 @@ def parse_asm_statement(raw, span, qualifiers=frozenset()):
         clobbers = tuple(
             _decode_strings(p, span) for p in _split_top(sections[3], ",") if p.strip()
         )
-    context = ChunkContext(file=span.file, line=span.line)
+    context = ChunkContext(span.file, span.line)
     return ChunkAst(span, frozenset(qualifiers), template, outputs, inputs, clobbers, context)
 
 

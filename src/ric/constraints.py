@@ -9,8 +9,6 @@ output locations, clobber-free, early-clobber exclusion).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     BadConstraintChar,
     ClobberOverlap,
@@ -19,6 +17,7 @@ from .errors import (
     UnknownLetter,
 )
 from .expr import GP_REGS, MMX_REGS, XMM_REGS
+from .value import Record
 
 R_SET = ("eax", "ebx", "ecx", "edx", "esi", "edi", "ebp")
 Q_SET = ("eax", "ebx", "ecx", "edx")
@@ -31,22 +30,20 @@ ADDR_SCALES = (1, 2, 4, 8)
 # Operand classes
 
 
-@dataclass(frozen=True)
-class ImmediateInt:
+class ImmediateInt(Record):
     pass
 
 
-@dataclass(frozen=True)
-class RegisterSet:
+class RegisterSet(Record):
     registers: frozenset
 
-    def __post_init__(self):
-        if not self.registers:
+    def __init__(self, registers):
+        if not registers:
             raise MalformedInterface("empty register set")
+        super().__init__(registers)
 
 
-@dataclass(frozen=True)
-class MemoryRef:
+class MemoryRef(Record):
     """The x86 address family: base + scale*index + displacement."""
 
     deref: bool  # True for 'm' (*p), False for 'p'
@@ -55,8 +52,7 @@ class MemoryRef:
     scales: tuple = ADDR_SCALES
 
 
-@dataclass(frozen=True)
-class UnionClass:
+class UnionClass(Record):
     members: tuple
 
 
@@ -91,18 +87,15 @@ def eval_letter(c):
 # Constraint parsing
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(Record):
     char: str
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(Record):
     ref: object  # int position or str name
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
+class ConstraintSpec(Record):
     mode: str  # 'input' | 'output_writeonly' | 'output_readwrite'
     early_clobber: bool
     commutative: bool
@@ -169,8 +162,7 @@ def parse_constraint(s, is_output):
 # Formal interface
 
 
-@dataclass(frozen=True)
-class FormalInterface:
+class FormalInterface(Record):
     b_o: frozenset  # output token positions
     b_i: frozenset  # input token positions after unification
     s_c: frozenset  # clobber names; 'cc' stands for the flags register
@@ -357,18 +349,15 @@ def derive_interface(chunk):
 # Concrete token assignments
 
 
-@dataclass(frozen=True)
-class RegOperand:
+class RegOperand(Record):
     reg: str
 
 
-@dataclass(frozen=True)
-class ImmOperand:
+class ImmOperand(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class MemOperand:
+class MemOperand(Record):
     base: str = None
     index: str = None
     scale: int = 1
@@ -399,8 +388,7 @@ def format_operand(op):
     return repr(op)
 
 
-@dataclass(frozen=True)
-class TokenAssignment:
+class TokenAssignment(Record):
     mapping: dict  # position -> operand
 
     def __getitem__(self, token):
@@ -422,8 +410,7 @@ class TokenAssignment:
         return isinstance(other, TokenAssignment) and self.key() == other.key()
 
 
-@dataclass
-class AssignmentSet:
+class AssignmentSet(Record, frozen=False):
     assignments: list
     truncated: bool = False
 
@@ -566,22 +553,24 @@ def enumerate_assignments(fi, cap=256, collapse=frozenset()):
     return AssignmentSet(results, truncated)
 
 
+def interface_satisfiable(fi):
+    """Whether some valid assignment exists: the first one found answers."""
+    return enumerate_assignments(fi, cap=1).satisfiable
+
+
 # ---------------------------------------------------------------------------
 # Abstract locations
 
 
-@dataclass(frozen=True)
-class Immediate:
+class Immediate(Record):
     pass
 
 
-@dataclass(frozen=True)
-class DirectLoc:
+class DirectLoc(Record):
     reg: str
 
 
-@dataclass(frozen=True)
-class IndirectLoc:
+class IndirectLoc(Record):
     reg: str
 
 

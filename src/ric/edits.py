@@ -13,47 +13,40 @@ every matching digit names an output, and no edit moves an output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .checker import check_chunk
 from .chunks import OperandEntry
 from .errors import RicError
 from .template import renumber_template
+from .value import Record, replace
 
 # ---------------------------------------------------------------------------
 # Patch edits
 
 
-@dataclass(frozen=True)
-class AddOutput:
+class AddOutput(Record):
     constraint: str
     lvalue: str
     matched_input: int = None
 
 
-@dataclass(frozen=True)
-class AddInput:
+class AddInput(Record):
     constraint: str
     source: str
 
 
-@dataclass(frozen=True)
-class AddClobber:
+class AddClobber(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class SetMemoryClobber:
+class SetMemoryClobber(Record):
     pass
 
 
-@dataclass(frozen=True)
-class MarkEarlyClobber:
+class MarkEarlyClobber(Record):
     token: int
 
 
-@dataclass(frozen=True)
-class PromoteToReadWrite:
+class PromoteToReadWrite(Record):
     token: int
 
 
@@ -61,31 +54,26 @@ class PromoteToReadWrite:
 # Refinement edits
 
 
-@dataclass(frozen=True)
-class DropInput:
+class DropInput(Record):
     position: int
 
 
-@dataclass(frozen=True)
-class DropClobber:
+class DropClobber(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class DropMemoryKeyword:
+class DropMemoryKeyword(Record):
     pass
 
 
-@dataclass(frozen=True)
-class EntrySpan:
+class EntrySpan(Record):
     base: int  # pointer token position
     mode: str  # in | out | inout
     offset: int
     length: int
 
 
-@dataclass(frozen=True)
-class MemoryToEntries:
+class MemoryToEntries(Record):
     spans: tuple  # of EntrySpan
     # stays in the report schema, as RefineResult.suggestions does;
     # every access resolves to a token, so no edit is suggestion-only

@@ -8,9 +8,8 @@ straight-line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import WidthError
+from .value import Record, factory
 
 GP_REGS = ("eax", "ebx", "ecx", "edx", "esi", "edi", "ebp", "esp")
 MMX_REGS = tuple(f"mm{i}" for i in range(8))
@@ -21,14 +20,12 @@ XMM_REGS = tuple(f"xmm{i}" for i in range(8))
 # Locations
 
 
-@dataclass(frozen=True)
-class Reg:
+class Reg(Record):
     name: str
     width: int = 32
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Record):
     name: str
 
     @property
@@ -36,16 +33,14 @@ class Flag:
         return 1
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     """A template token treated as a first-class variable location."""
 
     index: int
     width: int = 32
 
 
-@dataclass(frozen=True)
-class TokenAddr:
+class TokenAddr(Record):
     """The address of a memory-class token's cell."""
 
     index: int
@@ -55,8 +50,7 @@ class TokenAddr:
         return 32
 
 
-@dataclass(frozen=True)
-class MemoryWhole:
+class MemoryWhole(Record):
     """All of memory squashed into a single dataflow fact."""
 
     @property
@@ -64,8 +58,7 @@ class MemoryWhole:
         return 1
 
 
-@dataclass(frozen=True)
-class StackSlot:
+class StackSlot(Record):
     """Scratch cell at a fixed negative offset from the initial stack pointer."""
 
     offset: int  # positive k for address esp0 - k
@@ -76,8 +69,7 @@ class StackSlot:
         return self.size * 8
 
 
-@dataclass(frozen=True)
-class Temp:
+class Temp(Record):
     """Lifter-internal scratch variable, not an architectural location."""
 
     index: int
@@ -105,20 +97,18 @@ SHIFT_OPS = frozenset({"shl", "shr", "sar"})
 COMMUTATIVE = frozenset({"add", "mul", "and", "or", "xor", "eq", "ne"})
 
 
-class Expr:
+class Expr(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(Expr):
     value: int
     width: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value & ((1 << self.width) - 1))
+    def __init__(self, value, width):
+        super().__init__(value & ((1 << width) - 1), width)
 
 
-@dataclass(frozen=True)
 class ReadLoc(Expr):
     loc: Location
 
@@ -127,7 +117,6 @@ class ReadLoc(Expr):
         return self.loc.width
 
 
-@dataclass(frozen=True)
 class Load(Expr):
     addr: Expr
     size: int  # bytes
@@ -137,7 +126,6 @@ class Load(Expr):
         return self.size * 8
 
 
-@dataclass(frozen=True)
 class UnOp(Expr):
     op: str  # 'not' | 'neg'
     e: Expr
@@ -147,14 +135,12 @@ class UnOp(Expr):
         return self.e.width
 
 
-@dataclass(frozen=True)
 class Cast(Expr):
     kind: str  # 'zext' | 'sext'
     width: int
     e: Expr
 
 
-@dataclass(frozen=True)
 class Extract(Expr):
     hi: int
     lo: int
@@ -165,7 +151,6 @@ class Extract(Expr):
         return self.hi - self.lo + 1
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
     op: str
     a: Expr
@@ -180,7 +165,6 @@ class BinOp(Expr):
         return self.a.width
 
 
-@dataclass(frozen=True)
 class Ite(Expr):
     c: Expr
     a: Expr
@@ -435,97 +419,37 @@ def mk_ite(c, a, b):
     return Ite(c, a, b)
 
 
-def simplify(e):
-    """Rebuild the expression through the simplifying constructors."""
-    if isinstance(e, (Const, ReadLoc)):
-        return e
-    if isinstance(e, Load):
-        return Load(simplify(e.addr), e.size)
-    if isinstance(e, UnOp):
-        return mk_unop(e.op, simplify(e.e))
-    if isinstance(e, Cast):
-        return mk_cast(e.kind, e.width, simplify(e.e))
-    if isinstance(e, Extract):
-        return mk_extract(e.hi, e.lo, simplify(e.e))
-    if isinstance(e, BinOp):
-        return mk_binop(e.op, simplify(e.a), simplify(e.b))
-    if isinstance(e, Ite):
-        return mk_ite(simplify(e.c), simplify(e.a), simplify(e.b))
-    raise WidthError(f"not an expression: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Concrete evaluation
-
-
-def eval_expr(e, get_loc, load_mem):
-    """Evaluate to an unsigned int. `get_loc(loc)` and `load_mem(addr, size)`
-    supply location values and memory bytes."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, ReadLoc):
-        return get_loc(e.loc) & _ones(e.width)
-    if isinstance(e, Load):
-        addr = eval_expr(e.addr, get_loc, load_mem)
-        return load_mem(addr, e.size)
-    if isinstance(e, UnOp):
-        v = eval_expr(e.e, get_loc, load_mem)
-        return (~v if e.op == "not" else -v) & _ones(e.width)
-    if isinstance(e, Cast):
-        v = eval_expr(e.e, get_loc, load_mem)
-        if e.kind == "sext":
-            v = _to_signed(v, e.e.width)
-        return v & _ones(e.width)
-    if isinstance(e, Extract):
-        v = eval_expr(e.e, get_loc, load_mem)
-        return (v >> e.lo) & _ones(e.width)
-    if isinstance(e, BinOp):
-        a = Const(eval_expr(e.a, get_loc, load_mem), e.a.width)
-        b = Const(eval_expr(e.b, get_loc, load_mem), e.b.width)
-        return _fold_binop(e.op, a, b).value
-    if isinstance(e, Ite):
-        c = eval_expr(e.c, get_loc, load_mem)
-        return eval_expr(e.a if c else e.b, get_loc, load_mem)
-    raise WidthError(f"not an expression: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Instructions and programs
 
 
-@dataclass(frozen=True)
-class StoreLhs:
+class StoreLhs(Record):
     addr: Expr
     size: int  # bytes
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(Record):
     lhs: object  # Location or StoreLhs
     rhs: Expr
 
 
-@dataclass(frozen=True)
-class Goto:
+class Goto(Record):
     target: str
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Record):
     cond: Expr
     then_target: str
     else_target: str
 
 
-@dataclass(frozen=True)
-class Halt:
+class Halt(Record):
     pass
 
 
-@dataclass
-class IRProgram:
-    instrs: list = field(default_factory=list)
-    labels: dict = field(default_factory=dict)
+class IRProgram(Record, frozen=False):
+    instrs: list = factory(list)
+    labels: dict = factory(dict)
 
     def resolve(self, label):
         try:

@@ -8,14 +8,15 @@ per-property step budget, not a proof.
 
 A chunk's program is compiled once into Python closures (Feeley &
 Lapalme, "Using closures for code generation", 1987) that compute
-exactly what `eval_expr` computes; each token reads the operand that the
-state binds to it at run time.
+each expression's value with the operator meanings of constant folding
+(`_fold_binop`); each token reads the operand that the state binds to
+it at run time. The tests check them against a tree-walking reference
+evaluator.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .checker import check_chunk
 from .constraints import (
@@ -53,6 +54,7 @@ from .expr import (
     format_loc,
 )
 from .template import template_tokens
+from .value import Record
 
 SANDBOX_BASE = 0x10000
 STEP_BUDGET = 10**6  # IR steps per (chunk, property), across all trials
@@ -62,8 +64,7 @@ FLAG_NAMES = ("z", "c", "s", "o", "p", "a")
 WIDE = tuple(f"mm{i}" for i in range(8)) + tuple(f"xmm{i}" for i in range(8))
 
 
-@dataclass
-class TrialConfig:
+class TrialConfig(Record, frozen=False):
     trials: int = 100
     seed: int = 0
     assignment_cap: int = 256
@@ -276,7 +277,7 @@ def program_tokens(prog):
 
 
 def _fits(e):
-    """Whether eval_expr's value of e always fits e.width bits. Only an
+    """Whether the value of e always fits e.width bits. Only an
     ite whose second arm is wider than its first can overflow."""
     if isinstance(e, Ite):
         return _fits(e.a) and _fits(e.b) and e.b.width <= e.a.width
@@ -285,7 +286,7 @@ def _fits(e):
 
 def _temp_key(t):
     """Temps keyed by their fields: a tuple hashes faster than the
-    dataclass."""
+    record."""
     return (t.index, t.width)
 
 
@@ -363,7 +364,7 @@ def _compile_binop(e):
 
 
 def compile_expr(e):
-    """A function of the machine state returning eval_expr's value of e."""
+    """A function of the machine state returning the value of e."""
     if isinstance(e, Const):
         v = e.value
         return lambda s: v
@@ -498,12 +499,11 @@ def exec_program(prog, state, budget=STEP_BUDGET):
 # Binding assignments into states
 
 
-@dataclass
-class Binding:
+class Binding(Record, frozen=False):
     """Concrete placement of one assignment's memory operands."""
 
-    pins: dict = field(default_factory=dict)  # register -> required value
-    cells: dict = field(default_factory=dict)  # token -> concrete cell address
+    pins: dict  # register -> required value
+    cells: dict  # token -> concrete cell address
 
 
 def _slot(i):
@@ -519,7 +519,7 @@ def bind_assignment(fi, assignment, rng, cfg, anchors=()):
     token's sandbox slot. Entries anchored to a pointer token are placed
     at that token's value plus their declared offset instead. Returns
     None when the pins conflict."""
-    b = Binding()
+    b = Binding({}, {})
     anchored = {a.entry: a for a in anchors}
     region_of = {}
     for j, base in enumerate(sorted({a.base for a in anchors})):
@@ -615,8 +615,7 @@ def token_value(state, fi, assignment, binding, p):
     return state.load(binding.cells[p], fi.sizes.get(p, 4))
 
 
-@dataclass
-class Witness:
+class Witness(Record, frozen=False):
     property: str
     location: str
     assignment: dict
@@ -635,8 +634,7 @@ class Witness:
         return out
 
 
-@dataclass
-class OracleVerdict:
+class OracleVerdict(Record, frozen=False):
     verdict: str  # pass | violation | inconclusive
     witness: Witness = None
     trials_run: int = 0

@@ -15,10 +15,11 @@ import functools
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 from .chunks import render
-from .constraints import enumerate_assignments
+# enumerate_assignments is unused here but kept: perfbench/tracing.py
+# wraps it by name in each module that imports it
+from .constraints import enumerate_assignments, interface_satisfiable  # noqa: F401
 from .edits import (
     AddClobber,
     AddInput,
@@ -31,12 +32,12 @@ from .edits import (
 )
 from .errors import SpanStale
 from .expr import Reg, Token, format_loc
+from .value import Record
 
 REG_LETTER = {"eax": "a", "ebx": "b", "ecx": "c", "edx": "d", "esi": "S", "edi": "D"}
 
 
-@dataclass
-class PatchResult:
+class PatchResult(Record, frozen=False):
     patched: object  # ChunkAst
     edits: list
     unresolved: list
@@ -148,7 +149,7 @@ def verify_patch(pr):
         "fully_compliant": check.verdict == "compliant",
         # no interface means the patched constraints do not parse
         "interface_satisfiable": (
-            check.fi is not None and enumerate_assignments(check.fi).satisfiable
+            check.fi is not None and interface_satisfiable(check.fi)
         ),
     }
 

@@ -8,8 +8,6 @@ rewritten chunk re-checks compliant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .edits import (
     DropClobber,
     DropInput,
@@ -19,22 +17,20 @@ from .edits import (
     search,
 )
 from .expr import Flag, Reg, Token
+from .value import Record
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Record):
     reason: str
 
 
-@dataclass
-class RefineOptions:
+class RefineOptions(Record, frozen=False):
     refine_inputs: bool = True
     refine_clobbers: bool = True
     refine_memory: bool = True
 
 
-@dataclass
-class RefineResult:
+class RefineResult(Record, frozen=False):
     edits: list
     suggestions: list
     refined: object  # ChunkAst

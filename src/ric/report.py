@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass
 
 from .checker import severity_of
 from .expr import MMX_REGS, XMM_REGS, MemoryWhole, Reg, StackSlot, format_loc
 from .template import uses_push_pop
+from .value import Record, asdict
 
 
-@dataclass(frozen=True)
-class PatternTag:
+class PatternTag(Record):
     tag: str  # 'P1'..'P6'
     rationale: str
 

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import BadTokenRef, MalformedInterface, OutOfScope, UnknownMnemonic
+from .value import Record
 
 REG8 = {
     "al": ("eax", 0), "ah": ("eax", 8),
@@ -20,39 +20,33 @@ WIDE = {f"mm{i}": 64 for i in range(8)}
 WIDE.update({f"xmm{i}": 128 for i in range(8)})
 
 
-@dataclass(frozen=True)
-class RegT:
+class RegT(Record):
     parent: str  # 32-bit (or wide) register name
     lo: int  # low bit of the accessed slice
     width: int  # bits
 
 
-@dataclass(frozen=True)
-class TokenRef:
+class TokenRef(Record):
     ref: object  # int position or str name
     modifier: str = None  # size modifier b, w or k
 
 
-@dataclass(frozen=True)
-class ImmT:
+class ImmT(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class MemT:
+class MemT(Record):
     disp: int = 0
     base: object = None  # RegT | TokenRef | None
     index: object = None  # RegT | None
     scale: int = 1
 
 
-@dataclass(frozen=True)
-class LabelRef:
+class LabelRef(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class TemplateInstr:
+class TemplateInstr(Record):
     mnemonic: str
     suffix: str  # '', 'b', 'w', 'l' or two-letter for movz/movs
     operands: tuple
@@ -60,8 +54,7 @@ class TemplateInstr:
     raw: str = ""
 
 
-@dataclass(frozen=True)
-class ParsedTemplate:
+class ParsedTemplate(Record):
     instrs: tuple
     label_defs: tuple  # (name, instruction index), in definition order
 

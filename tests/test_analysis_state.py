@@ -2,7 +2,6 @@
 and `ric oracle` runs on the checker's result."""
 
 import collections
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,6 +30,7 @@ from ric.expr import (
     mk_ite,
     mk_unop,
 )
+from ric.value import fields
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "corpus.json"
 
@@ -110,8 +110,8 @@ def _reference_region(classify, state, addr):
 def _loads(e):
     if isinstance(e, Load):
         yield e
-    for f in dataclasses.fields(e):
-        child = getattr(e, f.name)
+    for name in fields(e):
+        child = getattr(e, name)
         if isinstance(child, Expr):
             yield from _loads(child)
 

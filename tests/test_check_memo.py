@@ -5,7 +5,6 @@ built from it equals the one built from a fresh analysis."""
 import json
 import re
 import sys
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +16,7 @@ from ric.cli import run
 from ric.patcher import synthesize_patches, verify_patch
 from ric.refiner import refine_interface
 from ric.report import chunk_report, edit_to_json
+from ric.value import replace
 
 from conftest import CORPUS, ROOT
 

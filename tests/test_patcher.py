@@ -1,6 +1,5 @@
 """Patch synthesis: edit shapes, renumbering, verification, minimality."""
 
-import dataclasses
 import difflib
 import re
 import time
@@ -25,6 +24,7 @@ from ric.patcher import (
     synthesize_patches,
     verify_patch,
 )
+from ric.value import replace
 
 
 def chunk(template, outputs=(), inputs=(), clobbers=()):
@@ -469,8 +469,8 @@ def test_render_diff_span_ending_a_line():
     source = f"int a;\n  {_STMT}\nint b;\nint c;\n"
     pr = _patch_nth(source, 0)
     span = pr.patched.span
-    stale = dataclasses.replace(span, byte_end=source.index("\n", span.byte_end) + 1)
-    pr = dataclasses.replace(pr, patched=dataclasses.replace(pr.patched, span=stale))
+    stale = replace(span, byte_end=source.index("\n", span.byte_end) + 1)
+    pr = replace(pr, patched=replace(pr.patched, span=stale))
     assert render_diff(source, pr) == _full_file_diff(source, pr)
 
 
@@ -537,7 +537,7 @@ def _patched_file(functions):
     chunks, _ = extract_chunks(source, "f.c")
     patches = [
         PatchResult(
-            dataclasses.replace(c, clobbers=c.clobbers + ("cc",)), [AddClobber("cc")], [], {}, c
+            replace(c, clobbers=c.clobbers + ("cc",)), [AddClobber("cc")], [], {}, c
         )
         for c in chunks
     ]

@@ -20,11 +20,13 @@ with redirect_stdout(io.StringIO()):
 print(json.dumps(sorted(sys.modules)))
 """
 
+# what the dataclass decorator imports; no command needs it at start-up
+SLOW = {"dataclasses", "inspect"}
 NEVER = {
-    "check": {"ric.oracle", "ric.patcher", "ric.refiner", "difflib"},
-    "patch": {"ric.oracle", "ric.refiner"},
-    "refine": {"ric.oracle", "ric.patcher", "difflib"},
-    "oracle": {"ric.patcher", "ric.refiner", "difflib"},
+    "check": {"ric.oracle", "ric.patcher", "ric.refiner", "difflib"} | SLOW,
+    "patch": {"ric.oracle", "ric.refiner"} | SLOW,
+    "refine": {"ric.oracle", "ric.patcher", "difflib"} | SLOW,
+    "oracle": {"ric.patcher", "ric.refiner", "difflib"} | SLOW,
 }
 OWN = {
     "check": "ric.checker",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ric.chunks import load_chunk_records
 from ric.constraints import derive_interface
-from ric.errors import OutOfScope, UnknownMnemonic
+from ric.errors import OutOfScope, UnknownMnemonic, WidthError
 from ric.expr import (
     BinOp,
     Cast,
@@ -18,8 +18,14 @@ from ric.expr import (
     ReadLoc,
     Reg,
     UnOp,
-    eval_expr,
-    simplify,
+    _fold_binop,
+    _ones,
+    _to_signed,
+    mk_binop,
+    mk_cast,
+    mk_extract,
+    mk_ite,
+    mk_unop,
 )
 from ric.lift import lift
 from ric.oracle import MachineState, compile_expr
@@ -175,6 +181,61 @@ _REGS = [Reg("eax", 32), Reg("ebx", 32), Reg("ecx", 32)]
 _ARITH = ["add", "sub", "mul", "and", "or", "xor", "shl", "shr", "sar"]
 _CMPS = ["eq", "ne", "ult", "slt", "ugt", "sgt"]
 _DIVS = ["udiv", "urem", "sdiv", "srem"]
+
+
+# ---------------------------------------------------------------------------
+# References: a tree-walking evaluator, and a rebuild of an expression
+# through the simplifying constructors
+
+
+def simplify(e):
+    """Rebuild the expression through the simplifying constructors."""
+    if isinstance(e, (Const, ReadLoc)):
+        return e
+    if isinstance(e, Load):
+        return Load(simplify(e.addr), e.size)
+    if isinstance(e, UnOp):
+        return mk_unop(e.op, simplify(e.e))
+    if isinstance(e, Cast):
+        return mk_cast(e.kind, e.width, simplify(e.e))
+    if isinstance(e, Extract):
+        return mk_extract(e.hi, e.lo, simplify(e.e))
+    if isinstance(e, BinOp):
+        return mk_binop(e.op, simplify(e.a), simplify(e.b))
+    if isinstance(e, Ite):
+        return mk_ite(simplify(e.c), simplify(e.a), simplify(e.b))
+    raise WidthError(f"not an expression: {e!r}")
+
+
+def eval_expr(e, get_loc, load_mem):
+    """Evaluate to an unsigned int. `get_loc(loc)` and `load_mem(addr, size)`
+    supply location values and memory bytes."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, ReadLoc):
+        return get_loc(e.loc) & _ones(e.width)
+    if isinstance(e, Load):
+        addr = eval_expr(e.addr, get_loc, load_mem)
+        return load_mem(addr, e.size)
+    if isinstance(e, UnOp):
+        v = eval_expr(e.e, get_loc, load_mem)
+        return (~v if e.op == "not" else -v) & _ones(e.width)
+    if isinstance(e, Cast):
+        v = eval_expr(e.e, get_loc, load_mem)
+        if e.kind == "sext":
+            v = _to_signed(v, e.e.width)
+        return v & _ones(e.width)
+    if isinstance(e, Extract):
+        v = eval_expr(e.e, get_loc, load_mem)
+        return (v >> e.lo) & _ones(e.width)
+    if isinstance(e, BinOp):
+        a = Const(eval_expr(e.a, get_loc, load_mem), e.a.width)
+        b = Const(eval_expr(e.b, get_loc, load_mem), e.b.width)
+        return _fold_binop(e.op, a, b).value
+    if isinstance(e, Ite):
+        c = eval_expr(e.c, get_loc, load_mem)
+        return eval_expr(e.a if c else e.b, get_loc, load_mem)
+    raise WidthError(f"not an expression: {e!r}")
 
 
 def _exprs(ops=_ARITH, casts=False):
