@@ -1,9 +1,11 @@
 """Locating and parsing extended inline assembly statements.
 
 The scanner is lexical only: it tracks comments, string and character
-literals, and parenthesis depth. Statement bodies are parsed into
-structured chunks; the C expressions bound to operands are kept as
-opaque text.
+literals, and parenthesis depth. While it finds where a statement ends
+it records where the body's top-level ':' and ',' are, so the parser
+slices sections and entries without scanning the body again. Statement
+bodies are parsed into structured chunks; the C expressions bound to
+operands are kept as opaque text.
 """
 
 from __future__ import annotations
@@ -63,68 +65,59 @@ class ScannedStatement(Record):
     span: SourceSpan
     qualifiers: frozenset
     body: str
+    marks: tuple = None  # offsets in body of its top-level ':' and ','
 
 
 # ---------------------------------------------------------------------------
 # Scanner
 
-_ASM_KEYWORD = r"\b(?:asm|__asm__|__asm)\b"
-# Points of interest outside a statement: a comment or literal to skip,
-# or an asm keyword. Everything between two of them is plain C text.
-_SCAN_STOP = re.compile(r"//|/\*|[\"']|" + _ASM_KEYWORD)
-# Points of interest inside a statement's parentheses.
-_PAREN_STOP = re.compile(r"[()\"'/]")
+# The one lexical grammar of comments and literals, which the scanner
+# and the parser share: a // comment, which ends after \n or, as for
+# GCC, a lone \r; a /* */ comment; a string and a character literal, in
+# which a backslash escapes any character. One that does not end runs
+# to the end of the text.
+_LEXICAL = (
+    r"//[^\r\n]*[\r\n]?"
+    r"|/\*[^*]*(?:\*(?!/)[^*]*)*(?:\*/)?"
+    r'|"[^"\\]*(?:\\.[^"\\]*)*"?'
+    r"|'[^'\\]*(?:\\.[^'\\]*)*'?"
+)
+# Every alternative starts with a literal character, so that a search
+# skips the text in between without trying a match at each character.
+# Outside a statement: a comment or literal, or an asm keyword.
+_SCAN_STOP = re.compile(_LEXICAL + r"|a(?<=\ba)sm\b|_(?<=\b_)_asm(?:__)?\b", re.S)
+# Inside a statement's parentheses: a comment or literal, or a character
+# that nests or separates.
+_BODY_STOP = re.compile(_LEXICAL + r"|\(|\)|\[|\]|:|,", re.S)
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# A // comment ends at a line end; as for GCC, a lone \r is one too.
-_LINE_END = re.compile(r"[\r\n]")
 
 
-def _skip_lexical(text, i, n):
-    """If a comment or literal starts at i, return the index just past it."""
-    c = text[i]
-    if c == "/" and i + 1 < n:
-        if text[i + 1] == "/":
-            m = _LINE_END.search(text, i)
-            return n if m is None else m.end()
-        if text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            return n if j < 0 else j + 2
-    if c in "\"'":
-        q = c
-        j = i + 1
-        while j < n:
-            if text[j] == "\\":
-                j += 2
-                continue
-            if text[j] == q:
-                return j + 1
-            j += 1
-        return n
-    return None
-
-
-def _close_paren(text, j, n):
-    """Index of the ')' that closes the '(' at j, or None at end of text."""
-    depth = 0
-    k = j
-    while True:
-        m = _PAREN_STOP.search(text, k)
-        if m is None:
-            return None
-        k = m.start()
-        c = text[k]
-        if c == "(":
-            depth += 1
-        elif c == ")":
+def _statement_end(text, body_start):
+    """Scan a statement body from body_start, just past its '('. Return
+    the index of the ')' that ends the statement, or None if the text
+    ends first, and the offsets from body_start of the body's top-level
+    ':' and ',': those at parenthesis/bracket depth one, outside
+    comments and literals. Parentheses alone decide where it ends."""
+    parens = depth = 1
+    marks = []
+    for m in _BODY_STOP.finditer(text, body_start):
+        c = m.group()
+        if c == ")":
+            parens -= 1
+            if parens == 0:
+                return m.start(), tuple(marks)
             depth -= 1
-            if depth == 0:
-                return k
-        else:
-            skipped = _skip_lexical(text, k, n)
-            if skipped is not None:
-                k = skipped
-                continue
-        k += 1
+        elif c == "(":
+            parens += 1
+            depth += 1
+        elif c == ":" or c == ",":
+            if depth == 1:
+                marks.append(m.start() - body_start)
+        elif c == "[":
+            depth += 1
+        elif c == "]":
+            depth -= 1
+    return None, ()
 
 
 def scan_c_source(text, file="<input>"):
@@ -143,7 +136,7 @@ def scan_c_source(text, file="<input>"):
             break
         start = m.start()
         if text[start] in "/\"'":
-            i = _skip_lexical(text, start, n)
+            i = m.end()
             continue
         j = m.end()
         quals = set()
@@ -161,7 +154,7 @@ def scan_c_source(text, file="<input>"):
             i = m.end()
             continue
         body_start = j + 1
-        k = _close_paren(text, j, n)
+        k, marks = _statement_end(text, body_start)
         # as for GCC, \n, \r\n and a lone \r each end a line
         ends = (
             text.count("\n", counted, start)
@@ -182,7 +175,9 @@ def scan_c_source(text, file="<input>"):
             i = body_start
             continue
         span = SourceSpan(file, line, col, start, k + 1)
-        statements.append(ScannedStatement(span, frozenset(quals), text[body_start:k]))
+        statements.append(
+            ScannedStatement(span, frozenset(quals), text[body_start:k], marks)
+        )
         i = k + 1
     return statements, diagnostics
 
@@ -190,144 +185,136 @@ def scan_c_source(text, file="<input>"):
 # ---------------------------------------------------------------------------
 # Statement parsing
 
-_ESCAPES = {
-    "n": "\n",
-    "t": "\t",
-    "r": "\r",
-    "0": "\0",
-    "\\": "\\",
-    '"': '"',
-    "'": "'",
-}
+# a backslash before any other character, such as \\ or \", stands for it
+_ESCAPES = {"a": "\a", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t", "v": "\v"}
+_ESCAPE = re.compile(r"\\(?:([0-7]{1,3})|x([0-9a-fA-F]{0,2})|(.))", re.S)
+# a string literal after blanks; an empty group 2 means it does not end
+_STRING = re.compile(r'\s*"([^"\\]*(?:\\.[^"\\]*)*)("?)', re.S)
 
 
-def _split_top(text, sep):
-    """Split on sep at paren/bracket depth 0, outside string literals."""
-    parts = []
-    depth = 0
-    cur = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in "\"'":
-            j = _skip_lexical(text, i, n)
-            cur.append(text[i:j])
-            i = j
-            continue
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-        if c == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-        i += 1
-    parts.append("".join(cur))
-    return parts
+def _escape(m):
+    octal, hexa, other = m.groups()
+    if other is not None:
+        return _ESCAPES.get(other, other)
+    if octal:
+        return chr(int(octal, 8))
+    if hexa:
+        return chr(int(hexa, 16))
+    raise MalformedInterface("\\x used with no following hex digits")
 
 
 def _decode_strings(text, span):
-    """Concatenate adjacent C string literals with escape processing."""
+    """Concatenate adjacent C string literals with escape processing;
+    text holds no comment."""
     out = []
-    i = 0
-    n = len(text)
-    seen = False
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c != '"':
-            raise MalformedInterface(f"{span.file}:{span.line}: expected string literal")
-        i += 1
-        while i < n and text[i] != '"':
-            if text[i] == "\\" and i + 1 < n:
-                nxt = text[i + 1]
-                if nxt == "x":
-                    m = re.match(r"[0-9a-fA-F]{1,2}", text[i + 2 :])
-                    if m is None:
-                        raise MalformedInterface(
-                            f"{span.file}:{span.line}: \\x used with no following hex digits"
-                        )
-                    out.append(chr(int(m.group(0), 16)))
-                    i += 2 + m.end()
-                    continue
-                out.append(_ESCAPES.get(nxt, nxt))
-                i += 2
-                continue
-            out.append(text[i])
-            i += 1
-        if i >= n:
+    pos = 0
+    while True:
+        m = _STRING.match(text, pos)
+        if m is None:
+            break
+        body, closed = m.groups()
+        if "\\" in body:
+            try:
+                body = _ESCAPE.sub(_escape, body)
+            except MalformedInterface as e:
+                raise MalformedInterface(f"{span.file}:{span.line}: {e}") from None
+        out.append(body)
+        if not closed:
             raise MalformedInterface(f"{span.file}:{span.line}: unterminated string")
-        i += 1
-        seen = True
-    if not seen:
+        pos = m.end()
+    if text[pos:].strip():
+        raise MalformedInterface(f"{span.file}:{span.line}: expected string literal")
+    if not out:
         raise MalformedInterface(f"{span.file}:{span.line}: missing template string")
     return "".join(out)
 
 
 CONSTRAINT_CHARS = set("=+&%abcdSDUqQrRinpmg0123456789,[]")
 _SIZE_NOTE = re.compile(r"/\*\s*size:(\d+)\s*\*/|//\s*size:(\d+)")
-_NAMED = re.compile(r"^\[\s*([A-Za-z_][A-Za-z0-9_]*)\s*\]\s*")
+# [name] "constraint" rest: every part may be missing, and an empty
+# group 3 means the constraint does not end
+_ENTRY = re.compile(
+    r'\s*(?:\[\s*([A-Za-z_][A-Za-z0-9_]*)\s*\]\s*)?(?:"([^"]*)("?))?\s*(.*?)\s*\Z', re.S
+)
 
 
-def _parse_entry(text, position, span):
+def _uncomment(text):
+    """text with each comment replaced by a space, as C does, and the
+    first size note among its comments (a match of _SIZE_NOTE, or None)."""
+    if "/" not in text:
+        return text, None
+    out = []
+    note = None
+    last = 0
+    for m in _BODY_STOP.finditer(text):
+        s = m.group()
+        if s[0] == "/":
+            out += (text[last : m.start()], " ")
+            last = m.end()
+            if note is None:
+                note = _SIZE_NOTE.match(s)
+    out.append(text[last:])
+    return "".join(out), note
+
+
+def _parse_entry(text, note, position, span):
     size = 4
-    note = _SIZE_NOTE.search(text)
     if note:
         size = int(note.group(1) or note.group(2))
-        text = _SIZE_NOTE.sub("", text)
-    text = text.strip()
-    if not text:
-        raise MalformedInterface(f"{span.file}:{span.line}: empty operand entry")
-    name = None
-    m = _NAMED.match(text)
-    if m:
-        name = m.group(1)
-        text = text[m.end() :]
-    if not text.startswith('"'):
-        raise MalformedInterface(f"{span.file}:{span.line}: entry missing constraint")
-    end = text.find('"', 1)
-    if end < 0:
+        if size not in (1, 2, 4, 8):
+            raise MalformedInterface(
+                f"{span.file}:{span.line}: size note size:{size} is not 1, 2, 4 or 8"
+            )
+    name, constraint, closed, rest = _ENTRY.match(text).groups()
+    if constraint is None:
+        what = "entry missing constraint" if name or rest else "empty operand entry"
+        raise MalformedInterface(f"{span.file}:{span.line}: {what}")
+    if not closed:
         raise MalformedInterface(f"{span.file}:{span.line}: unterminated constraint")
-    constraint = text[1:end]
     for c in constraint:
         if c not in CONSTRAINT_CHARS:
             raise BadConstraintChar(f"unsupported constraint character {c!r}")
-    rest = text[end + 1 :].strip()
     if not (rest.startswith("(") and rest.endswith(")")):
         raise MalformedInterface(f"{span.file}:{span.line}: entry missing ( expr )")
-    expr = rest[1:-1].strip()
-    return OperandEntry(constraint, expr, position, size, name)
+    return OperandEntry(constraint, rest[1:-1].strip(), position, size, name)
 
 
-def _parse_section(text, start_pos, span):
-    text = text.strip()
-    if not text:
+def _parse_section(parts, position, span):
+    """The operand entries of a section, given as its top-level
+    comma-separated parts; a blank section has none."""
+    parts = [_uncomment(p) for p in parts]
+    if len(parts) == 1 and not parts[0][0].strip():
         return ()
-    entries = []
-    for part in _split_top(text, ","):
-        entries.append(_parse_entry(part, start_pos + len(entries), span))
-    return tuple(entries)
+    return tuple(
+        [_parse_entry(text, note, position + i, span) for i, (text, note) in enumerate(parts)]
+    )
 
 
-def parse_asm_statement(raw, span, qualifiers=frozenset()):
-    sections = _split_top(raw, ":")
+def parse_asm_statement(raw, span, qualifiers=frozenset(), marks=None):
+    """The chunk of a statement body, the text between its parentheses.
+    marks are the offsets of the body's top-level ':' and ',' as the
+    scanner records them; without them the body is scanned here."""
+    if marks is None:
+        end, marks = _statement_end(raw + ")", 0)
+        if end != len(raw):
+            raise MalformedInterface(f"{span.file}:{span.line}: unbalanced statement body")
+    sections = [[]]  # per section, its top-level comma-separated parts
+    start = 0
+    for k in marks:
+        sections[-1].append(raw[start:k])
+        if raw[k] == ":":
+            sections.append([])
+        start = k + 1
+    sections[-1].append(raw[start:])
     if len(sections) > 4:
         raise MalformedInterface(f"{span.file}:{span.line}: too many ':' sections")
-    template = _decode_strings(sections[0], span)
+    template = _decode_strings(_uncomment(",".join(sections[0]))[0], span)
     outputs = _parse_section(sections[1], 0, span) if len(sections) > 1 else ()
-    inputs = (
-        _parse_section(sections[2], len(outputs), span) if len(sections) > 2 else ()
-    )
+    inputs = _parse_section(sections[2], len(outputs), span) if len(sections) > 2 else ()
     clobbers = ()
-    if len(sections) > 3 and sections[3].strip():
-        clobbers = tuple(
-            _decode_strings(p, span) for p in _split_top(sections[3], ",") if p.strip()
-        )
+    if len(sections) > 3:
+        parts = [_uncomment(p)[0] for p in sections[3]]
+        clobbers = tuple([_decode_strings(p, span) for p in parts if p.strip()])
     context = ChunkContext(span.file, span.line)
     return ChunkAst(span, frozenset(qualifiers), template, outputs, inputs, clobbers, context)
 
@@ -339,7 +326,7 @@ def extract_chunks(text, file="<input>"):
     chunks = []
     for st in statements:
         try:
-            chunks.append(parse_asm_statement(st.body, st.span, st.qualifiers))
+            chunks.append(parse_asm_statement(st.body, st.span, st.qualifiers, st.marks))
         except (MalformedInterface, BadConstraintChar) as e:
             e.span = st.span
             diagnostics.append(e)
@@ -352,7 +339,8 @@ def extract_chunks(text, file="<input>"):
 
 def _render_entry(e):
     name = f"[{e.name}] " if e.name else ""
-    return f'{name}"{e.constraint}" ({e.expr_text})'
+    size = f" /* size:{e.size_bytes} */" if e.size_bytes != 4 else ""
+    return f'{name}"{e.constraint}" ({e.expr_text}{size})'
 
 
 def render(chunk):

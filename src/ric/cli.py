@@ -4,7 +4,6 @@ refiner and the oracle are imported by the one command that uses each."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -13,7 +12,8 @@ from .chunks import extract_chunks, load_chunk_file, render
 from .errors import RicError, SpanStale
 from .expr import format_loc
 from .report import (
-    build_report, chunk_report, diagnostic_report, edit_to_json, render_text, timings_enabled
+    build_report, chunk_report, diagnostic_report, edit_to_json, json_text, render_text,
+    timings_enabled,
 )
 
 
@@ -91,7 +91,7 @@ def _emit(report, args):
         text = render_text(report).encode(errors="surrogateescape")
         text = text.decode(errors="backslashreplace")
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = json_text(report) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)

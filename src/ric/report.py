@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from json.encoder import encode_basestring_ascii as _quote
 
 from .checker import severity_of
 from .expr import MMX_REGS, XMM_REGS, MemoryWhole, Reg, StackSlot, format_loc
@@ -138,6 +139,56 @@ def build_report(chunk_reports):
         "chunks": chunk_reports,
         "summary": build_summary(chunk_reports),
     }
+
+
+_INF = float("inf")
+
+
+def json_text(value):
+    """Exactly the text of json.dumps(value, indent=2, sort_keys=True),
+    for dicts with str keys, lists, tuples, str, int, float, bool and
+    None; anything else raises TypeError."""
+    return _json(value, "\n")
+
+
+def _json(value, newline):
+    """value's JSON text, its nested lines starting with newline plus
+    two spaces."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{_quote(key)}: {_json(value[key], inner)}")
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,15 @@ import re
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ric.chunks import (
+    CONSTRAINT_CHARS,
     QUALIFIERS,
+    ChunkAst,
+    ChunkContext,
+    OperandEntry,
     ScannedStatement,
     SourceSpan,
     extract_chunks,
@@ -18,7 +22,13 @@ from ric.chunks import (
     render,
     scan_c_source,
 )
-from ric.errors import MalformedInterface, SchemaViolation, UnterminatedStatement
+from ric.checker import check_chunk
+from ric.errors import (
+    BadConstraintChar,
+    MalformedInterface,
+    SchemaViolation,
+    UnterminatedStatement,
+)
 
 
 def scan(text):
@@ -97,6 +107,92 @@ def test_hex_escape_without_digits_is_diagnostic_not_crash():
     assert c.template == "nopA\x09z"
 
 
+def _shape(src):
+    """The one chunk of src, without its span and context."""
+    chunks, diags = extract_chunks(src, "t.c")
+    assert not diags, [str(d) for d in diags]
+    (c,) = chunks
+    return c.qualifiers, c.template, c.outputs, c.inputs, c.clobbers
+
+
+@pytest.mark.parametrize(
+    "src, plain",
+    [
+        (
+            'asm ("incl %0" /* bump: x */ : "+r" (x) : : "cc");',
+            'asm ("incl %0" : "+r" (x) : : "cc");',
+        ),
+        ('asm ("incl %0" : "+r" (x) /* a, b */);', 'asm ("incl %0" : "+r" (x));'),
+        (
+            'asm ("addl %1, %0" : "+r" (x) : "r" (y) /* the (old) value */);',
+            'asm ("addl %1, %0" : "+r" (x) : "r" (y));',
+        ),
+        ('asm ("incl %0" // c: d\n : "+r" (x));', 'asm ("incl %0" : "+r" (x));'),
+        ('asm ("incl" /* "a" */ " %0" : "+r" (x));', 'asm ("incl %0" : "+r" (x));'),
+        ('asm ("nop" : /* none: */ : "r" (x));', 'asm ("nop" : : "r" (x));'),
+        ('asm ("nop" : : : "cc" /* , */, /* x */ "memory");', 'asm ("nop" : : : "cc", "memory");'),
+        ('asm ("incl %0" : [v] /* ] */ "+r" (x /* ) */));', 'asm ("incl %0" : [v] "+r" (x));'),
+    ],
+)
+def test_comment_inside_a_statement_is_ignored(src, plain):
+    """As GCC removes comments before it parses, a comment anywhere in a
+    statement separates nothing and leaves no text behind."""
+    assert _shape(src) == _shape(plain)
+
+
+def test_comment_markers_in_a_literal_are_text():
+    (c,), _ = extract_chunks('asm ("/* x */ nop // y" : "=r" (a));')
+    assert c.template == "/* x */ nop // y"
+
+
+@pytest.mark.parametrize(
+    "literal, decoded",
+    [
+        (r'"nop\012nop"', "nop\nnop"),
+        (r'"a\101b"', "aAb"),
+        (r'"x\fy"', "x\fy"),
+        (r'"\a\b\v\?"', "\a\b\v?"),
+        (r'"\0"', "\0"),
+        (r'"\08"', "\x008"),
+        (r'"\1234"', "S4"),
+        (r'"\9\q"', "9q"),
+        (r'"\x41\x9z\x414"', "A\tzA4"),
+        (r'"\\012\"\'"', "\\012\"'"),
+    ],
+)
+def test_escapes_decode_as_in_c(literal, decoded):
+    """A backslash and one to three octal digits, or one of the simple
+    escapes, decode as C gives them; a hex escape takes one or two
+    digits."""
+    (c,), diags = extract_chunks(f"asm ({literal});")
+    assert not diags and c.template == decoded
+
+
+def test_octal_newline_separates_instructions():
+    (c,), _ = extract_chunks('asm ("nop\\012nop");')
+    assert check_chunk(c).verdict == "compliant"
+
+
+@pytest.mark.parametrize("note", ["/* size:3 */", "/* size:0 */", "/*size:16*/", "// size:5\n"])
+def test_size_note_outside_1_2_4_8_is_a_diagnostic(note):
+    chunks, diags = extract_chunks(f'asm ("movl %1, %0" : "=r" (x {note}) : "r" (y));', "t.c")
+    assert chunks == [] and len(diags) == 1
+    assert isinstance(diags[0], MalformedInterface)
+    assert "is not 1, 2, 4 or 8" in str(diags[0])
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8])
+def test_size_note_in_1_2_4_8_is_read(size):
+    (c,), _ = extract_chunks(f'asm ("" : "=r" (x /* size:{size} */) : "r" (y // size:{size}\n));')
+    assert [e.size_bytes for e in c.entries] == [size, size]
+    assert [e.expr_text for e in c.entries] == ["x", "y"]
+
+
+def test_render_writes_size_notes():
+    (c,), _ = extract_chunks('asm ("" : "=q" (y /* size:1 */) : "m" (*p /* size:8 */), "r" (x));')
+    assert render(c) == 'asm ("" : "=q" (y /* size:1 */) : "m" (*p /* size:8 */), "r" (x))'
+
+
 def test_schema_rejects_unknown_field():
     with pytest.raises(SchemaViolation):
         load_chunk_records([{"template": "nop", "bogus": 1}])
@@ -126,11 +222,10 @@ def test_render_round_trip(corpus_chunks):
         text = render(c)
         stmts, diags = scan_c_source(text + ";", "rt.c")
         assert not diags and len(stmts) == 1
-        # sizes are side metadata; compare the parse-visible structure
         c2 = parse_asm_statement(stmts[0].body, stmts[0].span, stmts[0].qualifiers)
         assert c2.template == c.template
-        assert [(e.constraint, e.expr_text) for e in c2.entries] == [
-            (e.constraint, e.expr_text) for e in c.entries
+        assert [(e.constraint, e.expr_text, e.size_bytes) for e in c2.entries] == [
+            (e.constraint, e.expr_text, e.size_bytes) for e in c.entries
         ]
         assert c2.clobbers == c.clobbers
 
@@ -317,6 +412,197 @@ def test_line_comment_ends_at_a_lone_cr():
     assert [s.body for s in scan(text)] == ['"incl %0" : "+r" (x)']
     chunks, diagnostics = extract_chunks(text, "cr.c")
     assert [c.template for c in chunks] == ["incl %0"] and not diagnostics
+
+
+# ---------------------------------------------------------------------------
+# The parser on the scanner's marks against the character-by-character
+# reference: it splits a body on ':' and each section on ',' one character
+# at a time, and knows no comment and no octal or \a-style escape.
+
+_REFERENCE_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", '"': '"', "'": "'"}
+_REFERENCE_NAMED = re.compile(r"^\[\s*([A-Za-z_][A-Za-z0-9_]*)\s*\]\s*")
+
+
+def _reference_split_top(text, sep):
+    """Split on sep at paren/bracket depth 0, outside string literals."""
+    parts = []
+    depth = 0
+    cur = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c in "\"'":
+            j = _reference_skip_lexical(text, i, n)
+            cur.append(text[i:j])
+            i = j
+            continue
+        if c in "([":
+            depth += 1
+        elif c in ")]":
+            depth -= 1
+        if c == sep and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(c)
+        i += 1
+    parts.append("".join(cur))
+    return parts
+
+
+def _reference_decode_strings(text, span):
+    out = []
+    i = 0
+    n = len(text)
+    seen = False
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c != '"':
+            raise MalformedInterface(f"{span.file}:{span.line}: expected string literal")
+        i += 1
+        while i < n and text[i] != '"':
+            if text[i] == "\\" and i + 1 < n:
+                nxt = text[i + 1]
+                if nxt == "x":
+                    m = re.match(r"[0-9a-fA-F]{1,2}", text[i + 2 :])
+                    if m is None:
+                        raise MalformedInterface(
+                            f"{span.file}:{span.line}: \\x used with no following hex digits"
+                        )
+                    out.append(chr(int(m.group(0), 16)))
+                    i += 2 + m.end()
+                    continue
+                out.append(_REFERENCE_ESCAPES.get(nxt, nxt))
+                i += 2
+                continue
+            out.append(text[i])
+            i += 1
+        if i >= n:
+            raise MalformedInterface(f"{span.file}:{span.line}: unterminated string")
+        i += 1
+        seen = True
+    if not seen:
+        raise MalformedInterface(f"{span.file}:{span.line}: missing template string")
+    return "".join(out)
+
+
+def _reference_parse_entry(text, position, span):
+    text = text.strip()
+    if not text:
+        raise MalformedInterface(f"{span.file}:{span.line}: empty operand entry")
+    name = None
+    m = _REFERENCE_NAMED.match(text)
+    if m:
+        name = m.group(1)
+        text = text[m.end() :]
+    if not text.startswith('"'):
+        raise MalformedInterface(f"{span.file}:{span.line}: entry missing constraint")
+    end = text.find('"', 1)
+    if end < 0:
+        raise MalformedInterface(f"{span.file}:{span.line}: unterminated constraint")
+    constraint = text[1:end]
+    for c in constraint:
+        if c not in CONSTRAINT_CHARS:
+            raise BadConstraintChar(f"unsupported constraint character {c!r}")
+    rest = text[end + 1 :].strip()
+    if not (rest.startswith("(") and rest.endswith(")")):
+        raise MalformedInterface(f"{span.file}:{span.line}: entry missing ( expr )")
+    return OperandEntry(constraint, rest[1:-1].strip(), position, 4, name)
+
+
+def _reference_parse_section(text, start_pos, span):
+    if not text.strip():
+        return ()
+    entries = []
+    for part in _reference_split_top(text, ","):
+        entries.append(_reference_parse_entry(part, start_pos + len(entries), span))
+    return tuple(entries)
+
+
+def _reference_parse(raw, span, qualifiers=frozenset()):
+    sections = _reference_split_top(raw, ":")
+    if len(sections) > 4:
+        raise MalformedInterface(f"{span.file}:{span.line}: too many ':' sections")
+    template = _reference_decode_strings(sections[0], span)
+    outputs = _reference_parse_section(sections[1], 0, span) if len(sections) > 1 else ()
+    inputs = (
+        _reference_parse_section(sections[2], len(outputs), span) if len(sections) > 2 else ()
+    )
+    clobbers = ()
+    if len(sections) > 3 and sections[3].strip():
+        clobbers = tuple(
+            _reference_decode_strings(p, span)
+            for p in _reference_split_top(sections[3], ",")
+            if p.strip()
+        )
+    context = ChunkContext(span.file, span.line)
+    return ChunkAst(span, frozenset(qualifiers), template, outputs, inputs, clobbers, context)
+
+
+# Balanced in parentheses and quotes, so each body is one the scanner
+# hands over whole; no comment, and no octal or \a-style escape.
+_BODY_FRAGMENTS = st.sampled_from(
+    [
+        '"nop"', '"incl %0"', '"addl %1, %0"', '"movl %1, %0\\n\\t"', '"a:b,c"', '"(("',
+        '"\\x41"', '"\\x4g"', '"\\xg"', '"\\\\x"', '"\\\\"', '"\\""', '"\\q"', '"a/b"',
+        '"=r"', '"+r"', '"r"', '"=&q"', '"m"', '"r,m"', '"cc"', '"memory"', '"!"', '""',
+        "(x)", "(*p)", "(a[1])", "(f(x, y))", "((x))", "(a ? b : c)", "(')')", '(",")',
+        "(x / 2)", "()", "[n]", "[ n ]", "[1x]", "[", "]", "x", "'c'", "':'", "','",
+        " : ", ":", ", ", ",", " ", "\n", "\t",
+    ]
+)
+# Bodies shaped as statements: a template, then sections of entries or
+# clobbers, each part of which may be missing or malformed.
+_ENTRY = st.tuples(
+    st.sampled_from(["", "[n] ", "[ v ]", "[1x] ", "[a, b] ", "[a:b] ", "["]),
+    st.sampled_from(['"=r"', '"+r"', '"r"', '"=&q"', '"m"', '"r,m"', '"!"', '""', "", "x"]),
+    st.sampled_from(
+        [" (x)", "(*p)", " (a[1])", "(f(x, y))", "((x))", "(a ? b : c)", "(')')",
+         '(",")', "(x / 2)", "()", " x", "", "(y) z", "(a[1:2])"]
+    ),
+).map("".join)
+_SECTION = st.one_of(
+    st.lists(_ENTRY, max_size=3).map(", ".join),
+    st.lists(st.sampled_from(['"cc"', '"memory"', '"\\xz"', '"a" "b"', "x", ""]), max_size=3).map(
+        ", ".join
+    ),
+)
+_TEMPLATE = st.lists(
+    st.sampled_from(['"nop"', '"incl %0"', '"a:b,c"', '"\\x41"', '"\\xg"', '"\\t"', "x", "'c'"]),
+    max_size=2,
+).map(" ".join)
+_BODIES = st.one_of(
+    st.lists(_BODY_FRAGMENTS, max_size=16).map("".join),
+    st.tuples(_TEMPLATE, st.lists(_SECTION, max_size=4)).map(lambda t: " : ".join([t[0], *t[1]])),
+)
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except (MalformedInterface, BadConstraintChar) as e:
+        return type(e).__name__, str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_BODIES)
+@example('"addl %1, %0" : "+r" (x) : "r" (y) : "cc"')
+@example('"nop" : [:"=r" (a ? b : c)], "r" (x)')
+@example('"nop" : [a, b] "=r" (x), [n] : , ')
+@example('"nop" : "=r" (x) : [n]')
+def test_parser_matches_reference(body):
+    """The same chunk, or the same diagnostic class and message, as the
+    character-by-character parser: from the scanner's marks and from
+    the body alone."""
+    (st_,), diags = scan_c_source(f"asm volatile ({body});", "t.c")
+    assume(st_.body == body and not diags)
+    want = _outcome(_reference_parse, body, st_.span, st_.qualifiers)
+    assert _outcome(parse_asm_statement, body, st_.span, st_.qualifiers, st_.marks) == want
+    assert _outcome(parse_asm_statement, body, st_.span, st_.qualifiers) == want
 
 
 def _c_file(statements):

@@ -251,6 +251,39 @@ def test_refine_in_place_round_trip(tmp_path):
     assert code == 0 and rep["chunks"][0]["verdict"] == "compliant"
 
 
+SIZED_SRC = (
+    "char s(char x, char y) {\n"
+    '  asm ("movb %1, %0; addb $1, %0" : "=q" (y /* size:1 */) : "q" (x /* size:1 */));\n'
+    "  return y;\n"
+    "}\n"
+)
+WIDE_READ_SRC = (
+    "int w(int *p) {\n"
+    "  int s;\n"
+    '  asm ("movl (%1), %0\\nxorl 4(%1), %0" : "=&r" (s) : "r" (p) : "cc", "memory");\n'
+    "  return s;\n"
+    "}\n"
+)
+
+
+def test_patch_in_place_keeps_size_notes(tmp_path):
+    path = write(tmp_path, "s.c", SIZED_SRC)
+    _, rep = run_json(["patch", "--in-place", path], tmp_path)
+    assert rep["chunks"][0]["patch"]["verification"]["fully_compliant"]
+    patched = open(path).read()
+    assert '"=q" (y /* size:1 */) : "q" (x /* size:1 */) : "cc"' in patched
+    code, rep = run_json(["check", path], tmp_path)
+    assert code == 0 and rep["chunks"][0]["verdict"] == "compliant"
+
+
+def test_refine_in_place_keeps_the_size_of_a_memory_entry(tmp_path):
+    path = write(tmp_path, "w.c", WIDE_READ_SRC)
+    run_json(["refine", "--in-place", path], tmp_path)
+    assert '"m" (*(p) /* size:8 */)' in open(path).read()
+    code, rep = run_json(["check", path], tmp_path)
+    assert code == 0 and rep["chunks"][0]["verdict"] == "compliant"
+
+
 def test_refine_flags_can_disable_phases(tmp_path):
     path = write(tmp_path, "r.c", REFINABLE_SRC)
     code, rep = run_json(["refine", "--no-refine-inputs", path], tmp_path)
@@ -332,8 +365,9 @@ def test_oracle_text_has_a_line_per_property(tmp_path, capsys):
 # Sources that are not UTF-8
 
 LATIN1_SRC = b"/* caf\xe9 */\n" + CLEAN_SRC.encode()
-# a statement holding a Latin-1 byte itself, in an operand's comment
-LATIN1_STMT = b'  asm ("addl %1, %0" : "+r" (x) : "r" (y /* \xff */));\n'
+# a statement holding a Latin-1 byte itself, in an operand's character
+# literal (a comment in an operand is dropped, as GCC does)
+LATIN1_STMT = b'  asm ("addl %1, %0" : "+r" (x) : "r" (y + \'\xff\'));\n'
 
 
 def test_check_reads_a_latin1_file(tmp_path):
@@ -350,9 +384,9 @@ def test_patch_in_place_keeps_latin1_bytes(tmp_path, capsys):
     path.write_bytes(before)
     assert run(["patch", "--in-place", "--format", "text", str(path)]) == 1
     out = capsys.readouterr().out
-    statement = 'asm ("addl %1, %0" : "+r" (x) : "r" (y /* \\xff */) : "cc")'
+    statement = 'asm ("addl %1, %0" : "+r" (x) : "r" (y + \'\\xff\') : "cc")'
     assert f"  patch statement: {statement}\n" in out
-    patched = b'  asm ("addl %1, %0" : "+r" (x) : "r" (y /* \xff */) : "cc");\n'
+    patched = b'  asm ("addl %1, %0" : "+r" (x) : "r" (y + \'\xff\') : "cc");\n'
     assert path.read_bytes() == before.replace(LATIN1_STMT, patched)
 
 

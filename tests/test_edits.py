@@ -2,7 +2,8 @@
 search: one rule for which edits are kept.
 
 The expected statements are those the patcher and the refiner built
-when each rebuilt statements by hand."""
+when each rebuilt statements by hand, with a size note on each entry
+that is not 4 bytes wide."""
 
 import pytest
 
@@ -60,44 +61,50 @@ ONE_EDIT = {
     "promote": (
         PATCH_BASE,
         PromoteToReadWrite(2),
-        'asm ("movw %w2, %w0; addw %w1, %w0" : "=r" (x), "+c" (n) : "r" (y) : "cc")',
+        'asm ("movw %w2, %w0; addw %w1, %w0" : "=r" (x /* size:2 */), "+c" (n /* size:2 */)'
+        ' : "r" (y /* size:2 */) : "cc")',
         [("=r", "x", 0, 2), ("+c", "n", 1, 2), ("r", "y", 2, 2)],
     ),
     "promote-output": (
         PATCH_BASE,
         PromoteToReadWrite(0),
-        'asm ("movw %w1, %w0; addw %w2, %w0" : "+r" (x) : "r" (y), "c" (n) : "cc")',
+        'asm ("movw %w1, %w0; addw %w2, %w0" : "+r" (x /* size:2 */) : "r" (y /* size:2 */),'
+        ' "c" (n /* size:2 */) : "cc")',
         [("+r", "x", 0, 2), ("r", "y", 1, 2), ("c", "n", 2, 2)],
     ),
     "dummy-output": (
         PATCH_BASE,
         AddOutput("=c", "_ric_dummy0", 2),
-        'asm ("movw %w2, %w0; addw %w3, %w0" : "=r" (x), "=c" (_ric_dummy0)'
-        ' : "r" (y), "1" (n) : "cc")',
+        'asm ("movw %w2, %w0; addw %w3, %w0" : "=r" (x /* size:2 */), "=c" (_ric_dummy0)'
+        ' : "r" (y /* size:2 */), "1" (n /* size:2 */) : "cc")',
         [("=r", "x", 0, 2), ("=c", "_ric_dummy0", 1, 4), ("r", "y", 2, 2), ("1", "n", 3, 2)],
     ),
     "add-input": (
         PATCH_BASE,
         AddInput("0", "x"),
-        'asm ("movw %w1, %w0; addw %w2, %w0" : "=r" (x) : "r" (y), "c" (n), "0" (x) : "cc")',
+        'asm ("movw %w1, %w0; addw %w2, %w0" : "=r" (x /* size:2 */) : "r" (y /* size:2 */),'
+        ' "c" (n /* size:2 */), "0" (x /* size:2 */) : "cc")',
         [("=r", "x", 0, 2), ("r", "y", 1, 2), ("c", "n", 2, 2), ("0", "x", 3, 2)],
     ),
     "early-clobber": (
         PATCH_BASE,
         MarkEarlyClobber(0),
-        'asm ("movw %w1, %w0; addw %w2, %w0" : "=&r" (x) : "r" (y), "c" (n) : "cc")',
+        'asm ("movw %w1, %w0; addw %w2, %w0" : "=&r" (x /* size:2 */) : "r" (y /* size:2 */),'
+        ' "c" (n /* size:2 */) : "cc")',
         [("=&r", "x", 0, 2), ("r", "y", 1, 2), ("c", "n", 2, 2)],
     ),
     "add-clobber": (
         PATCH_BASE,
         AddClobber("edx"),
-        'asm ("movw %w1, %w0; addw %w2, %w0" : "=r" (x) : "r" (y), "c" (n) : "cc", "edx")',
+        'asm ("movw %w1, %w0; addw %w2, %w0" : "=r" (x /* size:2 */) : "r" (y /* size:2 */),'
+        ' "c" (n /* size:2 */) : "cc", "edx")',
         entries(PATCH_BASE),
     ),
     "set-memory": (
         PATCH_BASE,
         SetMemoryClobber(),
-        'asm ("movw %w1, %w0; addw %w2, %w0" : "=r" (x) : "r" (y), "c" (n) : "cc", "memory")',
+        'asm ("movw %w1, %w0; addw %w2, %w0" : "=r" (x /* size:2 */) : "r" (y /* size:2 */),'
+        ' "c" (n /* size:2 */) : "cc", "memory")',
         entries(PATCH_BASE),
     ),
     "drop-input": (
@@ -123,7 +130,7 @@ ONE_EDIT = {
         MemoryToEntries(
             (EntrySpan(2, "in", 0, 4), EntrySpan(2, "out", 4, 4), EntrySpan(2, "inout", 8, 8))
         ),
-        'asm ("movl %4, %0" : "=r" (x), "=m" (*(p + 4)), "+m" (*(p + 8))'
+        'asm ("movl %4, %0" : "=r" (x), "=m" (*(p + 4)), "+m" (*(p + 8) /* size:8 */)'
         ' : "r" (y), "r" ( p ), "m" (*(p)) : "cc", "edx", "memory")',
         [
             ("=r", "x", 0, 4),
@@ -163,8 +170,9 @@ def test_combined_patch():
     ]
     edited, renumber = apply_edits(PATCH_BASE, edits)
     assert render(edited) == (
-        'asm ("movw %w1, %w0; addw %w3, %w0" : "=&r" (x), "+r" (y), "=c" (_ric_dummy0)'
-        ' : "2" (n), "0" (x) : "cc")'
+        'asm ("movw %w1, %w0; addw %w3, %w0" : "=&r" (x /* size:2 */), "+r" (y /* size:2 */),'
+        ' "=c" (_ric_dummy0)'
+        ' : "2" (n /* size:2 */), "0" (x /* size:2 */) : "cc")'
     )
     assert entries(edited) == [
         ("=&r", "x", 0, 2),

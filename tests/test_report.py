@@ -1,5 +1,13 @@
-"""Report structure: per-issue JSON, summary buckets, and the text view."""
+"""Report structure: per-issue JSON, summary buckets, the JSON writer and
+the text view."""
 
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ric import cli
 from ric.checker import check_chunk
 from ric.report import (
     build_report,
@@ -7,6 +15,7 @@ from ric.report import (
     chunk_report,
     classify_pattern,
     issue_to_json,
+    json_text,
     render_text,
     severity_policy,
 )
@@ -114,3 +123,85 @@ def test_severity_policy_consistency(corpus_chunks):
     for c in corpus_chunks:
         for i in check_chunk(c).issues:
             assert severity_policy(i) in ("benign", "serious")
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer against json.dumps
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("timings", ["0", "1"])
+@pytest.mark.parametrize(
+    "command", [["check"], ["patch"], ["refine"], ["oracle", "--trials", "2"]], ids=lambda c: c[0]
+)
+def test_json_text_writes_corpus_reports_as_json_dumps(command, timings, monkeypatch, tmp_path):
+    monkeypatch.setenv("RIC_TIMINGS", timings)
+    written = []
+
+    def spy(report):
+        written.append(report)
+        return json_text(report)
+
+    monkeypatch.setattr(cli, "json_text", spy)
+    out = tmp_path / "report.json"
+    cli.run(command + ["--chunks", "corpus/corpus.json", "--out", str(out)])
+    (report,) = written
+    assert out.read_text(encoding="utf-8") == _dumps(report) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": {"g": ()}}},
+        "",
+        "é and 日本",
+        "\U0001f600",
+        "\udcff byte",
+        'a"b\\c\n\t\x00\x1f\x7f',
+        True,
+        False,
+        None,
+        0,
+        -1,
+        2**70,
+        1.5,
+        0.1,
+        -0.0,
+        1e300,
+        5e-324,
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        [1, "x", None, True, 2.5, {"k": (1, 2)}],
+        {"b": 1, "a": 2, "A": 3, "é": 4, "": 5, "\udcff": 6},
+    ],
+)
+def test_json_text_edge_values(value):
+    assert json_text(value) == _dumps(value)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON)
+def test_json_text_matches_json_dumps(value):
+    assert json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {None: 1}, {1, 2}, b"x", object(), [1, {2}]])
+def test_json_text_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        json_text(value)
