@@ -73,11 +73,12 @@ class ScannedStatement(Record):
 
 # The one lexical grammar of comments and literals, which the scanner
 # and the parser share: a // comment, which ends after \n or, as for
-# GCC, a lone \r; a /* */ comment; a string and a character literal, in
-# which a backslash escapes any character. One that does not end runs
-# to the end of the text.
+# GCC, a lone \r, and goes on past a line end spliced by a backslash; a
+# /* */ comment; a string and a character literal, in which a backslash
+# escapes any character. One that does not end runs to the end of the
+# text.
 _LEXICAL = (
-    r"//[^\r\n]*[\r\n]?"
+    r"//[^\\\r\n]*(?:\\(?:\r?\n)?[^\\\r\n]*)*[\r\n]?"
     r"|/\*[^*]*(?:\*(?!/)[^*]*)*(?:\*/)?"
     r'|"[^"\\]*(?:\\.[^"\\]*)*"?'
     r"|'[^'\\]*(?:\\.[^'\\]*)*'?"
@@ -90,6 +91,9 @@ _SCAN_STOP = re.compile(_LEXICAL + r"|a(?<=\ba)sm\b|_(?<=\b_)_asm(?:__)?\b", re.
 # that nests or separates.
 _BODY_STOP = re.compile(_LEXICAL + r"|\(|\)|\[|\]|:|,", re.S)
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# a line splice: C deletes a backslash before a line end, with the line
+# end, before it tokenizes
+_SPLICE = re.compile(r"\\\r?\n")
 
 
 def _statement_end(text, body_start):
@@ -293,7 +297,10 @@ def _parse_section(parts, position, span):
 def parse_asm_statement(raw, span, qualifiers=frozenset(), marks=None):
     """The chunk of a statement body, the text between its parentheses.
     marks are the offsets of the body's top-level ':' and ',' as the
-    scanner records them; without them the body is scanned here."""
+    scanner records them; without them, or when the body holds a line
+    splice, the body is scanned here, with its splices deleted."""
+    if "\\\n" in raw or "\\\r\n" in raw:
+        raw, marks = _SPLICE.sub("", raw), None
     if marks is None:
         end, marks = _statement_end(raw + ")", 0)
         if end != len(raw):

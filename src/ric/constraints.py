@@ -487,9 +487,11 @@ def enumerate_assignments(fi, cap=256, collapse=frozenset()):
     fixed_regs = frozenset(fi.fixed.values())
     positions = sorted(p for p in fi.constraints if p not in fi.unified)
     n_alts = max((len(fi.constraints[p].alternatives) for p in positions), default=1)
+    order = sorted({*positions, *fi.unified})
 
     results = []
-    seen = set()
+    seen = set()  # the operands, in token order, of each assignment met
+    letter_options = {}  # constraint letter -> its class options
     truncated = False
 
     def emit(t):
@@ -497,14 +499,14 @@ def enumerate_assignments(fi, cap=256, collapse=frozenset()):
         full = dict(t)
         for p, canon in fi.unified.items():
             full[p] = full[canon]
-        ta = TokenAssignment(full)
-        if ta in seen or not assignment_valid(fi, ta):
+        key = tuple([full[p] for p in order])
+        if key in seen or not assignment_valid(fi, full):
             return False
-        seen.add(ta)
+        seen.add(key)
         if len(results) >= cap:
             truncated = True
             return True
-        results.append(ta)
+        results.append(TokenAssignment(full))
         return False
 
     def options_for(p, alt_idx, partial):
@@ -518,7 +520,12 @@ def enumerate_assignments(fi, cap=256, collapse=frozenset()):
                 if atom.ref in partial:
                     out.append(partial[atom.ref])
             else:
-                out.extend(_class_options(eval_letter(atom.char), banned, fixed_regs))
+                options = letter_options.get(atom.char)
+                if options is None:
+                    options = letter_options[atom.char] = _class_options(
+                        eval_letter(atom.char), banned, fixed_regs
+                    )
+                out.extend(options)
         return out
 
     for alt_idx in range(n_alts):

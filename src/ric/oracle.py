@@ -576,31 +576,63 @@ def random_state(rng, cfg, binding, fi=None, esp_base=None):
     """Fresh randomized state. Register values and token-cell contents
     are drawn from a small per-state pool of sandbox addresses, so that
     equality-dependent control flow (cmp, cmpxchg) is actually exercised
-    within the trial budget."""
-    m = MachineState(cfg.sandbox_size)
+    within the trial budget.
+
+    Each draw below is `rng.randrange(0, n)` or `rng.choice(seq)` (n =
+    len(seq)) as CPython makes it: k = n.bit_length() bits from
+    `getrandbits`, drawn again while the result is n or more. In order:
+    the pool, a pool entry for each of GP (esp's is drawn and then
+    replaced), 64 bits for each of WIDE, a bit for each flag, esp's slot
+    unless esp_base is given, the sandbox key, and a pool entry for each
+    4-byte piece of each token cell."""
+    getrandbits = rng.getrandbits
+    size = cfg.sandbox_size
     data_lo = SANDBOX_BASE + 0x1000
-    data_hi = SANDBOX_BASE + cfg.sandbox_size - 0x1800
-    pool = [
-        data_lo + rng.randrange(0, (data_hi - data_lo) // 8) * 8
-        for _ in range(POOL_SIZE)
-    ]
-    for r in GP:
-        m.regs[r] = rng.choice(pool)
-    for r in WIDE:
-        m.wide[r] = rng.getrandbits(64)
-    for f in FLAG_NAMES:
-        m.flags[f] = rng.getrandbits(1)
-    m.regs["esp"] = esp_base if esp_base is not None else (
-        SANDBOX_BASE + cfg.sandbox_size - 0x400 - rng.randrange(0, 16) * 4
-    )
-    m.mem = PageBytes(rng.getrandbits(64))
+    slots = (size - 0x2800) // 8  # 8-byte slots from data_lo to size - 0x1800
+    if slots <= 0:
+        raise ValueError(f"a sandbox of {size} bytes has no data area")
+    k = slots.bit_length()
+    pool = []
+    for _ in range(POOL_SIZE):
+        r = getrandbits(k)
+        while r >= slots:
+            r = getrandbits(k)
+        pool.append(data_lo + r * 8)
+    regs = {}
+    for name in GP:
+        r = getrandbits(3)
+        while r >= 4:
+            r = getrandbits(3)
+        regs[name] = pool[r]
+    m = MachineState.__new__(MachineState)
+    m.regs = regs
+    m.wide = {name: getrandbits(64) for name in WIDE}
+    m.flags = {name: getrandbits(1) for name in FLAG_NAMES}
+    if esp_base is None:
+        r = getrandbits(5)
+        while r >= 16:
+            r = getrandbits(5)
+        esp_base = SANDBOX_BASE + size - 0x400 - r * 4
+    regs["esp"] = esp_base
+    m.size, m._mem, m.temps, m.operands = size, PageBytes(getrandbits(64)), {}, {}
+    m.stored = stored = {}
     if fi is not None:
+        sizes = fi.sizes
         for p, addr in binding.cells.items():
-            size = fi.sizes.get(p, 4)
-            for off in range(0, size, 4):
-                m.store(addr + off, min(4, size - off), rng.choice(pool))
-    for reg, val in binding.pins.items():
-        m.regs[reg] = val
+            cell = sizes.get(p, 4)
+            for piece in range(0, cell, 4):
+                r = getrandbits(3)
+                while r >= 4:
+                    r = getrandbits(3)
+                n = min(4, cell - piece)
+                off = addr + piece - SANDBOX_BASE
+                if off < 0 or off + n > size:
+                    raise OutOfSandbox(addr + piece)
+                value = pool[r]
+                for i in range(off, off + n):
+                    stored[i] = value & 0xFF
+                    value >>= 8
+    regs.update(binding.pins)
     return m
 
 
@@ -676,12 +708,27 @@ def _mem_equal(m1, m2, exempt_ranges):
     return None
 
 
+def _per_assignment(cache, assignment, make):
+    """make(assignment), made once per assignment object. The cache
+    keeps the assignment, so no other object can take its id."""
+    hit = cache.get(id(assignment))
+    if hit is None:
+        hit = cache[id(assignment)] = (assignment, make(assignment))
+    return hit[1]
+
+
 class OracleRun:
     """What the oracle shares across the three properties of a chunk:
     the interface, lifted program and anchors of the chunk's
     CheckResult, the assignment set, and the program, compiled once.
     `unrunnable` is the reason every property is inconclusive, or
-    empty."""
+    empty.
+
+    What a trial would otherwise recompute is made once per chunk: the
+    sorted input and output tokens, and, per assignment drawn, its
+    operands' Operands, its assignable registers, and its Binding when
+    binding it draws nothing. A trial then costs its draws and its
+    execution."""
 
     def __init__(self, result, cfg):
         self.cfg = cfg
@@ -689,6 +736,7 @@ class OracleRun:
         self.steps_left = STEP_BUDGET
         self.fi, self.prog = result.fi, result.prog
         self.anchors = result.anchors
+        self._operands, self._assignable, self._bindings = {}, {}, {}
         if isinstance(result.error, OutOfScope):
             self.unrunnable = f"out of scope: {result.error}"
             return
@@ -712,9 +760,21 @@ class OracleRun:
             self.unrunnable = "no valid token assignment"
             return
         self.code = compile_program(self.prog)
+        self.inputs = sorted(self.fi.b_i | set(self.fi.unified))
+        self.outputs = sorted(self.fi.b_o)
 
     def bind(self, assignment, rng):
-        b = bind_assignment(self.fi, assignment, rng, self.cfg, self.anchors)
+        hit = self._bindings.get(id(assignment))
+        if hit is not None:
+            b = hit[1]
+        else:
+            b = bind_assignment(self.fi, assignment, rng, self.cfg, self.anchors)
+            if not any(
+                isinstance(op, MemOperand) and op.index for op in assignment.mapping.values()
+            ):
+                # binding draws only index registers' values: without
+                # one, every trial binds this assignment alike
+                self._bindings[id(assignment)] = (assignment, b)
         if b is None:
             raise _Skip
         return b
@@ -723,6 +783,21 @@ class OracleRun:
         """The Operand of each token of the program. Raises MissingToken,
         before anything runs, unless the assignment binds every token
         to an operand that can serve it."""
+        return _per_assignment(self._operands, assignment, self._make_operands)
+
+    def assignable(self, assignment):
+        """The registers the interface lets the program change."""
+        return _per_assignment(self._assignable, assignment, self._make_assignable)
+
+    def _make_assignable(self, assignment):
+        regs = set(self.fi.s_c)
+        for p in self.fi.b_o:
+            op = assignment[p]
+            if isinstance(op, RegOperand):
+                regs.add(op.reg)
+        return regs
+
+    def _make_operands(self, assignment):
         out = {}
         for p in self.tokens:
             op = assignment.mapping.get(p)
@@ -788,15 +863,6 @@ def oracle_check(chunk, prop, cfg=None, run=None):
     return OracleVerdict("pass", trials_run=cfg.trials)
 
 
-def _assignable_regs(fi, assignment):
-    regs = set(fi.s_c)
-    for p in fi.b_o:
-        op = assignment[p]
-        if isinstance(op, RegOperand):
-            regs.add(op.reg)
-    return regs
-
-
 def _output_cell_ranges(fi, assignment, binding):
     ranges = []
     for p in fi.b_o:
@@ -813,7 +879,7 @@ def _check_frame_write(run, rng, cfg):
     m_in = random_state(rng, cfg, binding, fi)
     m_out = run.run_one(assignment, m_in.copy())
 
-    assignable = _assignable_regs(fi, assignment)
+    assignable = run.assignable(assignment)
     for r in GP:
         if r in assignable or r == "esp":
             continue
@@ -850,17 +916,14 @@ def _check_frame_write(run, rng, cfg):
     return None
 
 
-def _inputs_of(fi):
-    return sorted(fi.b_i | set(fi.unified))
-
-
-def _equalize_inputs(fi, assignment, binding, m_src, m_dst, assignment2=None, binding2=None):
+def _equalize_inputs(run, assignment, binding, m_src, m_dst, assignment2=None, binding2=None):
     """Copy input-token evaluations from m_src into m_dst. Returns False
     on a pin conflict."""
+    fi = run.fi
     a2 = assignment2 or assignment
     b2 = binding2 or binding
-    for p in _inputs_of(fi):
-        val = token_value(m_src, fi, assignment, binding, p)
+    wanted = [(p, token_value(m_src, fi, assignment, binding, p)) for p in run.inputs]
+    for p, val in wanted:
         op = a2[p]
         if isinstance(op, ImmOperand):
             if (op.value & ((1 << fi.sizes.get(p, 4) * 8) - 1)) != val:
@@ -874,8 +937,7 @@ def _equalize_inputs(fi, assignment, binding, m_src, m_dst, assignment2=None, bi
         m_dst.store(b2.cells[p], fi.sizes.get(p, 4), val)
     # inputs sharing a register or overlapping cells must agree, or the
     # pair is not realizable
-    for p in _inputs_of(fi):
-        want = token_value(m_src, fi, assignment, binding, p)
+    for p, want in wanted:
         if token_value(m_dst, fi, a2, b2, p) != want:
             return False
     return True
@@ -889,7 +951,7 @@ def _check_frame_read(run, rng, cfg):
     m2 = random_state(rng, cfg, binding, fi, esp_base=m1.regs["esp"])
     if not fi.f:
         m2.copy_memory(m1)
-    if not _equalize_inputs(fi, assignment, binding, m1, m2):
+    if not _equalize_inputs(run, assignment, binding, m1, m2):
         raise _Skip
 
     o1 = run.run_one(assignment, m1.copy())
@@ -901,7 +963,7 @@ def _check_frame_read(run, rng, cfg):
 
 def _compare_outputs(run, prop, a1, b1, a2, b2, m1, m2, o1, o2):
     fi = run.fi
-    for p in sorted(fi.b_o):
+    for p in run.outputs:
         v1 = token_value(o1, fi, a1, b1, p)
         v2 = token_value(o2, fi, a2, b2, p)
         if v1 != v2:
@@ -935,7 +997,7 @@ def _check_unicity(run, rng, cfg):
     a1 = rng.choice(run.assignments)
     a2 = rng.choice(run.assignments)
     # immediates cannot be equalized across the pair; require equality
-    for p in _inputs_of(fi):
+    for p in run.inputs:
         o1, o2 = a1[p], a2[p]
         if isinstance(o1, ImmOperand) != isinstance(o2, ImmOperand):
             raise _Skip
@@ -948,7 +1010,7 @@ def _check_unicity(run, rng, cfg):
     if not fi.f:
         # the memory-equality clause of input equivalence
         m2.copy_memory(m1)
-    if not _equalize_inputs(fi, a1, b1, m1, m2, assignment2=a2, binding2=b2):
+    if not _equalize_inputs(run, a1, b1, m1, m2, assignment2=a2, binding2=b2):
         raise _Skip
     if not fi.f and _mem_equal(m1, m2, []) is not None:
         raise _Skip

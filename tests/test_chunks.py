@@ -23,6 +23,7 @@ from ric.chunks import (
     scan_c_source,
 )
 from ric.checker import check_chunk
+from ric.cli import run as cli_run
 from ric.errors import (
     BadConstraintChar,
     MalformedInterface,
@@ -284,7 +285,13 @@ def _reference_skip_lexical(text, i, n):
         if text[i + 1] == "/":
             j = i + 2
             while j < n and text[j] not in "\r\n":
-                j += 1
+                # a backslash splices the line end after it
+                if text[j] == "\\" and text.startswith("\n", j + 1):
+                    j += 2
+                elif text[j] == "\\" and text.startswith("\r\n", j + 1):
+                    j += 3
+                else:
+                    j += 1
             return min(j + 1, n)
         if text[i + 1] == "*":
             j = text.find("*/", i + 2)
@@ -390,6 +397,7 @@ def _scan_view(result):
 @given(st.lists(_SCAN_FRAGMENTS, max_size=30))
 @example(["asm (", "')'", ")", ";", "asm (", "'('", ")"])
 @example(["asm (", '"))("', " : ", "/* ) */", "// asm (\n", ")", "\r\n", "asm"])
+@example(["//", "\\", "\r\n", "asm (", ")", "\\", "\n", "//", "\\", "\\", "\n", "asm (", ")"])
 def test_scanner_matches_reference(fragments):
     """Same statements (spans with line, column and bytes; qualifiers;
     body) and the same diagnostics as the character-by-character scan,
@@ -412,6 +420,52 @@ def test_line_comment_ends_at_a_lone_cr():
     assert [s.body for s in scan(text)] == ['"incl %0" : "+r" (x)']
     chunks, diagnostics = extract_chunks(text, "cr.c")
     assert [c.template for c in chunks] == ["incl %0"] and not diagnostics
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_line_comment_goes_on_past_a_spliced_line_end(eol):
+    # C deletes the backslash-newline first, so the statement is part of
+    # the comment and GCC never sees it
+    text = f"int f(int x) {{{eol}  // note \\{eol}  asm (\"bogus %0\" : \"+r\" (x));{eol}}}{eol}"
+    assert scan(text) == []
+
+
+SPLICED = (
+    "#define INC(x) asm (\"incl %0\" \\{eol}"
+    "    : \"+r\" (x) \\{eol}"
+    "    : : \"cc\"){eol}"
+    "int f(int x) {{ asm (\"addl %1, \\{eol}%0\" : \"+r\" (x) : \"r\" (x)); return x; }}{eol}"
+)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_line_splices_are_deleted_before_parsing(eol):
+    text = SPLICED.format(eol=eol)
+    chunks, diagnostics = extract_chunks(text, "m.c")
+    assert not diagnostics
+    first, second = chunks
+    assert (first.template, first.clobbers) == ("incl %0", ("cc",))
+    assert [(e.constraint, e.expr_text) for e in first.outputs] == [("+r", "x")]
+    assert (first.span.line, second.span.line) == (1, 4)
+    assert text[first.span.byte_start : first.span.byte_end].endswith(': : "cc")')
+    # inside a string literal a splice stands for nothing
+    assert second.template == "addl %1, %0"
+    assert [e.expr_text for e in second.inputs] == ["x"]
+
+
+def test_in_place_patch_replaces_the_whole_spliced_statement(tmp_path):
+    src = tmp_path / "m.c"
+    src.write_text(
+        "#define ADD(x, y) asm (\"addl %1, %0\" \\\n"
+        "    : \"+r\" (x) \\\n"
+        "    : \"r\" (y))\n"
+        "int g;\n",
+        encoding="utf-8",
+    )
+    cli_run(["patch", "--in-place", "--out", str(tmp_path / "p.json"), str(src)])
+    assert src.read_text(encoding="utf-8") == (
+        '#define ADD(x, y) asm ("addl %1, %0" : "+r" (x) : "r" (y) : "cc")\nint g;\n'
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Concrete-execution oracle: violations on faulty chunks, silence on
 compliant ones, determinism, and interpreter spot checks."""
 
+import hashlib
 import json
 
 import pytest
@@ -25,6 +26,8 @@ from ric.oracle import (
     oracle_check,
 )
 from ric.template import parse_template
+
+from conftest import CORPUS
 
 CFG = TrialConfig(trials=100, seed=0, assignment_cap=256)
 
@@ -163,6 +166,19 @@ def test_oracle_is_deterministic(corpus_by_id):
         b.witness.assignment,
         b.witness.detail,
     )
+
+
+# sha256 of the report of `ric oracle --chunks corpus/corpus.json --seed 0
+# --trials 20`: a change to it is a change of the trial stream, reviewed
+# as one
+TRIAL_STREAM_SHA256 = "c3e1fbfeaf4010db476abf20f282b23ce6117f4418e695be075bb02967b2c71c"
+
+
+def test_trial_stream_is_pinned(tmp_path):
+    out = tmp_path / "oracle.json"
+    args = ["oracle", "--chunks", str(CORPUS), "--seed", "0", "--trials", "20", "--out", str(out)]
+    assert cli_run(args) == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TRIAL_STREAM_SHA256
 
 
 def test_seed_changes_witness_search(corpus_by_id):

@@ -22,11 +22,14 @@ print(json.dumps(sorted(sys.modules)))
 
 # what the dataclass decorator imports; no command needs it at start-up
 SLOW = {"dataclasses", "inspect"}
+# the oracle's trials run in this process on plain records: no state
+# copier, digest, serializer or process pool
+TRIALS = {"copy", "hashlib", "pickle", "multiprocessing", "concurrent"}
 NEVER = {
     "check": {"ric.oracle", "ric.patcher", "ric.refiner", "difflib"} | SLOW,
     "patch": {"ric.oracle", "ric.refiner"} | SLOW,
     "refine": {"ric.oracle", "ric.patcher", "difflib"} | SLOW,
-    "oracle": {"ric.patcher", "ric.refiner", "difflib"} | SLOW,
+    "oracle": {"ric.patcher", "ric.refiner", "difflib"} | SLOW | TRIALS,
 }
 OWN = {
     "check": "ric.checker",
