@@ -44,6 +44,7 @@ from .expr import (
     Token,
     TokenAddr,
     UnOp,
+    _ones,
     format_loc,
     mk_binop,
     mk_cast,
@@ -394,10 +395,6 @@ class ForwardPass:
 # Backward bit-level liveness
 
 
-def _ones(w):
-    return (1 << w) - 1
-
-
 def _ceil_mask(mask):
     return _ones(mask.bit_length()) if mask else 0
 
@@ -506,7 +503,7 @@ class BackwardPass:
                 else:
                     self.demand(e.a, _ones(e.a.width), point, acc)
                     self.demand(e.b, _ones(e.b.width), point, acc)
-            else:  # comparisons, divisions: every bit matters
+            else:  # comparisons and any operator not named above: every bit matters
                 self.demand(e.a, _ones(e.a.width), point, acc)
                 self.demand(e.b, _ones(e.b.width), point, acc)
             return

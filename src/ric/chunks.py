@@ -73,12 +73,12 @@ class ScannedStatement(Record):
 
 # The one lexical grammar of comments and literals, which the scanner
 # and the parser share: a // comment, which ends after \n or, as for
-# GCC, a lone \r, and goes on past a line end spliced by a backslash; a
-# /* */ comment; a string and a character literal, in which a backslash
-# escapes any character. One that does not end runs to the end of the
-# text.
+# GCC, a lone \r, and goes on past a line end spliced by a backslash
+# (see _SPLICE); a /* */ comment; a string and a character literal, in
+# which a backslash escapes any character. One that does not end runs to
+# the end of the text.
 _LEXICAL = (
-    r"//[^\\\r\n]*(?:\\(?:\r?\n)?[^\\\r\n]*)*[\r\n]?"
+    r"//[^\\\r\n]*(?:\\(?:[ \t\f\v]*\r?\n)?[^\\\r\n]*)*[\r\n]?"
     r"|/\*[^*]*(?:\*(?!/)[^*]*)*(?:\*/)?"
     r'|"[^"\\]*(?:\\.[^"\\]*)*"?'
     r"|'[^'\\]*(?:\\.[^'\\]*)*'?"
@@ -92,8 +92,8 @@ _SCAN_STOP = re.compile(_LEXICAL + r"|a(?<=\ba)sm\b|_(?<=\b_)_asm(?:__)?\b", re.
 _BODY_STOP = re.compile(_LEXICAL + r"|\(|\)|\[|\]|:|,", re.S)
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # a line splice: C deletes a backslash before a line end, with the line
-# end, before it tokenizes
-_SPLICE = re.compile(r"\\\r?\n")
+# end, before it tokenizes; as for GCC, blanks may come between the two
+_SPLICE = re.compile(r"\\[ \t\f\v]*\r?\n")
 
 
 def _statement_end(text, body_start):
@@ -299,7 +299,7 @@ def parse_asm_statement(raw, span, qualifiers=frozenset(), marks=None):
     marks are the offsets of the body's top-level ':' and ',' as the
     scanner records them; without them, or when the body holds a line
     splice, the body is scanned here, with its splices deleted."""
-    if "\\\n" in raw or "\\\r\n" in raw:
+    if "\\" in raw and _SPLICE.search(raw):
         raw, marks = _SPLICE.sub("", raw), None
     if marks is None:
         end, marks = _statement_end(raw + ")", 0)

@@ -448,11 +448,6 @@ def _class_options(cls, banned, specs_fixed):
     raise MalformedInterface(f"cannot enumerate {cls!r}")
 
 
-def _operand_location(op):
-    """Identity used by the distinct-output-locations filter."""
-    return op
-
-
 def assignment_valid(fi, t):
     """Independent revalidation of the three validity filters."""
     locs = []
@@ -460,7 +455,7 @@ def assignment_valid(fi, t):
         op = t[p]
         if isinstance(op, ImmOperand):
             return False
-        locs.append(_operand_location(op))
+        locs.append(op)
     if len(set(locs)) != len(locs):
         return False
     clobbered = fi.s_c - {"cc"}

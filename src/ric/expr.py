@@ -92,7 +92,6 @@ def reg(name):
 # ---------------------------------------------------------------------------
 # Expressions
 
-CMP_OPS = frozenset({"eq", "ne", "ugt", "ult", "sgt", "slt"})
 SHIFT_OPS = frozenset({"shl", "shr", "sar"})
 COMMUTATIVE = frozenset({"add", "mul", "and", "or", "xor", "eq", "ne"})
 
@@ -127,7 +126,7 @@ class Load(Expr):
 
 
 class UnOp(Expr):
-    op: str  # 'not' | 'neg'
+    op: str  # a key of UNOPS
     e: Expr
 
     @property
@@ -152,17 +151,13 @@ class Extract(Expr):
 
 
 class BinOp(Expr):
-    op: str
+    op: str  # a key of BINOPS
     a: Expr
     b: Expr
 
     @property
     def width(self):
-        if self.op in CMP_OPS:
-            return 1
-        if self.op == "concat":
-            return self.a.width + self.b.width
-        return self.a.width
+        return binop_width(self.op, self.a.width, self.b.width)
 
 
 class Ite(Expr):
@@ -188,6 +183,82 @@ FALSE = Const(0, 1)
 
 
 # ---------------------------------------------------------------------------
+# Operators
+#
+# The one definition of each operator, which folding, width validation
+# and the oracle's compiled closures all read. A value function takes
+# unsigned operands, each within its own width, and returns an integer
+# that the caller masks to the result width.
+
+
+def _ones(width):
+    return (1 << width) - 1
+
+
+def _to_signed(v, w):
+    v &= _ones(w)
+    return v - (1 << w) if v >> (w - 1) else v
+
+
+# Width rules: (wa, wb) -> the result width, or None when the operand
+# widths do not fit the operator.
+
+
+def _same_width(wa, wb):
+    return wa if wa == wb else None
+
+
+def _one_bit(wa, wb):
+    return 1 if wa == wb else None
+
+
+def _count_free(wa, wb):
+    """A shift: the count may have any width."""
+    return wa
+
+
+def _sum_width(wa, wb):
+    return wa + wb
+
+
+# op -> (width rule, value of (x, y, wa, wb)); a shift count past 256
+# shifts every bit of any operand out
+BINOPS = {
+    "add": (_same_width, lambda x, y, wa, wb: x + y),
+    "sub": (_same_width, lambda x, y, wa, wb: x - y),
+    "mul": (_same_width, lambda x, y, wa, wb: x * y),
+    "and": (_same_width, lambda x, y, wa, wb: x & y),
+    "or": (_same_width, lambda x, y, wa, wb: x | y),
+    "xor": (_same_width, lambda x, y, wa, wb: x ^ y),
+    "shl": (_count_free, lambda x, y, wa, wb: x << min(y, 256)),
+    "shr": (_count_free, lambda x, y, wa, wb: x >> min(y, 256)),
+    "sar": (_count_free, lambda x, y, wa, wb: _to_signed(x, wa) >> min(y, 256)),
+    "eq": (_one_bit, lambda x, y, wa, wb: int(x == y)),
+    "ne": (_one_bit, lambda x, y, wa, wb: int(x != y)),
+    "concat": (_sum_width, lambda x, y, wa, wb: (x << wb) | y),
+}
+
+# op -> value of (x, w); a unary operator keeps its operand's width
+UNOPS = {
+    "not": lambda x, w: ~x,
+    "neg": lambda x, w: -x,
+}
+
+
+def binop_width(op, wa, wb):
+    """The width of `op` on operands of widths wa and wb. WidthError if
+    the operator is not in BINOPS or the widths do not fit it."""
+    try:
+        rule = BINOPS[op][0]
+    except KeyError:
+        raise WidthError(f"unknown binop {op}") from None
+    w = rule(wa, wb)
+    if w is None:
+        raise WidthError(f"{op} widths {wa} vs {wb}")
+    return w
+
+
+# ---------------------------------------------------------------------------
 # Width validation
 
 
@@ -207,7 +278,7 @@ def validate_expr(e):
             raise WidthError(f"load size {e.size}")
     elif isinstance(e, UnOp):
         validate_expr(e.e)
-        if e.op not in ("not", "neg"):
+        if e.op not in UNOPS:
             raise WidthError(f"unop {e.op}")
     elif isinstance(e, Cast):
         validate_expr(e.e)
@@ -220,12 +291,7 @@ def validate_expr(e):
     elif isinstance(e, BinOp):
         validate_expr(e.a)
         validate_expr(e.b)
-        if e.op in SHIFT_OPS:
-            pass  # shift amount width is free
-        elif e.op == "concat":
-            pass
-        elif e.a.width != e.b.width:
-            raise WidthError(f"{e.op} widths {e.a.width} vs {e.b.width}")
+        binop_width(e.op, e.a.width, e.b.width)
     elif isinstance(e, Ite):
         validate_expr(e.c)
         validate_expr(e.a)
@@ -243,20 +309,9 @@ def validate_expr(e):
 # Simplification (smart constructors applying a fixed rewrite set)
 
 
-def _ones(width):
-    return (1 << width) - 1
-
-
-def _to_signed(v, w):
-    v &= _ones(w)
-    return v - (1 << w) if v >> (w - 1) else v
-
-
 def mk_unop(op, e):
     if isinstance(e, Const):
-        if op == "not":
-            return Const(~e.value, e.width)
-        return Const(-e.value, e.width)
+        return Const(UNOPS[op](e.value, e.width), e.width)
     if isinstance(e, UnOp) and e.op == op:  # double negation
         return e.e
     return UnOp(op, e)
@@ -296,51 +351,8 @@ def mk_extract(hi, lo, e):
 
 
 def _fold_binop(op, a, b):
-    w = 1 if op in CMP_OPS else (a.width + b.width if op == "concat" else a.width)
-    x, y = a.value, b.value
-    if op == "add":
-        return Const(x + y, w)
-    if op == "sub":
-        return Const(x - y, w)
-    if op == "mul":
-        return Const(x * y, w)
-    if op == "udiv":
-        return Const(x // y if y else _ones(w), w)
-    if op == "urem":
-        return Const(x % y if y else x, w)
-    if op == "sdiv":
-        sx, sy = _to_signed(x, a.width), _to_signed(y, a.width)
-        return Const(int(sx / sy) if sy else _ones(w), w)
-    if op == "srem":
-        sx, sy = _to_signed(x, a.width), _to_signed(y, a.width)
-        return Const(sx - sy * int(sx / sy) if sy else x, w)
-    if op == "and":
-        return Const(x & y, w)
-    if op == "or":
-        return Const(x | y, w)
-    if op == "xor":
-        return Const(x ^ y, w)
-    if op == "shl":
-        return Const(x << min(y, 256), w)
-    if op == "shr":
-        return Const(x >> min(y, 256), w)
-    if op == "sar":
-        return Const(_to_signed(x, a.width) >> min(y, 256), w)
-    if op == "eq":
-        return Const(int(x == y), 1)
-    if op == "ne":
-        return Const(int(x != y), 1)
-    if op == "ugt":
-        return Const(int(x > y), 1)
-    if op == "ult":
-        return Const(int(x < y), 1)
-    if op == "sgt":
-        return Const(int(_to_signed(x, a.width) > _to_signed(y, a.width)), 1)
-    if op == "slt":
-        return Const(int(_to_signed(x, a.width) < _to_signed(y, a.width)), 1)
-    if op == "concat":
-        return Const((x << b.width) | y, w)
-    raise WidthError(f"unknown binop {op}")
+    w = binop_width(op, a.width, b.width)
+    return Const(BINOPS[op][1](a.value, b.value, a.width, b.width), w)
 
 
 def mk_binop(op, a, b):

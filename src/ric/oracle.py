@@ -8,9 +8,10 @@ per-property step budget, not a proof.
 
 A chunk's program is compiled once into Python closures (Feeley &
 Lapalme, "Using closures for code generation", 1987) that compute
-each expression's value with the operator meanings of constant folding
-(`_fold_binop`); each token reads the operand that the state binds to
-it at run time. The tests check them against a tree-walking reference
+each expression's value with the operator meanings of the IR's
+operator tables (`expr.BINOPS`, `expr.UNOPS`), which constant folding
+also reads; each token reads the operand that the state binds to it at
+run time. The tests check them against a tree-walking reference
 evaluator.
 """
 
@@ -28,6 +29,8 @@ from .constraints import (
 )
 from .errors import MissingToken, OutOfSandbox, OutOfScope, RicError, StepLimit, WidthError
 from .expr import (
+    BINOPS,
+    UNOPS,
     Assign,
     BinOp,
     Branch,
@@ -48,7 +51,6 @@ from .expr import (
     Token,
     TokenAddr,
     UnOp,
-    _fold_binop,
     _ones,
     _to_signed,
     format_loc,
@@ -325,42 +327,9 @@ def _compile_operand(e):
 
 
 def _compile_binop(e):
-    op, wa, wb, m = e.op, e.a.width, e.b.width, _ones(e.width)
+    fn, wa, wb, m = BINOPS[e.op][1], e.a.width, e.b.width, _ones(e.width)
     fa, fb = _compile_operand(e.a), _compile_operand(e.b)
-    if op == "add":
-        return lambda s: (fa(s) + fb(s)) & m
-    if op == "sub":
-        return lambda s: (fa(s) - fb(s)) & m
-    if op == "mul":
-        return lambda s: (fa(s) * fb(s)) & m
-    if op == "and":
-        return lambda s: fa(s) & fb(s) & m
-    if op == "or":
-        return lambda s: (fa(s) | fb(s)) & m
-    if op == "xor":
-        return lambda s: (fa(s) ^ fb(s)) & m
-    if op == "shl":
-        return lambda s: (fa(s) << min(fb(s), 256)) & m
-    if op == "shr":
-        return lambda s: (fa(s) >> min(fb(s), 256)) & m
-    if op == "sar":
-        return lambda s: (_to_signed(fa(s), wa) >> min(fb(s), 256)) & m
-    if op == "concat":
-        return lambda s: ((fa(s) << wb) | fb(s)) & m
-    if op == "eq":
-        return lambda s: int(fa(s) == fb(s))
-    if op == "ne":
-        return lambda s: int(fa(s) != fb(s))
-    if op == "ugt":
-        return lambda s: int(fa(s) > fb(s))
-    if op == "ult":
-        return lambda s: int(fa(s) < fb(s))
-    if op == "sgt":
-        return lambda s: int(_to_signed(fa(s), wa) > _to_signed(fb(s), wa))
-    if op == "slt":
-        return lambda s: int(_to_signed(fa(s), wa) < _to_signed(fb(s), wa))
-    # division, remainder and unknown operators: fold as constants do
-    return lambda s: _fold_binop(op, Const(fa(s), wa), Const(fb(s), wb)).value
+    return lambda s: fn(fa(s), fb(s), wa, wb) & m
 
 
 def compile_expr(e):
@@ -374,10 +343,8 @@ def compile_expr(e):
         fa, size = compile_expr(e.addr), e.size
         return lambda s: s.load(fa(s), size)
     if isinstance(e, UnOp):
-        f, m = compile_expr(e.e), _ones(e.width)
-        if e.op == "not":
-            return lambda s: ~f(s) & m
-        return lambda s: -f(s) & m
+        fn, f, w, m = UNOPS[e.op], _compile_operand(e.e), e.e.width, _ones(e.width)
+        return lambda s: fn(f(s), w) & m
     if isinstance(e, Cast):
         f, m, w = compile_expr(e.e), _ones(e.width), e.e.width
         if e.kind == "sext":

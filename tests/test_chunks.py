@@ -285,13 +285,18 @@ def _reference_skip_lexical(text, i, n):
         if text[i + 1] == "/":
             j = i + 2
             while j < n and text[j] not in "\r\n":
-                # a backslash splices the line end after it
-                if text[j] == "\\" and text.startswith("\n", j + 1):
-                    j += 2
-                elif text[j] == "\\" and text.startswith("\r\n", j + 1):
-                    j += 3
-                else:
-                    j += 1
+                # a backslash splices the line end after it, across blanks
+                if text[j] == "\\":
+                    k = j + 1
+                    while k < n and text[k] in " \t\f\v":
+                        k += 1
+                    if text.startswith("\n", k):
+                        j = k + 1
+                        continue
+                    if text.startswith("\r\n", k):
+                        j = k + 2
+                        continue
+                j += 1
             return min(j + 1, n)
         if text[i + 1] == "*":
             j = text.find("*/", i + 2)
@@ -398,6 +403,7 @@ def _scan_view(result):
 @example(["asm (", "')'", ")", ";", "asm (", "'('", ")"])
 @example(["asm (", '"))("', " : ", "/* ) */", "// asm (\n", ")", "\r\n", "asm"])
 @example(["//", "\\", "\r\n", "asm (", ")", "\\", "\n", "//", "\\", "\\", "\n", "asm (", ")"])
+@example(["//", "\\", " ", "\t", "\n", "asm (", ")", "//", "\\", " ", "\r\n", "asm (", ")"])
 def test_scanner_matches_reference(fragments):
     """Same statements (spans with line, column and bytes; qualifiers;
     body) and the same diagnostics as the character-by-character scan,
@@ -422,7 +428,11 @@ def test_line_comment_ends_at_a_lone_cr():
     assert [c.template for c in chunks] == ["incl %0"] and not diagnostics
 
 
-@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+# GCC splices a line across blanks between the backslash and the line end
+_SPLICE_EOLS = ["\n", "\r\n", " \n", "\t\x0c\x0b \r\n"]
+
+
+@pytest.mark.parametrize("eol", _SPLICE_EOLS)
 def test_line_comment_goes_on_past_a_spliced_line_end(eol):
     # C deletes the backslash-newline first, so the statement is part of
     # the comment and GCC never sees it
@@ -438,7 +448,7 @@ SPLICED = (
 )
 
 
-@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("eol", _SPLICE_EOLS)
 def test_line_splices_are_deleted_before_parsing(eol):
     text = SPLICED.format(eol=eol)
     chunks, diagnostics = extract_chunks(text, "m.c")

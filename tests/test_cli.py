@@ -1,11 +1,14 @@
 """Command-line driver: exit codes, output formats, in-place rewriting, and
 report reproducibility."""
 
+import hashlib
 import json
 
 import pytest
 
 from ric.cli import run
+
+from conftest import CORPUS
 
 FAULTY_SRC = (
     "int f(int x, int y) {\n"
@@ -401,3 +404,21 @@ def test_reports_are_byte_identical_across_runs(tmp_path, monkeypatch):
     assert run(["check", "--chunks", "corpus/corpus.json", "--out", str(a)]) == 1
     assert run(["check", "--chunks", "corpus/corpus.json", "--out", str(b)]) == 1
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the report of `ric <command> --chunks corpus/corpus.json`, as
+# TRIAL_STREAM_SHA256 pins the oracle's: a change to one is a change of
+# what ric reports on the corpus, reviewed as one
+REPORT_SHA256 = {
+    "check": "bb8f0dd5c6acb376f477e31e3c928c96f77827c4f51402df6ebc4a6cd8763974",
+    "patch": "1bfd6fe685f7fdbbbf99681975224b773929733ce83c3804b142817f95596305",
+    "refine": "b5d0af8f2c9e7788cfd8b5dfe462de44ff57f095399feff3c7724a3a05a9235b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_SHA256))
+def test_corpus_reports_are_pinned(command, tmp_path, monkeypatch):
+    monkeypatch.delenv("RIC_TIMINGS", raising=False)
+    out = tmp_path / f"{command}.json"
+    assert run([command, "--chunks", str(CORPUS), "--out", str(out)]) == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[command]

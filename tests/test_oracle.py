@@ -174,7 +174,8 @@ def test_oracle_is_deterministic(corpus_by_id):
 TRIAL_STREAM_SHA256 = "c3e1fbfeaf4010db476abf20f282b23ce6117f4418e695be075bb02967b2c71c"
 
 
-def test_trial_stream_is_pinned(tmp_path):
+def test_trial_stream_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv("RIC_TIMINGS", raising=False)
     out = tmp_path / "oracle.json"
     args = ["oracle", "--chunks", str(CORPUS), "--seed", "0", "--trials", "20", "--out", str(out)]
     assert cli_run(args) == 1

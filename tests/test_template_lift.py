@@ -9,6 +9,8 @@ from ric.chunks import load_chunk_records
 from ric.constraints import derive_interface
 from ric.errors import OutOfScope, UnknownMnemonic, WidthError
 from ric.expr import (
+    BINOPS,
+    UNOPS,
     BinOp,
     Cast,
     Const,
@@ -26,6 +28,7 @@ from ric.expr import (
     mk_extract,
     mk_ite,
     mk_unop,
+    validate_expr,
 )
 from ric.lift import lift
 from ric.oracle import MachineState, compile_expr
@@ -179,13 +182,59 @@ def test_lift_sib_addressing():
 
 _REGS = [Reg("eax", 32), Reg("ebx", 32), Reg("ecx", 32)]
 _ARITH = ["add", "sub", "mul", "and", "or", "xor", "shl", "shr", "sar"]
-_CMPS = ["eq", "ne", "ult", "slt", "ugt", "sgt"]
-_DIVS = ["udiv", "urem", "sdiv", "srem"]
+_CMPS = ["eq", "ne"]
 
 
 # ---------------------------------------------------------------------------
-# References: a tree-walking evaluator, and a rebuild of an expression
-# through the simplifying constructors
+# References: the operator meanings written out apart from ric's operator
+# tables, a tree-walking evaluator over them, and a rebuild of an
+# expression through the simplifying constructors
+
+_REFERENCE_BINOPS = _ARITH + _CMPS + ["concat"]
+_REFERENCE_UNOPS = ["not", "neg"]
+
+
+def _reference_binop(op, x, y, wa, wb):
+    """(value, width) of op on x and y, each operand masked to its own
+    width as Const masks it."""
+    x, y = x & _ones(wa), y & _ones(wb)
+    w = wa
+    if op == "add":
+        v = x + y
+    elif op == "sub":
+        v = x - y
+    elif op == "mul":
+        v = x * y
+    elif op == "and":
+        v = x & y
+    elif op == "or":
+        v = x | y
+    elif op == "xor":
+        v = x ^ y
+    elif op == "shl":
+        v = x << min(y, 256)
+    elif op == "shr":
+        v = x >> min(y, 256)
+    elif op == "sar":
+        v = _to_signed(x, wa) >> min(y, 256)
+    elif op == "eq":
+        v, w = int(x == y), 1
+    elif op == "ne":
+        v, w = int(x != y), 1
+    elif op == "concat":
+        v, w = (x << wb) | y, wa + wb
+    else:
+        raise WidthError(f"unknown binop {op}")
+    return v & _ones(w), w
+
+
+def _reference_unop(op, x, w):
+    x &= _ones(w)
+    if op == "not":
+        return ~x & _ones(w)
+    if op == "neg":
+        return -x & _ones(w)
+    raise WidthError(f"unknown unop {op}")
 
 
 def simplify(e):
@@ -219,7 +268,7 @@ def eval_expr(e, get_loc, load_mem):
         return load_mem(addr, e.size)
     if isinstance(e, UnOp):
         v = eval_expr(e.e, get_loc, load_mem)
-        return (~v if e.op == "not" else -v) & _ones(e.width)
+        return _reference_unop(e.op, v, e.e.width)
     if isinstance(e, Cast):
         v = eval_expr(e.e, get_loc, load_mem)
         if e.kind == "sext":
@@ -229,9 +278,9 @@ def eval_expr(e, get_loc, load_mem):
         v = eval_expr(e.e, get_loc, load_mem)
         return (v >> e.lo) & _ones(e.width)
     if isinstance(e, BinOp):
-        a = Const(eval_expr(e.a, get_loc, load_mem), e.a.width)
-        b = Const(eval_expr(e.b, get_loc, load_mem), e.b.width)
-        return _fold_binop(e.op, a, b).value
+        a = eval_expr(e.a, get_loc, load_mem)
+        b = eval_expr(e.b, get_loc, load_mem)
+        return _reference_binop(e.op, a, b, e.a.width, e.b.width)[0]
     if isinstance(e, Ite):
         c = eval_expr(e.c, get_loc, load_mem)
         return eval_expr(e.a if c else e.b, get_loc, load_mem)
@@ -249,7 +298,7 @@ def _exprs(ops=_ARITH, casts=False):
             st.tuples(st.sampled_from(ops), children, children).map(
                 lambda t: BinOp(t[0], t[1], t[2])
             ),
-            st.tuples(st.sampled_from(["not", "neg"]), children).map(
+            st.tuples(st.sampled_from(_REFERENCE_UNOPS), children).map(
                 lambda t: UnOp(t[0], t[1])
             ),
             st.tuples(
@@ -328,14 +377,14 @@ def _agree(e, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_exprs(_ARITH + _DIVS, casts=True), st.integers(1, 2**16))
+@given(_exprs(_ARITH, casts=True), st.integers(1, 2**16))
 def test_compiled_expr_matches_eval_expr(e, seed):
     assert _agree(e, seed)
 
 
 @settings(max_examples=500, deadline=None)
 @given(
-    st.sampled_from(_ARITH + _DIVS + _CMPS + ["concat"]),
+    st.sampled_from(_REFERENCE_BINOPS),
     _exprs(),
     _exprs(),
     st.integers(1, 2**16),
@@ -348,3 +397,69 @@ def test_compiled_expr_masks_an_overflowing_ite():
     get_loc, load_mem = _env(1)
     assert eval_expr(_WIDE_ITE, get_loc, load_mem) == 0x7F
     assert _agree(_WIDE_ITE, 1)
+
+
+# ---------------------------------------------------------------------------
+# Operator tables against the reference, at the boundaries
+
+_WIDTHS = (1, 8, 16, 32, 64)
+
+
+def _boundary_values(w):
+    return sorted({0, 1, 1 << (w - 1), _ones(w)})
+
+
+def _binop_cases(op):
+    """(x, y, wa, wb) at each width's boundaries: shift counts 0, w-1, w
+    and w+1 as an 8-bit count, and concatenations of unequal widths."""
+    for wa in _WIDTHS:
+        if op in ("shl", "shr", "sar"):
+            pairs = [(8, y) for y in (0, wa - 1, wa, wa + 1)]
+        elif op == "concat":
+            pairs = [(wb, y) for wb in _WIDTHS if wb != wa for y in _boundary_values(wb)]
+        else:
+            pairs = [(wa, y) for y in _boundary_values(wa)]
+        for x in _boundary_values(wa):
+            for wb, y in pairs:
+                yield x, y, wa, wb
+
+
+def test_operator_tables_have_a_reference_for_each_entry():
+    assert sorted(BINOPS) == sorted(_REFERENCE_BINOPS)
+    assert sorted(UNOPS) == sorted(_REFERENCE_UNOPS)
+
+
+@pytest.mark.parametrize("op", _REFERENCE_BINOPS)
+def test_binop_fold_and_closure_match_the_reference_at_boundaries(op):
+    state = MachineState(0)
+    for x, y, wa, wb in _binop_cases(op):
+        e = validate_expr(BinOp(op, Const(x, wa), Const(y, wb)))
+        want, w = _reference_binop(op, x, y, wa, wb)
+        assert e.width == w, (wa, wb)
+        assert _fold_binop(op, Const(x, wa), Const(y, wb)) == Const(want, w), (x, y, wa, wb)
+        assert compile_expr(e)(state) == want, (x, y, wa, wb)
+
+
+@pytest.mark.parametrize("op", _REFERENCE_UNOPS)
+def test_unop_fold_and_closure_match_the_reference_at_boundaries(op):
+    state = MachineState(0)
+    for w in _WIDTHS:
+        for x in _boundary_values(w):
+            want = _reference_unop(op, x, w)
+            assert mk_unop(op, Const(x, w)) == Const(want, w), (x, w)
+            assert compile_expr(UnOp(op, Const(x, w)))(state) == want, (x, w)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        BinOp("udiv", Const(6, 32), Const(3, 32)),
+        BinOp("ult", Const(6, 32), Const(3, 32)),
+        BinOp("add", Const(6, 32), Const(3, 8)),
+        BinOp("eq", Const(6, 32), Const(3, 16)),
+        UnOp("bsf", Const(6, 32)),
+    ],
+)
+def test_validate_rejects_unknown_operators_and_unfit_widths(e):
+    with pytest.raises(WidthError):
+        validate_expr(e)
