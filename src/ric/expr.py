@@ -8,6 +8,8 @@ straight-line.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import WidthError
 from .value import Record, factory
 
@@ -157,7 +159,14 @@ class BinOp(Expr):
 
     @property
     def width(self):
-        return binop_width(self.op, self.a.width, self.b.width)
+        # the rule is read here, in one frame per operand level, since
+        # the checker builds operand chains as deep as the chunk is long
+        rule = BINOPS[self.op][0]
+        if rule == ONE_BIT:
+            return 1
+        if rule == SUM_WIDTH:
+            return self.a.width + self.b.width
+        return self.a.width
 
 
 class Ite(Expr):
@@ -188,7 +197,9 @@ FALSE = Const(0, 1)
 # The one definition of each operator, which folding, width validation
 # and the oracle's compiled closures all read. A value function takes
 # unsigned operands, each within its own width, and returns an integer
-# that the caller masks to the result width.
+# that the caller masks to the result width. A binary operator's value
+# entry binds the operand widths once and returns that function, most
+# often a builtin of the operator module.
 
 
 def _ones(width):
@@ -200,62 +211,59 @@ def _to_signed(v, w):
     return v - (1 << w) if v >> (w - 1) else v
 
 
-# Width rules: (wa, wb) -> the result width, or None when the operand
-# widths do not fit the operator.
+# Width rules, which BinOp.width applies: the first operand's width,
+# one bit, or the sum of both operands' widths. A rule reads only the
+# operand widths it needs, since the checker's operands may share
+# subtrees. Whether the operands fit is checked apart, by check_binop.
+FIRST_WIDTH, ONE_BIT, SUM_WIDTH = "first", "bit", "sum"
 
 
-def _same_width(wa, wb):
-    return wa if wa == wb else None
+def _sar(wa, wb):
+    return lambda x, y: _to_signed(x, wa) >> min(y, 256)
 
 
-def _one_bit(wa, wb):
-    return 1 if wa == wb else None
+def _concat(wa, wb):
+    return lambda x, y: (x << wb) | y
 
 
-def _count_free(wa, wb):
-    """A shift: the count may have any width."""
-    return wa
+def _shift(shift):
+    """A shift whose count is capped at 256, a cap that a count of at
+    most 8 bits never reaches."""
+    return lambda wa, wb: shift if wb <= 8 else (lambda x, y: shift(x, min(y, 256)))
 
 
-def _sum_width(wa, wb):
-    return wa + wb
-
-
-# op -> (width rule, value of (x, y, wa, wb)); a shift count past 256
-# shifts every bit of any operand out
+# op -> (width rule, whether the operands must have equal widths,
+# value: (wa, wb) -> f(x, y)); a shift count past 256 shifts every bit
+# of any operand out
 BINOPS = {
-    "add": (_same_width, lambda x, y, wa, wb: x + y),
-    "sub": (_same_width, lambda x, y, wa, wb: x - y),
-    "mul": (_same_width, lambda x, y, wa, wb: x * y),
-    "and": (_same_width, lambda x, y, wa, wb: x & y),
-    "or": (_same_width, lambda x, y, wa, wb: x | y),
-    "xor": (_same_width, lambda x, y, wa, wb: x ^ y),
-    "shl": (_count_free, lambda x, y, wa, wb: x << min(y, 256)),
-    "shr": (_count_free, lambda x, y, wa, wb: x >> min(y, 256)),
-    "sar": (_count_free, lambda x, y, wa, wb: _to_signed(x, wa) >> min(y, 256)),
-    "eq": (_one_bit, lambda x, y, wa, wb: int(x == y)),
-    "ne": (_one_bit, lambda x, y, wa, wb: int(x != y)),
-    "concat": (_sum_width, lambda x, y, wa, wb: (x << wb) | y),
+    "add": (FIRST_WIDTH, True, lambda wa, wb: operator.add),
+    "sub": (FIRST_WIDTH, True, lambda wa, wb: operator.sub),
+    "mul": (FIRST_WIDTH, True, lambda wa, wb: operator.mul),
+    "and": (FIRST_WIDTH, True, lambda wa, wb: operator.and_),
+    "or": (FIRST_WIDTH, True, lambda wa, wb: operator.or_),
+    "xor": (FIRST_WIDTH, True, lambda wa, wb: operator.xor),
+    "shl": (FIRST_WIDTH, False, _shift(operator.lshift)),
+    "shr": (FIRST_WIDTH, False, _shift(operator.rshift)),
+    "sar": (FIRST_WIDTH, False, _sar),
+    "eq": (ONE_BIT, True, lambda wa, wb: operator.eq),
+    "ne": (ONE_BIT, True, lambda wa, wb: operator.ne),
+    "concat": (SUM_WIDTH, False, _concat),
 }
 
-# op -> value of (x, w); a unary operator keeps its operand's width
+# op -> value f(x); a unary operator keeps its operand's width
 UNOPS = {
-    "not": lambda x, w: ~x,
-    "neg": lambda x, w: -x,
+    "not": operator.invert,
+    "neg": operator.neg,
 }
 
 
-def binop_width(op, wa, wb):
-    """The width of `op` on operands of widths wa and wb. WidthError if
-    the operator is not in BINOPS or the widths do not fit it."""
-    try:
-        rule = BINOPS[op][0]
-    except KeyError:
-        raise WidthError(f"unknown binop {op}") from None
-    w = rule(wa, wb)
-    if w is None:
+def check_binop(op, wa, wb):
+    """WidthError unless `op` is in BINOPS and operands of widths wa and
+    wb fit it."""
+    if op not in BINOPS:
+        raise WidthError(f"unknown binop {op}")
+    if BINOPS[op][1] and wa != wb:
         raise WidthError(f"{op} widths {wa} vs {wb}")
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +299,7 @@ def validate_expr(e):
     elif isinstance(e, BinOp):
         validate_expr(e.a)
         validate_expr(e.b)
-        binop_width(e.op, e.a.width, e.b.width)
+        check_binop(e.op, e.a.width, e.b.width)
     elif isinstance(e, Ite):
         validate_expr(e.c)
         validate_expr(e.a)
@@ -311,7 +319,7 @@ def validate_expr(e):
 
 def mk_unop(op, e):
     if isinstance(e, Const):
-        return Const(UNOPS[op](e.value, e.width), e.width)
+        return Const(UNOPS[op](e.value), e.width)
     if isinstance(e, UnOp) and e.op == op:  # double negation
         return e.e
     return UnOp(op, e)
@@ -351,8 +359,9 @@ def mk_extract(hi, lo, e):
 
 
 def _fold_binop(op, a, b):
-    w = binop_width(op, a.width, b.width)
-    return Const(BINOPS[op][1](a.value, b.value, a.width, b.width), w)
+    check_binop(op, a.width, b.width)
+    value = BINOPS[op][2](a.width, b.width)
+    return Const(value(a.value, b.value), BinOp(op, a, b).width)
 
 
 def mk_binop(op, a, b):

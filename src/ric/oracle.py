@@ -327,9 +327,9 @@ def _compile_operand(e):
 
 
 def _compile_binop(e):
-    fn, wa, wb, m = BINOPS[e.op][1], e.a.width, e.b.width, _ones(e.width)
+    fn, m = BINOPS[e.op][2](e.a.width, e.b.width), _ones(e.width)
     fa, fb = _compile_operand(e.a), _compile_operand(e.b)
-    return lambda s: fn(fa(s), fb(s), wa, wb) & m
+    return lambda s: fn(fa(s), fb(s)) & m
 
 
 def compile_expr(e):
@@ -343,8 +343,8 @@ def compile_expr(e):
         fa, size = compile_expr(e.addr), e.size
         return lambda s: s.load(fa(s), size)
     if isinstance(e, UnOp):
-        fn, f, w, m = UNOPS[e.op], _compile_operand(e.e), e.e.width, _ones(e.width)
-        return lambda s: fn(f(s), w) & m
+        fn, f, m = UNOPS[e.op], compile_expr(e.e), _ones(e.width)
+        return lambda s: fn(f(s)) & m
     if isinstance(e, Cast):
         f, m, w = compile_expr(e.e), _ones(e.width), e.e.width
         if e.kind == "sext":

@@ -1,6 +1,8 @@
 """Compliance checker: findings, the two precision optimizations, and
 corpus-label agreement."""
 
+import time
+
 import pytest
 
 from ric.checker import CheckOptions, check_chunk
@@ -302,6 +304,29 @@ def test_benign_only_is_still_issues_verdict():
     result = check_chunk(c)
     assert result.verdict == "issues"
     assert all(i.category == "FlagClobbered" for i in result.issues)
+
+
+@pytest.mark.parametrize(
+    "template,outputs",
+    [
+        ("\n".join(["leal (%0,%0), %0"] * 40), [("+r", "x", 4)]),
+        (
+            "\n".join(["leal (%0,%1), %0", "leal (%0,%1), %1"] * 20),
+            [("+r", "x", 4), ("+r", "y", 4)],
+        ),
+        ("\n".join(["leal (%0,%0), %0"] * 600), [("+r", "x", 4)]),
+    ],
+    ids=["one-register-40", "two-registers-40", "one-register-600"],
+)
+def test_chained_leas_check_in_linear_time(template, outputs):
+    # each lea makes a register the sum of values that share subtrees; a
+    # width query that walked both operands of every sum would visit
+    # about 2**40 nodes here, and one that took more than one frame per
+    # operand level would run out of stack on the 600-lea chain
+    start = time.perf_counter()
+    result = check_chunk(chunk(template, outputs))
+    assert time.perf_counter() - start < 2.0
+    assert result.verdict == "compliant"
 
 
 def test_error_verdict_on_bad_token_reference():

@@ -411,10 +411,12 @@ def _boundary_values(w):
 
 def _binop_cases(op):
     """(x, y, wa, wb) at each width's boundaries: shift counts 0, w-1, w
-    and w+1 as an 8-bit count, and concatenations of unequal widths."""
+    and w+1 as an 8- and a 32-bit count, and a 32-bit count past 256, and
+    concatenations of unequal widths."""
     for wa in _WIDTHS:
         if op in ("shl", "shr", "sar"):
-            pairs = [(8, y) for y in (0, wa - 1, wa, wa + 1)]
+            pairs = [(wb, y) for wb in (8, 32) for y in (0, wa - 1, wa, wa + 1)]
+            pairs.append((32, _ones(32)))
         elif op == "concat":
             pairs = [(wb, y) for wb in _WIDTHS if wb != wa for y in _boundary_values(wb)]
         else:
@@ -455,11 +457,19 @@ def test_unop_fold_and_closure_match_the_reference_at_boundaries(op):
     [
         BinOp("udiv", Const(6, 32), Const(3, 32)),
         BinOp("ult", Const(6, 32), Const(3, 32)),
-        BinOp("add", Const(6, 32), Const(3, 8)),
-        BinOp("eq", Const(6, 32), Const(3, 16)),
         UnOp("bsf", Const(6, 32)),
     ],
 )
-def test_validate_rejects_unknown_operators_and_unfit_widths(e):
+def test_validate_rejects_unknown_operators(e):
     with pytest.raises(WidthError):
         validate_expr(e)
+
+
+@pytest.mark.parametrize(
+    "op", [op for op in _REFERENCE_BINOPS if op not in ("shl", "shr", "sar", "concat")]
+)
+def test_validate_rejects_operands_of_unequal_widths(op):
+    # a shift's count and a concat's halves may differ in width, as the
+    # boundary tests above validate
+    with pytest.raises(WidthError):
+        validate_expr(BinOp(op, Const(6, 32), Const(3, 8)))
