@@ -120,11 +120,24 @@ def init_read(loc):
 # Memory access classification
 
 
+class Region(Record):
+    """Where a memory access lands: the cell of an m-class token p
+    ("cell"), bytes behind a pointer token p ("tokptr"), a stack slot
+    ("stack") or a place the classifier cannot name ("whole"). off is a
+    signed byte offset from the token's address, or from the entry esp
+    for the stack (so it is negative there); size is the access size in
+    bytes."""
+
+    kind: str  # 'cell' | 'tokptr' | 'stack' | 'whole'
+    p: int  # None for the stack and for all of memory
+    off: int
+    size: int
+
+
 class MemEvent(Record):
     point: int
     kind: str  # 'load' | 'store'
-    region: tuple  # ('cell',p,off) ('stack',off) ('tokptr',p,off) ('whole',)
-    size: int
+    region: Region
     addr: object
 
 
@@ -154,23 +167,22 @@ def make_classifier(fi):
     for p, r in fi.fixed.items():
         reg_to_input.setdefault(r, p)
 
-    def classify(addr):
+    def classify(addr, size):
+        """The region of a size-byte access at addr."""
         terms, c = _flatten_add(addr)
-        if len(terms) != 1:
-            return ("whole",)
-        t = terms[0]
-        if isinstance(t, ReadLoc) and isinstance(t.loc, Init):
-            base = t.loc.loc
+        if len(terms) == 1 and isinstance(terms[0], ReadLoc) and isinstance(terms[0].loc, Init):
+            base = terms[0].loc.loc
             if isinstance(base, TokenAddr):
-                return ("cell", base.index, c)
+                return Region("cell", base.index, c, size)
             if isinstance(base, Token):
-                return ("tokptr", base.index, c)
+                return Region("tokptr", base.index, c, size)
             if isinstance(base, Reg):
                 if base.name == "esp":
-                    return ("stack", -c) if c < 0 else ("whole",)
-                if base.name in reg_to_input:
-                    return ("tokptr", reg_to_input[base.name], c)
-        return ("whole",)
+                    if c < 0:
+                        return Region("stack", None, c, size)
+                elif base.name in reg_to_input:
+                    return Region("tokptr", reg_to_input[base.name], c, size)
+        return Region("whole", None, 0, size)
 
     return classify
 
@@ -179,85 +191,59 @@ def make_classifier(fi):
 # Forward symbolic pass
 
 
+def _bytes(region):
+    """The bytes a cell or stack region covers, each as (token, offset);
+    the token of a stack byte is None."""
+    return {(region.p, region.off + i) for i in range(region.size)}
+
+
 class MemModel:
+    """Memory as the forward pass knows it: the last value stored to
+    each cell or stack region still intact, the bytes of cells and the
+    stack written so far, and whether a store went anywhere else."""
+
     def __init__(self):
-        self.cells = {}  # (p, off, size) -> expr
-        self.stack = {}  # (off, size) -> expr
-        self.cell_written = set()  # (p, byte)
-        self.stack_written = set()  # byte offsets (positive, below entry esp)
+        self.known = {}  # cell or stack Region -> expr
+        self.written = set()  # (token or None, byte offset)
         self.wild = False
         self.any_store = False
 
     def copy(self):
         m = MemModel()
-        m.cells = dict(self.cells)
-        m.stack = dict(self.stack)
-        m.cell_written = set(self.cell_written)
-        m.stack_written = set(self.stack_written)
+        m.known = dict(self.known)
+        m.written = set(self.written)
         m.wild = self.wild
         m.any_store = self.any_store
         return m
 
     def join(self, other):
         m = MemModel()
-        m.cells = {k: v for k, v in self.cells.items() if other.cells.get(k) == v}
-        m.stack = {k: v for k, v in self.stack.items() if other.stack.get(k) == v}
-        m.cell_written = self.cell_written | other.cell_written
-        m.stack_written = self.stack_written | other.stack_written
+        m.known = {k: v for k, v in self.known.items() if other.known.get(k) == v}
+        m.written = self.written | other.written
         m.wild = self.wild or other.wild
         m.any_store = self.any_store or other.any_store
         return m
 
-    def load(self, region, size, addr, havoc):
-        if region[0] == "cell":
-            _, p, off = region
-            key = (p, off, size)
-            if key in self.cells:
-                return self.cells[key]
-            touched = {(p, off + i) for i in range(size)}
-            if self.wild or touched & self.cell_written:
+    def load(self, region, addr, havoc):
+        if region.kind in ("cell", "stack"):
+            if region in self.known:
+                return self.known[region]
+            if self.wild or _bytes(region) & self.written:
                 return havoc()
-            return Load(addr, size)
-        if region[0] == "stack":
-            off = region[1]
-            key = (off, size)
-            if key in self.stack:
-                return self.stack[key]
-            touched = {off - i for i in range(size)}
-            if self.wild or touched & self.stack_written:
-                return havoc()
-            return Load(addr, size)
-        if self.any_store or self.wild:
+        elif self.any_store or self.wild:
             return havoc()
-        return Load(addr, size)
+        return Load(addr, region.size)
 
-    def store(self, region, size, value):
+    def store(self, region, value):
         self.any_store = True
-        if region[0] == "cell":
-            _, p, off = region
-            touched = {(p, off + i) for i in range(size)}
-            self.cells = {
-                k: v
-                for k, v in self.cells.items()
-                if not ({(k[0], k[1] + i) for i in range(k[2])} & touched)
-            }
-            self.cells[(p, off, size)] = value
-            self.cell_written |= touched
-            return
-        if region[0] == "stack":
-            off = region[1]
-            touched = {off - i for i in range(size)}
-            self.stack = {
-                k: v
-                for k, v in self.stack.items()
-                if not ({k[0] - i for i in range(k[1])} & touched)
-            }
-            self.stack[(off, size)] = value
-            self.stack_written |= touched
-            return
-        self.wild = True
-        self.cells = {}
-        self.stack = {}
+        if region.kind in ("cell", "stack"):
+            touched = _bytes(region)
+            self.known = {k: v for k, v in self.known.items() if not (_bytes(k) & touched)}
+            self.known[region] = value
+            self.written |= touched
+        else:
+            self.wild = True
+            self.known = {}
 
 
 class ForwardPass:
@@ -266,7 +252,7 @@ class ForwardPass:
         self.classify = classify
         self.nhavoc = 0
         self.events = []
-        self.regions = {}  # (point, Load or StoreLhs) -> classified region
+        self.regions = {}  # (point, Load or StoreLhs) -> Region
         self.in_states = [None] * len(prog.instrs)
         self.in_mems = [None] * len(prog.instrs)
         self.exit_state = None
@@ -288,13 +274,13 @@ class ForwardPass:
 
     def region(self, point, node):
         """The region classified for the load or store node at point;
-        ("whole",) at a point the pass never reached."""
-        return self.regions.get((point, node), ("whole",))
+        all of memory at a point the pass never reached."""
+        return self.regions.get((point, node)) or Region("whole", None, 0, node.size)
 
     def access(self, point, node, kind, addr):
         """Classify and record a memory access; returns its region."""
-        region = self.classify(addr)
-        self.events.append(MemEvent(point, kind, region, node.size, addr))
+        region = self.classify(addr, node.size)
+        self.events.append(MemEvent(point, kind, region, addr))
         self.regions[point, node] = region
         return region
 
@@ -306,7 +292,7 @@ class ForwardPass:
         if isinstance(e, Load):
             addr = self.eval(e.addr, state, mem, point)
             region = self.access(point, e, "load", addr)
-            return mem.load(region, e.size, addr, lambda: self.havoc(e.size * 8, point))
+            return mem.load(region, addr, lambda: self.havoc(e.size * 8, point))
         if isinstance(e, UnOp):
             return mk_unop(e.op, self.eval(e.e, state, mem, point))
         if isinstance(e, Cast):
@@ -340,7 +326,7 @@ class ForwardPass:
         out_mem = mem.copy()
         if isinstance(ins.lhs, StoreLhs):
             addr = self.eval(ins.lhs.addr, state, mem, i)
-            out_mem.store(self.access(i, ins.lhs, "store", addr), ins.lhs.size, val)
+            out_mem.store(self.access(i, ins.lhs, "store", addr), val)
         else:
             out_state[ins.lhs] = val
         return out_state, out_mem
@@ -459,7 +445,7 @@ class BackwardPass:
             acc.add(self._canon(loc), mask & _ones(loc.width))
             return
         if isinstance(e, Load):
-            self._demand_region(self.region(point, e), e.size, mask, acc)
+            self._demand_region(self.region(point, e), mask, acc)
             self.demand(e.addr, _ones(32), point, acc)
             return
         if isinstance(e, UnOp):
@@ -520,22 +506,18 @@ class BackwardPass:
             return Token(loc.index, self.fi.sizes.get(loc.index, 4) * 8 if mem else 32)
         return loc
 
-    def _demand_region(self, region, size, mask, acc):
-        if self.coarse:
-            mask = _ones(size * 8)
-        if region[0] == "cell":
-            _, p, off = region
-            cell = self._canon(Token(p, 32))
-            acc.add(cell, (mask & _ones(size * 8)) << (off * 8) & _ones(cell.width))
-            return
-        if region[0] == "stack":
-            acc.add(StackSlot(region[1], size), mask & _ones(size * 8))
-            return
-        if region[0] == "tokptr":
-            acc.regions.add((region[1], region[2], size))
-            return
-        acc.add(MemoryWhole(), 1)
-        acc.add(AnyStackSlot(), 1)
+    def _demand_region(self, region, mask, acc):
+        mask = _ones(region.size * 8) if self.coarse else mask & _ones(region.size * 8)
+        if region.kind == "cell":
+            cell = self._canon(Token(region.p, 32))
+            acc.add(cell, mask << (region.off * 8) & _ones(cell.width))
+        elif region.kind == "stack":
+            acc.add(StackSlot(-region.off, region.size), mask)
+        elif region.kind == "tokptr":
+            acc.regions.add(region)
+        else:
+            acc.add(MemoryWhole(), 1)
+            acc.add(AnyStackSlot(), 1)
 
     @staticmethod
     def _stack_demand(offset, size, live):
@@ -550,38 +532,37 @@ class BackwardPass:
                 rmask |= mask << shift if shift >= 0 else mask >> -shift
         return rmask & _ones(size * 8)
 
-    def _kill_region(self, region, size, live):
+    def _kill_region(self, region, live):
         out = live.copy()
-        if region[0] == "cell":
-            _, p, off = region
-            cell = self._canon(Token(p, 32))
-            kill = _ones(size * 8) << (off * 8)
+        size = region.size
+        if region.kind == "cell":
+            cell = self._canon(Token(region.p, 32))
+            kill = _ones(size * 8) << (region.off * 8)
             if cell in out.masks:
                 out.masks[cell] &= ~kill
                 if not out.masks[cell]:
                     del out.masks[cell]
-        elif region[0] == "stack":
+        elif region.kind == "stack":
             # clear the stored bytes of every live slot they overlap
             for loc in [l for l in out.masks if isinstance(l, StackSlot)]:
-                shift = 8 * (loc.offset - region[1])
+                shift = 8 * (loc.offset + region.off)
                 kill = _ones(size * 8)
                 kill = kill << shift if shift >= 0 else kill >> -shift
                 out.masks[loc] &= ~kill
                 if not out.masks[loc]:
                     del out.masks[loc]
-        elif region[0] == "tokptr":
-            _, p, off = region
-            lo, hi = off, off + size
+        elif region.kind == "tokptr":
+            lo, hi = region.off, region.off + size
             kept = set()
-            for bp, boff, bsize in out.regions:
-                if bp != p:
-                    kept.add((bp, boff, bsize))
+            for r in out.regions:
+                a, b = r.off, r.off + r.size
+                if r.p != region.p:
+                    kept.add(r)
                     continue
-                a, b = boff, boff + bsize
                 if a < lo:
-                    kept.add((bp, a, min(b, lo) - a))
+                    kept.add(Region("tokptr", r.p, a, min(b, lo) - a))
                 if b > hi:
-                    kept.add((bp, max(a, hi), b - max(a, hi)))
+                    kept.add(Region("tokptr", r.p, max(a, hi), b - max(a, hi)))
             out.regions = kept
         return out
 
@@ -597,23 +578,19 @@ class BackwardPass:
             return live_out
         if isinstance(ins.lhs, StoreLhs):
             region = self.region(i, ins.lhs)
-            size = ins.lhs.size
-            if region[0] == "cell":
-                _, p, off = region
-                cell = self._canon(Token(p, 32))
-                rmask = (live_out.get(cell) >> (off * 8)) & _ones(size * 8)
-            elif region[0] == "stack":
-                rmask = self._stack_demand(region[1], size, live_out)
-            elif region[0] == "tokptr":
-                rmask = _ones(size * 8) if (
-                    any(r[0] == region[1] for r in live_out.regions)
-                    or live_out.get(MemoryWhole())
-                ) else 0
-            else:
-                rmask = _ones(size * 8) if live_out.get(MemoryWhole()) else 0
-            if live_out.get(MemoryWhole()) and not (region[0] == "stack" and self.esp_restored):
+            size = region.size
+            if live_out.get(MemoryWhole()) and not (region.kind == "stack" and self.esp_restored):
                 rmask = _ones(size * 8)
-            out = self._kill_region(region, size, live_out)
+            elif region.kind == "cell":
+                cell = self._canon(Token(region.p, 32))
+                rmask = (live_out.get(cell) >> (region.off * 8)) & _ones(size * 8)
+            elif region.kind == "stack":
+                rmask = self._stack_demand(-region.off, size, live_out)
+            elif region.kind == "tokptr" and any(r.p == region.p for r in live_out.regions):
+                rmask = _ones(size * 8)
+            else:
+                rmask = 0
+            out = self._kill_region(region, live_out)
             if rmask:
                 self.demand(ins.rhs, rmask, i, out)
                 self.demand(ins.lhs.addr, _ones(32), i, out)
@@ -664,6 +641,15 @@ class Anchor(Record):
     is_input: bool
     is_output: bool
 
+    def covers(self, region):
+        """Whether region lies inside the bytes this entry names."""
+        return (
+            region.kind == "tokptr"
+            and region.p == self.base
+            and self.offset <= region.off
+            and region.off + region.size <= self.offset + self.size
+        )
+
 
 def _anchor_refs(chunk):
     """Per entry, (position of the first entry whose expression is ptr,
@@ -707,42 +693,20 @@ def build_anchors(chunk, fi):
     return anchors
 
 
-def _anchored(anchors, p, off, size, want_output):
-    for a in anchors:
-        if a.base != p:
-            continue
-        if not (a.is_output if want_output else a.is_input):
-            continue
-        if a.offset <= off and off + size <= a.offset + a.size:
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # The three analyses
 
 
 def _first_writes(events, prog):
+    """The first point that writes each location, and each stored
+    Region."""
     writes = {}
-
-    def note(loc, i):
-        writes.setdefault(loc, i)
-
     for i, ins in enumerate(prog.instrs):
-        if isinstance(ins, Assign) and not isinstance(ins.lhs, StoreLhs):
-            if not isinstance(ins.lhs, Temp):
-                note(ins.lhs, i)
+        if isinstance(ins, Assign) and not isinstance(ins.lhs, (StoreLhs, Temp)):
+            writes.setdefault(ins.lhs, i)
     for ev in events:
-        if ev.kind != "store":
-            continue
-        if ev.region[0] == "cell":
-            note(("cell", ev.region[1]), ev.point)
-        elif ev.region[0] == "stack":
-            note(StackSlot(ev.region[1], ev.size), ev.point)
-        elif ev.region[0] == "tokptr":
-            note(("tokptr", ev.region[1], ev.region[2], ev.size), ev.point)
-        else:
-            note(MemoryWhole(), ev.point)
+        if ev.kind == "store":
+            writes.setdefault(ev.region, ev.point)
     return writes
 
 
@@ -803,57 +767,30 @@ def analyze_frame_write(fi, prog, fwd, anchors, opts):
                 )
             )
             continue
-        if isinstance(loc, tuple) and loc[0] == "cell":
-            p = loc[1]
-            if p in fi.b_o or not fi.f:
-                continue
-            issues.append(
-                Issue(
-                    "ReadOnlyInputClobbered",
-                    Token(p, fi.sizes.get(p, 4) * 8),
-                    point,
-                    f"memory entry %{p} declared read-only is written",
-                )
-            )
+        if not isinstance(loc, Region) or not fi.f:
             continue
-        if isinstance(loc, StackSlot):
-            if not fi.f:
-                continue
+        if loc.kind == "cell":
+            if loc.p not in fi.b_o:
+                issues.append(
+                    Issue(
+                        "ReadOnlyInputClobbered",
+                        Token(loc.p, fi.sizes.get(loc.p, 4) * 8),
+                        point,
+                        f"memory entry %{loc.p} declared read-only is written",
+                    )
+                )
+            continue
+        if loc.kind == "stack":
             if prop and esp_restored:
                 continue  # scratch below the entry stack pointer
-            issues.append(
-                Issue(
-                    "UnboundMemoryWrite",
-                    MemoryWhole(),
-                    point,
-                    f"stack write at esp-{loc.offset} without \"memory\"",
-                )
-            )
-            continue
-        if isinstance(loc, tuple) and loc[0] == "tokptr":
-            _, p, off, size = loc
-            if not fi.f or _anchored(anchors, p, off, size, want_output=True):
+            details = f"stack write at esp{loc.off} without \"memory\""
+        elif loc.kind == "tokptr":
+            if any(a.is_output and a.covers(loc) for a in anchors):
                 continue
-            issues.append(
-                Issue(
-                    "UnboundMemoryWrite",
-                    MemoryWhole(),
-                    point,
-                    f"store through %{p}+{off} without \"memory\"",
-                )
-            )
-            continue
-        if isinstance(loc, MemoryWhole):
-            if not fi.f:
-                continue
-            issues.append(
-                Issue(
-                    "UnboundMemoryWrite",
-                    MemoryWhole(),
-                    point,
-                    "memory written without \"memory\" clobber",
-                )
-            )
+            details = f"store through %{loc.p}+{loc.off} without \"memory\""
+        else:
+            details = "memory written without \"memory\" clobber"
+        issues.append(Issue("UnboundMemoryWrite", MemoryWhole(), point, details))
     return issues, writes, esp_restored
 
 
@@ -871,7 +808,7 @@ def _seed_liveness(fi, coarse, anchors=()):
             if anchor is not None:
                 # the entry aliases a region behind another token; demand
                 # those bytes so stores through the pointer satisfy it
-                seed.regions.add((anchor.base, anchor.offset, anchor.size))
+                seed.regions.add(Region("tokptr", anchor.base, anchor.offset, anchor.size))
                 continue
             w = fi.sizes.get(p, 4) * 8
             seed.add(Token(p, w), _ones(w))
@@ -953,40 +890,17 @@ def analyze_frame_read(fi, prog, fwd, anchors, writes, esp_restored, opts):
                         "memory read without \"memory\" clobber or m-entry",
                     )
                 )
-    for p, off, size in sorted(entry.regions):
-        if not fi.f:
+    for r in sorted(entry.regions, key=lambda r: (r.p, r.off, r.size)):
+        if not fi.f or any(a.is_input and a.covers(r) for a in anchors):
             continue
-        if _anchored(anchors, p, off, size, want_output=False):
-            continue
-        owner = next(
-            (
-                a
-                for a in anchors
-                if a.is_output
-                and a.base == p
-                and a.offset <= off
-                and off + size <= a.offset + a.size
-            ),
-            None,
-        )
-        if owner is not None:
-            issues.append(
-                Issue(
-                    "UnboundMemoryRead",
-                    Token(owner.entry, owner.size * 8),
-                    0,
-                    f"write-only memory entry %{owner.entry} read at entry",
-                )
-            )
-            continue
-        issues.append(
-            Issue(
-                "UnboundMemoryRead",
-                MemoryWhole(),
-                0,
-                f"load through %{p}+{off} without \"memory\" or m-entry",
-            )
-        )
+        owner = next((a for a in anchors if a.is_output and a.covers(r)), None)
+        if owner is None:
+            loc = MemoryWhole()
+            details = f"load through %{r.p}+{r.off} without \"memory\" or m-entry"
+        else:
+            loc = Token(owner.entry, owner.size * 8)
+            details = f"write-only memory entry %{owner.entry} read at entry"
+        issues.append(Issue("UnboundMemoryRead", loc, 0, details))
 
     # write-only outputs that are never written
     for p in sorted(fi.b_o):
@@ -996,20 +910,14 @@ def analyze_frame_read(fi, prog, fwd, anchors, writes, esp_restored, opts):
         if kind == "fixed":
             written = Reg(fi.fixed[p], 32) in writes
         elif kind == "mem":
-            written = ("cell", p) in writes
-            if not written:
-                # a store through a pointer token covered by this entry's
-                # anchor counts as writing the entry
-                my_anchors = [a for a in anchors if a.is_output and a.entry == p]
-                for k in writes:
-                    if isinstance(k, tuple) and k[0] == "tokptr":
-                        for a in my_anchors:
-                            if (
-                                a.base == k[1]
-                                and a.offset <= k[2]
-                                and k[2] + k[3] <= a.offset + a.size
-                            ):
-                                written = True
+            # a store to the entry's cell, or through a pointer token
+            # inside this entry's anchor, writes the entry
+            mine = [a for a in anchors if a.is_output and a.entry == p]
+            written = any(
+                isinstance(loc, Region)
+                and (loc.kind == "cell" and loc.p == p or any(a.covers(loc) for a in mine))
+                for loc in writes
+            )
         else:
             written = Token(p, 32) in writes
         if not written:

@@ -7,7 +7,7 @@ import argparse
 import sys
 import time
 
-from .checker import check_chunk
+from .checker import CheckResult, check_chunk
 from .chunks import extract_chunks, load_chunk_file, render
 from .errors import RicError, SpanStale
 from .expr import format_loc
@@ -66,8 +66,14 @@ def _collect(args):
 
 def _exit_code(reports):
     verdicts = [r["verdict"] for r in reports]
-    has_issues = any(r["issues"] for r in reports) or "error" in verdicts
-    if has_issues:
+    # a compliant chunk that the oracle refutes is a finding too
+    refuted = any(
+        p["verdict"] == "violation"
+        for r in reports
+        if r["verdict"] == "compliant"
+        for p in r.get("oracle", {}).values()
+    )
+    if any(r["issues"] for r in reports) or "error" in verdicts or refuted:
         return 1
     if "out_of_scope" in verdicts:
         return 3
@@ -99,10 +105,27 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
+def _each_chunk(pairs, analyse):
+    """The report entry analyse(path, chunk) of each chunk. An exception
+    other than RicError gives its chunk an error entry instead, and a
+    line on standard error; the other chunks are still analysed."""
+    reports = []
+    for path, chunk in pairs:
+        try:
+            reports.append(analyse(path, chunk))
+        except RicError:
+            raise
+        except Exception as e:
+            details = f"internal error: {type(e).__name__}: {e}"
+            print(f"ric: {chunk.span.file}:{chunk.span.line}: {details}", file=sys.stderr)
+            reports.append(chunk_report(CheckResult(chunk, "error", details=details)))
+    return reports
+
+
 def _cmd_check(args):
     sources, pairs, unparsed = _collect(args)
     memo = {}
-    reports = [chunk_report(check_chunk(c, memo=memo)) for _, c in pairs]
+    reports = _each_chunk(pairs, lambda path, c: chunk_report(check_chunk(c, memo=memo)))
     return _finish(reports, unparsed, args)
 
 
@@ -110,10 +133,10 @@ def _cmd_patch(args):
     from . import patcher
 
     sources, pairs, unparsed = _collect(args)
-    reports = []
     rewrites = {}  # path -> list of (span, replacement)
     memo = {}
-    for path, chunk in pairs:
+
+    def analyse(path, chunk):
         result = check_chunk(chunk, memo=memo)
         extra = {}
         if result.verdict == "issues":
@@ -139,7 +162,9 @@ def _cmd_patch(args):
                     rewrites.setdefault(path, []).append(
                         (chunk.span, render(pr.patched))
                     )
-        reports.append(chunk_report(result, extra))
+        return chunk_report(result, extra)
+
+    reports = _each_chunk(pairs, analyse)
     patcher.line_table.cache_clear()  # the report does not need the last file's lines
     if args.in_place:
         _apply_rewrites(sources, rewrites)
@@ -155,10 +180,10 @@ def _cmd_refine(args):
         refine_clobbers=not args.no_refine_clobbers,
         refine_memory=not args.no_refine_memory,
     )
-    reports = []
     rewrites = {}
     memo = {}
-    for path, chunk in pairs:
+
+    def analyse(path, chunk):
         result = check_chunk(chunk, memo=memo)
         extra = {}
         if result.verdict == "compliant":
@@ -170,7 +195,9 @@ def _cmd_refine(args):
             }
             if rr.edits and args.in_place and path in sources:
                 rewrites.setdefault(path, []).append((chunk.span, render(rr.refined)))
-        reports.append(chunk_report(result, extra))
+        return chunk_report(result, extra)
+
+    reports = _each_chunk(pairs, analyse)
     if args.in_place:
         _apply_rewrites(sources, rewrites)
     return _finish(reports, unparsed, args)
@@ -190,9 +217,9 @@ def _cmd_oracle(args):
     cfg = TrialConfig(
         trials=args.trials, seed=args.seed, assignment_cap=args.assignment_cap
     )
-    reports = []
     timed = timings_enabled()
-    for path, chunk in pairs:
+
+    def analyse(path, chunk):
         result = check_chunk(chunk)
         run = OracleRun(result, cfg)
         oracle = {}
@@ -207,7 +234,9 @@ def _cmd_oracle(args):
             if timed:
                 entry["ms"] = round((time.perf_counter() - t0) * 1000, 3)
             oracle[prop] = entry
-        reports.append(chunk_report(result, {"oracle": oracle}))
+        return chunk_report(result, {"oracle": oracle})
+
+    reports = _each_chunk(pairs, analyse)
     return _finish(reports, unparsed, args)
 
 

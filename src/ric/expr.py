@@ -179,14 +179,6 @@ class Ite(Expr):
         return self.a.width
 
 
-def const(value, width):
-    return Const(value, width)
-
-
-def read(loc):
-    return ReadLoc(loc)
-
-
 TRUE = Const(1, 1)
 FALSE = Const(0, 1)
 

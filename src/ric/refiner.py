@@ -49,12 +49,12 @@ def memory_to_m_entries(result):
     is private scratch when the stack pointer is restored."""
     by_base = {}  # pointer token -> [(kind, offset, size)]
     for ev in result.mem_events:
-        region = ev.region
-        if region[0] == "cell" or (region[0] == "stack" and result.esp_restored):
+        r = ev.region
+        if r.kind == "cell" or (r.kind == "stack" and result.esp_restored):
             continue
-        if region[0] != "tokptr":
+        if r.kind != "tokptr":
             return None
-        by_base.setdefault(region[1], []).append((ev.kind, region[2], ev.size))
+        by_base.setdefault(r.p, []).append((ev.kind, r.off, r.size))
     spans = []
     for base, here in sorted(by_base.items()):
         ops = {kind for kind, _, _ in here}
@@ -92,18 +92,14 @@ def _token_used(result, p):
             return True
         if isinstance(loc, Reg) and fi.fixed.get(p) == loc.name and mask:
             return True
-    for (b, _off, _size) in result.entry_regions:
-        if b == p:
-            return True
-    # an m-class anchor whose pointer base has live covered regions is
-    # load-bearing even though the cell itself is read through the base
-    for a in result.anchors:
-        if a.entry != p:
-            continue
-        for (b, off, size) in result.entry_regions:
-            if b == a.base and off < a.offset + a.size and a.offset < off + size:
-                return True
-    return False
+    # an m-class anchor is load-bearing when live regions behind its
+    # pointer base overlap it, though the cell is read through the base
+    anchors = [a for a in result.anchors if a.entry == p]
+    return any(
+        r.p == p
+        or any(r.p == a.base and a.offset - r.size < r.off < a.offset + a.size for a in anchors)
+        for r in result.entry_regions
+    )
 
 
 def _clobber_written(result, name):

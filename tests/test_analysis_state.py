@@ -6,8 +6,10 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from ric import checker, constraints, lift, report, template
-from ric.checker import ForwardPass, Havoc, check_chunk, init_read, make_classifier
+from ric.checker import ForwardPass, Havoc, Region, check_chunk, init_read, make_classifier
 from ric.chunks import load_chunk_records
 from ric.cli import run
 from ric.expr import (
@@ -18,12 +20,15 @@ from ric.expr import (
     Const,
     Expr,
     Extract,
+    Flag,
     Ite,
     Load,
     ReadLoc,
     Reg,
     StoreLhs,
+    Token,
     UnOp,
+    format_loc,
     mk_binop,
     mk_cast,
     mk_extract,
@@ -78,12 +83,13 @@ BRANCHY = load_chunk_records(
 )
 
 
-def _reference_region(classify, state, addr):
+def _reference_region(classify, state, addr, size):
     """The address evaluator the backward pass had of its own: addr
     evaluated against the forward in-state of its point, then
-    classified; ("whole",) at a point the forward pass never reached."""
+    classified; all of memory at a point the forward pass never
+    reached."""
     if state is None:
-        return ("whole",)
+        return Region("whole", None, 0, size)
 
     def ev(e):
         if isinstance(e, Const):
@@ -104,7 +110,7 @@ def _reference_region(classify, state, addr):
             return mk_ite(ev(e.c), ev(e.a), ev(e.b))
         return e
 
-    return classify(ev(addr))
+    return classify(ev(addr), size)
 
 
 def _loads(e):
@@ -140,9 +146,9 @@ def test_recorded_regions_match_the_reference_evaluator(corpus_chunks):
         fwd.run()
         for i, ins in enumerate(result.prog.instrs):
             for node, addr in _accesses(ins):
-                want = _reference_region(classify, fwd.in_states[i], addr)
+                want = _reference_region(classify, fwd.in_states[i], addr, node.size)
                 assert fwd.region(i, node) == want, (c.template, i, node)
-                kinds[want[0]] += 1
+                kinds[want.kind] += 1
     assert set(kinds) == {"cell", "stack", "tokptr", "whole"} and sum(kinds.values()) > 30
 
 
@@ -153,12 +159,96 @@ def test_back_edge_targets_read_the_joined_state():
     store = result.prog.instrs[0].lhs
     fwd = ForwardPass(result.prog, make_classifier(result.fi))
     fwd.run()
-    assert fwd.region(0, store) == ("whole",)
-    assert [ev.region for ev in fwd.events if ev.point == 0] == [("tokptr", 1, 0)]
+    assert fwd.region(0, store) == Region("whole", None, 0, 4)
+    assert [ev.region for ev in fwd.events if ev.point == 0] == [Region("tokptr", 1, 0, 4)]
     assert fwd.events == result.mem_events
     # a store first reached along a back edge has a region but no event
     reached_late = check_chunk(BRANCHY[2])
     assert reached_late.mem_events == []
+
+
+def _chunk(template, outputs=(), inputs=()):
+    return load_chunk_records(
+        [
+            {
+                "template": template,
+                "outputs": [{"constraint": c, "expr_text": e} for c, e in outputs],
+                "inputs": [{"constraint": c, "expr_text": e} for c, e in inputs],
+            }
+        ]
+    )[0]
+
+
+# findings no corpus chunk reaches, one per kind of memory place; each
+# reads as it did when regions were tuples
+MEMORY_FINDINGS = {
+    # two stores to one cell are two regions, and one finding
+    "cell byte then word": (
+        _chunk("movb $1, %b0; movl $2, %0", inputs=[("m", "*q")]),
+        [("ReadOnlyInputClobbered", "%0", 0, "memory entry %0 declared read-only is written")],
+    ),
+    "cell word then byte": (
+        _chunk("movl $2, %0; movb $1, %b0", inputs=[("m", "*q")]),
+        [("ReadOnlyInputClobbered", "%0", 0, "memory entry %0 declared read-only is written")],
+    ),
+    "stack write": (
+        _chunk("pushl %0", inputs=[("r", "x")]),
+        [
+            ("UnboundRegisterClobbered", "esp", 0, "register esp is written"),
+            ("UnboundMemoryWrite", "memory", 1, 'stack write at esp-4 without "memory"'),
+        ],
+    ),
+    "store through a pointer token": (
+        _chunk("movl $1, (%0)", inputs=[("r", "p")]),
+        [("UnboundMemoryWrite", "memory", 0, 'store through %0+0 without "memory"')],
+    ),
+    # a byte below or past the bytes an anchored entry names is outside them
+    "store below an anchored output": (
+        _chunk("movl %1, 3(%2)", outputs=[("=m", "*(p + 4)")], inputs=[("r", "y"), ("r", "p")]),
+        [
+            ("UnboundMemoryRead", "%0", 0, "write-only memory entry %0 read at entry"),
+            ("UnboundMemoryWrite", "memory", 1, 'store through %2+3 without "memory"'),
+            ("NonWrittenWriteOnlyOutput", "%0", 2, "output %0 is never written"),
+        ],
+    ),
+    "load past an anchored input": (
+        _chunk("movl 5(%1), %0", outputs=[("=r", "x")], inputs=[("r", "p"), ("m", "*(p + 4)")]),
+        [("UnboundMemoryRead", "memory", 0, 'load through %1+5 without "memory" or m-entry')],
+    ),
+    "unplaced store": (
+        _chunk("movl $1, (%0,%1)", inputs=[("r", "p"), ("r", "i")]),
+        [("UnboundMemoryWrite", "memory", 1, 'memory written without "memory" clobber')],
+    ),
+    # the byte store overlaps the saved word, so the pop reads no
+    # known value and ebx is not restored
+    "stack slot partly overwritten": (
+        _chunk("pushl %%ebx; movb $0, 3(%%esp); popl %%ebx"),
+        [("UnboundRegisterClobbered", "ebx", 6, "register ebx is written")],
+    ),
+    "never-written stack slot": (
+        _chunk("movl -4(%%esp), %0", outputs=[("=r", "x")]),
+        [("UnboundMemoryRead", "memory", 0, "read of never-written stack slot esp-4")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_FINDINGS))
+def test_memory_findings_are_pinned(name):
+    c, want = MEMORY_FINDINGS[name]
+    result = check_chunk(c)
+    got = [(i.category, format_loc(i.location), i.point, i.details) for i in result.issues]
+    assert got == want
+
+
+def test_every_memory_place_is_a_region(corpus_results):
+    probes = [check_chunk(c) for c, _ in MEMORY_FINDINGS.values()]
+    kinds = set()
+    for result in list(corpus_results.values()) + probes:
+        places = [ev.region for ev in result.mem_events] + list(result.entry_regions)
+        places += [loc for loc in result.writes if not isinstance(loc, (Reg, Flag, Token))]
+        assert all(isinstance(r, Region) for r in places), result.chunk.template
+        kinds |= {r.kind for r in places}
+    assert kinds == {"cell", "stack", "tokptr", "whole"}
 
 
 def _havoc_tags(state):
@@ -211,9 +301,9 @@ def test_no_address_is_evaluated_after_the_forward_pass(corpus_chunks, monkeypat
     def watched_classifier(fi):
         classify = make(fi)
 
-        def call(addr):
+        def call(addr, size):
             assert not finished, "an address was classified after the forward pass"
-            return classify(addr)
+            return classify(addr, size)
 
         return call
 

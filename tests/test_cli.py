@@ -130,6 +130,66 @@ def test_text_summary_counts_errors(tmp_path, capsys):
     )
 
 
+# 1 200 chained leas exhaust the interpreter's recursion limit in the
+# checker; the statement after them is clean
+LEA_CHAIN_SRC = (
+    "void f(int x, int y) {\n"
+    '  asm ("' + "; ".join(["leal (%0,%0), %0"] * 1200) + '" : "+r" (x));\n'
+    '  asm ("addl %1, %0" : "+r" (x) : "r" (y) : "cc");\n'
+    "}\n"
+)
+
+
+def test_one_chunk_crash_is_an_error_entry(tmp_path, capsys):
+    path = write(tmp_path, "lea.c", LEA_CHAIN_SRC)
+    for command in ("check", "patch", "refine", "oracle"):
+        code, rep = run_json([command, "--trials", "5", path], tmp_path)
+        assert code == 1, command
+        crashed, clean = rep["chunks"]
+        assert crashed["verdict"] == "error" and crashed["issues"] == [], command
+        assert crashed["details"].startswith("internal error: RecursionError: "), command
+        assert clean["verdict"] == "compliant", command
+        assert rep["summary"]["totals"]["error"] == 1, command
+        assert "lea.c:2: internal error: RecursionError: " in capsys.readouterr().err
+
+
+def test_ric_error_in_one_chunk_still_ends_the_run(tmp_path, monkeypatch, capsys):
+    from ric import cli
+    from ric.errors import RicError
+
+    def broken(chunk, **kwargs):
+        raise RicError("broken analysis")
+
+    monkeypatch.setattr(cli, "check_chunk", broken)
+    assert run(["check", write(tmp_path, "g.c", CLEAN_SRC)]) == 2
+    assert "ric: error: broken analysis" in capsys.readouterr().err
+
+
+def test_oracle_violation_on_a_compliant_chunk_sets_the_exit_code():
+    from ric.cli import _exit_code
+
+    def entry(verdict, issues, oracle):
+        props = ("frame_write", "frame_read", "unicity")
+        return {"verdict": verdict, "issues": issues, "oracle": dict(zip(props, oracle))}
+
+    passes = [{"verdict": "pass"}] * 3
+    refuted = [{"verdict": "pass"}, {"verdict": "violation"}, {"verdict": "inconclusive"}]
+    assert _exit_code([entry("compliant", [], passes)]) == 0
+    assert _exit_code([entry("compliant", [], refuted)]) == 1
+    assert _exit_code([entry("issues", [{}], refuted)]) == 1
+
+
+def test_oracle_exits_one_on_the_memory_output_address_gap(tmp_path):
+    # the checker calls this compliant (the m output's address may use
+    # %0's register, which is written first), the oracle refutes it
+    src = 'void f(int x, int *p) {\n  asm ("movl $0, %0; movl $1, %1" : "=r" (x), "=m" (*p));\n}\n'
+    code, rep = run_json(["oracle", "--trials", "100", write(tmp_path, "gap.c", src)], tmp_path)
+    entry = rep["chunks"][0]
+    assert entry["verdict"] == "compliant"
+    assert {p["verdict"] for p in entry["oracle"].values()} == {"violation"}
+    assert code == 1
+
+
 def test_exit_two_on_bad_usage(tmp_path, capsys):
     assert run(["check", str(tmp_path / "missing.c")]) == 2
     assert run(["frobnicate"]) == 2
@@ -421,4 +481,5 @@ def test_corpus_reports_are_pinned(command, tmp_path, monkeypatch):
     monkeypatch.delenv("RIC_TIMINGS", raising=False)
     out = tmp_path / f"{command}.json"
     assert run([command, "--chunks", str(CORPUS), "--out", str(out)]) == 1
+    assert "internal error" not in out.read_text()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[command]

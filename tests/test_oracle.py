@@ -179,6 +179,7 @@ def test_trial_stream_is_pinned(tmp_path, monkeypatch):
     out = tmp_path / "oracle.json"
     args = ["oracle", "--chunks", str(CORPUS), "--seed", "0", "--trials", "20", "--out", str(out)]
     assert cli_run(args) == 1
+    assert "internal error" not in out.read_text()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TRIAL_STREAM_SHA256
 
 

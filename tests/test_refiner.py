@@ -164,8 +164,17 @@ MEMORY_EVENTS = {
 def test_memory_refinement_follows_the_event_regions(region):
     (template, outputs, inputs), edits = MEMORY_EVENTS[region]
     result = check_chunk(_chunk(template, outputs, inputs, ["memory"]))
-    assert {ev.region[0] for ev in result.mem_events} == {region}
+    assert {ev.region.kind for ev in result.mem_events} == {region}
     assert refine_interface(result).edits == edits
+
+
+@pytest.mark.parametrize("offset, dropped", [(0, True), (1, False), (7, False), (8, True)])
+def test_anchored_input_is_used_when_the_bytes_read_overlap_it(offset, dropped):
+    """"m"(*(p + 4)) names bytes 4..7 behind p: a 4-byte load at p+1 or
+    p+7 overlaps them, one at p+0 or p+8 only touches them."""
+    inputs = [("r", "p"), ("m", "*(p + 4)")]
+    result = check_chunk(_chunk(f"movl {offset}(%1), %0", [("=r", "x")], inputs, ["memory"]))
+    assert (DropInput(2) in refine_interface(result).edits) == dropped
 
 
 def test_anchored_memory_input_is_used_without_a_recheck(monkeypatch):
