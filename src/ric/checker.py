@@ -45,6 +45,8 @@ from .expr import (
     TokenAddr,
     UnOp,
     _ones,
+    _to_signed,
+    clear_nodes,
     format_loc,
     mk_binop,
     mk_cast,
@@ -141,37 +143,20 @@ class MemEvent(Record):
     addr: object
 
 
-def _flatten_add(e):
-    terms = []
-    const = 0
-
-    def walk(x):
-        nonlocal const
-        if isinstance(x, Const):
-            v = x.value
-            if v >> (x.width - 1):
-                v -= 1 << x.width
-            const += v
-        elif isinstance(x, BinOp) and x.op == "add":
-            walk(x.a)
-            walk(x.b)
-        else:
-            terms.append(x)
-
-    walk(e)
-    return terms, const
-
-
 def make_classifier(fi):
     reg_to_input = {}
     for p, r in fi.fixed.items():
         reg_to_input.setdefault(r, p)
 
     def classify(addr, size):
-        """The region of a size-byte access at addr."""
-        terms, c = _flatten_add(addr)
-        if len(terms) == 1 and isinstance(terms[0], ReadLoc) and isinstance(terms[0].loc, Init):
-            base = terms[0].loc.loc
+        """The region of a size-byte access at addr. mk_binop folds the
+        constants of a sum into one right operand, so addr is a
+        ReadLoc(Init) or its sum with a Const if it names a region."""
+        c = 0
+        if isinstance(addr, BinOp) and addr.op == "add" and isinstance(addr.b, Const):
+            addr, c = addr.a, _to_signed(addr.b.value, addr.b.width)
+        if isinstance(addr, ReadLoc) and isinstance(addr.loc, Init):
+            base = addr.loc.loc
             if isinstance(base, TokenAddr):
                 return Region("cell", base.index, c, size)
             if isinstance(base, Token):
@@ -288,7 +273,7 @@ class ForwardPass:
         if isinstance(e, Const):
             return e
         if isinstance(e, ReadLoc):
-            return state.get(e.loc, init_read(e.loc))
+            return state.get(e.loc) or init_read(e.loc)
         if isinstance(e, Load):
             addr = self.eval(e.addr, state, mem, point)
             region = self.access(point, e, "load", addr)
@@ -1052,6 +1037,7 @@ def check_chunk(chunk, opts=None, memo=None):
 
 def _analyze(chunk, opts):
     t0 = time.perf_counter()
+    clear_nodes()
     result = CheckResult(chunk=chunk, verdict="error")
     stage = "interface"
     try:

@@ -448,29 +448,49 @@ def _class_options(cls, banned, specs_fixed):
     raise MalformedInterface(f"cannot enumerate {cls!r}")
 
 
+def _validity(fi):
+    """assignment_valid(fi, ·) for assignments that bind every token,
+    with what depends only on the interface worked out once."""
+    outputs = sorted(fi.b_o)
+    clobbered = fi.s_c - {"cc"}
+    # (p, q): q may share no register with the early-clobbered p
+    apart = [
+        (p, q)
+        for p in fi.early_clobber
+        for q in fi.constraints
+        if fi.canonical(q) != fi.canonical(p)
+    ]
+    unified = list(fi.unified.items())
+
+    def valid(t):
+        locs = []
+        for p in outputs:
+            op = t[p]
+            if isinstance(op, ImmOperand):
+                return False
+            locs.append(op)
+        if len(set(locs)) != len(locs):
+            return False
+        if clobbered or apart:  # else no register set is read
+            regs = {}
+            for p, op in t.items():
+                regs[p] = operand_registers(op)
+                if regs[p] & clobbered:
+                    return False
+            for p, q in apart:
+                if regs[p] & regs[q]:
+                    return False
+        for p, canon in unified:
+            if t[p] != t[canon]:
+                return False
+        return True
+
+    return valid
+
+
 def assignment_valid(fi, t):
     """Independent revalidation of the three validity filters."""
-    locs = []
-    for p in sorted(fi.b_o):
-        op = t[p]
-        if isinstance(op, ImmOperand):
-            return False
-        locs.append(op)
-    if len(set(locs)) != len(locs):
-        return False
-    clobbered = fi.s_c - {"cc"}
-    for p, op in t.items():
-        if operand_registers(op) & clobbered:
-            return False
-    for p in fi.early_clobber:
-        regs = operand_registers(t[p])
-        for q, op in t.items():
-            if fi.canonical(q) != fi.canonical(p) and operand_registers(op) & regs:
-                return False
-    for p, canon in fi.unified.items():
-        if t[p] != t[canon]:
-            return False
-    return True
+    return _validity(fi)(t)
 
 
 def enumerate_assignments(fi, cap=256, collapse=frozenset()):
@@ -484,6 +504,7 @@ def enumerate_assignments(fi, cap=256, collapse=frozenset()):
     n_alts = max((len(fi.constraints[p].alternatives) for p in positions), default=1)
     order = sorted({*positions, *fi.unified})
 
+    valid = _validity(fi)
     results = []
     seen = set()  # the operands, in token order, of each assignment met
     letter_options = {}  # constraint letter -> its class options
@@ -494,10 +515,10 @@ def enumerate_assignments(fi, cap=256, collapse=frozenset()):
         full = dict(t)
         for p, canon in fi.unified.items():
             full[p] = full[canon]
-        key = tuple([full[p] for p in order])
-        if key in seen or not assignment_valid(fi, full):
+        met = len(seen)
+        seen.add(tuple([full[p] for p in order]))  # an invalid key stays invalid
+        if len(seen) == met or not valid(full):
             return False
-        seen.add(key)
         if len(results) >= cap:
             truncated = True
             return True

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 
 from .errors import WidthError
-from .value import Record, factory
+from .value import Record, _bind, factory
 
 GP_REGS = ("eax", "ebx", "ecx", "edx", "esi", "edi", "ebp", "esp")
 MMX_REGS = tuple(f"mm{i}" for i in range(8))
@@ -93,47 +93,107 @@ def reg(name):
 
 # ---------------------------------------------------------------------------
 # Expressions
+#
+# A node settles its width, validity and hash when built, so no walk
+# re-derives them over a shared DAG: the constructor raises WidthError
+# for a node that breaks the width discipline. Equal nodes built since
+# clear_nodes() are one object (hash-consing: Filliatre & Conchon,
+# 2006), so == is an identity test there; older nodes compare by fields.
 
 SHIFT_OPS = frozenset({"shl", "shr", "sar"})
 COMMUTATIVE = frozenset({"add", "mul", "and", "or", "xor", "eq", "ne"})
 
+_nodes = {}  # (class, hash of the fields) -> the last node built with them
+
+
+def clear_nodes():
+    """Forget the nodes built so far; each analysis starts with this."""
+    _nodes.clear()
+
 
 class Expr(Record):
-    __slots__ = ()
+    # width shadows the field of that name that Const and Cast keep in
+    # their __dict__, and holds the same value
+    __slots__ = ("width", "_hash")
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = tuple(_bind(cls, args, kwargs))
+        h = hash(args)
+        key = (cls, h)
+        node = _nodes.get(key)
+        if node is None or tuple(node.__dict__.values()) != args:
+            width = cls._width(*args)
+            node = object.__new__(cls)
+            node.__dict__.update(zip(cls._fields, args))
+            _set_width(node, width)
+            _set_hash(node, h)
+            _nodes[key] = node
+        return node
+
+    # __new__ built the node; object.__init__ ignores the arguments
+    __init__ = object.__init__
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return self._hash
+
+
+_set_width, _set_hash = Expr.width.__set__, Expr._hash.__set__
 
 
 class Const(Expr):
     value: int
     width: int
 
-    def __init__(self, value, width):
-        super().__init__(value & ((1 << width) - 1), width)
+    def __new__(cls, value, width):
+        return Expr.__new__(cls, value & ((1 << width) - 1), width)
+
+    @staticmethod
+    def _width(value, width):
+        if width <= 0:
+            raise WidthError(f"const width {width}")
+        return width
 
 
 class ReadLoc(Expr):
     loc: Location
 
-    @property
-    def width(self):
-        return self.loc.width
+    @staticmethod
+    def _width(loc):
+        if loc.width is None or loc.width <= 0:
+            raise WidthError(f"unreadable location {loc}")
+        return loc.width
 
 
 class Load(Expr):
     addr: Expr
     size: int  # bytes
 
-    @property
-    def width(self):
-        return self.size * 8
+    @staticmethod
+    def _width(addr, size):
+        if addr.width != 32:
+            raise WidthError("load address must be 32-bit")
+        if size not in (1, 2, 4, 8, 16):
+            raise WidthError(f"load size {size}")
+        return size * 8
 
 
 class UnOp(Expr):
     op: str  # a key of UNOPS
     e: Expr
 
-    @property
-    def width(self):
-        return self.e.width
+    @staticmethod
+    def _width(op, e):
+        if op not in UNOPS:
+            raise WidthError(f"unop {op}")
+        return e.width
 
 
 class Cast(Expr):
@@ -141,15 +201,23 @@ class Cast(Expr):
     width: int
     e: Expr
 
+    @staticmethod
+    def _width(kind, width, e):
+        if width < e.width:
+            raise WidthError(f"{kind} to narrower width")
+        return width
+
 
 class Extract(Expr):
     hi: int
     lo: int
     e: Expr
 
-    @property
-    def width(self):
-        return self.hi - self.lo + 1
+    @staticmethod
+    def _width(hi, lo, e):
+        if not (0 <= lo <= hi < e.width):
+            raise WidthError(f"extract {hi}..{lo} of width {e.width}")
+        return hi - lo + 1
 
 
 class BinOp(Expr):
@@ -157,16 +225,18 @@ class BinOp(Expr):
     a: Expr
     b: Expr
 
-    @property
-    def width(self):
-        # the rule is read here, in one frame per operand level, since
-        # the checker builds operand chains as deep as the chunk is long
-        rule = BINOPS[self.op][0]
+    @staticmethod
+    def _width(op, a, b):
+        if op not in BINOPS:
+            raise WidthError(f"unknown binop {op}")
+        rule, equal, _ = BINOPS[op]
+        if equal and a.width != b.width:
+            raise WidthError(f"{op} widths {a.width} vs {b.width}")
         if rule == ONE_BIT:
             return 1
         if rule == SUM_WIDTH:
-            return self.a.width + self.b.width
-        return self.a.width
+            return a.width + b.width
+        return a.width
 
 
 class Ite(Expr):
@@ -174,13 +244,13 @@ class Ite(Expr):
     a: Expr
     b: Expr
 
-    @property
-    def width(self):
-        return self.a.width
-
-
-TRUE = Const(1, 1)
-FALSE = Const(0, 1)
+    @staticmethod
+    def _width(c, a, b):
+        if c.width != 1:
+            raise WidthError("ite condition must be 1-bit")
+        if a.width != b.width:
+            raise WidthError("ite arm widths differ")
+        return a.width
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +273,8 @@ def _to_signed(v, w):
     return v - (1 << w) if v >> (w - 1) else v
 
 
-# Width rules, which BinOp.width applies: the first operand's width,
-# one bit, or the sum of both operands' widths. A rule reads only the
-# operand widths it needs, since the checker's operands may share
-# subtrees. Whether the operands fit is checked apart, by check_binop.
+# Width rules, which BinOp._width applies: the first operand's width,
+# one bit, or the sum of both operands' widths.
 FIRST_WIDTH, ONE_BIT, SUM_WIDTH = "first", "bit", "sum"
 
 
@@ -247,62 +315,6 @@ UNOPS = {
     "not": operator.invert,
     "neg": operator.neg,
 }
-
-
-def check_binop(op, wa, wb):
-    """WidthError unless `op` is in BINOPS and operands of widths wa and
-    wb fit it."""
-    if op not in BINOPS:
-        raise WidthError(f"unknown binop {op}")
-    if BINOPS[op][1] and wa != wb:
-        raise WidthError(f"{op} widths {wa} vs {wb}")
-
-
-# ---------------------------------------------------------------------------
-# Width validation
-
-
-def validate_expr(e):
-    """Raise WidthError if the expression breaks the width discipline."""
-    if isinstance(e, Const):
-        if e.width <= 0:
-            raise WidthError(f"const width {e.width}")
-    elif isinstance(e, ReadLoc):
-        if e.loc.width is None or e.loc.width <= 0:
-            raise WidthError(f"unreadable location {e.loc}")
-    elif isinstance(e, Load):
-        validate_expr(e.addr)
-        if e.addr.width != 32:
-            raise WidthError("load address must be 32-bit")
-        if e.size not in (1, 2, 4, 8, 16):
-            raise WidthError(f"load size {e.size}")
-    elif isinstance(e, UnOp):
-        validate_expr(e.e)
-        if e.op not in UNOPS:
-            raise WidthError(f"unop {e.op}")
-    elif isinstance(e, Cast):
-        validate_expr(e.e)
-        if e.width < e.e.width:
-            raise WidthError(f"{e.kind} to narrower width")
-    elif isinstance(e, Extract):
-        validate_expr(e.e)
-        if not (0 <= e.lo <= e.hi < e.e.width):
-            raise WidthError(f"extract {e.hi}..{e.lo} of width {e.e.width}")
-    elif isinstance(e, BinOp):
-        validate_expr(e.a)
-        validate_expr(e.b)
-        check_binop(e.op, e.a.width, e.b.width)
-    elif isinstance(e, Ite):
-        validate_expr(e.c)
-        validate_expr(e.a)
-        validate_expr(e.b)
-        if e.c.width != 1:
-            raise WidthError("ite condition must be 1-bit")
-        if e.a.width != e.b.width:
-            raise WidthError("ite arm widths differ")
-    else:
-        raise WidthError(f"not an expression: {e!r}")
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +363,9 @@ def mk_extract(hi, lo, e):
 
 
 def _fold_binop(op, a, b):
-    check_binop(op, a.width, b.width)
+    width = BinOp._width(op, a, b)
     value = BINOPS[op][2](a.width, b.width)
-    return Const(value(a.value, b.value), BinOp(op, a, b).width)
+    return Const(value(a.value, b.value), width)
 
 
 def mk_binop(op, a, b):
@@ -408,9 +420,9 @@ def mk_binop(op, a, b):
     if op in SHIFT_OPS and isinstance(b, Const) and b.value == 0:
         return a
     if op == "eq" and a == b:
-        return TRUE
+        return Const(1, 1)
     if op == "ne" and a == b:
-        return FALSE
+        return Const(0, 1)
     if op == "concat":
         if (
             isinstance(a, Extract)
@@ -486,9 +498,7 @@ class IRProgram(Record, frozen=False):
     def validate(self):
         for i, ins in enumerate(self.instrs):
             if isinstance(ins, Assign):
-                validate_expr(ins.rhs)
                 if isinstance(ins.lhs, StoreLhs):
-                    validate_expr(ins.lhs.addr)
                     if ins.lhs.size * 8 != ins.rhs.width:
                         raise WidthError(f"store width mismatch at {i}")
                 elif ins.lhs.width != ins.rhs.width:
@@ -497,7 +507,6 @@ class IRProgram(Record, frozen=False):
                         f"{ins.lhs} <- width {ins.rhs.width}"
                     )
             elif isinstance(ins, Branch):
-                validate_expr(ins.cond)
                 if ins.cond.width != 1:
                     raise WidthError(f"branch condition width at {i}")
                 self.resolve(ins.then_target)

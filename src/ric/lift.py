@@ -31,6 +31,7 @@ from .expr import (
     mk_extract,
     mk_ite,
     mk_unop,
+    reg,
 )
 from .template import ImmT, LabelRef, MemT, RegT, TokenRef
 
@@ -77,27 +78,29 @@ class Lifter:
                 raise BadTokenRef(f"%{pos} has no interface entry")
         return pos
 
+    def _token_loc(self, pos):
+        """Where token pos lives: its pinned register, the address of its
+        cell for a memory token, or else the token variable."""
+        kind = self.fi.kinds[pos]
+        if kind == "fixed":
+            return Reg(self.fi.fixed[pos], 32)
+        if kind == "mem":
+            return TokenAddr(pos)
+        return Token(pos, 32)
+
     def _token_access(self, ref, instr_width):
         pos = self._resolve_token(ref)
         size_bits = min(self.fi.sizes[pos] * 8, 32)
         width = MOD_WIDTHS.get(ref.modifier) or instr_width or size_bits
-        kind = self.fi.kinds[pos]
-        if kind == "fixed":
-            return SliceAccess(self, Reg(self.fi.fixed[pos], 32), 0, min(width, 32))
-        if kind == "mem":
+        loc = self._token_loc(pos)
+        if isinstance(loc, TokenAddr):
             cell_bits = self.fi.sizes[pos] * 8
             return CellAccess(self, pos, min(width, cell_bits) if instr_width else cell_bits)
-        return SliceAccess(self, Token(pos, 32), 0, min(width, 32))
+        return SliceAccess(self, loc, 0, min(width, 32))
 
     def access(self, op, instr_width):
         if isinstance(op, RegT):
-            if op.parent[0] == "e":
-                parent_width = 32
-            elif op.parent.startswith("xmm"):
-                parent_width = 128
-            elif op.parent.startswith("mm"):
-                parent_width = 64
-            return SliceAccess(self, Reg(op.parent, parent_width), op.lo, op.width)
+            return SliceAccess(self, reg(op.parent), op.lo, op.width)
         if isinstance(op, TokenRef):
             return self._token_access(op, instr_width)
         if isinstance(op, ImmT):
@@ -106,30 +109,20 @@ class Lifter:
             return MemAccess(self, self.address(op), (instr_width or 32) // 8)
         raise MalformedInterface(f"operand {op!r} not addressable here")
 
+    def _address_loc(self, op):
+        """The location of an address's base or index register."""
+        if isinstance(op, TokenRef):
+            return self._token_loc(self._resolve_token(op))
+        return Reg(op.parent, 32)
+
     def address(self, op):
         parts = []
         if op.disp:
             parts.append(Const(op.disp, 32))
         if op.base is not None:
-            if isinstance(op.base, TokenRef):
-                pos = self._resolve_token(op.base)
-                if self.fi.kinds[pos] == "mem":
-                    parts.append(ReadLoc(TokenAddr(pos)))
-                elif self.fi.kinds[pos] == "fixed":
-                    parts.append(ReadLoc(Reg(self.fi.fixed[pos], 32)))
-                else:
-                    parts.append(ReadLoc(Token(pos, 32)))
-            else:
-                parts.append(ReadLoc(Reg(op.base.parent, 32)))
+            parts.append(ReadLoc(self._address_loc(op.base)))
         if op.index is not None:
-            if isinstance(op.index, TokenRef):
-                pos = self._resolve_token(op.index)
-                if self.fi.kinds[pos] == "fixed":
-                    idx = ReadLoc(Reg(self.fi.fixed[pos], 32))
-                else:
-                    idx = ReadLoc(Token(pos, 32))
-            else:
-                idx = ReadLoc(Reg(op.index.parent, 32))
+            idx = ReadLoc(self._address_loc(op.index))
             parts.append(mk_binop("mul", idx, Const(op.scale, 32)))
         if not parts:
             return Const(0, 32)

@@ -30,7 +30,10 @@ from .constraints import (
 from .errors import MissingToken, OutOfSandbox, OutOfScope, RicError, StepLimit, WidthError
 from .expr import (
     BINOPS,
+    GP_REGS,
+    MMX_REGS,
     UNOPS,
+    XMM_REGS,
     Assign,
     BinOp,
     Branch,
@@ -61,9 +64,9 @@ from .value import Record
 SANDBOX_BASE = 0x10000
 STEP_BUDGET = 10**6  # IR steps per (chunk, property), across all trials
 
-GP = ("eax", "ebx", "ecx", "edx", "esi", "edi", "ebp", "esp")
+GP = GP_REGS
 FLAG_NAMES = ("z", "c", "s", "o", "p", "a")
-WIDE = tuple(f"mm{i}" for i in range(8)) + tuple(f"xmm{i}" for i in range(8))
+WIDE = MMX_REGS + XMM_REGS
 
 
 class TrialConfig(Record, frozen=False):
@@ -278,14 +281,6 @@ def program_tokens(prog):
 # instruction to a function that runs it and returns the next pc.
 
 
-def _fits(e):
-    """Whether the value of e always fits e.width bits. Only an
-    ite whose second arm is wider than its first can overflow."""
-    if isinstance(e, Ite):
-        return _fits(e.a) and _fits(e.b) and e.b.width <= e.a.width
-    return True
-
-
 def _temp_key(t):
     """Temps keyed by their fields: a tuple hashes faster than the
     record."""
@@ -317,21 +312,6 @@ def _compile_read(loc, m):
     return unbound
 
 
-def _compile_operand(e):
-    """e's value masked to e.width, as a BinOp operand is."""
-    f = compile_expr(e)
-    if _fits(e):
-        return f
-    m = _ones(e.width)
-    return lambda s: f(s) & m
-
-
-def _compile_binop(e):
-    fn, m = BINOPS[e.op][2](e.a.width, e.b.width), _ones(e.width)
-    fa, fb = _compile_operand(e.a), _compile_operand(e.b)
-    return lambda s: fn(fa(s), fb(s)) & m
-
-
 def compile_expr(e):
     """A function of the machine state returning the value of e."""
     if isinstance(e, Const):
@@ -354,7 +334,9 @@ def compile_expr(e):
         f, lo, m = compile_expr(e.e), e.lo, _ones(e.width)
         return lambda s: (f(s) >> lo) & m
     if isinstance(e, BinOp):
-        return _compile_binop(e)
+        fn, m = BINOPS[e.op][2](e.a.width, e.b.width), _ones(e.width)
+        fa, fb = compile_expr(e.a), compile_expr(e.b)
+        return lambda s: fn(fa(s), fb(s)) & m
     if isinstance(e, Ite):
         fc, fa, fb = compile_expr(e.c), compile_expr(e.a), compile_expr(e.b)
         return lambda s: fa(s) if fc(s) else fb(s)

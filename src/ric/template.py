@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 
 from .errors import BadTokenRef, MalformedInterface, OutOfScope, UnknownMnemonic
+from .expr import reg
 from .value import Record
 
 REG8 = {
@@ -15,9 +16,6 @@ REG8 = {
 }
 REG16 = {"ax": "eax", "bx": "ebx", "cx": "ecx", "dx": "edx",
          "si": "esi", "di": "edi", "bp": "ebp", "sp": "esp"}
-REG32 = ("eax", "ebx", "ecx", "edx", "esi", "edi", "ebp", "esp")
-WIDE = {f"mm{i}": 64 for i in range(8)}
-WIDE.update({f"xmm{i}": 128 for i in range(8)})
 
 
 class RegT(Record):
@@ -144,16 +142,15 @@ def renumber_template(template, renumber):
 
 
 def _parse_register(name):
-    if name in REG32:
-        return RegT(name, 0, 32)
     if name in REG16:
         return RegT(REG16[name], 0, 16)
     if name in REG8:
         parent, lo = REG8[name]
         return RegT(parent, lo, 8)
-    if name in WIDE:
-        return RegT(name, 0, WIDE[name])
-    raise MalformedInterface(f"unknown register %{name}")
+    try:
+        return RegT(name, 0, reg(name).width)
+    except ValueError:
+        raise MalformedInterface(f"unknown register %{name}") from None
 
 
 def _parse_int(text):

@@ -14,6 +14,8 @@ a mutable record is unhashable. The fields live in the instance
 
 from __future__ import annotations
 
+from types import MemberDescriptorType
+
 
 class factory:
     """A default made by calling `make()` for each new record."""
@@ -38,7 +40,11 @@ class Record:
                 if name not in fields:
                     fields.append(name)
         cls._fields = tuple(fields)
-        cls._defaults = defaults = {f: getattr(cls, f) for f in fields if hasattr(cls, f)}
+        cls._defaults = defaults = {  # a slot a base declares under a field's name is no default
+            f: getattr(cls, f)
+            for f in fields
+            if hasattr(cls, f) and not isinstance(getattr(cls, f), MemberDescriptorType)
+        }
         tail = []  # defaults of the last fields, up to one without a plain default
         for f in reversed(fields):
             if f not in defaults or isinstance(defaults[f], factory):

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ric import checker, constraints, lift, report, template
 from ric.checker import ForwardPass, Havoc, Region, check_chunk, init_read, make_classifier
@@ -27,7 +29,9 @@ from ric.expr import (
     Reg,
     StoreLhs,
     Token,
+    TokenAddr,
     UnOp,
+    _to_signed,
     format_loc,
     mk_binop,
     mk_cast,
@@ -150,6 +154,60 @@ def test_recorded_regions_match_the_reference_evaluator(corpus_chunks):
                 assert fwd.region(i, node) == want, (c.template, i, node)
                 kinds[want.kind] += 1
     assert set(kinds) == {"cell", "stack", "tokptr", "whole"} and sum(kinds.values()) > 30
+
+
+def _flattened_region(classify, addr, size):
+    """The region of addr as found by flattening every sum in it and
+    adding up its constants, which the classifier once did."""
+    terms, c, todo = [], 0, [addr]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Const):
+            c += _to_signed(x.value, x.width)
+        elif isinstance(x, BinOp) and x.op == "add":
+            todo += [x.a, x.b]
+        else:
+            terms.append(x)
+    if len(terms) != 1:
+        return Region("whole", None, 0, size)
+    return classify(BinOp("add", terms[0], Const(c, 32)) if c else terms[0], size)
+
+
+# eax is pinned to a token, so a sum over it may name a pointer region
+_PINNED = constraints.derive_interface(
+    load_chunk_records([{"template": "", "inputs": [{"constraint": "a", "expr_text": "q"}]}])[0]
+)
+_BASES = st.sampled_from(
+    [TokenAddr(0), Token(1, 32), Reg("esp", 32), Reg("eax", 32), Reg("ebx", 32)]
+).map(ReadLoc)
+
+
+@st.composite
+def _sums(draw):
+    """One or two base reads and a few constants, joined by add and sub
+    in a random order and grouping."""
+    leaves = [draw(_BASES)] + draw(
+        st.lists(st.integers(-(2**31), 2**31 - 1).map(lambda v: Const(v, 32)), max_size=4)
+    )
+    if draw(st.booleans()):
+        leaves.append(draw(_BASES))
+    leaves = draw(st.permutations(leaves))
+    while len(leaves) > 1:
+        i = draw(st.integers(0, len(leaves) - 2))
+        leaves[i : i + 2] = [BinOp(draw(st.sampled_from(["add", "sub"])), *leaves[i : i + 2])]
+    return leaves[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sums(), st.sampled_from([1, 2, 4, 8]))
+def test_sums_built_by_mk_binop_classify_as_flattened(addr, size):
+    """mk_binop keeps a sum's constants in one right operand, so the
+    classifier needs no flattening."""
+    classify = make_classifier(_PINNED)
+    want = _reference_region(
+        lambda a, n: _flattened_region(classify, a, n), {}, addr, size
+    )
+    assert _reference_region(classify, {}, addr, size) == want
 
 
 def test_back_edge_targets_read_the_joined_state():

@@ -9,7 +9,7 @@ from ric.checker import CheckOptions, check_chunk
 from ric.chunks import load_chunk_records
 from ric.constraints import derive_interface
 from ric.edits import DropMemoryKeyword
-from ric.expr import Reg, Token
+from ric.expr import ReadLoc, Reg, Token, mk_binop
 from ric.oracle import TrialConfig, oracle_check
 from ric.refiner import refine_interface
 from ric.report import classify_pattern, severity_policy
@@ -306,27 +306,66 @@ def test_benign_only_is_still_issues_verdict():
     assert all(i.category == "FlagClobbered" for i in result.issues)
 
 
+def _leas(reg, n):
+    return "; ".join([f"leal ({reg},{reg}), {reg}"] * n)
+
+
 @pytest.mark.parametrize(
-    "template,outputs",
+    "c",
     [
-        ("\n".join(["leal (%0,%0), %0"] * 40), [("+r", "x", 4)]),
-        (
+        chunk(_leas("%0", 40), [("+r", "x", 4)]),
+        chunk(
             "\n".join(["leal (%0,%1), %0", "leal (%0,%1), %1"] * 20),
             [("+r", "x", 4), ("+r", "y", 4)],
         ),
-        ("\n".join(["leal (%0,%0), %0"] * 600), [("+r", "x", 4)]),
+        chunk(_leas("%0", 600), [("+r", "x", 4)]),
+        chunk(_leas("%0", 5000), [("+r", "x", 4)]),
+        # the two arms build equal values, which the join compares
+        chunk(
+            f"testl %1,%1; jz 1f; {_leas('%0', 24)}; jmp 2f; 1: {_leas('%0', 24)}; 2:",
+            [("+r", "x", 4)],
+            [("r", "y", 4)],
+            ["cc"],
+        ),
+        # the load's address is a sum with 2**24 paths to its leaves
+        chunk(
+            f"{_leas('%1', 24)}; movl (%1), %0",
+            [("=r", "x", 4), ("+r", "p", 4)],
+            clobbers=["memory"],
+        ),
     ],
-    ids=["one-register-40", "two-registers-40", "one-register-600"],
+    ids=[
+        "one-register-40",
+        "two-registers-40",
+        "one-register-600",
+        "one-register-5000",
+        "join-24",
+        "address-24",
+    ],
 )
-def test_chained_leas_check_in_linear_time(template, outputs):
+def test_chained_leas_check_in_linear_time(c):
     # each lea makes a register the sum of values that share subtrees; a
-    # width query that walked both operands of every sum would visit
-    # about 2**40 nodes here, and one that took more than one frame per
-    # operand level would run out of stack on the 600-lea chain
+    # width query, hash, comparison or address walk that visited every
+    # path would visit about 2**24 nodes or more here, and one that took
+    # a frame per operand level would run out of stack on 5 000 leas
     start = time.perf_counter()
-    result = check_chunk(chunk(template, outputs))
+    result = check_chunk(c)
     assert time.perf_counter() - start < 2.0
     assert result.verdict == "compliant"
+
+
+def test_deep_shared_values_hash_and_compare_in_constant_time():
+    def chain():
+        e = ReadLoc(Reg("eax", 32))
+        for _ in range(24):
+            e = mk_binop("add", e, e)
+        return e
+
+    a, b = chain(), chain()
+    start = time.perf_counter()
+    assert hash(a) == hash(b)
+    assert a == b
+    assert time.perf_counter() - start < 1e-3
 
 
 def test_error_verdict_on_bad_token_reference():

@@ -130,8 +130,8 @@ def test_text_summary_counts_errors(tmp_path, capsys):
     )
 
 
-# 1 200 chained leas exhaust the interpreter's recursion limit in the
-# checker; the statement after them is clean
+# 1 200 chained leas, which once exhausted the interpreter's recursion
+# limit in the checker; the statement after them is clean
 LEA_CHAIN_SRC = (
     "void f(int x, int y) {\n"
     '  asm ("' + "; ".join(["leal (%0,%0), %0"] * 1200) + '" : "+r" (x));\n'
@@ -140,8 +140,23 @@ LEA_CHAIN_SRC = (
 )
 
 
-def test_one_chunk_crash_is_an_error_entry(tmp_path, capsys):
+def test_one_chunk_crash_is_an_error_entry(tmp_path, monkeypatch, capsys):
+    from ric import checker
+
     path = write(tmp_path, "lea.c", LEA_CHAIN_SRC)
+    for command in ("check", "patch", "refine", "oracle"):
+        code, rep = run_json([command, "--trials", "5", path], tmp_path)
+        assert code == 0, command
+        assert [c["verdict"] for c in rep["chunks"]] == ["compliant"] * 2, command
+
+    analyze = checker._analyze
+
+    def crash_on_the_leas(chunk, opts):
+        if "leal" in chunk.template:
+            raise RecursionError("maximum recursion depth exceeded")
+        return analyze(chunk, opts)
+
+    monkeypatch.setattr(checker, "_analyze", crash_on_the_leas)
     for command in ("check", "patch", "refine", "oracle"):
         code, rep = run_json([command, "--trials", "5", path], tmp_path)
         assert code == 1, command

@@ -28,7 +28,6 @@ from ric.expr import (
     mk_extract,
     mk_ite,
     mk_unop,
-    validate_expr,
 )
 from ric.lift import lift
 from ric.oracle import MachineState, compile_expr
@@ -359,18 +358,6 @@ def _env_state(seed):
     return s
 
 
-# an ite whose value overflows its width: the shr operand must be masked
-_WIDE_ITE = BinOp(
-    "shr",
-    Ite(
-        BinOp("ne", ReadLoc(_REGS[0]), ReadLoc(_REGS[0])),
-        Const(0xFF, 8),
-        Const(0x1FF, 16),
-    ),
-    Const(1, 8),
-)
-
-
 def _agree(e, seed):
     get_loc, load_mem = _env(seed)
     return compile_expr(e)(_env_state(seed)) == eval_expr(e, get_loc, load_mem)
@@ -393,10 +380,13 @@ def test_compiled_binop_matches_eval_expr(op, a, b, seed):
     assert _agree(BinOp(op, a, b), seed)
 
 
-def test_compiled_expr_masks_an_overflowing_ite():
-    get_loc, load_mem = _env(1)
-    assert eval_expr(_WIDE_ITE, get_loc, load_mem) == 0x7F
-    assert _agree(_WIDE_ITE, 1)
+def test_ite_arms_of_unequal_widths_are_rejected():
+    # so an ite's value fits its width, and a compiled operand needs no mask
+    cond = BinOp("ne", ReadLoc(_REGS[0]), ReadLoc(_REGS[0]))
+    with pytest.raises(WidthError, match="ite arm widths differ"):
+        Ite(cond, Const(0xFF, 8), Const(0x1FF, 16))
+    with pytest.raises(WidthError, match="ite arm widths differ"):
+        mk_ite(cond, Const(0xFF, 8), Const(0x1FF, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +425,7 @@ def test_operator_tables_have_a_reference_for_each_entry():
 def test_binop_fold_and_closure_match_the_reference_at_boundaries(op):
     state = MachineState(0)
     for x, y, wa, wb in _binop_cases(op):
-        e = validate_expr(BinOp(op, Const(x, wa), Const(y, wb)))
+        e = BinOp(op, Const(x, wa), Const(y, wb))
         want, w = _reference_binop(op, x, y, wa, wb)
         assert e.width == w, (wa, wb)
         assert _fold_binop(op, Const(x, wa), Const(y, wb)) == Const(want, w), (x, y, wa, wb)
@@ -455,14 +445,17 @@ def test_unop_fold_and_closure_match_the_reference_at_boundaries(op):
 @pytest.mark.parametrize(
     "e",
     [
-        BinOp("udiv", Const(6, 32), Const(3, 32)),
-        BinOp("ult", Const(6, 32), Const(3, 32)),
-        UnOp("bsf", Const(6, 32)),
+        lambda: BinOp("udiv", Const(6, 32), Const(3, 32)),
+        lambda: BinOp("ult", Const(6, 32), Const(3, 32)),
+        lambda: UnOp("bsf", Const(6, 32)),
+        lambda: _fold_binop("udiv", Const(6, 32), Const(3, 32)),
     ],
+    ids=["e0", "e1", "e2", "e3"],
 )
 def test_validate_rejects_unknown_operators(e):
+    # a node is validated when built
     with pytest.raises(WidthError):
-        validate_expr(e)
+        e()
 
 
 @pytest.mark.parametrize(
@@ -472,4 +465,6 @@ def test_validate_rejects_operands_of_unequal_widths(op):
     # a shift's count and a concat's halves may differ in width, as the
     # boundary tests above validate
     with pytest.raises(WidthError):
-        validate_expr(BinOp(op, Const(6, 32), Const(3, 8)))
+        BinOp(op, Const(6, 32), Const(3, 8))
+    with pytest.raises(WidthError):
+        _fold_binop(op, Const(6, 32), Const(3, 8))

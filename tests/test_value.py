@@ -5,7 +5,7 @@ import pytest
 from ric.chunks import ChunkContext, OperandEntry, SourceSpan
 from ric.checker import CheckResult
 from ric.edits import EntrySpan, MemoryToEntries
-from ric.expr import Const, IRProgram, Reg, Temp, Token
+from ric.expr import Const, Expr, IRProgram, Reg, Temp, Token
 from ric.report import edit_to_json
 from ric.value import asdict, fields, replace
 
@@ -24,7 +24,11 @@ IDS = [type(r).__name__ for r, _ in RECORDS]
 def test_hash_is_the_field_tuples(record, values):
     assert tuple(getattr(record, f) for f in fields(record)) == values
     assert hash(record) == hash(values)
-    assert record == type(record)(*values) and record is not type(record)(*values)
+    rebuilt = type(record)(*values)
+    assert record == rebuilt
+    # equal expression nodes built since the last analysis began are one
+    # object
+    assert (type(record)(*values) is rebuilt) == isinstance(record, Expr)
 
 
 def test_equal_fields_of_different_classes_are_unequal():
