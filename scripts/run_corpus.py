@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Check every corpus chunk, compare against labels, and (optionally) run
-the differential oracle over the compliant ones.
+the differential oracle over the compliant ones, on every CPU (ric.pool).
 
 Usage: python3 scripts/run_corpus.py [--oracle] [--trials N] [--seed N]
 """
@@ -17,6 +17,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from ric.checker import check_chunk  # noqa: E402
 from ric.chunks import load_chunk_file  # noqa: E402
 from ric.oracle import OracleRun, TrialConfig, oracle_check  # noqa: E402
+from ric.pool import in_order  # noqa: E402
 from ric.report import classify_pattern, severity_policy  # noqa: E402
 
 
@@ -66,18 +67,26 @@ def main():
         cfg = TrialConfig(
             trials=args.trials, seed=args.seed, assignment_cap=args.assignment_cap
         )
-        unsound = 0
-        t0 = time.perf_counter()
-        for c in chunks:
-            result = results[c.context.file]
-            if result.verdict != "compliant":
-                continue
-            run = OracleRun(result, cfg)
+        compliant = [c for c in chunks if results[c.context.file].verdict == "compliant"]
+
+        def refuted(i):
+            """The 'UNSOUND' line of each property the oracle refutes on
+            compliant chunk i."""
+            c = compliant[i]
+            run = OracleRun(results[c.context.file], cfg)
+            lines = []
             for prop in ("frame_write", "frame_read", "unicity"):
                 v = oracle_check(c, prop, cfg, run=run)
                 if v.verdict == "violation":
-                    unsound += 1
-                    print(f"UNSOUND {c.context.file} {prop}: {v.witness.location}")
+                    lines.append(f"UNSOUND {c.context.file} {prop}: {v.witness.location}")
+            return lines
+
+        unsound = 0
+        t0 = time.perf_counter()
+        for lines in in_order(len(compliant), refuted):
+            unsound += len(lines)
+            for line in lines:
+                print(line)
         print(
             f"oracle pass over compliant chunks in {time.perf_counter() - t0:.2f} s, "
             f"{unsound} checker-vs-oracle disagreement(s)"

@@ -105,20 +105,35 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
-def _each_chunk(pairs, analyse):
+def _each_chunk(pairs, analyse, pooled=False):
     """The report entry analyse(path, chunk) of each chunk. An exception
     other than RicError gives its chunk an error entry instead, and a
-    line on standard error; the other chunks are still analysed."""
-    reports = []
-    for path, chunk in pairs:
+    line on standard error; the other chunks are still analysed. Pooled,
+    the chunks are shared out among worker processes (ric.pool), and
+    the lines come out in input order all the same."""
+
+    def one(i):
+        path, chunk = pairs[i]
         try:
-            reports.append(analyse(path, chunk))
+            return analyse(path, chunk), None
         except RicError:
             raise
         except Exception as e:
             details = f"internal error: {type(e).__name__}: {e}"
-            print(f"ric: {chunk.span.file}:{chunk.span.line}: {details}", file=sys.stderr)
-            reports.append(chunk_report(CheckResult(chunk, "error", details=details)))
+            line = f"ric: {chunk.span.file}:{chunk.span.line}: {details}"
+            return chunk_report(CheckResult(chunk, "error", details=details)), line
+
+    if pooled:
+        from .pool import in_order
+
+        results = in_order(len(pairs), one)
+    else:
+        results = map(one, range(len(pairs)))
+    reports = []
+    for entry, line in results:
+        if line:
+            print(line, file=sys.stderr)
+        reports.append(entry)
     return reports
 
 
@@ -236,7 +251,7 @@ def _cmd_oracle(args):
             oracle[prop] = entry
         return chunk_report(result, {"oracle": oracle})
 
-    reports = _each_chunk(pairs, analyse)
+    reports = _each_chunk(pairs, analyse, pooled=True)
     return _finish(reports, unparsed, args)
 
 

@@ -139,13 +139,37 @@ class Expr(Record):
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._hash == other._hash and self.__dict__ == other.__dict__
+        return self._hash == other._hash and _same_graph(self, other)
 
     def __hash__(self):
         return self._hash
 
 
 _set_width, _set_hash = Expr.width.__set__, Expr._hash.__set__
+
+
+def _same_graph(a, b):
+    """Field-by-field equality of two nodes of one class, visiting each
+    pair of nodes once: equal graphs of different analyses share
+    subgraphs, and a walk of their paths would take exponential time.
+    A pair is marked before its fields are compared, which is sound
+    since any difference makes the whole answer false."""
+    seen = set()
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        if x is y:
+            continue
+        if not isinstance(x, Expr):
+            if x != y:
+                return False
+            continue
+        if x.__class__ is not y.__class__ or x._hash != y._hash:
+            return False
+        if (id(x), id(y)) not in seen:
+            seen.add((id(x), id(y)))
+            pairs.extend(zip(x.__dict__.values(), y.__dict__.values()))
+    return True
 
 
 class Const(Expr):

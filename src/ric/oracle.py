@@ -63,6 +63,9 @@ from .value import Record
 
 SANDBOX_BASE = 0x10000
 STEP_BUDGET = 10**6  # IR steps per (chunk, property), across all trials
+# frame-write trials whose draws and run frame-read takes over; the
+# rest it draws again, so the oracle's memory does not grow with --trials
+REUSED_TRIALS = 100
 
 GP = GP_REGS
 FLAG_NAMES = ("z", "c", "s", "o", "p", "a")
@@ -677,7 +680,14 @@ class OracleRun:
     sorted input and output tokens, and, per assignment drawn, its
     operands' Operands, its assignable registers, and its Binding when
     binding it draws nothing. A trial then costs its draws and its
-    execution."""
+    execution.
+
+    `executed` maps a trial number below REUSED_TRIALS to what
+    frame-write drew and ran in that trial: its generator after the
+    draws, the assignment, the binding, the entry state, the final state
+    and the step count.
+    Frame-read draws and runs the same prefix in the same trial, so it
+    takes the record over (and drops it) instead."""
 
     def __init__(self, result, cfg):
         self.cfg = cfg
@@ -686,6 +696,7 @@ class OracleRun:
         self.fi, self.prog = result.fi, result.prog
         self.anchors = result.anchors
         self._operands, self._assignable, self._bindings = {}, {}, {}
+        self.executed = {}
         if isinstance(result.error, OutOfScope):
             self.unrunnable = f"out of scope: {result.error}"
             return
@@ -766,6 +777,13 @@ class OracleRun:
         self.steps_left -= exec_program(self.code, state, self.steps_left)
         return state
 
+    def charge(self, steps):
+        """Take a run of `steps` steps made earlier from the step budget,
+        raising StepLimit where running it again would."""
+        if steps > self.steps_left:
+            raise StepLimit(f"step budget of {self.steps_left} steps exceeded")
+        self.steps_left -= steps
+
 
 def oracle_check(chunk, prop, cfg=None, run=None):
     """Verdict of one property. Pass `run`, the chunk's OracleRun, to
@@ -784,9 +802,8 @@ def oracle_check(chunk, prop, cfg=None, run=None):
     run.steps_left = STEP_BUDGET
     bad_trials = 0
     for trial in range(cfg.trials):
-        rng = random.Random((cfg.seed << 20) ^ (trial * 2654435761 % 2**31))
         try:
-            witness = checker(run, rng, cfg)
+            witness = checker(run, trial, cfg)
         except StepLimit:
             return OracleVerdict(
                 "inconclusive",
@@ -812,6 +829,12 @@ def oracle_check(chunk, prop, cfg=None, run=None):
     return OracleVerdict("pass", trials_run=cfg.trials)
 
 
+def _trial_rng(cfg, trial):
+    """The generator of one trial: its seed depends only on the run's
+    seed and the trial number."""
+    return random.Random((cfg.seed << 20) ^ (trial * 2654435761 % 2**31))
+
+
 def _output_cell_ranges(fi, assignment, binding):
     ranges = []
     for p in fi.b_o:
@@ -821,12 +844,16 @@ def _output_cell_ranges(fi, assignment, binding):
     return ranges
 
 
-def _check_frame_write(run, rng, cfg):
+def _check_frame_write(run, trial, cfg):
     fi = run.fi
+    rng = _trial_rng(cfg, trial)
     assignment = rng.choice(run.assignments)
     binding = run.bind(assignment, rng)
     m_in = random_state(rng, cfg, binding, fi)
+    steps_left = run.steps_left
     m_out = run.run_one(assignment, m_in.copy())
+    if trial < REUSED_TRIALS:
+        run.executed[trial] = (rng, assignment, binding, m_in, m_out, steps_left - run.steps_left)
 
     assignable = run.assignable(assignment)
     for r in GP:
@@ -892,18 +919,30 @@ def _equalize_inputs(run, assignment, binding, m_src, m_dst, assignment2=None, b
     return True
 
 
-def _check_frame_read(run, rng, cfg):
+def _check_frame_read(run, trial, cfg):
+    """Frame-write's trial of the same number drew the same assignment,
+    binding and first state, and ran them: its record, when there is
+    one, stands for those draws and the first run. Sharing m1 with it is
+    safe: copy_memory copies the stored bytes, and only m2 is written."""
     fi = run.fi
-    assignment = rng.choice(run.assignments)
-    binding = run.bind(assignment, rng)
-    m1 = random_state(rng, cfg, binding, fi)
+    executed = run.executed.pop(trial, None)
+    if executed is None:
+        rng = _trial_rng(cfg, trial)
+        assignment = rng.choice(run.assignments)
+        binding = run.bind(assignment, rng)
+        m1 = random_state(rng, cfg, binding, fi)
+    else:
+        rng, assignment, binding, m1, o1, steps = executed
     m2 = random_state(rng, cfg, binding, fi, esp_base=m1.regs["esp"])
     if not fi.f:
         m2.copy_memory(m1)
     if not _equalize_inputs(run, assignment, binding, m1, m2):
         raise _Skip
 
-    o1 = run.run_one(assignment, m1.copy())
+    if executed is None:
+        o1 = run.run_one(assignment, m1.copy())
+    else:
+        run.charge(steps)
     o2 = run.run_one(assignment, m2.copy())
     return _compare_outputs(
         run, "frame_read", assignment, binding, assignment, binding, m1, m2, o1, o2
@@ -941,8 +980,9 @@ def _compare_outputs(run, prop, a1, b1, a2, b2, m1, m2, o1, o2):
     return None
 
 
-def _check_unicity(run, rng, cfg):
+def _check_unicity(run, trial, cfg):
     fi = run.fi
+    rng = _trial_rng(cfg, trial)
     a1 = rng.choice(run.assignments)
     a2 = rng.choice(run.assignments)
     # immediates cannot be equalized across the pair; require equality

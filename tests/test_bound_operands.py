@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ric import oracle
+from ric import oracle, pool
 from ric.checker import check_chunk
 from ric.chunks import extract_chunks
 from ric.cli import run
@@ -232,6 +232,8 @@ def test_oracle_compiles_each_runnable_chunk_once(runs, monkeypatch, tmp_path, t
         return compile_program(prog)
 
     monkeypatch.setattr(oracle, "compile_program", counted)
+    # one worker: the calls of a forked worker never reach `compiled`
+    monkeypatch.setattr(pool, "workers", lambda count: 1)
     out = tmp_path / "oracle.json"
     args = ["oracle", "--chunks", "corpus/corpus.json", "--trials", trials, "--out", str(out)]
     assert run(args) == 1

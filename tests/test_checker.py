@@ -9,7 +9,7 @@ from ric.checker import CheckOptions, check_chunk
 from ric.chunks import load_chunk_records
 from ric.constraints import derive_interface
 from ric.edits import DropMemoryKeyword
-from ric.expr import ReadLoc, Reg, Token, mk_binop
+from ric.expr import BinOp, ReadLoc, Reg, Token, _same_graph, clear_nodes, mk_binop
 from ric.oracle import TrialConfig, oracle_check
 from ric.refiner import refine_interface
 from ric.report import classify_pattern, severity_policy
@@ -366,6 +366,27 @@ def test_deep_shared_values_hash_and_compare_in_constant_time():
     assert hash(a) == hash(b)
     assert a == b
     assert time.perf_counter() - start < 1e-3
+
+
+def test_equal_values_of_two_analyses_compare_in_linear_time():
+    # equal nodes built on either side of clear_nodes() are two objects,
+    # so == compares them field by field; a comparison that walked every
+    # path of the shared sums would visit about 2**24 nodes here
+    def chain(reg):
+        e = ReadLoc(Reg(reg, 32))
+        for _ in range(24):
+            e = BinOp("add", e, e)
+        return e
+
+    a = chain("eax")
+    clear_nodes()
+    b, c = chain("eax"), chain("ebx")
+    assert a is not b
+    start = time.perf_counter()
+    assert a == b
+    assert time.perf_counter() - start < 1e-3
+    # chains that differ in their one leaf differ, by hash and by fields
+    assert a != c and not _same_graph(a, c)
 
 
 def test_error_verdict_on_bad_token_reference():

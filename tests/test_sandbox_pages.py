@@ -10,7 +10,7 @@ import weakref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ric import oracle
+from ric import oracle, pool
 from ric.cli import run
 from ric.oracle import SANDBOX_BASE, MachineState, PageBytes
 
@@ -136,6 +136,8 @@ def test_oracle_run_computes_each_page_once_and_keeps_no_store(monkeypatch, tmp_
     monkeypatch.setattr(oracle, "PageBytes", CountedPages)
     monkeypatch.setattr(MachineState, "to_bytes", materialized)
     monkeypatch.setattr(oracle.OracleRun, "__init__", checked_run)
+    # one worker: the pages of a forked worker never reach these counters
+    monkeypatch.setattr(pool, "workers", lambda count: 1)
 
     out = tmp_path / "oracle.json"
     run(["oracle", "--chunks", str(CORPUS), "--trials", "20", "--out", str(out)])

@@ -22,8 +22,9 @@ print(json.dumps(sorted(sys.modules)))
 
 # what the dataclass decorator imports; no command needs it at start-up
 SLOW = {"dataclasses", "inspect"}
-# the oracle's trials run in this process on plain records: no state
-# copier, digest, serializer or process pool
+# start-up time and memory: the oracle's trials run on plain records and
+# its workers are plain forks, so no state copier, digest, serializer or
+# process pool is imported
 TRIALS = {"copy", "hashlib", "pickle", "multiprocessing", "concurrent"}
 NEVER = {
     "check": {"ric.oracle", "ric.patcher", "ric.refiner", "difflib"} | SLOW,
