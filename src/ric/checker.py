@@ -54,8 +54,7 @@ from .expr import (
     mk_ite,
     mk_unop,
 )
-from .lift import lift
-from .template import parse_template
+from .lift import lift, parse_template
 from .value import Record, factory, replace
 
 

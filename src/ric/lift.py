@@ -1,4 +1,6 @@
-"""Lifting template instructions to the bitvector IR.
+"""The instruction table, and parsing and lifting template instructions
+to the bitvector IR. Each row of `INSTRUCTIONS` holds a mnemonic's size
+suffixes and its lifting rule; the parser and the lifter both read it.
 
 Tokens become first-class locations: a token pinned to one register by
 its constraint lifts to that hard register, a register-class token
@@ -9,6 +11,8 @@ bit-level liveness meaningful.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import BadTokenRef, MalformedInterface, UnknownMnemonic
 from .expr import (
@@ -33,7 +37,18 @@ from .expr import (
     mk_unop,
     reg,
 )
-from .template import ImmT, LabelRef, MemT, RegT, TokenRef
+from .template import (
+    ImmT,
+    LabelRef,
+    MemT,
+    ParsedTemplate,
+    RegT,
+    TemplateInstr,
+    TokenRef,
+    parse_operands,
+    token_refs,
+)
+from .value import Record
 
 MOD_WIDTHS = {"b": 8, "w": 16, "k": 32}
 
@@ -209,7 +224,7 @@ def coerce(e, width):
 
 
 # ---------------------------------------------------------------------------
-# Flags
+# Flags and conditions
 
 F_Z, F_C, F_S, F_O, F_P, F_A = (Flag(n) for n in ("z", "c", "s", "o", "p", "a"))
 
@@ -230,77 +245,47 @@ def _parity(e):
     return mk_unop("not", acc)
 
 
-def _cond(cc):
-    z, c, s, o, p = (ReadLoc(f) for f in (F_Z, F_C, F_S, F_O, F_P))
-    table = {
-        "e": z, "z": z,
-        "ne": mk_unop("not", z), "nz": mk_unop("not", z),
-        "a": mk_binop("and", mk_unop("not", c), mk_unop("not", z)),
-        "nbe": mk_binop("and", mk_unop("not", c), mk_unop("not", z)),
-        "ae": mk_unop("not", c), "nb": mk_unop("not", c), "nc": mk_unop("not", c),
-        "b": c, "c": c, "nae": c,
-        "be": mk_binop("or", c, z), "na": mk_binop("or", c, z),
-        "g": mk_binop("and", mk_unop("not", z), mk_binop("eq", s, o)),
-        "nle": mk_binop("and", mk_unop("not", z), mk_binop("eq", s, o)),
-        "ge": mk_binop("eq", s, o), "nl": mk_binop("eq", s, o),
-        "l": mk_binop("ne", s, o), "nge": mk_binop("ne", s, o),
-        "le": mk_binop("or", z, mk_binop("ne", s, o)),
-        "ng": mk_binop("or", z, mk_binop("ne", s, o)),
-        "s": s, "ns": mk_unop("not", s),
-        "o": o, "no": mk_unop("not", o),
-        "p": p, "np": mk_unop("not", p),
-    }
-    return table[cc]
+def _flag(f):
+    return lambda: ReadLoc(f)
 
 
-SUFFIX_WIDTHS = {"b": 8, "w": 16, "l": 32}
-
-SHIFTS = {"shl", "sal", "shr", "sar", "rol", "ror"}
-SIMD_MOVES = {"movq": 64, "movd": 32, "movaps": 128, "movdqa": 128, "movdqu": 128}
+def _invert(cond):
+    return lambda: mk_unop("not", cond())
 
 
-def lift(parsed, fi):
-    lf = Lifter(parsed, fi)
-    label_at = {}
-    for name, tidx in parsed.label_defs:
-        label_at.setdefault(tidx, []).append(name)
-
-    for tidx, ins in enumerate(parsed.instrs):
-        lf.labels[f"T{tidx}"] = len(lf.instrs)
-        _lift_instr(lf, ins, tidx)
-    lf.labels[f"T{len(parsed.instrs)}"] = len(lf.instrs)
-    lf.emit(Halt())
-    prog = IRProgram(lf.instrs, lf.labels)
-    prog.validate()
-    return prog
+def _both(op, x, y):
+    return lambda: mk_binop(op, x(), y())
 
 
-def _instr_width(lf, ins):
-    if ins.suffix in SUFFIX_WIDTHS:
-        return SUFFIX_WIDTHS[ins.suffix]
-    for op in reversed(ins.operands):
-        if isinstance(op, RegT):
-            return op.width
-        if isinstance(op, TokenRef):
-            if op.modifier in MOD_WIDTHS:
-                return MOD_WIDTHS[op.modifier]
-            pos = lf._resolve_token(op)
-            return min(lf.fi.sizes[pos] * 8, 32)
-    return 32
+_ZF, _CF, _SF, _OF, _PF = (_flag(f) for f in (F_Z, F_C, F_S, F_O, F_P))
+_A, _BE = _both("and", _invert(_CF), _invert(_ZF)), _both("or", _CF, _ZF)
+_GE, _L = _both("eq", _SF, _OF), _both("ne", _SF, _OF)
+_G, _LE = _both("and", _invert(_ZF), _GE), _both("or", _ZF, _L)
+
+# condition code -> a function that builds only that condition's 1-bit value
+CONDITIONS = {
+    "e": _ZF, "z": _ZF, "ne": _invert(_ZF), "nz": _invert(_ZF),
+    "a": _A, "nbe": _A, "ae": _invert(_CF), "nb": _invert(_CF), "nc": _invert(_CF),
+    "b": _CF, "c": _CF, "nae": _CF, "be": _BE, "na": _BE,
+    "g": _G, "nle": _G, "ge": _GE, "nl": _GE, "l": _L, "nge": _L, "le": _LE, "ng": _LE,
+    "s": _SF, "ns": _invert(_SF), "o": _OF, "no": _invert(_OF), "p": _PF, "np": _invert(_PF),
+}
 
 
-def _set_zsp(lf, res, with_aux=None):
+def _set_zsp(lf, res, aux):
     lf.emit(Assign(F_Z, mk_binop("eq", res, Const(0, res.width))))
     lf.emit(Assign(F_S, _msb(res)))
     lf.emit(Assign(F_P, _parity(res)))
-    if with_aux is not None:
-        lf.emit(Assign(F_A, with_aux))
+    lf.emit(Assign(F_A, aux))
 
 
-def _logic_flags(lf, res):
-    _set_zsp(lf, res, with_aux=Const(0, 1))
-    lf.emit(Assign(F_C, Const(0, 1)))
-    lf.emit(Assign(F_O, Const(0, 1)))
+def _overflow(a, b, res, subtract):
+    """The sign bit of a±b's signed overflow, given its result."""
+    if subtract:
+        ovf = mk_binop("and", mk_binop("xor", a, b), mk_binop("xor", a, res))
+    else:
+        ovf = mk_binop("and", mk_binop("xor", a, res), mk_binop("xor", b, res))
+    return _msb(ovf)
 
 
 def _add_like(lf, a, b, cin, subtract):
@@ -309,145 +294,162 @@ def _add_like(lf, a, b, cin, subtract):
     wa = mk_cast("zext", w + 1, a)
     wb = mk_cast("zext", w + 1, b)
     wc = mk_cast("zext", w + 1, cin) if cin is not None else Const(0, w + 1)
-    if subtract:
-        wide = mk_binop("sub", mk_binop("sub", wa, wb), wc)
-    else:
-        wide = mk_binop("add", mk_binop("add", wa, wb), wc)
-    wide = lf.snap(wide)
+    op = "sub" if subtract else "add"
+    wide = lf.snap(mk_binop(op, mk_binop(op, wa, wb), wc))
     res = lf.snap(mk_extract(w - 1, 0, wide))
     lf.emit(Assign(F_C, mk_extract(w, w, wide)))
-    if subtract:
-        ovf = mk_binop("and", mk_binop("xor", a, b), mk_binop("xor", a, res))
-    else:
-        ovf = mk_binop("and", mk_binop("xor", a, res), mk_binop("xor", b, res))
-    lf.emit(Assign(F_O, _msb(ovf)))
+    lf.emit(Assign(F_O, _overflow(a, b, res, subtract)))
     aux = mk_extract(4, 4, mk_binop("xor", mk_binop("xor", a, b), res)) if w > 4 else Const(0, 1)
-    _set_zsp(lf, res, with_aux=aux)
+    _set_zsp(lf, res, aux)
     return res
 
 
-def _lift_instr(lf, ins, tidx):
-    m = ins.mnemonic
-    ops = ins.operands
+# ---------------------------------------------------------------------------
+# Lifting rules: rule(lf, ins, w, tidx) emits the IR of instruction ins,
+# number tidx of the template, whose operand width is w
 
-    if m == "nop":
-        return
 
-    if m in ("jmp",) or (m[0] == "j" and m != "jmp"):
+def _pair(lf, ins, w):
+    return lf.access(ins.operands[0], w), lf.access(ins.operands[1], w)
+
+
+def _jump(cond):
+    def rule(lf, ins, w, tidx):
+        ops = ins.operands
         if len(ops) != 1 or not isinstance(ops[0], LabelRef):
-            raise MalformedInterface(f"{m} needs a label operand")
-        target_t = lf.parsed.resolve_label(ops[0].name, tidx)
-        if m == "jmp":
-            lf.emit(Goto(f"T{target_t}"))
+            raise MalformedInterface(f"{ins.mnemonic} needs a label operand")
+        target = f"T{lf.parsed.resolve_label(ops[0].name, tidx)}"
+        if cond is None:
+            lf.emit(Goto(target))
         else:
-            lf.emit(Branch(_cond(m[1:]), f"T{target_t}", f"T{tidx + 1}"))
-        return
+            lf.emit(Branch(cond(), target, f"T{tidx + 1}"))
 
-    if m.startswith("set"):
-        dst = lf.access(ops[0], 8)
-        dst.write(mk_cast("zext", dst.width, _cond(m[3:])))
-        return
+    return rule
 
-    if m.startswith("cmov"):
-        w = _instr_width(lf, ins)
-        src, dst = lf.access(ops[0], w), lf.access(ops[1], w)
-        dst.write(mk_ite(_cond(m[4:]), coerce(src.read(), dst.width), dst.read()))
-        return
 
-    if m in SIMD_MOVES:
-        w = SIMD_MOVES[m]
-        src, dst = lf.access(ops[0], w), lf.access(ops[1], w)
-        dst.write(coerce(src.read(), dst.width))
-        return
+def _set(cond):
+    def rule(lf, ins, w, tidx):
+        dst = lf.access(ins.operands[0], 8)
+        dst.write(mk_cast("zext", dst.width, cond()))
 
-    if m == "pxor":
-        src, dst = lf.access(ops[0], 64), lf.access(ops[1], 64)
-        dst.write(mk_binop("xor", coerce(src.read(), dst.width), dst.read()))
-        return
+    return rule
 
-    if m in ("movz", "movs"):
+
+def _cmov(cond):
+    def rule(lf, ins, w, tidx):
+        src, dst = _pair(lf, ins, w)
+        dst.write(mk_ite(cond(), coerce(src.read(), dst.width), dst.read()))
+
+    return rule
+
+
+def _move(width=None, op=None):
+    """mov, or a SIMD move of `width` bits; with op, dst <- src op dst."""
+
+    def rule(lf, ins, w, tidx):
+        src, dst = _pair(lf, ins, width or w)
+        value = coerce(src.read(), dst.width)
+        dst.write(value if op is None else mk_binop(op, value, dst.read()))
+
+    return rule
+
+
+def _extend(kind):
+    def rule(lf, ins, w, tidx):
         ws, wd = SUFFIX_WIDTHS[ins.suffix[0]], SUFFIX_WIDTHS[ins.suffix[1]]
-        src, dst = lf.access(ops[0], ws), lf.access(ops[1], wd)
-        kind = "zext" if m == "movz" else "sext"
+        src, dst = lf.access(ins.operands[0], ws), lf.access(ins.operands[1], wd)
         dst.write(mk_cast(kind, dst.width, coerce(src.read(), ws)))
-        return
 
-    w = _instr_width(lf, ins)
+    return rule
 
-    if m == "lea":
-        if not isinstance(ops[0], MemT):
-            raise MalformedInterface("lea needs a memory source")
-        dst = lf.access(ops[1], w)
-        dst.write(coerce(lf.address(ops[0]), dst.width))
-        return
 
-    if m == "mov":
-        src, dst = lf.access(ops[0], w), lf.access(ops[1], w)
-        dst.write(coerce(src.read(), dst.width))
-        return
+def _lea(lf, ins, w, tidx):
+    ops = ins.operands
+    if not isinstance(ops[0], MemT):
+        raise MalformedInterface("lea needs a memory source")
+    dst = lf.access(ops[1], w)
+    dst.write(coerce(lf.address(ops[0]), dst.width))
 
-    if m == "xchg":
-        a, b = lf.access(ops[0], w), lf.access(ops[1], w)
-        ta = lf.fresh(a.width)
-        tb = lf.fresh(b.width)
-        lf.emit(Assign(ta, a.read()))
-        lf.emit(Assign(tb, b.read()))
-        a.write(coerce(ReadLoc(tb), a.width))
-        b.write(coerce(ReadLoc(ta), b.width))
-        return
 
-    if m in ("add", "adc", "sub", "sbb", "cmp"):
-        src, dst = lf.access(ops[0], w), lf.access(ops[1], w)
+def _xchg(lf, ins, w, tidx):
+    a, b = _pair(lf, ins, w)
+    ta, tb = lf.fresh(a.width), lf.fresh(b.width)
+    lf.emit(Assign(ta, a.read()))
+    lf.emit(Assign(tb, b.read()))
+    a.write(coerce(ReadLoc(tb), a.width))
+    b.write(coerce(ReadLoc(ta), b.width))
+
+
+def _arith(subtract, carry=False, write=True):
+    """add, adc, sub, sbb and cmp: dst ± src (± CF)."""
+
+    def rule(lf, ins, w, tidx):
+        src, dst = _pair(lf, ins, w)
         a = lf.snap(dst.read())
         b = lf.snap(coerce(src.read(), a.width))
-        cin = mk_cast("zext", 1, ReadLoc(F_C)) if m in ("adc", "sbb") else None
-        res = _add_like(lf, a, b, cin, subtract=m in ("sub", "sbb", "cmp"))
-        if m != "cmp":
+        cin = mk_cast("zext", 1, ReadLoc(F_C)) if carry else None
+        res = _add_like(lf, a, b, cin, subtract)
+        if write:
             dst.write(res)
-        return
 
-    if m in ("and", "or", "xor", "test"):
-        src, dst = lf.access(ops[0], w), lf.access(ops[1], w)
+    return rule
+
+
+def _logic(op, write=True):
+    """and, or, xor and test: dst op src, with CF, OF and AF cleared."""
+
+    def rule(lf, ins, w, tidx):
+        src, dst = _pair(lf, ins, w)
         a = dst.read()
         b = coerce(src.read(), a.width)
-        res = lf.snap(mk_binop("xor" if m == "xor" else ("and" if m in ("and", "test") else "or"), a, b))
-        _logic_flags(lf, res)
-        if m != "test":
+        res = lf.snap(mk_binop(op, a, b))
+        _set_zsp(lf, res, Const(0, 1))
+        lf.emit(Assign(F_C, Const(0, 1)))
+        lf.emit(Assign(F_O, Const(0, 1)))
+        if write:
             dst.write(res)
-        return
 
-    if m in ("inc", "dec"):
-        dst = lf.access(ops[0], w)
+    return rule
+
+
+def _step(op):
+    """inc and dec: dst op 1, with CF kept."""
+
+    def rule(lf, ins, w, tidx):
+        dst = lf.access(ins.operands[0], w)
         a = lf.snap(dst.read())
         one = Const(1, a.width)
-        res = lf.snap(mk_binop("sub" if m == "dec" else "add", a, one))
-        if m == "inc":
-            ovf = mk_binop("and", mk_binop("xor", a, res), mk_binop("xor", one, res))
-        else:
-            ovf = mk_binop("and", mk_binop("xor", a, one), mk_binop("xor", a, res))
-        lf.emit(Assign(F_O, _msb(ovf)))
+        res = lf.snap(mk_binop(op, a, one))
+        lf.emit(Assign(F_O, _overflow(a, one, res, op == "sub")))
         aux = mk_extract(4, 4, mk_binop("xor", mk_binop("xor", a, one), res))
-        _set_zsp(lf, res, with_aux=aux)
+        _set_zsp(lf, res, aux)
         dst.write(res)
-        return
 
-    if m == "neg":
-        dst = lf.access(ops[0], w)
-        a = lf.snap(dst.read())
-        res = lf.snap(mk_unop("neg", a))
-        lf.emit(Assign(F_C, mk_binop("ne", a, Const(0, a.width))))
-        lf.emit(Assign(F_O, _msb(mk_binop("and", a, res))))
-        aux = mk_extract(4, 4, mk_binop("xor", a, res))
-        _set_zsp(lf, res, with_aux=aux)
-        dst.write(res)
-        return
+    return rule
 
-    if m == "not":
-        dst = lf.access(ops[0], w)
-        dst.write(mk_unop("not", dst.read()))
-        return
 
-    if m in SHIFTS:
+def _neg(lf, ins, w, tidx):
+    dst = lf.access(ins.operands[0], w)
+    a = lf.snap(dst.read())
+    res = lf.snap(mk_unop("neg", a))
+    lf.emit(Assign(F_C, mk_binop("ne", a, Const(0, a.width))))
+    lf.emit(Assign(F_O, _msb(mk_binop("and", a, res))))
+    aux = mk_extract(4, 4, mk_binop("xor", a, res))
+    _set_zsp(lf, res, aux)
+    dst.write(res)
+
+
+def _not(lf, ins, w, tidx):
+    dst = lf.access(ins.operands[0], w)
+    dst.write(mk_unop("not", dst.read()))
+
+
+def _shift(op):
+    """shl/sal, shr, sar, rol and ror by an immediate, a register or 1;
+    a count of 0 after masking to 5 bits leaves the flags as they were."""
+
+    def rule(lf, ins, w, tidx):
+        ops = ins.operands
         if len(ops) == 1:
             cnt_e = Const(1, w)
             dst = lf.access(ops[0], w)
@@ -459,25 +461,9 @@ def _lift_instr(lf, ins, tidx):
         cnt = lf.snap(mk_binop("and", cnt_e, Const(31, w)))
         zero = mk_binop("eq", cnt, Const(0, w))
         wc = Const(w, w)
-        inv = mk_binop("and", mk_binop("sub", wc, cnt), Const(31, w))
-        base = m if m != "sal" else "shl"
-        if base in ("shl", "shr", "sar"):
-            res = lf.snap(mk_binop(base, a, cnt))
-            if base == "shl":
-                cout = _lsb(mk_binop("shr", a, mk_binop("sub", wc, cnt)))
-                onew = mk_binop("xor", _msb(ReadLoc(res.loc) if isinstance(res, ReadLoc) else res), cout)
-            else:
-                cout = _lsb(mk_binop(base, a, mk_binop("sub", cnt, Const(1, w))))
-                onew = _msb(a) if base == "shr" else Const(0, 1)
-            lf.emit(Assign(F_C, mk_ite(zero, ReadLoc(F_C), cout)))
-            lf.emit(Assign(F_O, mk_ite(zero, ReadLoc(F_O), onew)))
-            lf.emit(Assign(F_Z, mk_ite(zero, ReadLoc(F_Z), mk_binop("eq", res, Const(0, w)))))
-            lf.emit(Assign(F_S, mk_ite(zero, ReadLoc(F_S), _msb(res))))
-            lf.emit(Assign(F_P, mk_ite(zero, ReadLoc(F_P), _parity(res))))
-            lf.emit(Assign(F_A, mk_ite(zero, ReadLoc(F_A), Const(0, 1))))
-            dst.write(res)
-        else:  # rol / ror
-            if base == "rol":
+        if op in ("rol", "ror"):
+            inv = mk_binop("and", mk_binop("sub", wc, cnt), Const(31, w))
+            if op == "rol":
                 res = lf.snap(mk_binop("or", mk_binop("shl", a, cnt), mk_binop("shr", a, inv)))
                 cout = _lsb(res)
             else:
@@ -486,11 +472,32 @@ def _lift_instr(lf, ins, tidx):
             lf.emit(Assign(F_C, mk_ite(zero, ReadLoc(F_C), cout)))
             lf.emit(Assign(F_O, mk_ite(zero, ReadLoc(F_O), mk_binop("xor", _msb(res), cout))))
             dst.write(res)
-        return
+            return
+        res = lf.snap(mk_binop(op, a, cnt))
+        if op == "shl":
+            cout = _lsb(mk_binop("shr", a, mk_binop("sub", wc, cnt)))
+            onew = mk_binop("xor", _msb(res), cout)
+        else:
+            cout = _lsb(mk_binop(op, a, mk_binop("sub", cnt, Const(1, w))))
+            onew = _msb(a) if op == "shr" else Const(0, 1)
+        lf.emit(Assign(F_C, mk_ite(zero, ReadLoc(F_C), cout)))
+        lf.emit(Assign(F_O, mk_ite(zero, ReadLoc(F_O), onew)))
+        lf.emit(Assign(F_Z, mk_ite(zero, ReadLoc(F_Z), mk_binop("eq", res, Const(0, w)))))
+        lf.emit(Assign(F_S, mk_ite(zero, ReadLoc(F_S), _msb(res))))
+        lf.emit(Assign(F_P, mk_ite(zero, ReadLoc(F_P), _parity(res))))
+        lf.emit(Assign(F_A, mk_ite(zero, ReadLoc(F_A), Const(0, 1))))
+        dst.write(res)
 
-    if m in ("mul", "imul"):
-        if m == "imul" and len(ops) >= 2:
-            w = _instr_width(lf, ins)
+    return rule
+
+
+def _multiply(kind):
+    """mul (kind zext) and imul (sext) into edx:eax, and imul's two- and
+    three-operand forms, truncated to the destination."""
+
+    def rule(lf, ins, w, tidx):
+        ops = ins.operands
+        if kind == "sext" and len(ops) >= 2:
             if len(ops) == 3:
                 a = coerce(lf.access(ops[0], w).read(), w)
                 b = lf.access(ops[1], w).read()
@@ -501,15 +508,13 @@ def _lift_instr(lf, ins, tidx):
                 b = dst.read()
             wide = lf.snap(mk_binop("mul", mk_cast("sext", 2 * w, a), mk_cast("sext", 2 * w, b)))
             res = lf.snap(mk_extract(w - 1, 0, wide))
-            ovf = mk_binop("ne", wide, mk_cast("sext", 2 * w, res))
-            ovf = lf.snap(ovf)
+            ovf = lf.snap(mk_binop("ne", wide, mk_cast("sext", 2 * w, res)))
             lf.emit(Assign(F_C, ovf))
             lf.emit(Assign(F_O, ovf))
-            _set_zsp(lf, res, with_aux=Const(0, 1))
+            _set_zsp(lf, res, Const(0, 1))
             dst.write(res)
             return
         src = lf.access(ops[0], w)
-        kind = "zext" if m == "mul" else "sext"
         if w == 8:
             acc = SliceAccess(lf, Reg("eax", 32), 0, 8)
             wide = lf.snap(mk_binop("mul", mk_cast(kind, 16, acc.read()), mk_cast(kind, 16, src.read())))
@@ -521,68 +526,210 @@ def _lift_instr(lf, ins, tidx):
             acc.write(mk_extract(w - 1, 0, wide))
             hi = mk_extract(2 * w - 1, w, wide)
             SliceAccess(lf, Reg("edx", 32), 0, w).write(hi)
-        spill = mk_binop("ne", hi, Const(0, hi.width)) if m == "mul" else mk_binop(
-            "ne", mk_cast("sext", 2 * w if w != 8 else 16, mk_extract(w - 1, 0, wide)), wide
-        )
+        if kind == "zext":
+            spill = mk_binop("ne", hi, Const(0, hi.width))
+        else:
+            spill = mk_binop("ne", mk_cast("sext", 2 * w, mk_extract(w - 1, 0, wide)), wide)
         spill = lf.snap(spill)
         lf.emit(Assign(F_C, spill))
         lf.emit(Assign(F_O, spill))
-        _set_zsp(lf, mk_extract(w - 1, 0, wide), with_aux=Const(0, 1))
-        return
+        _set_zsp(lf, mk_extract(w - 1, 0, wide), Const(0, 1))
 
-    if m == "bswap":
-        dst = lf.access(ops[0], 32)
-        a = lf.snap(dst.read())
-        b0 = mk_extract(7, 0, a)
-        b1 = mk_extract(15, 8, a)
-        b2 = mk_extract(23, 16, a)
-        b3 = mk_extract(31, 24, a)
-        dst.write(mk_binop("concat", mk_binop("concat", b0, b1), mk_binop("concat", b2, b3)))
-        return
+    return rule
 
-    if m == "push":
-        w = 32 if ins.suffix != "w" else 16
-        src = lf.access(ops[0], w)
-        t = lf.snap(coerce(src.read(), w))
-        esp = Reg("esp", 32)
-        lf.emit(Assign(esp, mk_binop("sub", ReadLoc(esp), Const(w // 8, 32))))
-        lf.emit(Assign(StoreLhs(ReadLoc(esp), w // 8), t))
-        return
 
-    if m == "pop":
-        w = 32 if ins.suffix != "w" else 16
-        dst = lf.access(ops[0], w)
-        esp = Reg("esp", 32)
-        t = lf.fresh(w)
-        lf.emit(Assign(t, Load(ReadLoc(esp), w // 8)))
-        lf.emit(Assign(esp, mk_binop("add", ReadLoc(esp), Const(w // 8, 32))))
-        dst.write(coerce(ReadLoc(t), dst.width))
-        return
+def _bswap(lf, ins, w, tidx):
+    dst = lf.access(ins.operands[0], 32)
+    a = lf.snap(dst.read())
+    b0, b1, b2, b3 = (mk_extract(i + 7, i, a) for i in (0, 8, 16, 24))
+    dst.write(mk_binop("concat", mk_binop("concat", b0, b1), mk_binop("concat", b2, b3)))
 
-    if m == "cmpxchg":
-        src, dst = lf.access(ops[0], w), lf.access(ops[1], w)
-        acc = SliceAccess(lf, Reg("eax", 32), 0, w)
-        old = lf.snap(dst.read())
-        a = lf.snap(acc.read())
-        _add_like(lf, a, old, None, subtract=True)  # cmp eax, dst
-        z = ReadLoc(F_Z)
-        dst.write(mk_ite(z, coerce(src.read(), w), old))
-        acc.write(mk_ite(z, a, old))
-        return
 
-    if m == "cmpxchg8b":
-        dst = lf.access(ops[0], 64)
-        if dst.width != 64:
-            raise MalformedInterface("cmpxchg8b needs a 64-bit operand")
-        old = lf.snap(dst.read())
-        eax, edx = Reg("eax", 32), Reg("edx", 32)
-        ebx, ecx = Reg("ebx", 32), Reg("ecx", 32)
-        pair = mk_binop("concat", ReadLoc(edx), ReadLoc(eax))
-        lf.emit(Assign(F_Z, mk_binop("eq", pair, old)))
-        z = ReadLoc(F_Z)
-        dst.write(mk_ite(z, mk_binop("concat", ReadLoc(ecx), ReadLoc(ebx)), old))
-        lf.emit(Assign(edx, mk_ite(z, ReadLoc(edx), mk_extract(63, 32, old))))
-        lf.emit(Assign(eax, mk_ite(z, ReadLoc(eax), mk_extract(31, 0, old))))
-        return
+def _push(lf, ins, w, tidx):
+    w = 32 if ins.suffix != "w" else 16
+    src = lf.access(ins.operands[0], w)
+    t = lf.snap(coerce(src.read(), w))
+    esp = Reg("esp", 32)
+    lf.emit(Assign(esp, mk_binop("sub", ReadLoc(esp), Const(w // 8, 32))))
+    lf.emit(Assign(StoreLhs(ReadLoc(esp), w // 8), t))
 
-    raise UnknownMnemonic(m)
+
+def _pop(lf, ins, w, tidx):
+    w = 32 if ins.suffix != "w" else 16
+    dst = lf.access(ins.operands[0], w)
+    esp = Reg("esp", 32)
+    t = lf.fresh(w)
+    lf.emit(Assign(t, Load(ReadLoc(esp), w // 8)))
+    lf.emit(Assign(esp, mk_binop("add", ReadLoc(esp), Const(w // 8, 32))))
+    dst.write(coerce(ReadLoc(t), dst.width))
+
+
+def _cmpxchg(lf, ins, w, tidx):
+    src, dst = _pair(lf, ins, w)
+    acc = SliceAccess(lf, Reg("eax", 32), 0, w)
+    old = lf.snap(dst.read())
+    a = lf.snap(acc.read())
+    _add_like(lf, a, old, None, subtract=True)  # cmp eax, dst
+    z = ReadLoc(F_Z)
+    dst.write(mk_ite(z, coerce(src.read(), w), old))
+    acc.write(mk_ite(z, a, old))
+
+
+def _cmpxchg8b(lf, ins, w, tidx):
+    dst = lf.access(ins.operands[0], 64)
+    if dst.width != 64:
+        raise MalformedInterface("cmpxchg8b needs a 64-bit operand")
+    old = lf.snap(dst.read())
+    eax, edx, ebx, ecx = (Reg(r, 32) for r in ("eax", "edx", "ebx", "ecx"))
+    pair = mk_binop("concat", ReadLoc(edx), ReadLoc(eax))
+    lf.emit(Assign(F_Z, mk_binop("eq", pair, old)))
+    z = ReadLoc(F_Z)
+    dst.write(mk_ite(z, mk_binop("concat", ReadLoc(ecx), ReadLoc(ebx)), old))
+    lf.emit(Assign(edx, mk_ite(z, ReadLoc(edx), mk_extract(63, 32, old))))
+    lf.emit(Assign(eax, mk_ite(z, ReadLoc(eax), mk_extract(31, 0, old))))
+
+
+# ---------------------------------------------------------------------------
+# The instruction table
+
+
+class Instruction(Record):
+    rule: object  # rule(lf, ins, w, tidx), as above
+    suffixes: frozenset  # the size suffixes the mnemonic takes
+
+
+SUFFIX_WIDTHS = {"b": 8, "w": 16, "l": 32}
+SIZED = frozenset(("", "b", "w", "l"))
+BARE = frozenset(("",))
+
+INSTRUCTIONS = {
+    "nop": Instruction(lambda lf, ins, w, tidx: None, BARE),
+    "jmp": Instruction(_jump(None), BARE),
+    "mov": Instruction(_move(), SIZED),
+    "movd": Instruction(_move(32), BARE),
+    "movq": Instruction(_move(64), BARE),
+    "movaps": Instruction(_move(128), BARE),
+    "movdqa": Instruction(_move(128), BARE),
+    "movdqu": Instruction(_move(128), BARE),
+    "pxor": Instruction(_move(64, "xor"), BARE),
+    "movz": Instruction(_extend("zext"), frozenset(("bw", "bl", "wl"))),
+    "movs": Instruction(_extend("sext"), frozenset(("bw", "bl", "wl"))),
+    "lea": Instruction(_lea, SIZED),
+    "xchg": Instruction(_xchg, SIZED),
+    "add": Instruction(_arith(False), SIZED),
+    "adc": Instruction(_arith(False, carry=True), SIZED),
+    "sub": Instruction(_arith(True), SIZED),
+    "sbb": Instruction(_arith(True, carry=True), SIZED),
+    "cmp": Instruction(_arith(True, write=False), SIZED),
+    "and": Instruction(_logic("and"), SIZED),
+    "or": Instruction(_logic("or"), SIZED),
+    "xor": Instruction(_logic("xor"), SIZED),
+    "test": Instruction(_logic("and", write=False), SIZED),
+    "inc": Instruction(_step("add"), SIZED),
+    "dec": Instruction(_step("sub"), SIZED),
+    "neg": Instruction(_neg, SIZED),
+    "not": Instruction(_not, SIZED),
+    "shl": Instruction(_shift("shl"), SIZED),
+    "sal": Instruction(_shift("shl"), SIZED),
+    "shr": Instruction(_shift("shr"), SIZED),
+    "sar": Instruction(_shift("sar"), SIZED),
+    "rol": Instruction(_shift("rol"), SIZED),
+    "ror": Instruction(_shift("ror"), SIZED),
+    "mul": Instruction(_multiply("zext"), SIZED),
+    "imul": Instruction(_multiply("sext"), SIZED),
+    "bswap": Instruction(_bswap, SIZED),
+    "push": Instruction(_push, SIZED),
+    "pop": Instruction(_pop, SIZED),
+    "cmpxchg": Instruction(_cmpxchg, SIZED),
+    "cmpxchg8b": Instruction(_cmpxchg8b, BARE),
+}
+INSTRUCTIONS.update(
+    (family + cc, Instruction(rule(cond), suffixes))
+    for cc, cond in CONDITIONS.items()
+    for family, rule, suffixes in (
+        ("set", _set, BARE), ("cmov", _cmov, frozenset(("", "l"))), ("j", _jump, BARE)
+    )
+)
+
+
+def classify_mnemonic(word):
+    """Return (mnemonic, suffix) or raise UnknownMnemonic."""
+    for cut in (0, 1, 2):
+        mnemonic, suffix = word[: len(word) - cut], word[len(word) - cut :]
+        row = INSTRUCTIONS.get(mnemonic)
+        if row is not None and suffix in row.suffixes:
+            return mnemonic, suffix
+    raise UnknownMnemonic(word)
+
+
+_LABEL_DEF = re.compile(r"^([A-Za-z_0-9.]+):\s*")
+
+
+def parse_template(template, chunk=None):
+    """Parse the template into instructions plus a label table.
+
+    When a chunk is given, named/numbered token references are checked
+    against its operand entries.
+    """
+    instrs, label_defs = [], []
+    pending_prefixes = set()
+    for raw in re.split(r"[;\n]", template):
+        stmt = raw.strip()
+        while True:
+            m = _LABEL_DEF.match(stmt)
+            if not m:
+                break
+            label_defs.append((m.group(1), len(instrs)))
+            stmt = stmt[m.end():]
+        if not stmt:
+            continue
+        words = stmt.split(None, 1)
+        if words[0].lower() == "lock":
+            pending_prefixes.add("lock")
+            if len(words) == 1:
+                continue
+            stmt = words[1]
+            words = stmt.split(None, 1)
+        mnemonic, suffix = classify_mnemonic(words[0].lower())
+        operands = parse_operands(words[1] if len(words) > 1 else "")
+        instrs.append(
+            TemplateInstr(mnemonic, suffix, operands, frozenset(pending_prefixes), stmt)
+        )
+        pending_prefixes = set()
+
+    if chunk is not None:
+        positions = {e.position for e in chunk.entries}
+        names = {e.name for e in chunk.entries if e.name}
+        for ref in token_refs(instrs):
+            if isinstance(ref.ref, int) and ref.ref not in positions:
+                raise BadTokenRef(f"%{ref.ref} has no interface entry")
+            if isinstance(ref.ref, str) and ref.ref not in names:
+                raise BadTokenRef(f"%[{ref.ref}] has no interface entry")
+    return ParsedTemplate(tuple(instrs), tuple(label_defs))
+
+
+def uses_push_pop(pt):
+    return any(ins.mnemonic in ("push", "pop") for ins in pt.instrs)
+
+
+def lift(parsed, fi):
+    lf = Lifter(parsed, fi)
+    for tidx, ins in enumerate(parsed.instrs):
+        lf.labels[f"T{tidx}"] = len(lf.instrs)
+        INSTRUCTIONS[ins.mnemonic].rule(lf, ins, _instr_width(lf, ins), tidx)
+    lf.labels[f"T{len(parsed.instrs)}"] = len(lf.instrs)
+    lf.emit(Halt())
+    return IRProgram(lf.instrs, lf.labels).validate()
+
+
+def _instr_width(lf, ins):
+    if ins.suffix in SUFFIX_WIDTHS:
+        return SUFFIX_WIDTHS[ins.suffix]
+    for op in reversed(ins.operands):
+        if isinstance(op, RegT):
+            return op.width
+        if isinstance(op, TokenRef):
+            if op.modifier in MOD_WIDTHS:
+                return MOD_WIDTHS[op.modifier]
+            return min(lf.fi.sizes[lf._resolve_token(op)] * 8, 32)
+    return 32

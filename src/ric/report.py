@@ -7,7 +7,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .checker import severity_of
 from .expr import MMX_REGS, XMM_REGS, MemoryWhole, Reg, StackSlot, format_loc
-from .template import uses_push_pop
+from .lift import uses_push_pop
 from .value import Record, asdict
 
 

@@ -1,10 +1,11 @@
-"""AT&T-syntax template parser with interface tokens as first-class operands."""
+"""AT&T operand syntax of templates, with interface tokens as
+first-class operands. Instruction words are classified in `lift`."""
 
 from __future__ import annotations
 
 import re
 
-from .errors import BadTokenRef, MalformedInterface, OutOfScope, UnknownMnemonic
+from .errors import BadTokenRef, MalformedInterface, OutOfScope
 from .expr import reg
 from .value import Record
 
@@ -46,7 +47,7 @@ class LabelRef(Record):
 
 class TemplateInstr(Record):
     mnemonic: str
-    suffix: str  # '', 'b', 'w', 'l' or two-letter for movz/movs
+    suffix: str  # '', 'b', 'w', 'l', or source and destination sizes ('bl')
     operands: tuple
     prefixes: frozenset = frozenset()
     raw: str = ""
@@ -77,54 +78,8 @@ class ParsedTemplate(Record):
         raise MalformedInterface(f"unresolved label {ref!r}")
 
 
-CC_NAMES = (
-    "nae", "nbe", "nge", "nle",
-    "ae", "be", "ge", "le", "na", "nb", "nc", "ne", "ng", "nl",
-    "no", "np", "ns", "nz",
-    "a", "b", "c", "e", "g", "l", "o", "p", "s", "z",
-)
-
-BASE_MNEMONICS = {
-    "mov", "lea", "xchg",
-    "add", "adc", "sub", "sbb", "inc", "dec", "neg", "cmp",
-    "and", "or", "xor", "not", "test",
-    "shl", "sal", "shr", "sar", "rol", "ror",
-    "mul", "imul", "bswap",
-    "push", "pop",
-    "cmpxchg", "cmpxchg8b",
-    "jmp", "nop",
-    # minimal SIMD moves, lifted as opaque wide-register effects
-    "movq", "movd", "pxor", "movaps", "movdqa", "movdqu",
-}
-NO_SUFFIX = {"cmpxchg8b", "nop", "jmp",
-             "movq", "movd", "pxor", "movaps", "movdqa", "movdqu"}
-
-
-def classify_mnemonic(word):
-    """Return (mnemonic, suffix) or raise UnknownMnemonic."""
-    if word in BASE_MNEMONICS:
-        return word, ""
-    for family in ("set", "cmov", "j"):
-        if word.startswith(family):
-            rest = word[len(family):]
-            for cc in CC_NAMES:
-                if rest == cc:
-                    return family + cc, ""
-                if family == "cmov" and rest == cc + "l":
-                    return family + cc, "l"
-    for two in ("movz", "movs"):
-        if word.startswith(two) and len(word) == 6:
-            src, dst = word[4], word[5]
-            if src in "bw" and dst in "wl" and src != dst:
-                return two, src + dst
-    if word[-1:] in "bwl" and word[:-1] in BASE_MNEMONICS and word[:-1] not in NO_SUFFIX:
-        return word[:-1], word[-1]
-    raise UnknownMnemonic(word)
-
-
 _TOKEN_RE = re.compile(r"%([bwk]?)(\d+)|%([bwk]?)\[([A-Za-z_][A-Za-z0-9_]*)\]")
 _MODIFIED_TOKEN = re.compile(r"%([A-Za-z])(?:\d+|\[[A-Za-z_][A-Za-z0-9_]*\])")
-_LABEL_DEF = re.compile(r"^([A-Za-z_0-9.]+):\s*")
 
 
 def renumber_template(template, renumber):
@@ -173,26 +128,6 @@ def _displacement(dtext, operand):
             " global symbol addresses are out of scope"
         )
     return _parse_int(dtext)
-
-
-def _split_operands(text):
-    parts = []
-    depth = 0
-    cur = []
-    for c in text:
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        if c == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(c)
-    tail = "".join(cur).strip()
-    if tail or parts:
-        parts.append(tail)
-    return parts
 
 
 def _token_ref(text):
@@ -251,74 +186,38 @@ def _parse_operand(text):
     return MemT(disp=_displacement(text, text))
 
 
-def parse_template(template, chunk=None):
-    """Parse the template into instructions plus a label table.
+def parse_operands(text):
+    """The operands of an instruction, from the text after its word."""
+    parts = []
+    depth = 0
+    cur = []
+    for c in text:
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+        if c == "," and depth == 0:
+            parts.append("".join(cur).strip())
+            cur = []
+        else:
+            cur.append(c)
+    tail = "".join(cur).strip()
+    if tail or parts:
+        parts.append(tail)
+    return tuple(_parse_operand(o) for o in parts)
 
-    When a chunk is given, named/numbered token references are checked
-    against its operand entries.
-    """
-    instrs = []
-    label_defs = []
-    pending_prefixes = set()
-    statements = re.split(r"[;\n]", template)
-    for raw in statements:
-        stmt = raw.strip()
-        while True:
-            m = _LABEL_DEF.match(stmt)
-            if not m:
-                break
-            label_defs.append((m.group(1), len(instrs)))
-            stmt = stmt[m.end():]
-        if not stmt:
-            continue
-        words = stmt.split(None, 1)
-        word = words[0].lower()
-        if word == "lock":
-            pending_prefixes.add("lock")
-            if len(words) > 1:
-                stmt = words[1]
-                words = stmt.split(None, 1)
-                word = words[0].lower()
-            else:
-                continue
-        mnemonic, suffix = classify_mnemonic(word)
-        optext = words[1] if len(words) > 1 else ""
-        operands = tuple(_parse_operand(o) for o in _split_operands(optext))
-        instrs.append(
-            TemplateInstr(mnemonic, suffix, operands, frozenset(pending_prefixes), stmt)
-        )
-        pending_prefixes = set()
 
-    if chunk is not None:
-        positions = {e.position for e in chunk.entries}
-        names = {e.name for e in chunk.entries if e.name}
-        for ins in instrs:
-            for op in ins.operands:
-                refs = []
-                if isinstance(op, TokenRef):
-                    refs.append(op)
-                if isinstance(op, MemT):
-                    if isinstance(op.base, TokenRef):
-                        refs.append(op.base)
-                for ref in refs:
-                    if isinstance(ref.ref, int) and ref.ref not in positions:
-                        raise BadTokenRef(f"%{ref.ref} has no interface entry")
-                    if isinstance(ref.ref, str) and ref.ref not in names:
-                        raise BadTokenRef(f"%[{ref.ref}] has no interface entry")
-    return ParsedTemplate(tuple(instrs), tuple(label_defs))
+def token_refs(instrs):
+    """Each token reference in the instructions' operands, memory bases
+    included, in order."""
+    for ins in instrs:
+        for op in ins.operands:
+            if isinstance(op, TokenRef):
+                yield op
+            elif isinstance(op, MemT) and isinstance(op.base, TokenRef):
+                yield op.base
 
 
 def template_tokens(pt):
     """All token positions/names referenced by the template."""
-    refs = set()
-    for ins in pt.instrs:
-        for op in ins.operands:
-            if isinstance(op, TokenRef):
-                refs.add(op.ref)
-            if isinstance(op, MemT) and isinstance(op.base, TokenRef):
-                refs.add(op.base.ref)
-    return refs
-
-
-def uses_push_pop(pt):
-    return any(ins.mnemonic in ("push", "pop") for ins in pt.instrs)
+    return {ref.ref for ref in token_refs(pt.instrs)}

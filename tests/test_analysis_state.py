@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ric import checker, constraints, lift, pool, report, template
+from ric import checker, constraints, lift, pool, report
 from ric.checker import ForwardPass, Havoc, Region, check_chunk, init_read, make_classifier
 from ric.chunks import load_chunk_records
 from ric.cli import run
@@ -392,7 +392,7 @@ def test_oracle_derives_parses_and_lifts_once_per_chunk(corpus_chunks, monkeypat
 
     targets = {
         "derive_interface": constraints.derive_interface,
-        "parse_template": template.parse_template,
+        "parse_template": lift.parse_template,
         "lift": lift.lift,
         "build_anchors": checker.build_anchors,
     }

@@ -18,8 +18,7 @@ import sys
 from ric.chunks import load_chunk_records
 from ric.constraints import derive_interface
 from ric.expr import clear_nodes, format_instr
-from ric.lift import lift
-from ric.template import parse_template
+from ric.lift import INSTRUCTIONS, lift, parse_template
 
 CC = (
     "a", "ae", "b", "be", "c", "e", "g", "ge", "l", "le", "na", "nae", "nb", "nbe",
@@ -136,6 +135,12 @@ def grid_digest(full=False):
 
 GRID_SIZE = 14640
 GRID_SHA256 = "b36b986eeba9c9f36f49f766c03581691b64b77a9620dd8ccdc752a121626685"
+
+
+def test_grid_takes_every_row_with_each_suffix():
+    for mnemonic, row in INSTRUCTIONS.items():
+        for suffix in row.suffixes:
+            assert mnemonic + suffix in WORDS, (mnemonic, suffix)
 
 
 def test_pinned_grid_lifts_as_pinned():

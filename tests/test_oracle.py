@@ -15,7 +15,7 @@ from ric.cli import run as cli_run
 from ric.chunks import load_chunk_records
 from ric.constraints import derive_interface
 from ric.errors import OutOfSandbox, RicError
-from ric.lift import lift
+from ric.lift import lift, parse_template
 from ric.oracle import (
     SANDBOX_BASE,
     STEP_BUDGET,
@@ -26,7 +26,6 @@ from ric.oracle import (
     exec_program,
     oracle_check,
 )
-from ric.template import parse_template
 
 from conftest import CORPUS
 

@@ -29,9 +29,8 @@ from ric.expr import (
     mk_ite,
     mk_unop,
 )
-from ric.lift import lift
-from ric.oracle import MachineState, compile_expr
-from ric.template import classify_mnemonic, parse_template
+from ric.lift import CONDITIONS, classify_mnemonic, lift, parse_template
+from ric.oracle import MachineState, compile_expr, exec_program
 
 
 def chunk(template, outputs=(), inputs=(), clobbers=()):
@@ -76,6 +75,50 @@ def test_classify_mnemonic(word, expect):
 def test_unknown_mnemonics(word):
     with pytest.raises(UnknownMnemonic):
         classify_mnemonic(word)
+
+
+# each condition code's meaning on the flags, as the SDM's Jcc table states it
+REFERENCE_CONDITIONS = {
+    "o": lambda z, c, s, o, p: o, "no": lambda z, c, s, o, p: not o,
+    "b": lambda z, c, s, o, p: c, "c": lambda z, c, s, o, p: c, "nae": lambda z, c, s, o, p: c,
+    "ae": lambda z, c, s, o, p: not c, "nb": lambda z, c, s, o, p: not c,
+    "nc": lambda z, c, s, o, p: not c,
+    "e": lambda z, c, s, o, p: z, "z": lambda z, c, s, o, p: z,
+    "ne": lambda z, c, s, o, p: not z, "nz": lambda z, c, s, o, p: not z,
+    "be": lambda z, c, s, o, p: c or z, "na": lambda z, c, s, o, p: c or z,
+    "a": lambda z, c, s, o, p: not (c or z), "nbe": lambda z, c, s, o, p: not (c or z),
+    "s": lambda z, c, s, o, p: s, "ns": lambda z, c, s, o, p: not s,
+    "p": lambda z, c, s, o, p: p, "np": lambda z, c, s, o, p: not p,
+    "l": lambda z, c, s, o, p: s != o, "nge": lambda z, c, s, o, p: s != o,
+    "ge": lambda z, c, s, o, p: s == o, "nl": lambda z, c, s, o, p: s == o,
+    "le": lambda z, c, s, o, p: z or s != o, "ng": lambda z, c, s, o, p: z or s != o,
+    "g": lambda z, c, s, o, p: not z and s == o, "nle": lambda z, c, s, o, p: not z and s == o,
+}
+
+
+@pytest.mark.parametrize("cc", sorted(REFERENCE_CONDITIONS))
+def test_every_condition_classifies_and_lifts_in_each_family(cc):
+    assert set(CONDITIONS) == set(REFERENCE_CONDITIONS)
+    assert classify_mnemonic("set" + cc) == ("set" + cc, "")
+    assert classify_mnemonic("cmov" + cc) == ("cmov" + cc, "")
+    assert classify_mnemonic(f"cmov{cc}l") == ("cmov" + cc, "l")
+    assert classify_mnemonic("j" + cc) == ("j" + cc, "")
+    c = chunk(
+        f"set{cc} %%al; cmov{cc} %%ecx, %%edx; cmov{cc}l %%ecx, %%ebx;"
+        f" j{cc} 1f; movl $1, %%esi; 1: nop",
+        clobbers=["eax", "ebx", "ecx", "edx", "esi", "cc"],
+    )
+    prog = lift_chunk(c)
+    for bits in range(32):
+        flags = dict(zip("zcsop", ((bits >> i) & 1 for i in range(5))))
+        taken = bool(REFERENCE_CONDITIONS[cc](*flags.values()))
+        m = MachineState(0)
+        m.flags.update(flags)
+        m.regs.update(eax=0x100, ebx=0xB, ecx=0xC, edx=0xD, esi=0)
+        exec_program(prog, m)
+        assert m.regs["eax"] == 0x100 | taken, flags
+        assert (m.regs["edx"], m.regs["ebx"]) == ((0xC, 0xC) if taken else (0xD, 0xB)), flags
+        assert m.regs["esi"] == (0 if taken else 1), flags
 
 
 # ---------------------------------------------------------------------------
