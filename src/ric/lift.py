@@ -315,10 +315,10 @@ def _pair(lf, ins, w):
 
 def _jump(cond):
     def rule(lf, ins, w, tidx):
-        ops = ins.operands
-        if len(ops) != 1 or not isinstance(ops[0], LabelRef):
+        (op,) = ins.operands
+        if not isinstance(op, LabelRef):
             raise MalformedInterface(f"{ins.mnemonic} needs a label operand")
-        target = f"T{lf.parsed.resolve_label(ops[0].name, tidx)}"
+        target = f"T{lf.parsed.resolve_label(op.name, tidx)}"
         if cond is None:
             lf.emit(Goto(target))
         else:
@@ -596,15 +596,17 @@ def _cmpxchg8b(lf, ins, w, tidx):
 class Instruction(Record):
     rule: object  # rule(lf, ins, w, tidx), as above
     suffixes: frozenset  # the size suffixes the mnemonic takes
+    operands: tuple = (2, 2)  # the fewest and the most operands it takes
 
 
 SUFFIX_WIDTHS = {"b": 8, "w": 16, "l": 32}
 SIZED = frozenset(("", "b", "w", "l"))
 BARE = frozenset(("",))
+ONE = (1, 1)
 
 INSTRUCTIONS = {
-    "nop": Instruction(lambda lf, ins, w, tidx: None, BARE),
-    "jmp": Instruction(_jump(None), BARE),
+    "nop": Instruction(lambda lf, ins, w, tidx: None, BARE, (0, 1)),
+    "jmp": Instruction(_jump(None), BARE, ONE),
     "mov": Instruction(_move(), SIZED),
     "movd": Instruction(_move(32), BARE),
     "movq": Instruction(_move(64), BARE),
@@ -625,29 +627,30 @@ INSTRUCTIONS = {
     "or": Instruction(_logic("or"), SIZED),
     "xor": Instruction(_logic("xor"), SIZED),
     "test": Instruction(_logic("and", write=False), SIZED),
-    "inc": Instruction(_step("add"), SIZED),
-    "dec": Instruction(_step("sub"), SIZED),
-    "neg": Instruction(_neg, SIZED),
-    "not": Instruction(_not, SIZED),
-    "shl": Instruction(_shift("shl"), SIZED),
-    "sal": Instruction(_shift("shl"), SIZED),
-    "shr": Instruction(_shift("shr"), SIZED),
-    "sar": Instruction(_shift("sar"), SIZED),
-    "rol": Instruction(_shift("rol"), SIZED),
-    "ror": Instruction(_shift("ror"), SIZED),
-    "mul": Instruction(_multiply("zext"), SIZED),
-    "imul": Instruction(_multiply("sext"), SIZED),
-    "bswap": Instruction(_bswap, SIZED),
-    "push": Instruction(_push, SIZED),
-    "pop": Instruction(_pop, SIZED),
+    "inc": Instruction(_step("add"), SIZED, ONE),
+    "dec": Instruction(_step("sub"), SIZED, ONE),
+    "neg": Instruction(_neg, SIZED, ONE),
+    "not": Instruction(_not, SIZED, ONE),
+    "shl": Instruction(_shift("shl"), SIZED, (1, 2)),
+    "sal": Instruction(_shift("shl"), SIZED, (1, 2)),
+    "shr": Instruction(_shift("shr"), SIZED, (1, 2)),
+    "sar": Instruction(_shift("sar"), SIZED, (1, 2)),
+    "rol": Instruction(_shift("rol"), SIZED, (1, 2)),
+    "ror": Instruction(_shift("ror"), SIZED, (1, 2)),
+    "mul": Instruction(_multiply("zext"), SIZED, ONE),
+    "imul": Instruction(_multiply("sext"), SIZED, (1, 3)),
+    "bswap": Instruction(_bswap, SIZED, ONE),
+    "push": Instruction(_push, SIZED, ONE),
+    "pop": Instruction(_pop, SIZED, ONE),
     "cmpxchg": Instruction(_cmpxchg, SIZED),
-    "cmpxchg8b": Instruction(_cmpxchg8b, BARE),
+    "cmpxchg8b": Instruction(_cmpxchg8b, BARE, ONE),
 }
 INSTRUCTIONS.update(
-    (family + cc, Instruction(rule(cond), suffixes))
+    (family + cc, Instruction(rule(cond), suffixes, operands))
     for cc, cond in CONDITIONS.items()
-    for family, rule, suffixes in (
-        ("set", _set, BARE), ("cmov", _cmov, frozenset(("", "l"))), ("j", _jump, BARE)
+    for family, rule, suffixes, operands in (
+        ("set", _set, BARE, ONE), ("cmov", _cmov, frozenset(("", "l")), (2, 2)),
+        ("j", _jump, BARE, ONE),
     )
 )
 
@@ -716,7 +719,14 @@ def lift(parsed, fi):
     lf = Lifter(parsed, fi)
     for tidx, ins in enumerate(parsed.instrs):
         lf.labels[f"T{tidx}"] = len(lf.instrs)
-        INSTRUCTIONS[ins.mnemonic].rule(lf, ins, _instr_width(lf, ins), tidx)
+        row = INSTRUCTIONS[ins.mnemonic]
+        fewest, most = row.operands
+        if not fewest <= len(ins.operands) <= most:
+            takes = fewest if fewest == most else f"{fewest} to {most}"
+            raise MalformedInterface(
+                f"{ins.mnemonic}{ins.suffix} takes {takes} operand(s), not {len(ins.operands)}"
+            )
+        row.rule(lf, ins, _instr_width(lf, ins), tidx)
     lf.labels[f"T{len(parsed.instrs)}"] = len(lf.instrs)
     lf.emit(Halt())
     return IRProgram(lf.instrs, lf.labels).validate()

@@ -417,6 +417,27 @@ def test_symbolic_displacement_is_an_error_naming_the_symbol():
     assert check_chunk(c).verdict == "compliant"
 
 
+@pytest.mark.parametrize(
+    "template, outputs, inputs, clobbers, takes",
+    [
+        ("movl %0", [("=r", "x", 4)], [], [], "movl takes 2 operand(s), not 1"),
+        # both were reported compliant while GAS rejects them
+        ("notl %0, %%eax", [("+r", "x", 4)], [], ["eax"], "notl takes 1 operand(s), not 2"),
+        (
+            "mull %%ecx, %0", [("+a", "x", 4)], [("c", "y", 4)], ["edx", "cc"],
+            "mull takes 1 operand(s), not 2",
+        ),
+        ("setz %b0, %%cl", [("=q", "x", 1)], [], ["ecx"], "setz takes 1 operand(s), not 2"),
+        ("nop %0, %0", [("+r", "x", 4)], [], [], "nop takes 0 to 1 operand(s), not 2"),
+        ("imull $3, %0, %0, %0", [("+r", "x", 4)], [], ["cc"],
+         "imull takes 1 to 3 operand(s), not 4"),
+    ],
+)
+def test_a_wrong_operand_count_is_an_error(template, outputs, inputs, clobbers, takes):
+    result = check_chunk(chunk(template, outputs, inputs, clobbers))
+    assert (result.verdict, result.details) == ("error", f"template: {takes}")
+
+
 def test_out_of_scope_verdict(corpus_by_id):
     result = check_chunk(corpus_by_id["oos/fld.c"])
     assert result.verdict == "out_of_scope"

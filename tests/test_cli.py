@@ -168,6 +168,27 @@ def test_one_chunk_crash_is_an_error_entry(tmp_path, monkeypatch, capsys):
         assert "lea.c:2: internal error: RecursionError: " in capsys.readouterr().err
 
 
+WRONG_COUNTS_SRC = (
+    "int f(int x, int y) {\n"
+    '  asm ("movl %0" : "=r" (x));\n'
+    '  asm ("notl %0, %%eax" : "+r" (x) : : "eax");\n'
+    '  asm ("mull %%ecx, %0" : "+a" (x) : "c" (y) : "edx", "cc");\n'
+    "  return x;\n"
+    "}\n"
+)
+
+
+def test_wrong_operand_counts_are_error_entries(tmp_path, capsys):
+    code, rep = run_json(["check", write(tmp_path, "n.c", WRONG_COUNTS_SRC)], tmp_path)
+    assert code == 1
+    assert [(c["verdict"], c["details"]) for c in rep["chunks"]] == [
+        ("error", "template: movl takes 2 operand(s), not 1"),
+        ("error", "template: notl takes 1 operand(s), not 2"),
+        ("error", "template: mull takes 1 operand(s), not 2"),
+    ]
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_ric_error_in_one_chunk_still_ends_the_run(tmp_path, monkeypatch, capsys):
     from ric import cli
     from ric.errors import RicError

@@ -134,7 +134,7 @@ def grid_digest(full=False):
 
 
 GRID_SIZE = 14640
-GRID_SHA256 = "b36b986eeba9c9f36f49f766c03581691b64b77a9620dd8ccdc752a121626685"
+GRID_SHA256 = "dc73f7b17c51afdb5c892a6403e33fce3e827942b0ef04b4df97eefcb53fe5ed"
 
 
 def test_grid_takes_every_row_with_each_suffix():
