@@ -82,8 +82,10 @@ class StepLimit(RicError):
 
 
 class OutOfSandbox(RicError):
-    """Concrete execution touched memory outside the sandbox."""
+    """Concrete execution touched memory outside the sandbox. `steps`
+    counts the execution steps taken, the one that touched it included."""
 
     def __init__(self, address):
         super().__init__(f"memory access outside sandbox at {address:#x}")
         self.address = address
+        self.steps = 0

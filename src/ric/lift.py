@@ -462,15 +462,19 @@ def _shift(op):
         zero = mk_binop("eq", cnt, Const(0, w))
         wc = Const(w, w)
         if op in ("rol", "ror"):
-            inv = mk_binop("and", mk_binop("sub", wc, cnt), Const(31, w))
+            # an 8- or 16-bit rotate turns by the masked count mod its width
+            rot = cnt if w == 32 else mk_binop("and", cnt, Const(w - 1, w))
+            inv = mk_binop("and", mk_binop("sub", wc, rot), Const(w - 1, w))
             if op == "rol":
-                res = lf.snap(mk_binop("or", mk_binop("shl", a, cnt), mk_binop("shr", a, inv)))
+                res = lf.snap(mk_binop("or", mk_binop("shl", a, rot), mk_binop("shr", a, inv)))
                 cout = _lsb(res)
+                onew = mk_binop("xor", _msb(res), cout)
             else:
-                res = lf.snap(mk_binop("or", mk_binop("shr", a, cnt), mk_binop("shl", a, inv)))
+                res = lf.snap(mk_binop("or", mk_binop("shr", a, rot), mk_binop("shl", a, inv)))
                 cout = _msb(res)
+                onew = mk_binop("xor", cout, mk_extract(w - 2, w - 2, res))
             lf.emit(Assign(F_C, mk_ite(zero, ReadLoc(F_C), cout)))
-            lf.emit(Assign(F_O, mk_ite(zero, ReadLoc(F_O), mk_binop("xor", _msb(res), cout))))
+            lf.emit(Assign(F_O, mk_ite(zero, ReadLoc(F_O), onew)))
             dst.write(res)
             return
         res = lf.snap(mk_binop(op, a, cnt))

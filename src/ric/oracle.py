@@ -436,14 +436,18 @@ def compile_program(prog):
 def exec_program(prog, state, budget=STEP_BUDGET):
     """Small-step execution to Halt of an IRProgram or its compiled form;
     mutates state. Returns the number of steps taken and raises StepLimit
-    on the step past `budget`."""
+    on the step past `budget`, or OutOfSandbox with the steps taken."""
     code = compile_program(prog) if isinstance(prog, IRProgram) else prog
     pc, steps, n = 0, 0, len(code)
-    while pc < n:
-        steps += 1
-        if steps > budget:
-            raise StepLimit(f"step budget of {budget} steps exceeded")
-        pc = code[pc](state)
+    try:
+        while pc < n:
+            steps += 1
+            if steps > budget:
+                raise StepLimit(f"step budget of {budget} steps exceeded")
+            pc = code[pc](state)
+    except OutOfSandbox as e:
+        e.steps = steps
+        raise
     return steps
 
 
@@ -772,9 +776,14 @@ class OracleRun:
 
     def run_one(self, assignment, state):
         """Execute under the assignment on state within what is left of
-        the step budget."""
+        the step budget. A run that leaves the sandbox is charged its
+        steps too."""
         state.operands = self.operands(assignment)
-        self.steps_left -= exec_program(self.code, state, self.steps_left)
+        try:
+            self.steps_left -= exec_program(self.code, state, self.steps_left)
+        except OutOfSandbox as e:
+            self.steps_left -= e.steps
+            raise
         return state
 
     def charge(self, steps):

@@ -134,7 +134,7 @@ def grid_digest(full=False):
 
 
 GRID_SIZE = 14640
-GRID_SHA256 = "dc73f7b17c51afdb5c892a6403e33fce3e827942b0ef04b4df97eefcb53fe5ed"
+GRID_SHA256 = "1f98675c35c57eb20457f8e0a39fe9a41ac8422baf3b10bc935c9a70a7a7d988"
 
 
 def test_grid_takes_every_row_with_each_suffix():

@@ -14,7 +14,7 @@ from ric.checker import check_chunk
 from ric.cli import run as cli_run
 from ric.chunks import load_chunk_records
 from ric.constraints import derive_interface
-from ric.errors import OutOfSandbox, RicError
+from ric.errors import OutOfSandbox, RicError, StepLimit
 from ric.lift import lift, parse_template
 from ric.oracle import (
     SANDBOX_BASE,
@@ -261,6 +261,39 @@ def test_step_budget_bounds_a_data_dependent_loop(monkeypatch):
     assert all(b <= a for a, b in zip(budgets, budgets[1:]))
 
 
+def test_runs_that_leave_the_sandbox_are_charged_to_the_step_budget(monkeypatch):
+    # the store walks upward from its cell with a counter drawn from
+    # sandbox addresses, so runs leave the sandbox after many steps
+    c = chunk(
+        "1: movl $0,(%1); addl $4,%1; decl %2; jnz 1b",
+        outputs=[("+m", "*p", 4), ("+D", "p", 4), ("+c", "n", 4)],
+        clobbers=["cc"],
+    )
+    steps, left = [], []  # steps of each run; the runs that left the sandbox
+
+    def counted(prog, state, budget):
+        try:
+            n = exec_program(prog, state, budget)
+        except OutOfSandbox as e:
+            steps.append(e.steps)
+            left.append(e)
+            raise
+        except StepLimit:
+            steps.append(budget)
+            raise
+        steps.append(n)
+        return n
+
+    monkeypatch.setattr(oracle, "exec_program", counted)
+    run = OracleRun(check_chunk(c), TrialConfig(trials=10, seed=0))
+    for prop in ("frame_write", "frame_read"):
+        steps.clear()
+        left.clear()
+        oracle_check(c, prop, run=run)
+        assert left, prop
+        assert sum(steps) <= STEP_BUDGET, prop
+
+
 # ---------------------------------------------------------------------------
 # Interpreter spot checks
 
@@ -311,6 +344,29 @@ def test_exec_bswap():
         setup=lambda m: m.regs.update(eax=0x11223344),
     )
     assert m.regs["eax"] == 0x44332211
+
+
+@pytest.mark.parametrize(
+    "template, before, after, cf, of",
+    [
+        # values read back from the CPU (as --32, ld -m elf_i386) with the
+        # flags clear before; OF is undefined for a masked count above 1
+        ("rolb $9, %%al", 0x81, 0x03, 1, None),  # 9 mod 8: by 1, not to 0
+        ("rolb $16, %%al", 0x81, 0x81, 1, None),  # 16 mod 8: unchanged, CF set
+        ("rorw $1, %%ax", 0x5681, 0xAB40, 1, 1),  # OF: XOR of the top two bits
+    ],
+)
+def test_exec_rotates_as_the_cpu_does(template, before, after, cf, of):
+    m = run_program(template, clobbers=["eax", "cc"], setup=lambda m: m.regs.update(eax=before))
+    assert (m.regs["eax"], m.flags["c"]) == (after, cf)
+    if of is not None:
+        assert m.flags["o"] == of
+
+
+@pytest.mark.parametrize("template", ["rolb $16, %b0", "rolb $9, %b0; rorb $9, %b0"])
+def test_rotates_that_restore_a_read_only_input_pass_the_oracle(template):
+    c = chunk(template, inputs=[("q", "x", 4)], clobbers=["cc"])
+    assert oracle_check(c, "frame_write", CFG).verdict == "pass"
 
 
 def test_exec_memory_store_load():
