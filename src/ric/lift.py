@@ -1,6 +1,7 @@
 """The instruction table, and parsing and lifting template instructions
 to the bitvector IR. Each row of `INSTRUCTIONS` holds a mnemonic's size
-suffixes and its lifting rule; the parser and the lifter both read it.
+suffixes, operand counts and lifting rule; the parser and the lifter
+both read it.
 
 Tokens become first-class locations: a token pinned to one register by
 its constraint lifts to that hard register, a register-class token

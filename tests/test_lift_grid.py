@@ -48,8 +48,8 @@ def _words():
 
 WORDS = _words()
 
-# registers of each width, immediates, each token kind and size
-# modifier, memory operands with a register and a token base, a label
+# registers of each width, two immediates, tokens of each kind and
+# size, two size modifiers, a memory operand with base and index, a label
 KINDS = (
     "%%eax", "%%cx", "%%dl", "%%ah", "%%mm1", "%%xmm2", "$1", "$9",
     "%0", "%1", "%2", "%3", "%4", "%b0", "%w1", "4(%%esi,%%ecx,4)", "1b",
