@@ -77,12 +77,11 @@ class ScannedStatement(Record):
 # (see _SPLICE); a /* */ comment; a string and a character literal, in
 # which a backslash escapes any character. One that does not end runs to
 # the end of the text.
-_LEXICAL = (
+_COMMENT = (
     r"//[^\\\r\n]*(?:\\(?:[ \t\f\v]*\r?\n)?[^\\\r\n]*)*[\r\n]?"
     r"|/\*[^*]*(?:\*(?!/)[^*]*)*(?:\*/)?"
-    r'|"[^"\\]*(?:\\.[^"\\]*)*"?'
-    r"|'[^'\\]*(?:\\.[^'\\]*)*'?"
 )
+_LEXICAL = _COMMENT + r'|"[^"\\]*(?:\\.[^"\\]*)*"?' + r"|'[^'\\]*(?:\\.[^'\\]*)*'?"
 # Every alternative starts with a literal character, so that a search
 # skips the text in between without trying a match at each character.
 # Outside a statement: a comment or literal, or an asm keyword.
@@ -299,7 +298,7 @@ def parse_asm_statement(raw, span, qualifiers=frozenset(), marks=None):
     marks are the offsets of the body's top-level ':' and ',' as the
     scanner records them; without them, or when the body holds a line
     splice, the body is scanned here, with its splices deleted."""
-    if "\\" in raw and _SPLICE.search(raw):
+    if _has_splice(raw):
         raw, marks = _SPLICE.sub("", raw), None
     if marks is None:
         end, marks = _statement_end(raw + ")", 0)
@@ -324,6 +323,49 @@ def parse_asm_statement(raw, span, qualifiers=frozenset(), marks=None):
         clobbers = tuple([_decode_strings(p, span) for p in parts if p.strip()])
     context = ChunkContext(span.file, span.line)
     return ChunkAst(span, frozenset(qualifiers), template, outputs, inputs, clobbers, context)
+
+
+def _has_splice(raw):
+    return "\\" in raw and _SPLICE.search(raw) is not None
+
+
+# A token of a statement's shape: kept verbatim (group 1), a comment or
+# literal, a number, or a bracketed name with the blanks and comments
+# the parser skips around it; or an identifier (group 2).
+_SHAPE_TOKEN = re.compile(
+    rf"({_LEXICAL}|\d\w*|\[(?:\s|{_COMMENT})*[A-Za-z_][A-Za-z0-9_]*(?:\s|{_COMMENT})*\])"
+    r"|([A-Za-z_][A-Za-z0-9_]*)",
+    re.S,
+)
+
+
+def statement_shape(raw):
+    """The shape of a statement body: its text split into tokens, with
+    each identifier replaced by the number of its first occurrence, as a
+    tuple; None if the body holds a line splice. Comments, literals,
+    numbers, bracketed names, blanks and punctuation are kept verbatim.
+
+    Two bodies with one shape parse alike, or fail alike, to chunks that
+    differ only by a one-to-one renaming of the identifiers in operand
+    expressions: templates, constraints and clobbers are literals, size
+    notes are comments and names are bracketed, and the two tokenize at
+    the same places, since the parser skips comments and literals by the
+    same _LEXICAL. The checker reads operand expressions only through
+    checker._anchor_refs, whose stripped-text equality and `*(p + k)` and
+    `*p` forms such a renaming keeps, and report pattern P4 reads
+    single_chunk_function, which no chunk of a C file sets. So their
+    report entries differ only in the span. The parser deletes splices
+    before it tokenizes, which can join two identifiers of the shape into
+    one, so a body with a splice has none."""
+    if _has_splice(raw):
+        return None
+    parts = _SHAPE_TOKEN.split(raw)
+    names = {}
+    for i in range(2, len(parts), 3):
+        name = parts[i]
+        if name is not None:
+            parts[i] = names.setdefault(name, len(names))
+    return tuple(parts)
 
 
 def extract_chunks(text, file="<input>"):

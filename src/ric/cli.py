@@ -7,13 +7,14 @@ import argparse
 import sys
 import time
 
+from . import chunks
 from .checker import CheckResult, check_chunk
-from .chunks import extract_chunks, load_chunk_file, render
-from .errors import RicError, SpanStale
+from .chunks import load_chunk_file, render
+from .errors import BadConstraintChar, MalformedInterface, RicError, SpanStale
 from .expr import format_loc
 from .report import (
     build_report, chunk_report, diagnostic_report, edit_to_json, json_text, render_text,
-    timings_enabled,
+    span_json, timings_enabled,
 )
 
 
@@ -38,28 +39,57 @@ def _parser():
     return p
 
 
-def _collect(args):
-    """Load all chunks, grouped per source file for in-place edits, and
-    the report entries of the statements that did not parse."""
-    sources = {}  # path -> source text (None for chunk files)
-    per_file = []  # (path, chunk)
-    unparsed = []
+def _read(args, unparsed):
+    """Each input file in turn, as (path, text, statements): a C file's
+    text and its scanned statements, in source order, then each chunk
+    file's path, None and its chunks. A statement that the scanner finds
+    unterminated, here, or that does not parse, in _parse, gets its entry
+    in unparsed and a line on standard error."""
     for path in sorted(args.files):
         # newline="" keeps \r\n, so spans index the file's own text and
         # --in-place rewrites keep its line ends; a byte that is not
         # UTF-8 is kept as a lone surrogate and written back as itself
         with open(path, encoding="utf-8", errors="surrogateescape", newline="") as f:
             text = f.read()
-        sources[path] = text
-        found, diags = extract_chunks(text, path)
+        statements, diags = chunks.scan_c_source(text, path)
         for d in diags:
-            print(f"ric: {path}: {d}", file=sys.stderr)
-            unparsed.append(diagnostic_report(d))
-        for c in found:
-            per_file.append((path, c))
+            _unparsed(path, d, unparsed)
+        yield path, text, statements
     for path in sorted(args.chunks):
-        for c in load_chunk_file(path):
-            per_file.append((path, c))
+        yield path, None, load_chunk_file(path)
+
+
+def _unparsed(path, diagnostic, unparsed):
+    print(f"ric: {path}: {diagnostic}", file=sys.stderr)
+    unparsed.append(diagnostic_report(diagnostic))
+
+
+def _parse(path, statement, unparsed):
+    """The chunk of a scanned statement, or None if it does not parse."""
+    st = statement
+    try:
+        return chunks.parse_asm_statement(st.body, st.span, st.qualifiers, st.marks)
+    except (MalformedInterface, BadConstraintChar) as e:
+        e.span = st.span
+        _unparsed(path, e, unparsed)
+        return None
+
+
+def _collect(args):
+    """Load all chunks, grouped per source file for in-place edits, and
+    the report entries of the statements that did not parse."""
+    sources = {}  # path -> source text of each C file
+    per_file = []  # (path, chunk)
+    unparsed = []
+    for path, text, statements in _read(args, unparsed):
+        if text is None:
+            per_file += [(path, c) for c in statements]
+            continue
+        sources[path] = text
+        for st in statements:
+            chunk = _parse(path, st, unparsed)
+            if chunk is not None:
+                per_file.append((path, chunk))
     per_file.sort(key=lambda pc: (pc[1].span.file, pc[1].span.line, pc[1].span.column))
     return sources, per_file, unparsed
 
@@ -105,23 +135,29 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
+def _analysed(path, chunk, analyse):
+    """(analyse(path, chunk), None): the chunk's report entry. An
+    exception other than RicError gives the chunk an error entry instead,
+    with the line for standard error in place of None."""
+    try:
+        return analyse(path, chunk), None
+    except RicError:
+        raise
+    except Exception as e:
+        details = f"internal error: {type(e).__name__}: {e}"
+        line = f"ric: {chunk.span.file}:{chunk.span.line}: {details}"
+        return chunk_report(CheckResult(chunk, "error", details=details)), line
+
+
 def _each_chunk(pairs, analyse, pooled=False):
-    """The report entry analyse(path, chunk) of each chunk. An exception
-    other than RicError gives its chunk an error entry instead, and a
-    line on standard error; the other chunks are still analysed. Pooled,
-    the chunks are shared out among worker processes (ric.pool), and
-    the lines come out in input order all the same."""
+    """The report entry analyse(path, chunk) of each chunk (_analysed):
+    one that fails gets an error entry and a line on standard error, and
+    the other chunks are still analysed. Pooled, the chunks are shared
+    out among worker processes (ric.pool), and the lines come out in
+    input order all the same."""
 
     def one(i):
-        path, chunk = pairs[i]
-        try:
-            return analyse(path, chunk), None
-        except RicError:
-            raise
-        except Exception as e:
-            details = f"internal error: {type(e).__name__}: {e}"
-            line = f"ric: {chunk.span.file}:{chunk.span.line}: {details}"
-            return chunk_report(CheckResult(chunk, "error", details=details)), line
+        return _analysed(*pairs[i], analyse)
 
     if pooled:
         from .pool import in_order
@@ -138,9 +174,43 @@ def _each_chunk(pairs, analyse, pooled=False):
 
 
 def _cmd_check(args):
-    sources, pairs, unparsed = _collect(args)
+    """Check each statement as it is read. The first statement of each
+    shape (chunks.statement_shape) is parsed and checked; a later one of
+    that shape gets a copy of its report entry with its own span, since
+    the two entries differ only there. A statement that does not parse,
+    or whose check fails, is not reused."""
     memo = {}
-    reports = _each_chunk(pairs, lambda path, c: chunk_report(check_chunk(c, memo=memo)))
+    shapes = {}  # statement shape -> report entry of its first statement
+    timed = timings_enabled()
+    reports = []
+    unparsed = []
+
+    def analyse(path, chunk):
+        return chunk_report(check_chunk(chunk, memo=memo))
+
+    for path, text, statements in _read(args, unparsed):
+        if text is None:
+            reports += _each_chunk([(path, c) for c in statements], analyse)
+            continue
+        for st in statements:
+            t0 = time.perf_counter()
+            shape = chunks.statement_shape(st.body)
+            entry = shapes.get(shape)
+            if entry is not None:
+                entry = {**entry, "span": span_json(st.span)}
+                if timed:
+                    entry["timings"] = {"total_ms": round((time.perf_counter() - t0) * 1000, 3)}
+                reports.append(entry)
+                continue
+            chunk = _parse(path, st, unparsed)
+            if chunk is None:
+                continue
+            entry, line = _analysed(path, chunk, analyse)
+            if line:
+                print(line, file=sys.stderr)
+            elif shape is not None:
+                shapes[shape] = entry
+            reports.append(entry)
     return _finish(reports, unparsed, args)
 
 

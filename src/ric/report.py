@@ -66,14 +66,14 @@ def timings_enabled():
     return os.environ.get("RIC_TIMINGS", "0") == "1"
 
 
-def _span_json(span):
+def span_json(span):
     return {"file": span.file, "line": span.line, "column": span.column}
 
 
 def chunk_report(result, extra=None):
     chunk = result.chunk
     out = {
-        "span": _span_json(chunk.span),
+        "span": span_json(chunk.span),
         "verdict": result.verdict,
         "issues": [issue_to_json(i, result) for i in result.issues],
         # wall-clock values vary run to run and would break byte-level
@@ -94,7 +94,7 @@ def chunk_report(result, extra=None):
 def diagnostic_report(diagnostic):
     """The entry of a statement that did not parse: verdict error."""
     return {
-        "span": _span_json(diagnostic.span),
+        "span": span_json(diagnostic.span),
         "verdict": "error",
         "issues": [],
         "timings": None,
