@@ -21,7 +21,16 @@ from .errors import (
 )
 from .value import Record
 
-QUALIFIERS = ("volatile", "inline", "goto", "__volatile__")
+# each spelling GCC takes for an asm qualifier, and the qualifier it is
+QUALIFIERS = {
+    "volatile": "volatile",
+    "__volatile": "volatile",
+    "__volatile__": "volatile",
+    "inline": "inline",
+    "__inline": "inline",
+    "__inline__": "inline",
+    "goto": "goto",
+}
 
 
 class SourceSpan(Record):
@@ -149,7 +158,7 @@ def scan_c_source(text, file="<input>"):
             qm = _IDENT.match(text, j)
             word = qm.group(0) if qm else None
             if word in QUALIFIERS:
-                quals.add("volatile" if word == "__volatile__" else word)
+                quals.add(QUALIFIERS[word])
                 j = qm.end()
             else:
                 break

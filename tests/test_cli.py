@@ -292,6 +292,30 @@ def test_patch_in_place_file_named_twice(tmp_path):
     assert once.count('"cc"') == 2
 
 
+QUALIFIER_SPELLINGS_SRC = (
+    "int q(int x) {\n"
+    '  asm __volatile ("incl %0" : "+r" (x));\n'
+    '  asm __inline ("incl %0" : "+r" (x));\n'
+    '  asm __inline__ ("nop");\n'
+    '  __asm volatile ("incl %0" : "+r" (x) : : "cc");\n'
+    "  return x;\n"
+    "}\n"
+)
+
+
+def test_every_gcc_qualifier_spelling_is_scanned(tmp_path):
+    path = write(tmp_path, "q.c", QUALIFIER_SPELLINGS_SRC)
+    code, rep = run_json(["check", path], tmp_path)
+    assert code == 1
+    assert [c["span"]["line"] for c in rep["chunks"]] == [2, 3, 4, 5]
+    assert [c["verdict"] for c in rep["chunks"]] == ["issues", "issues", "compliant", "compliant"]
+    run_json(["patch", "--in-place", path], tmp_path)
+    lines = open(path).read().splitlines()
+    assert lines[1] == '  asm volatile ("incl %0" : "+r" (x) :  : "cc");'
+    assert lines[2] == '  asm inline ("incl %0" : "+r" (x) :  : "cc");'
+    assert lines[3:5] == QUALIFIER_SPELLINGS_SRC.splitlines()[3:5]
+
+
 MULTILINE_SRC = (
     "int m(int x, int y) {\n"
     "  int z = x;\n"
