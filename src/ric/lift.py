@@ -606,6 +606,8 @@ class Instruction(Record):
 
 SUFFIX_WIDTHS = {"b": 8, "w": 16, "l": 32}
 SIZED = frozenset(("", "b", "w", "l"))
+NO_BYTE = frozenset(("", "w", "l"))  # as --32 rejects pushb, popb and leab
+LONG = frozenset(("", "l"))
 BARE = frozenset(("",))
 ONE = (1, 1)
 
@@ -621,7 +623,7 @@ INSTRUCTIONS = {
     "pxor": Instruction(_move(64, "xor"), BARE),
     "movz": Instruction(_extend("zext"), frozenset(("bw", "bl", "wl"))),
     "movs": Instruction(_extend("sext"), frozenset(("bw", "bl", "wl"))),
-    "lea": Instruction(_lea, SIZED),
+    "lea": Instruction(_lea, NO_BYTE),
     "xchg": Instruction(_xchg, SIZED),
     "add": Instruction(_arith(False), SIZED),
     "adc": Instruction(_arith(False, carry=True), SIZED),
@@ -644,9 +646,9 @@ INSTRUCTIONS = {
     "ror": Instruction(_shift("ror"), SIZED, (1, 2)),
     "mul": Instruction(_multiply("zext"), SIZED, ONE),
     "imul": Instruction(_multiply("sext"), SIZED, (1, 3)),
-    "bswap": Instruction(_bswap, SIZED, ONE),
-    "push": Instruction(_push, SIZED, ONE),
-    "pop": Instruction(_pop, SIZED, ONE),
+    "bswap": Instruction(_bswap, LONG, ONE),
+    "push": Instruction(_push, NO_BYTE, ONE),
+    "pop": Instruction(_pop, NO_BYTE, ONE),
     "cmpxchg": Instruction(_cmpxchg, SIZED),
     "cmpxchg8b": Instruction(_cmpxchg8b, BARE, ONE),
 }
@@ -654,7 +656,7 @@ INSTRUCTIONS.update(
     (family + cc, Instruction(rule(cond), suffixes, operands))
     for cc, cond in CONDITIONS.items()
     for family, rule, suffixes, operands in (
-        ("set", _set, BARE, ONE), ("cmov", _cmov, frozenset(("", "l")), (2, 2)),
+        ("set", _set, BARE, ONE), ("cmov", _cmov, LONG, (2, 2)),
         ("j", _jump, BARE, ONE),
     )
 )

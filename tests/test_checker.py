@@ -438,6 +438,27 @@ def test_a_wrong_operand_count_is_an_error(template, outputs, inputs, clobbers, 
     assert (result.verdict, result.details) == ("error", f"template: {takes}")
 
 
+@pytest.mark.parametrize(
+    "template, word",
+    [
+        ("pushb %b0; popb %b0", "pushb"),
+        ("leab 4(%1), %b0", "leab"),
+        ("bswapb %0", "bswapb"),
+        ("bswapw %w0", "bswapw"),
+    ],
+)
+def test_suffixes_gas_rejects_are_out_of_scope(template, word):
+    result = check_chunk(chunk(template, [("+q", "x", 4)], [("r", "p", 4)]))
+    assert (result.verdict, result.details) == (
+        "out_of_scope", f"unsupported mnemonic {word!r}"
+    )
+
+
+@pytest.mark.parametrize("template", ["pushw %w0; popw %w0", "leaw 4(%1), %w0", "bswapl %0"])
+def test_suffixes_gas_takes_still_lift(template):
+    assert check_chunk(chunk(template, [("+q", "x", 4)], [("r", "p", 4)])).verdict == "compliant"
+
+
 def test_out_of_scope_verdict(corpus_by_id):
     result = check_chunk(corpus_by_id["oos/fld.c"])
     assert result.verdict == "out_of_scope"

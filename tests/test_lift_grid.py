@@ -134,7 +134,7 @@ def grid_digest(full=False):
 
 
 GRID_SIZE = 14640
-GRID_SHA256 = "1f98675c35c57eb20457f8e0a39fe9a41ac8422baf3b10bc935c9a70a7a7d988"
+GRID_SHA256 = "a503f4701d95cfcff877f59de5036cfa6ed9bf83e1704e03124cfacee325c6fb"
 
 
 def test_grid_takes_every_row_with_each_suffix():
