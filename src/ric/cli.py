@@ -42,9 +42,9 @@ def _parser():
 def _read(args, unparsed):
     """Each input file in turn, as (path, text, statements): a C file's
     text and its scanned statements, in source order, then each chunk
-    file's path, None and its chunks. A statement that the scanner finds
-    unterminated, here, or that does not parse, in _parse, gets its entry
-    in unparsed and a line on standard error."""
+    file's path, None and its chunks. Each statement the scanner finds
+    unterminated is reported here as _parse reports one that does not
+    parse: an entry in unparsed and a line on standard error."""
     for path in sorted(args.files):
         # newline="" keeps \r\n, so spans index the file's own text and
         # --in-place rewrites keep its line ends; a byte that is not
@@ -64,9 +64,8 @@ def _unparsed(path, diagnostic, unparsed):
     unparsed.append(diagnostic_report(diagnostic))
 
 
-def _parse(path, statement, unparsed):
+def _parse(path, st, unparsed):
     """The chunk of a scanned statement, or None if it does not parse."""
-    st = statement
     try:
         return chunks.parse_asm_statement(st.body, st.span, st.qualifiers, st.marks)
     except (MalformedInterface, BadConstraintChar) as e:
