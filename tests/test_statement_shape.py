@@ -34,11 +34,11 @@ def generated(count, seed):
     return gen.generate(records, count, seed).text
 
 
-def run_check(tmp_path, source, *options):
+def run_check(tmp_path, source):
     path = tmp_path / "s.c"
     path.write_text(source, encoding="utf-8")
     out = tmp_path / "report.json"
-    code = run(["check", *options, "--out", str(out), str(path)])
+    code = run(["check", "--out", str(out), str(path)])
     return code, out.read_text(encoding="utf-8")
 
 
