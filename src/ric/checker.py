@@ -58,19 +58,11 @@ from .lift import lift, parse_template
 from .value import Record, factory, replace
 
 
-def severity_of(category):
-    return "benign" if category == "FlagClobbered" else "serious"
-
-
 class Issue(Record):
     category: str
     location: object
     point: int
     details: str = ""
-
-    @property
-    def severity(self):
-        return severity_of(self.category)
 
 
 class CheckOptions(Record, frozen=False):

@@ -89,7 +89,6 @@ def _collect(args):
             chunk = _parse(path, st, unparsed)
             if chunk is not None:
                 per_file.append((path, chunk))
-    per_file.sort(key=lambda pc: (pc[1].span.file, pc[1].span.line, pc[1].span.column))
     return sources, per_file, unparsed
 
 

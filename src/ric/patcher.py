@@ -14,7 +14,6 @@ import difflib
 import functools
 import itertools
 import re
-from collections import Counter
 
 from .chunks import render
 # enumerate_assignments is unused here but kept: perfbench/tracing.py
@@ -154,90 +153,18 @@ def verify_patch(pr):
     }
 
 
-_CONTEXT = 3  # difflib.unified_diff's default context lines
-_AUTOJUNK_MIN = 200  # difflib ignores popular lines in sequences this long
+_CONTEXT = 3  # lines of context on each side of a statement's hunk
 _HUNK_HEADER = re.compile(r"@@ -(\d+)(\S*) \+(\d+)(\S*) @@")
 
 
 @functools.lru_cache(maxsize=1)
 def line_table(text):
-    """The lines of a source as str.splitlines(keepends=True) gives them,
-    the offset where each starts (plus len(text)), how often each occurs,
-    and where the repeated ones occur. Cached for the last source, which
-    every patched statement of a file reuses; line_table.cache_clear()
-    frees it."""
+    """The lines of a source as str.splitlines(keepends=True) gives them
+    and the offset where each starts (plus len(text)). Cached for the
+    last source, which every patched statement of a file reuses;
+    line_table.cache_clear() frees it."""
     lines = text.splitlines(keepends=True)
-    counts = Counter(lines)
-    copies = {}
-    for i, line in enumerate(lines):
-        if counts[line] > 1:
-            copies.setdefault(line, []).append(i)
-    starts = array.array("q", itertools.accumulate(map(len, lines), initial=0))
-    return lines, starts, counts, copies
-
-
-def _hunk_local(lines, counts, copies, first, last, new):
-    """Whether diffing lines[first:last+1] -> new plus context gives the
-    same hunks as difflib's diff of the whole file.
-
-    difflib.SequenceMatcher takes the longest run of equal lines first,
-    the earliest on a tie, and extends it over equal neighbours. In a
-    sequence of 200 lines or more its search for runs ignores the lines
-    that occur more than 1% + 1 times ("autojunk"). The unchanged lines
-    around the change pair with themselves, as in the small diff, unless:
-
-    - the small diff is itself long enough for autojunk;
-    - a new line also occurs outside the change, or is ignored;
-    - a changed line occurs outside the change, other than as the one
-      old line replaced by one new line, with no copy in the context after;
-    - the text after the change has no run of kept lines longer than the
-      run through the old line and a later copy.
-
-    A run through an earlier copy loses to the copy's own run, and the
-    text before the change pairs from the start of the file even when
-    autojunk leaves no run in it."""
-    old = lines[first : last + 1]
-    if len(new) + 2 * _CONTEXT >= _AUTOJUNK_MIN:
-        return False
-    in_old = Counter(old)
-    if any(counts[line] != in_old[line] for line in new):
-        return False
-    copied = any(counts[line] != count for line, count in in_old.items())
-    if copied and (len(old) != 1 or len(new) != 1):
-        return False
-    n = len(lines) - len(old) + len(new)
-    ntest = n // 100 + 1 if n >= _AUTOJUNK_MIN else n
-    if max(Counter(new).values()) > ntest:
-        return False
-
-    def kept(i):  # the new file has line i at most ntest times
-        return counts[lines[i]] - in_old[lines[i]] <= ntest
-
-    longest = 0  # longest run of kept equal lines through the old line and a later copy
-    for d in copies.get(old[0], ()):
-        if d <= first:
-            continue
-        if d <= last + _CONTEXT:
-            return False
-        back = 0
-        while (
-            back < first
-            and lines[first - back - 1] == lines[d - back - 1] and kept(first - back - 1)
-        ):
-            back += 1
-        ahead = 0
-        while (
-            d + ahead + 1 < len(lines)
-            and lines[first + ahead + 1] == lines[d + ahead + 1] and kept(first + ahead + 1)
-        ):
-            ahead += 1
-        longest = max(longest, back + 1 + ahead)
-    run = 0
-    for i in range(last + 1, len(lines)):
-        run = run + 1 if kept(i) else 0
-        if run > longest:
-            return True
-    return last + 1 == len(lines)
+    return lines, array.array("q", itertools.accumulate(map(len, lines), initial=0))
 
 
 def _shift_hunk_header(line, offset):
@@ -247,9 +174,13 @@ def _shift_hunk_header(line, offset):
 
 def render_diff(original_source, pr):
     """Unified diff of the source with the patched statement in place of
-    the original, byte-identical to difflib over the whole file. Only the
-    changed lines and their context are diffed when that gives the same
-    hunks; the line table is built once per source."""
+    the original: one hunk, difflib over the statement's lines and three
+    lines of context on each side, numbered as in the whole file. The
+    statement's lines run from the line holding its first byte to the
+    line holding span.byte_end (the last line at the end of the source),
+    so a span that takes in a line break joins the next line to it. The
+    hunk shows every line of that window, so unchanged lines inside a
+    statement never split it."""
     span = pr.patched.span
     if span.byte_end <= span.byte_start or span.byte_end > len(original_source):
         raise SpanStale(f"{span.file}: span out of range")
@@ -263,30 +194,19 @@ def render_diff(original_source, pr):
             raise SpanStale(f"{span.file}:{span.line}: source changed since scan")
     if not pr.edits:
         return ""
-    replacement = render(pr.patched)
-    lines, starts, counts, copies = line_table(original_source)
+    lines, starts = line_table(original_source)
     first = bisect.bisect_right(starts, span.byte_start) - 1
-    last = bisect.bisect_right(starts, span.byte_end - 1) - 1
-    end = starts[last + 1]
+    last = min(bisect.bisect_right(starts, span.byte_end) - 1, len(lines) - 1)
     new = (
         original_source[starts[first] : span.byte_start]
-        + replacement
-        + original_source[span.byte_end : end]
+        + render(pr.patched)
+        + original_source[span.byte_end : starts[last + 1]]
     ).splitlines(keepends=True)
-    # a span that ends a line leaves the new text to run on into the next
-    clean_end = span.byte_end < end or end == len(original_source)
-    if clean_end and _hunk_local(lines, counts, copies, first, last, new):
-        lo = max(first - _CONTEXT, 0)
-        hi = min(last + 1 + _CONTEXT, len(lines))
-        a = lines[lo:hi]
-        b = lines[lo:first] + new + lines[last + 1 : hi]
-    else:
-        lo = 0
-        a = lines
-        b = (
-            original_source[: span.byte_start] + replacement + original_source[span.byte_end :]
-        ).splitlines(keepends=True)
-    diff = difflib.unified_diff(a, b, fromfile=f"a/{span.file}", tofile=f"b/{span.file}")
+    lo = max(first - _CONTEXT, 0)
+    hi = last + 1 + _CONTEXT
+    a = lines[lo:hi]
+    b = lines[lo:first] + new + lines[last + 1 : hi]
+    diff = difflib.unified_diff(a, b, f"a/{span.file}", f"b/{span.file}", n=len(a))
     return "".join(
         _shift_hunk_header(line, lo) if lo and line.startswith("@@") else line for line in diff
     )

@@ -1,7 +1,9 @@
 """Patch synthesis: edit shapes, renumbering, verification, minimality."""
 
 import difflib
+import json
 import re
+import sys
 import time
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from ric.checker import check_chunk
 from ric.chunks import extract_chunks, load_chunk_records, render
+from ric.cli import run
 from ric.edits import (
     AddClobber,
     AddInput,
@@ -25,6 +28,8 @@ from ric.patcher import (
     verify_patch,
 )
 from ric.value import replace
+
+from conftest import CORPUS, ROOT
 
 
 def chunk(template, outputs=(), inputs=(), clobbers=()):
@@ -348,14 +353,16 @@ def test_patched_statement_renders():
 
 
 # ---------------------------------------------------------------------------
-# Hunk-local diffs against the whole-file reference
+# A patch's diff is its statement's own hunk
 
 _STMT = 'asm ("addl %1, %0" : "+r" (x) : "r" (y));'
 _STMT_MULTILINE = 'asm ("addl %1, %0"\n      : "+r" (x)\n      : "r" (y));'
 
 
 def _full_file_diff(source, pr):
-    """The reference: difflib over every line of the old and new file."""
+    """difflib over every line of the old and new file: the same bytes
+    as the statement's hunk wherever difflib pairs each unchanged line
+    near the statement with itself."""
     span = pr.patched.span
     new_source = source[: span.byte_start] + render(pr.patched) + source[span.byte_end :]
     return "".join(
@@ -396,71 +403,120 @@ def _apply_hunks(source, diff):
     return "".join(out + old[done:])
 
 
-@pytest.mark.parametrize(
-    "source, k",
-    [
-        (f"{_STMT}\nint a;\nint b;\nint c;\nint d;\n", 0),
-        (f"int a;\n  {_STMT}\nint b;\nint c;\nint d;\nint e;\n", 0),
-        (f"int a;\nint b;\nint c;\nint d;\nint e;\n{_STMT}\n", 0),
-        (f"int a;\nint b;\nint c;\nint d;\nint e;\n{_STMT}", 0),
-        (f"int a;\r\nint b;\r\n\r\n  {_STMT}\r\n}}\r\nint c;\r\n", 0),
-        (f"\x0c\nint a;\x0cint b;\n\x0c{_STMT}\x0c\nint c;\n", 0),
-        (f"int a;\rint b;\r  {_STMT}\rint c;\rint d;\r", 0),
-        (f"int a; {_STMT} int b;\nint c;\n", 0),
-        # copies of the statement: difflib may pair the patched one with a copy
-        ("".join(f"  {_STMT}\n" for _ in range(5)), 0),
-        ("".join(f"  {_STMT}\n" for _ in range(5)), 2),
-        ("".join(f"  {_STMT}\n" for _ in range(5)) + f"x\n}}\n}}\n  {_STMT}\n", 0),
-        (f"z\n  {_STMT}\nz\n  {_STMT}\n" + "".join(f"int u{i};\n" for i in range(9)), 0),
-        # the patched statement's new text is already in the file
-        (f'z\n  {_STMT}\nz\n  {_STMT[:-2]} : "cc");\nz\nx\n', 0),
-        # a file of 200 lines or more ignores lines that occur in more than
-        # 1% of it, "}" here
-        ("".join(f"int v{i};\n}}\n" for i in range(150)) + f"  {_STMT}\n}}\n}}\n", 0),
-        ("".join(f"int v{i};\n}}\n" for i in range(150)) + f"  {_STMT}\nint w;\n}}\n", 0),
-        ("}\n" * 150 + f"  {_STMT}\n" + "".join(f"int u{i};\n" for i in range(60)), 0),
-        (
-            f"y\nz\n  {_STMT}\n"
-            + "".join(f"int v{i};\n}}\n" for i in range(100))
-            + f"y\nz\n  {_STMT}\n}}\n}}\nint w;\n}}\n",
-            0,
-        ),
-        # operand text over many lines: the new text repeats a line (and
-        # moves it), or is long enough for autojunk on its own
-        (
-            "".join(f"int v{i};\n" for i in range(200))
-            + '  asm ("movl %0, %1\\nincl %1" : : "r" (q\nr), "r" (z\n+\n+\n+\n+\n1) : "cc");\n'
-            + "int w;\n",
-            0,
-        ),
-        (
-            "".join(f"int v{i};\n" for i in range(800))
-            + '}\n}\n}\n  asm ("addl %1, %0" : "+r" (x'
-            + "".join(f"\n+ a{i}" for i in range(200))
-            + ') : "r" (y));\n}\n}\n}\n',
-            0,
-        ),
-        (
-            "".join(f"int v{i};\n}}\n" for i in range(110))
-            + f"  {_STMT_MULTILINE}\n}}\nint w;\n}}\n"
-            + _STMT_MULTILINE.split("\n", 1)[1]
-            + "\n}\n"
-            + "".join(f"int u{i};\n}}\n" for i in range(10)),
-            0,
-        ),
-    ],
-    ids=[
-        "line-1", "line-2", "last-line", "last-line-no-newline", "crlf", "form-feeds",
-        "lone-cr", "mid-line", "copies-first", "copies-middle", "copy-after-context",
-        "copy-far", "new-text-present", "ignored-tail", "kept-tail", "ignored-head",
-        "copy-with-shared-neighbours", "repeated-new-lines", "long-statement",
-        "multiline-copied-lines",
-    ],
-)
-def test_render_diff_matches_full_file_diff(source, k):
+def _line_of(source, offset):
+    """The line holding offset, counted from 0 as str.splitlines counts."""
+    return len((source[:offset] + "x").splitlines()) - 1
+
+
+def _assert_statement_hunk(source, pr, diff):
+    """The diff is one hunk whose old side holds the statement's lines
+    and at most three lines before and after them, and applying it gives
+    the patched source. A last line without a line break runs into the
+    next line of a diff, so such a diff is applied only when the hunk
+    ends before it."""
+    span = pr.patched.span
+    headers = [line for line in diff.splitlines() if line.startswith("@@")]
+    assert len(headers) == 1, diff
+    start, length = re.match(r"@@ -(\d+)(?:,(\d+))?", headers[0]).groups()
+    start, end = int(start) - 1, int(start) - 1 + int(length or 1)  # old lines [start, end)
+    lines = source.splitlines()
+    first = _line_of(source, span.byte_start)
+    last = min(_line_of(source, span.byte_end), len(lines) - 1)
+    assert first - 3 <= start <= first
+    assert last < end <= last + 4
+    if (source + "x").splitlines()[-1] == "x" or end < len(lines):
+        patched = source[: span.byte_start] + render(pr.patched) + source[span.byte_end :]
+        assert _apply_hunks(source, diff) == patched
+
+
+_DIFF_CASES = {
+    "line-1": (f"{_STMT}\nint a;\nint b;\nint c;\nint d;\n", 0),
+    "line-2": (f"int a;\n  {_STMT}\nint b;\nint c;\nint d;\nint e;\n", 0),
+    "last-line": (f"int a;\nint b;\nint c;\nint d;\nint e;\n{_STMT}\n", 0),
+    "last-line-no-newline": (f"int a;\nint b;\nint c;\nint d;\nint e;\n{_STMT}", 0),
+    "crlf": (f"int a;\r\nint b;\r\n\r\n  {_STMT}\r\n}}\r\nint c;\r\n", 0),
+    "form-feeds": (f"\x0c\nint a;\x0cint b;\n\x0c{_STMT}\x0c\nint c;\n", 0),
+    "lone-cr": (f"int a;\rint b;\r  {_STMT}\rint c;\rint d;\r", 0),
+    "mid-line": (f"int a; {_STMT} int b;\nint c;\n", 0),
+    # copies of the statement: whole-file difflib may pair the patched one
+    # with a copy
+    "copies-first": ("".join(f"  {_STMT}\n" for _ in range(5)), 0),
+    "copies-middle": ("".join(f"  {_STMT}\n" for _ in range(5)), 2),
+    "copy-after-context": (
+        "".join(f"  {_STMT}\n" for _ in range(5)) + f"x\n}}\n}}\n  {_STMT}\n", 0
+    ),
+    "copy-far": (
+        f"z\n  {_STMT}\nz\n  {_STMT}\n" + "".join(f"int u{i};\n" for i in range(9)), 0
+    ),
+    # the patched statement's new text is already in the file
+    "new-text-present": (f'z\n  {_STMT}\nz\n  {_STMT[:-2]} : "cc");\nz\nx\n', 0),
+    # in a file of 200 lines or more whole-file difflib ignores lines that
+    # occur in more than 1% of it, "}" here
+    "ignored-tail": (
+        "".join(f"int v{i};\n}}\n" for i in range(150)) + f"  {_STMT}\n}}\n}}\n", 0
+    ),
+    "kept-tail": (
+        "".join(f"int v{i};\n}}\n" for i in range(150)) + f"  {_STMT}\nint w;\n}}\n", 0
+    ),
+    "ignored-head": (
+        "}\n" * 150 + f"  {_STMT}\n" + "".join(f"int u{i};\n" for i in range(60)), 0
+    ),
+    "copy-with-shared-neighbours": (
+        f"y\nz\n  {_STMT}\n"
+        + "".join(f"int v{i};\n}}\n" for i in range(100))
+        + f"y\nz\n  {_STMT}\n}}\n}}\nint w;\n}}\n",
+        0,
+    ),
+    # operand text over many lines: the new text repeats a line (and
+    # moves it), or keeps most of a long statement's lines
+    "repeated-new-lines": (
+        "".join(f"int v{i};\n" for i in range(200))
+        + '  asm ("movl %0, %1\\nincl %1" : : "r" (q\nr), "r" (z\n+\n+\n+\n+\n1) : "cc");\n'
+        + "int w;\n",
+        0,
+    ),
+    "long-statement": (
+        "".join(f"int v{i};\n" for i in range(800))
+        + '}\n}\n}\n  asm ("addl %1, %0" : "+r" (x'
+        + "".join(f"\n+ a{i}" for i in range(200))
+        + ') : "r" (y));\n}\n}\n}\n',
+        0,
+    ),
+    # unchanged operand lines between the statement's two changed lines
+    "unchanged-lines-inside": (
+        'int a;\n  asm ("incl %0; addl %1, %0" : : "r" (x), "r" (y'
+        + "\n+" * 9
+        + "\n1));\nint b;\n",
+        0,
+    ),
+    "multiline-copied-lines": (
+        "".join(f"int v{i};\n}}\n" for i in range(110))
+        + f"  {_STMT_MULTILINE}\n}}\nint w;\n}}\n"
+        + _STMT_MULTILINE.split("\n", 1)[1]
+        + "\n}\n"
+        + "".join(f"int u{i};\n}}\n" for i in range(10)),
+        0,
+    ),
+}
+
+# the cases where whole-file difflib pairs every line near the statement
+# with itself
+_LOCAL_IN_WHOLE_FILE = {
+    "line-1", "line-2", "last-line", "last-line-no-newline", "crlf", "form-feeds",
+    "lone-cr", "mid-line", "copies-middle", "copy-far", "kept-tail", "ignored-head",
+}
+
+
+@pytest.mark.parametrize("name", _DIFF_CASES)
+def test_render_diff_matches_full_file_diff(name):
+    """The statement's own hunk on every case; where whole-file difflib
+    keeps the lines near the statement in place, the same bytes."""
+    source, k = _DIFF_CASES[name]
     pr = _patch_nth(source, k)
     diff = render_diff(source, pr)
-    assert diff and diff == _full_file_diff(source, pr)
+    _assert_statement_hunk(source, pr, diff)
+    if name in _LOCAL_IN_WHOLE_FILE:
+        assert diff == _full_file_diff(source, pr)
 
 
 def test_render_diff_span_ending_a_line():
@@ -471,17 +527,15 @@ def test_render_diff_span_ending_a_line():
     span = pr.patched.span
     stale = replace(span, byte_end=source.index("\n", span.byte_end) + 1)
     pr = replace(pr, patched=replace(pr.patched, span=stale))
-    assert render_diff(source, pr) == _full_file_diff(source, pr)
+    diff = render_diff(source, pr)
+    _assert_statement_hunk(source, pr, diff)
+    assert f'-  {_STMT}\n-int b;\n+  {_STMT[:-2]} : "cc")int b;\n' in diff
 
 
 def test_render_diff_multiline_hunk_applies():
     source = f"int f(void)\n{{\n  {_STMT_MULTILINE}\n  return x;\n}}\n"
     pr = _patch_nth(source, 0)
-    diff = render_diff(source, pr)
-    span = pr.patched.span
-    patched = source[: span.byte_start] + render(pr.patched) + source[span.byte_end :]
-    assert _apply_hunks(source, diff) == patched
-    assert diff == _full_file_diff(source, pr)
+    _assert_statement_hunk(source, pr, render_diff(source, pr))
 
 
 _DIFF_LINES = st.sampled_from(
@@ -505,10 +559,9 @@ _DIFF_LINES = st.sampled_from(
     st.integers(0, 30),
 )
 def test_render_diff_equals_full_file_diff(lines, statement, at, k, end, padding, pad_at):
-    """Byte-equal to the whole-file diff, on files with repeated
-    statements and on files long enough (padding) for difflib to ignore
-    popular lines; the hunks applied to the source give the patched
-    source."""
+    """The statement's own hunk, on files with repeated statements and
+    on files long enough (padding) for whole-file difflib to ignore
+    popular lines."""
     lines.insert(min(at, len(lines)), statement)
     pad = [line for i in range(padding) for line in (f"int w{i};\n", "}\n")]
     lines[pad_at:pad_at] = pad
@@ -517,12 +570,39 @@ def test_render_diff_equals_full_file_diff(lines, statement, at, k, end, padding
         source = source[:-1]
     chunks, _ = extract_chunks(source, "f.c")
     pr = _patch_nth(source, k % len(chunks))
-    diff = render_diff(source, pr)
-    assert diff == _full_file_diff(source, pr)
-    if end:
-        span = pr.patched.span
-        patched = source[: span.byte_start] + render(pr.patched) + source[span.byte_end :]
-        assert _apply_hunks(source, diff) == patched
+    _assert_statement_hunk(source, pr, render_diff(source, pr))
+
+
+def test_patch_diffs_on_a_generated_file_are_statement_hunks(tmp_path):
+    """On the 800-statement file of seed 1, whole-file difflib pairs the
+    "}" and blank lines around the last statement elsewhere; its hunk
+    still changes only the statement's line, and every diff of the run
+    is one hunk that applies to the source."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    records = json.loads(CORPUS.read_text(encoding="utf-8"))
+    generated = gen.generate(records, 800, 1)
+    source = tmp_path / "big.c"
+    source.write_text(generated.text, encoding="utf-8")
+    out = tmp_path / "report.json"
+    run(["patch", "--out", str(out), str(source)])
+    patches = {
+        r["span"]["line"]: r["patch"]
+        for r in json.loads(out.read_text())["chunks"]
+        if "diff" in r.get("patch", {})
+    }
+    assert len(patches) > 100
+    lines = generated.text.splitlines(keepends=True)
+    for line, p in patches.items():  # one statement per line, indented by four
+        patched = lines[: line - 1] + [f"    {p['statement']};\n"] + lines[line:]
+        assert p["diff"].count("\n@@ ") == 1
+        assert _apply_hunks(generated.text, p["diff"]) == "".join(patched)
+    last = patches[max(generated.manifest)]["diff"].splitlines()[3:]
+    assert [line[0] for line in last].count("-") == 1
+    assert [line[0] for line in last].count("+") == 1
 
 
 def _patched_file(functions):
