@@ -994,36 +994,9 @@ def analyze_unicity(fi, prog, live_out, domains):
 # Pipeline
 
 
-def interface_key(chunk, opts):
-    """Everything the analysis reads of a chunk and its options. Chunks
-    that differ only in the names inside their operand expressions
-    share a key, and their analyses differ only in the chunk."""
-    return (
-        chunk.template,
-        tuple(chunk.clobbers),
-        len(chunk.outputs),
-        tuple((e.constraint, e.position, e.size_bytes, e.name) for e in chunk.entries),
-        _anchor_refs(chunk),
-        opts.expression_propagation,
-        opts.bit_liveness,
-    )
-
-
-def check_chunk(chunk, opts=None, memo=None):
-    """Check one chunk. memo, a dict kept for one command, maps each
-    interface_key to the first result with that key; a later chunk with
-    the key gets a copy of that result rebound to it, whose timings hold
-    only the lookup's total_ms. Callers must not mutate a result."""
-    opts = opts or CheckOptions()
-    if memo is None:
-        return _analyze(chunk, opts)
-    t0 = time.perf_counter()
-    key = interface_key(chunk, opts)
-    first = memo.get(key)
-    if first is None:
-        memo[key] = first = _analyze(chunk, opts)
-        return first
-    return replace(first, chunk=chunk, timings={"total_ms": (time.perf_counter() - t0) * 1000})
+def check_chunk(chunk, opts=None):
+    """Check one chunk."""
+    return _analyze(chunk, opts or CheckOptions())
 
 
 def _analyze(chunk, opts):

@@ -19,7 +19,7 @@ from .errors import (
     SchemaViolation,
     UnterminatedStatement,
 )
-from .value import Record
+from .value import Record, replace
 
 # each spelling GCC takes for an asm qualifier, and the qualifier it is
 QUALIFIERS = {
@@ -349,10 +349,11 @@ _SHAPE_TOKEN = re.compile(
 
 
 def statement_shape(raw):
-    """The shape of a statement body: its text split into tokens, with
-    each identifier replaced by the number of its first occurrence, as a
-    tuple; None if the body holds a line splice. Comments, literals,
-    numbers, bracketed names, blanks and punctuation are kept verbatim.
+    """The shape of a statement body, its tokens with each identifier
+    replaced by the number of its first occurrence, as a tuple, and the
+    identifiers in that order; (None, ()) if the body holds a line
+    splice. Comments, literals, numbers, bracketed names, blanks and
+    punctuation are kept verbatim.
 
     Two bodies with one shape parse alike, or fail alike, to chunks that
     differ only by a one-to-one renaming of the identifiers in operand
@@ -367,14 +368,34 @@ def statement_shape(raw):
     before it tokenizes, which can join two identifiers of the shape into
     one, so a body with a splice has none."""
     if _has_splice(raw):
-        return None
+        return None, ()
     parts = _SHAPE_TOKEN.split(raw)
     names = {}
     for i in range(2, len(parts), 3):
         name = parts[i]
         if name is not None:
             parts[i] = names.setdefault(name, len(names))
-    return tuple(parts)
+    return tuple(parts), tuple(names)
+
+
+def rename(text, renaming):
+    """text with each identifier that statement_shape numbers renamed as
+    renaming maps it; comments and literals are left alone."""
+    parts = _SHAPE_TOKEN.split(text)
+    parts[2::3] = [renaming.get(name, name) for name in parts[2::3]]
+    return "".join(filter(None, parts))
+
+
+def rename_chunk(chunk, renaming, st):
+    """The chunk of st, a statement of the shape of chunk's, its operand
+    expressions renamed. A rendered statement is never renamed: its
+    qualifiers have st's spelling, and `volatile` in a cast is a name."""
+    entries = [replace(e, expr_text=rename(e.expr_text, renaming)) for e in chunk.entries]
+    k = len(chunk.outputs)
+    return replace(
+        chunk, span=st.span, qualifiers=st.qualifiers, outputs=tuple(entries[:k]),
+        inputs=tuple(entries[k:]), context=ChunkContext(st.span.file, st.span.line),
+    )
 
 
 def extract_chunks(text, file="<input>"):

@@ -16,6 +16,7 @@ from .report import (
     build_report, chunk_report, diagnostic_report, edit_to_json, json_text, render_text,
     span_json, timings_enabled,
 )
+from .value import replace
 
 
 def _parser():
@@ -75,21 +76,19 @@ def _parse(path, st, unparsed):
 
 
 def _collect(args):
-    """Load all chunks, grouped per source file for in-place edits, and
-    the report entries of the statements that did not parse."""
-    sources = {}  # path -> source text of each C file
-    per_file = []  # (path, chunk)
+    """Load all chunks, and the report entries of the statements that
+    did not parse."""
+    loaded = []
     unparsed = []
     for path, text, statements in _read(args, unparsed):
         if text is None:
-            per_file += [(path, c) for c in statements]
+            loaded += statements
             continue
-        sources[path] = text
         for st in statements:
             chunk = _parse(path, st, unparsed)
             if chunk is not None:
-                per_file.append((path, chunk))
-    return sources, per_file, unparsed
+                loaded.append(chunk)
+    return loaded, unparsed
 
 
 def _exit_code(reports):
@@ -133,156 +132,187 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
-def _analysed(path, chunk, analyse):
-    """(analyse(path, chunk), None): the chunk's report entry. An
-    exception other than RicError gives the chunk an error entry instead,
-    with the line for standard error in place of None."""
+def _analysed(chunk, analyse):
+    """(analyse(chunk), None): the chunk's report entry and what the
+    command keeps of its work. An exception other than RicError gives an
+    error entry, keeping nothing, and the line for standard error."""
     try:
-        return analyse(path, chunk), None
+        return analyse(chunk), None
     except RicError:
         raise
     except Exception as e:
         details = f"internal error: {type(e).__name__}: {e}"
         line = f"ric: {chunk.span.file}:{chunk.span.line}: {details}"
-        return chunk_report(CheckResult(chunk, "error", details=details)), line
+        return (chunk_report(CheckResult(chunk, "error", details=details)), None), line
 
 
-def _each_chunk(pairs, analyse, pooled=False):
-    """The report entry analyse(path, chunk) of each chunk (_analysed):
-    one that fails gets an error entry and a line on standard error, and
-    the other chunks are still analysed. Pooled, the chunks are shared
-    out among worker processes (ric.pool), and the lines come out in
-    input order all the same."""
+def _each_chunk(loaded, analyse, pooled=False):
+    """The report entry of each chunk (_analysed): one that fails gets
+    an error entry and a line on standard error, and the other chunks
+    are still analysed. Pooled, the chunks are shared out among worker
+    processes (ric.pool), and the lines come out in input order all the
+    same."""
 
     def one(i):
-        return _analysed(*pairs[i], analyse)
+        return _analysed(loaded[i], analyse)
 
     if pooled:
         from .pool import in_order
 
-        results = in_order(len(pairs), one)
+        results = in_order(len(loaded), one)
     else:
-        results = map(one, range(len(pairs)))
+        results = map(one, range(len(loaded)))
     reports = []
-    for entry, line in results:
+    for (entry, _), line in results:
         if line:
             print(line, file=sys.stderr)
         reports.append(entry)
     return reports
 
 
-def _cmd_check(args):
-    """Check each statement as it is read. The first statement of each
-    shape (chunks.statement_shape) is parsed and checked; a later one of
-    that shape gets a copy of its report entry with its own span, since
-    the two entries differ only there. A statement that does not parse,
-    or whose check fails, is not reused."""
-    memo = {}
-    shapes = {}  # statement shape -> report entry of its first statement
+def _each_statement(args, keep=lambda result: None, extend=None, rename=None):
+    """The report entries of the input files' statements and chunks, one
+    file at a time (_read), and of the statements that did not parse.
+    keep(result) is what the command keeps of its work on a check result
+    (None for nothing), and extend(path, text, entry, kept) adds what it
+    builds from that to the check's entry; text is None in a chunk file.
+
+    Only the first statement of each shape (chunks.statement_shape) is
+    parsed and analysed. A later one gets its entry with its own span,
+    extended from rename(kept, renaming, st), renaming mapping the first
+    one's names to its own. Never reused: a statement with no shape, one
+    that does not parse or whose analysis fails, and one with a name
+    holding "_ric_dummy", since the patcher picks such names."""
+    shapes = {}  # statement shape -> entry, kept work and names of its first statement
     timed = timings_enabled()
     reports = []
     unparsed = []
 
-    def analyse(path, chunk):
-        return chunk_report(check_chunk(chunk, memo=memo))
+    def fresh(chunk, path, text):
+        result = check_chunk(chunk)
+        entry, kept = chunk_report(result), keep(result)
+        return (entry if kept is None else extend(path, text, entry, kept)), kept
 
     for path, text, statements in _read(args, unparsed):
         if text is None:
-            reports += _each_chunk([(path, c) for c in statements], analyse)
+            reports += _each_chunk(statements, lambda c: fresh(c, path, None))
             continue
         for st in statements:
             t0 = time.perf_counter()
-            shape = chunks.statement_shape(st.body)
-            entry = shapes.get(shape)
-            if entry is not None:
+            shape, names = chunks.statement_shape(st.body)
+            if any("_ric_dummy" in name for name in names):
+                shape = None
+            if shape in shapes:
+                entry, kept, first_names = shapes[shape]
                 entry = {**entry, "span": span_json(st.span)}
                 if timed:
                     entry["timings"] = {"total_ms": round((time.perf_counter() - t0) * 1000, 3)}
+                if kept is not None:
+                    kept = rename(kept, dict(zip(first_names, names)), st)
+                    entry = extend(path, text, entry, kept)
                 reports.append(entry)
                 continue
             chunk = _parse(path, st, unparsed)
             if chunk is None:
                 continue
-            entry, line = _analysed(path, chunk, analyse)
+            (entry, kept), line = _analysed(chunk, lambda c: fresh(c, path, text))
             if line:
                 print(line, file=sys.stderr)
             elif shape is not None:
-                shapes[shape] = entry
+                shapes[shape] = entry, kept, names
             reports.append(entry)
-    return _finish(reports, unparsed, args)
+    return reports, unparsed
+
+
+def _cmd_check(args):
+    return _finish(*_each_statement(args), args)
 
 
 def _cmd_patch(args):
     from . import patcher
 
-    sources, pairs, unparsed = _collect(args)
-    rewrites = {}  # path -> list of (span, replacement)
-    memo = {}
+    rewrites = {}  # path -> its text and a list of (span, replacement)
 
-    def analyse(path, chunk):
-        result = check_chunk(chunk, memo=memo)
-        extra = {}
+    def keep(result):
         if result.verdict == "issues":
-            pr = patcher.synthesize_patches(result, result.issues, memo)
-            verification = patcher.verify_patch(pr)
-            extra["patch"] = {
-                "edits": [edit_to_json(e) for e in pr.edits],
-                "unresolved": [
-                    {"category": i.category, "location": format_loc(i.location)}
-                    for i in pr.unresolved
-                ],
-                "renumber_map": {str(k): v for k, v in sorted(pr.renumber_map.items())},
-                "verification": verification,
-                "statement": render(pr.patched),
-            }
-            src = sources.get(path)
-            if src is not None and pr.edits:
-                try:
-                    extra["patch"]["diff"] = patcher.render_diff(src, pr)
-                except SpanStale as e:
-                    extra["patch"]["diff_error"] = str(e)
-                if args.in_place and verification["interface_satisfiable"]:
-                    rewrites.setdefault(path, []).append(
-                        (chunk.span, render(pr.patched))
-                    )
-        return chunk_report(result, extra)
+            pr = patcher.synthesize_patches(result, result.issues)
+            return pr, patcher.verify_patch(pr)
+        return None
 
-    reports = _each_chunk(pairs, analyse)
+    def extend(path, text, entry, kept):
+        pr, verification = kept
+        patch = {
+            "edits": [edit_to_json(e) for e in pr.edits],
+            "unresolved": [
+                {"category": i.category, "location": format_loc(i.location)}
+                for i in pr.unresolved
+            ],
+            "renumber_map": {str(k): v for k, v in sorted(pr.renumber_map.items())},
+            "verification": verification,
+            "statement": render(pr.patched),
+        }
+        if text is not None and pr.edits:
+            try:
+                patch["diff"] = patcher.render_diff(text, pr)
+            except SpanStale as e:
+                patch["diff_error"] = str(e)
+            if args.in_place and verification["interface_satisfiable"]:
+                edit = (pr.patched.span, patch["statement"])
+                rewrites.setdefault(path, (text, []))[1].append(edit)
+        return {**entry, "patch": patch}
+
+    def rename(kept, renaming, st):
+        pr, verification = kept
+        # an added input's source and an added output's lvalue are the
+        # only C text of an edit
+        edits = [
+            replace(e, **{f: chunks.rename(getattr(e, f), renaming)
+                          for f in ("source", "lvalue") if hasattr(e, f)})
+            for e in pr.edits
+        ]
+        pr = replace(
+            pr, patched=chunks.rename_chunk(pr.patched, renaming, st),
+            original=chunks.rename_chunk(pr.original, renaming, st), edits=edits,
+        )
+        return pr, verification
+
+    reports, unparsed = _each_statement(args, keep, extend, rename)
     patcher.line_table.cache_clear()  # the report does not need the last file's lines
-    if args.in_place:
-        _apply_rewrites(sources, rewrites)
+    _apply_rewrites(rewrites)
     return _finish(reports, unparsed, args)
 
 
 def _cmd_refine(args):
     from . import refiner
 
-    sources, pairs, unparsed = _collect(args)
     options = refiner.RefineOptions(
         refine_inputs=not args.no_refine_inputs,
         refine_clobbers=not args.no_refine_clobbers,
         refine_memory=not args.no_refine_memory,
     )
     rewrites = {}
-    memo = {}
 
-    def analyse(path, chunk):
-        result = check_chunk(chunk, memo=memo)
-        extra = {}
-        if result.verdict == "compliant":
-            rr = refiner.refine_interface(result, options, memo)
-            extra["refinements"] = {
-                "edits": [edit_to_json(e) for e in rr.edits],
-                "suggestions": [edit_to_json(e) for e in rr.suggestions],
-                "statement": render(rr.refined) if rr.edits else None,
-            }
-            if rr.edits and args.in_place and path in sources:
-                rewrites.setdefault(path, []).append((chunk.span, render(rr.refined)))
-        return chunk_report(result, extra)
+    def keep(result):
+        return refiner.refine_interface(result, options) if result.verdict == "compliant" else None
 
-    reports = _each_chunk(pairs, analyse)
-    if args.in_place:
-        _apply_rewrites(sources, rewrites)
+    def extend(path, text, entry, rr):
+        statement = render(rr.refined) if rr.edits else None
+        if rr.edits and args.in_place and text is not None:
+            rewrites.setdefault(path, (text, []))[1].append((rr.refined.span, statement))
+        refinements = {
+            "edits": [edit_to_json(e) for e in rr.edits],
+            "suggestions": [],  # always empty; schema 2 drops it
+            "statement": statement,
+        }
+        return {**entry, "refinements": refinements}
+
+    def rename(rr, renaming, st):
+        # a refinement's edits hold no C text
+        refined = chunks.rename_chunk(rr.refined, renaming, st) if rr.edits else rr.refined
+        return replace(rr, refined=refined)
+
+    reports, unparsed = _each_statement(args, keep, extend, rename)
+    _apply_rewrites(rewrites)
     return _finish(reports, unparsed, args)
 
 
@@ -296,13 +326,13 @@ def oracle_check(chunk, prop, cfg, run):
 def _cmd_oracle(args):
     from .oracle import OracleRun, TrialConfig
 
-    sources, pairs, unparsed = _collect(args)
+    loaded, unparsed = _collect(args)
     cfg = TrialConfig(
         trials=args.trials, seed=args.seed, assignment_cap=args.assignment_cap
     )
     timed = timings_enabled()
 
-    def analyse(path, chunk):
+    def analyse(chunk):
         result = check_chunk(chunk)
         run = OracleRun(result, cfg)
         oracle = {}
@@ -317,15 +347,15 @@ def _cmd_oracle(args):
             if timed:
                 entry["ms"] = round((time.perf_counter() - t0) * 1000, 3)
             oracle[prop] = entry
-        return chunk_report(result, {"oracle": oracle})
+        return chunk_report(result, {"oracle": oracle}), None
 
-    reports = _each_chunk(pairs, analyse, pooled=True)
+    reports = _each_chunk(loaded, analyse, pooled=True)
     return _finish(reports, unparsed, args)
 
 
-def _apply_rewrites(sources, rewrites):
-    for path, edits in rewrites.items():
-        text = sources[path]
+def _apply_rewrites(rewrites):
+    """Write each file with its (span, replacement) edits in place."""
+    for path, (text, edits) in rewrites.items():
         pieces = []
         kept_from = 0
         for span, replacement in sorted(edits, key=lambda e: e[0].byte_start):

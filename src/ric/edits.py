@@ -75,8 +75,8 @@ class EntrySpan(Record):
 
 class MemoryToEntries(Record):
     spans: tuple  # of EntrySpan
-    # stays in the report schema, as RefineResult.suggestions does;
-    # every access resolves to a token, so no edit is suggestion-only
+    # stays in the report schema until schema 2, as "suggestions": []
+    # does; every access resolves to a token, so none is suggestion-only
     suggestion_only: bool = False
 
 
@@ -168,14 +168,14 @@ def _kind_order(edit):
     return _KINDS.index(type(edit)), getattr(edit, "token", 0)
 
 
-def search(result, groups, goal, memo=None):
+def search(result, groups, goal):
     """The edits kept for a check result's chunk, in kind order, and the
     re-check of the chunk with them.
 
     groups holds one entry per finding or refinement candidate, each a
     list of alternative edit tuples, most preferred first. Each
-    alternative is applied with the edits kept so far and re-checked
-    through memo. The first for which goal(best, check) holds is kept,
+    alternative is applied with the edits kept so far and re-checked.
+    The first for which goal(best, check) holds is kept,
     where best is the re-check of the edits kept before (result at
     first). An alternative that is kept already ends its group."""
     kept, best = [], result
@@ -185,7 +185,7 @@ def search(result, groups, goal, memo=None):
                 break
             edits = sorted(kept + list(alt), key=_kind_order)
             try:
-                check = check_chunk(apply_edits(result.chunk, edits)[0], memo=memo)
+                check = check_chunk(apply_edits(result.chunk, edits)[0])
             except RicError:
                 continue
             if goal(best, check):

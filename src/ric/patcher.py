@@ -115,11 +115,10 @@ def _finding(issue, renumber=None):
     return issue.category, format_loc(loc)
 
 
-def synthesize_patches(result, issues, memo=None):
+def synthesize_patches(result, issues):
     """The edits kept for the issues of a check result, its chunk with
-    them applied, and the issues the final re-check still reports. memo
-    is passed on to check_chunk for the re-checks."""
-    edits, check = search(result, _candidates(result, issues), _fewer_findings, memo)
+    them applied, and the issues the final re-check still reports."""
+    edits, check = search(result, _candidates(result, issues), _fewer_findings)
     patched, renumber = apply_edits(result.chunk, edits)
     left = {_finding(i) for i in check.issues}
     unresolved = [i for i in issues if _finding(i, renumber) in left]
@@ -167,9 +166,15 @@ def line_table(text):
     return lines, array.array("q", itertools.accumulate(map(len, lines), initial=0))
 
 
-def _shift_hunk_header(line, offset):
-    m = _HUNK_HEADER.match(line)
-    return f"@@ -{int(m[1]) + offset}{m[2]} +{int(m[3]) + offset}{m[4]} @@{line[m.end():]}"
+def _diff_line(line, offset):
+    """A line of difflib's diff: a hunk header numbered from offset, and
+    a line with no line break followed by git's marker for it."""
+    if line.startswith("@@"):
+        m = _HUNK_HEADER.match(line)
+        return f"@@ -{int(m[1]) + offset}{m[2]} +{int(m[3]) + offset}{m[4]} @@{line[m.end():]}"
+    if line.splitlines()[0] == line:
+        return line + "\n\\ No newline at end of file\n"
+    return line
 
 
 def render_diff(original_source, pr):
@@ -180,7 +185,7 @@ def render_diff(original_source, pr):
     line holding span.byte_end (the last line at the end of the source),
     so a span that takes in a line break joins the next line to it. The
     hunk shows every line of that window, so unchanged lines inside a
-    statement never split it."""
+    statement never split it. git's marker follows a line with no break."""
     span = pr.patched.span
     if span.byte_end <= span.byte_start or span.byte_end > len(original_source):
         raise SpanStale(f"{span.file}: span out of range")
@@ -207,6 +212,4 @@ def render_diff(original_source, pr):
     a = lines[lo:hi]
     b = lines[lo:first] + new + lines[last + 1 : hi]
     diff = difflib.unified_diff(a, b, f"a/{span.file}", f"b/{span.file}", n=len(a))
-    return "".join(
-        _shift_hunk_header(line, lo) if lo and line.startswith("@@") else line for line in diff
-    )
+    return "".join(_diff_line(line, lo) for line in diff)

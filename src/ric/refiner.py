@@ -20,10 +20,6 @@ from .expr import Flag, Reg, Token
 from .value import Record
 
 
-class Failure(Record):
-    reason: str
-
-
 class RefineOptions(Record, frozen=False):
     refine_inputs: bool = True
     refine_clobbers: bool = True
@@ -32,9 +28,7 @@ class RefineOptions(Record, frozen=False):
 
 class RefineResult(Record, frozen=False):
     edits: list
-    suggestions: list
     refined: object  # ChunkAst
-    failure: Failure = None
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +123,11 @@ def _still_compliant(best, check):
     return check.verdict == "compliant"
 
 
-def refine_interface(result, options=None, memo=None):
-    """Compute guarded refinements for a compliant check result. memo
-    is passed on to check_chunk for the re-checks."""
+def refine_interface(result, options=None):
+    """Compute guarded refinements for a compliant check result; a
+    result that is not compliant gets none."""
     options = options or RefineOptions()
     if result.verdict != "compliant" or result.fi is None:
-        return RefineResult([], [], result.chunk, Failure("chunk is not compliant"))
-    edits, check = search(result, _candidates(result, options), _still_compliant, memo)
-    return RefineResult(edits, [], check.chunk)
+        return RefineResult([], result.chunk)
+    edits, check = search(result, _candidates(result, options), _still_compliant)
+    return RefineResult(edits, check.chunk)

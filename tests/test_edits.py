@@ -227,7 +227,7 @@ def test_search_keeps_the_first_alternative_that_meets_the_goal():
         [(PromoteToReadWrite(0),), (SetMemoryClobber(),)],
         [(AddClobber("cc"),)],  # kept already: not tried again
     ]
-    edits, check = search(result, groups, _fewer, {})
+    edits, check = search(result, groups, _fewer)
     assert edits == [PromoteToReadWrite(0), AddClobber("cc")]
     assert check.verdict == "compliant"
     assert render(check.chunk) == render(apply_edits(c, edits)[0])
@@ -236,5 +236,5 @@ def test_search_keeps_the_first_alternative_that_meets_the_goal():
 def test_search_keeps_nothing_when_no_alternative_meets_the_goal():
     c = chunk("movl %%edx, %0", [("=r", "x", 4)])
     result = check_chunk(c)
-    edits, check = search(result, [[(AddClobber("edx"),)], []], _fewer, {})
+    edits, check = search(result, [[(AddClobber("edx"),)], []], _fewer)
     assert edits == [] and check is result

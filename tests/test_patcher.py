@@ -2,7 +2,9 @@
 
 import difflib
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 
@@ -359,20 +361,23 @@ _STMT = 'asm ("addl %1, %0" : "+r" (x) : "r" (y));'
 _STMT_MULTILINE = 'asm ("addl %1, %0"\n      : "+r" (x)\n      : "r" (y));'
 
 
+_NO_NEWLINE = "\\ No newline at end of file\n"
+
+
 def _full_file_diff(source, pr):
-    """difflib over every line of the old and new file: the same bytes
-    as the statement's hunk wherever difflib pairs each unchanged line
-    near the statement with itself."""
+    """difflib over every line of the old and new file, with git's
+    marker after a line that has no line break: the same bytes as the
+    statement's hunk wherever difflib pairs each unchanged line near the
+    statement with itself."""
     span = pr.patched.span
     new_source = source[: span.byte_start] + render(pr.patched) + source[span.byte_end :]
-    return "".join(
-        difflib.unified_diff(
-            source.splitlines(keepends=True),
-            new_source.splitlines(keepends=True),
-            fromfile=f"a/{span.file}",
-            tofile=f"b/{span.file}",
-        )
+    diff = difflib.unified_diff(
+        source.splitlines(keepends=True),
+        new_source.splitlines(keepends=True),
+        fromfile=f"a/{span.file}",
+        tofile=f"b/{span.file}",
     )
+    return "".join(line + "\n" + _NO_NEWLINE if line.splitlines() == [line] else line for line in diff)
 
 
 def _patch_nth(source, k):
@@ -387,7 +392,14 @@ def _apply_hunks(source, diff):
     old = source.splitlines(keepends=True)
     out = []
     done = 0
-    for line in diff.splitlines(keepends=True)[2:]:
+    lines = diff.splitlines(keepends=True)[2:]
+    # git's marker: the line before it has no line break
+    lines = [
+        line[:-1] if after == _NO_NEWLINE else line
+        for line, after in zip(lines, lines[1:] + [""])
+        if line != _NO_NEWLINE
+    ]
+    for line in lines:
         if line.startswith("@@"):
             start, length = re.match(r"@@ -(\d+)(?:,(\d+))?", line).groups()
             start = int(start) - (length != "0")
@@ -411,9 +423,7 @@ def _line_of(source, offset):
 def _assert_statement_hunk(source, pr, diff):
     """The diff is one hunk whose old side holds the statement's lines
     and at most three lines before and after them, and applying it gives
-    the patched source. A last line without a line break runs into the
-    next line of a diff, so such a diff is applied only when the hunk
-    ends before it."""
+    the patched source."""
     span = pr.patched.span
     headers = [line for line in diff.splitlines() if line.startswith("@@")]
     assert len(headers) == 1, diff
@@ -424,9 +434,8 @@ def _assert_statement_hunk(source, pr, diff):
     last = min(_line_of(source, span.byte_end), len(lines) - 1)
     assert first - 3 <= start <= first
     assert last < end <= last + 4
-    if (source + "x").splitlines()[-1] == "x" or end < len(lines):
-        patched = source[: span.byte_start] + render(pr.patched) + source[span.byte_end :]
-        assert _apply_hunks(source, diff) == patched
+    patched = source[: span.byte_start] + render(pr.patched) + source[span.byte_end :]
+    assert _apply_hunks(source, diff) == patched
 
 
 _DIFF_CASES = {
@@ -517,6 +526,57 @@ def test_render_diff_matches_full_file_diff(name):
     _assert_statement_hunk(source, pr, diff)
     if name in _LOCAL_IN_WHOLE_FILE:
         assert diff == _full_file_diff(source, pr)
+
+
+def test_a_last_line_without_a_line_break_gets_gits_marker():
+    source, k = _DIFF_CASES["last-line-no-newline"]
+    assert render_diff(source, _patch_nth(source, k)) == (
+        "--- a/f.c\n+++ b/f.c\n@@ -3,4 +3,4 @@\n int c;\n int d;\n int e;\n"
+        f"-{_STMT}\n{_NO_NEWLINE}"
+        f'+{_STMT[:-2]} : "cc");\n{_NO_NEWLINE}'
+    )
+
+
+def _assert_git_applies(directory, diff):
+    """`git apply --check`, run in directory, which holds the diffed
+    file, takes the diff; skipped where git cannot run."""
+    # no repository above directory changes where git looks for the file
+    env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(directory.parent)}
+    try:
+        done = subprocess.run(
+            ["git", "apply", "--check", "-"],
+            input=diff.encode(), cwd=directory, env=env, capture_output=True,
+        )
+    except OSError as e:
+        pytest.skip(f"git cannot run: {e}")
+    assert done.returncode == 0, (done.stderr.decode(), diff)
+
+
+def test_git_applies_the_diffs(tmp_path, monkeypatch):
+    """git takes the diff of a statement on a last line with no line
+    break, and every diff of `ric patch` on the 800-statement file of
+    seed 0."""
+    source, k = _DIFF_CASES["last-line-no-newline"]
+    (tmp_path / "f.c").write_text(source, encoding="utf-8", newline="")
+    _assert_git_applies(tmp_path, render_diff(source, _patch_nth(source, k)))
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    records = json.loads(CORPUS.read_text(encoding="utf-8"))
+    (tmp_path / "big.c").write_text(gen.generate(records, 800, 0).text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # so the diffs name big.c as git finds it
+    run(["patch", "--out", "report.json", "big.c"])
+    diffs = [
+        r["patch"]["diff"]
+        for r in json.loads((tmp_path / "report.json").read_text())["chunks"]
+        if "diff" in r.get("patch", {})
+    ]
+    assert len(diffs) > 100
+    for diff in diffs:
+        _assert_git_applies(tmp_path, diff)
 
 
 def test_render_diff_span_ending_a_line():

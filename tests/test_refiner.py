@@ -11,11 +11,7 @@ from ric.edits import (
     EntrySpan,
     MemoryToEntries,
 )
-from ric.refiner import (
-    Failure,
-    RefineOptions,
-    refine_interface,
-)
+from ric.refiner import RefineOptions, refine_interface
 
 
 def refine(chunk, options=None):
@@ -58,7 +54,7 @@ def test_live_entries_kept():
         ]
     )[0]
     rr = refine(c)
-    assert rr.edits == [] and rr.failure is None
+    assert rr.edits == []
 
 
 def test_memory_load_becomes_input_entry(corpus_by_id):
@@ -103,7 +99,6 @@ def test_undue_memory_clobber_dropped(corpus_by_id):
 
 def test_non_compliant_chunk_fails(corpus_by_id):
     rr = refine(corpus_by_id["bad/flags.c"])
-    assert isinstance(rr.failure, Failure)
     assert rr.edits == [] and rr.refined is corpus_by_id["bad/flags.c"]
 
 
@@ -114,14 +109,13 @@ def test_options_gate_each_phase(corpus_by_id):
 
 
 def test_guarded_acceptance_over_corpus(corpus_chunks, corpus_results):
-    """Every accepted refinement leaves the chunk compliant; suggestions
-    never modify the statement."""
+    """Every accepted refinement leaves the chunk compliant, and no
+    edits leave it as it is."""
     for c in corpus_chunks:
         result = corpus_results[c.context.file]
         if result.verdict != "compliant":
             continue
         rr = refine_interface(result)
-        assert rr.failure is None, c.context.file
         assert check_chunk(rr.refined).verdict == "compliant", c.context.file
         if not rr.edits:
             assert rr.refined is c or rr.refined == c

@@ -20,23 +20,45 @@ NOT_FOUND = {
 }
 
 
-def test_install_layers_finds_all_but_the_known_names(capsys):
+SOURCE = (
+    "void f(int x, int y) {\n"
+    '  asm ("addl %1, %0" : "+r" (x) : "r" (y));\n'
+    '  asm ("movl %1, %0" : "=r" (x) : "r" (y), "r" (x));\n'
+    "}\n"
+)
+
+
+def test_install_layers_finds_all_but_the_known_names(capsys, tmp_path):
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import tracing
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    from ric import cli, patcher
+    from ric import cli, patcher, refiner
 
-    originals = (patcher.render_diff, cli._collect)
+    # names the commands look up when they call a layer
+    wrapped = [
+        (patcher, "render_diff"),
+        (cli, "_collect"),
+        (cli, "check_chunk"),
+        (patcher, "synthesize_patches"),
+        (refiner, "refine_interface"),
+    ]
+    originals = [getattr(owner, name) for owner, name in wrapped]
     tracer = tracing.Tracer(0)
     capsys.readouterr()
     tracing.install_layers(tracer)
     try:
         err = capsys.readouterr().err
-        assert patcher.render_diff is not originals[0]
-        assert cli._collect is not originals[1]
+        for (owner, name), original in zip(wrapped, originals):
+            assert getattr(owner, name) is not original, name
+        path = tmp_path / "s.c"
+        path.write_text(SOURCE, encoding="utf-8")
+        for command in ("patch", "refine"):
+            cli.run([command, "--out", str(tmp_path / "report.json"), str(path)])
+        calls = {span[0] for span in tracer.spans}
+        assert calls >= {"checker.check", "patcher.synthesize", "patcher.diff", "refiner.refine"}
     finally:
         tracer.uninstall()
     assert set(re.findall(r"trace: (\S+) not found", err)) == NOT_FOUND
-    assert (patcher.render_diff, cli._collect) == originals
+    assert [getattr(owner, name) for owner, name in wrapped] == originals
