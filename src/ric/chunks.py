@@ -423,27 +423,23 @@ def _render_entry(e):
 
 
 def render(chunk):
-    """Render a chunk back to C statement text."""
+    """Render a chunk back to C statement text. A template that holds %
+    keeps at least one colon: with none the statement is basic asm, and
+    GCC reads %% in it as two characters."""
     quals = "".join(
         f" {q}" for q in ("volatile", "inline", "goto") if q in chunk.qualifiers
     )
     template = chunk.template.replace("\\", "\\\\").replace('"', '\\"')
     template = template.replace("\n", "\\n").replace("\r", "\\r")
-    parts = [f'"{template}"']
-    need = 0
-    if chunk.clobbers:
-        need = 3
-    elif chunk.inputs:
-        need = 2
-    elif chunk.outputs:
-        need = 1
-    if need >= 1:
-        parts.append(" : " + ", ".join(_render_entry(e) for e in chunk.outputs))
-    if need >= 2:
-        parts.append(" : " + ", ".join(_render_entry(e) for e in chunk.inputs))
-    if need >= 3:
-        parts.append(" : " + ", ".join(f'"{c}"' for c in chunk.clobbers))
-    return f"asm{quals} ({''.join(parts)})"
+    sections = (
+        ", ".join(map(_render_entry, chunk.outputs)),
+        ", ".join(map(_render_entry, chunk.inputs)),
+        ", ".join(f'"{c}"' for c in chunk.clobbers),
+    )
+    need = 3 if chunk.clobbers else 2 if chunk.inputs else 1 if chunk.outputs else 0
+    if "%" in chunk.template:
+        need = max(need, 1)
+    return f'asm{quals} ("{template}"' + "".join(f" : {s}" for s in sections[:need]) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -75,22 +75,6 @@ def _parse(path, st, unparsed):
         return None
 
 
-def _collect(args):
-    """Load all chunks, and the report entries of the statements that
-    did not parse."""
-    loaded = []
-    unparsed = []
-    for path, text, statements in _read(args, unparsed):
-        if text is None:
-            loaded += statements
-            continue
-        for st in statements:
-            chunk = _parse(path, st, unparsed)
-            if chunk is not None:
-                loaded.append(chunk)
-    return loaded, unparsed
-
-
 def _exit_code(reports):
     verdicts = [r["verdict"] for r in reports]
     # a compliant chunk that the oracle refutes is a finding too
@@ -146,86 +130,95 @@ def _analysed(chunk, analyse):
         return (chunk_report(CheckResult(chunk, "error", details=details)), None), line
 
 
-def _each_chunk(loaded, analyse, pooled=False):
-    """The report entry of each chunk (_analysed): one that fails gets
-    an error entry and a line on standard error, and the other chunks
-    are still analysed. Pooled, the chunks are shared out among worker
-    processes (ric.pool), and the lines come out in input order all the
-    same."""
+def _each_statement(args, analyse, extend=None, rename=None, pooled=False):
+    """The report entries of the input files' statements and chunks
+    (_read), and of the statements that did not parse. analyse(chunk)
+    gives a chunk's entry and what the command keeps of its work (None
+    for nothing); extend(path, text, entry, kept) adds what it builds
+    from that to the entry, text being None in a chunk file.
+
+    Plan: only the first statement of each shape (chunks.statement_shape)
+    is parsed, and each chunk of a chunk file is its own first. Never
+    reused: a statement with no shape, one that does not parse, and one
+    with a name holding "_ric_dummy", since the patcher picks such names.
+    Analyse the first statements (_analysed), in worker processes if
+    pooled (ric.pool). Assemble, in input order: a later statement gets
+    its first one's entry with its own span, extended from rename(kept,
+    renaming, st), renaming mapping the first one's names to its own; or,
+    if the first one's analysis failed, its own analysis. So the lines of
+    statements that do not parse come before those of failed analyses."""
+    timed = timings_enabled()
+    unparsed = []
+    firsts = []  # (chunk, names) of each statement analysed
+    shapes = {}  # statement shape -> index in firsts of its first statement
+    plan = []  # (path, text, rows); a row (i, st, names, seconds) is a later
+    # statement of firsts[i]'s shape and the time of its lookup, or with
+    # st None firsts[i] itself
+    for path, text, statements in _read(args, unparsed):
+        rows = []
+        for st in statements:
+            chunk, names = st, ()  # a chunk file's chunk
+            if text is not None:
+                t0 = time.perf_counter()
+                shape, names = chunks.statement_shape(st.body)
+                if any("_ric_dummy" in name for name in names):
+                    shape = None
+                if shape in shapes:
+                    # names are kept only where they rename kept work
+                    names = names if rename else None
+                    rows.append((shapes[shape], st, names, time.perf_counter() - t0))
+                    continue
+                chunk = _parse(path, st, unparsed)
+                if chunk is None:
+                    continue
+                if shape is not None:
+                    shapes[shape] = len(firsts)
+            rows.append((len(firsts), None, None, None))
+            firsts.append((chunk, names))
+        plan.append((path, text if extend else None, rows))
 
     def one(i):
-        return _analysed(loaded[i], analyse)
+        return _analysed(firsts[i][0], analyse)
 
     if pooled:
         from .pool import in_order
 
-        results = in_order(len(loaded), one)
+        results = in_order(len(firsts), one)
     else:
-        results = map(one, range(len(loaded)))
+        results = map(one, range(len(firsts)))
+    done = []  # the result of each first statement's analysis, once given
     reports = []
-    for (entry, _), line in results:
-        if line:
-            print(line, file=sys.stderr)
-        reports.append(entry)
-    return reports
-
-
-def _each_statement(args, keep=lambda result: None, extend=None, rename=None):
-    """The report entries of the input files' statements and chunks, one
-    file at a time (_read), and of the statements that did not parse.
-    keep(result) is what the command keeps of its work on a check result
-    (None for nothing), and extend(path, text, entry, kept) adds what it
-    builds from that to the check's entry; text is None in a chunk file.
-
-    Only the first statement of each shape (chunks.statement_shape) is
-    parsed and analysed. A later one gets its entry with its own span,
-    extended from rename(kept, renaming, st), renaming mapping the first
-    one's names to its own. Never reused: a statement with no shape, one
-    that does not parse or whose analysis fails, and one with a name
-    holding "_ric_dummy", since the patcher picks such names."""
-    shapes = {}  # statement shape -> entry, kept work and names of its first statement
-    timed = timings_enabled()
-    reports = []
-    unparsed = []
-
-    def fresh(chunk, path, text):
-        result = check_chunk(chunk)
-        entry, kept = chunk_report(result), keep(result)
-        return (entry if kept is None else extend(path, text, entry, kept)), kept
-
-    for path, text, statements in _read(args, unparsed):
-        if text is None:
-            reports += _each_chunk(statements, lambda c: fresh(c, path, None))
-            continue
-        for st in statements:
-            t0 = time.perf_counter()
-            shape, names = chunks.statement_shape(st.body)
-            if any("_ric_dummy" in name for name in names):
-                shape = None
-            if shape in shapes:
-                entry, kept, first_names = shapes[shape]
+    for path, text, rows in plan:
+        for i, st, names, seconds in rows:
+            if st is None:
+                done.append(next(results))
+            (entry, kept), line = done[i]
+            if st is not None and line:
+                chunk = _parse(path, st, unparsed)
+                if chunk is None:
+                    continue
+                (entry, kept), line = _analysed(chunk, analyse)
+            elif st is not None:
                 entry = {**entry, "span": span_json(st.span)}
-                if timed:
-                    entry["timings"] = {"total_ms": round((time.perf_counter() - t0) * 1000, 3)}
+                if timed:  # nothing ran for the statement but its lookup
+                    entry["timings"] = {"total_ms": round(seconds * 1000, 3)}
+                    if "oracle" in entry:
+                        entry["oracle"] = {
+                            prop: {k: v for k, v in found.items() if k != "ms"}
+                            for prop, found in entry["oracle"].items()
+                        }
                 if kept is not None:
-                    kept = rename(kept, dict(zip(first_names, names)), st)
-                    entry = extend(path, text, entry, kept)
-                reports.append(entry)
-                continue
-            chunk = _parse(path, st, unparsed)
-            if chunk is None:
-                continue
-            (entry, kept), line = _analysed(chunk, lambda c: fresh(c, path, text))
+                    kept = rename(kept, dict(zip(firsts[i][1], names)), st)
             if line:
                 print(line, file=sys.stderr)
-            elif shape is not None:
-                shapes[shape] = entry, kept, names
+            if kept is not None:
+                entry = extend(path, text, entry, kept)
             reports.append(entry)
     return reports, unparsed
 
 
 def _cmd_check(args):
-    return _finish(*_each_statement(args), args)
+    return _finish(*_each_statement(args, lambda c: (chunk_report(check_chunk(c)), None)), args)
 
 
 def _cmd_patch(args):
@@ -233,11 +226,12 @@ def _cmd_patch(args):
 
     rewrites = {}  # path -> its text and a list of (span, replacement)
 
-    def keep(result):
-        if result.verdict == "issues":
-            pr = patcher.synthesize_patches(result, result.issues)
-            return pr, patcher.verify_patch(pr)
-        return None
+    def analyse(chunk):
+        result = check_chunk(chunk)
+        if result.verdict != "issues":
+            return chunk_report(result), None
+        pr = patcher.synthesize_patches(result, result.issues)
+        return chunk_report(result), (pr, patcher.verify_patch(pr))
 
     def extend(path, text, entry, kept):
         pr, verification = kept
@@ -276,7 +270,7 @@ def _cmd_patch(args):
         )
         return pr, verification
 
-    reports, unparsed = _each_statement(args, keep, extend, rename)
+    reports, unparsed = _each_statement(args, analyse, extend, rename)
     patcher.line_table.cache_clear()  # the report does not need the last file's lines
     _apply_rewrites(rewrites)
     return _finish(reports, unparsed, args)
@@ -292,8 +286,10 @@ def _cmd_refine(args):
     )
     rewrites = {}
 
-    def keep(result):
-        return refiner.refine_interface(result, options) if result.verdict == "compliant" else None
+    def analyse(chunk):
+        result = check_chunk(chunk)
+        rr = refiner.refine_interface(result, options) if result.verdict == "compliant" else None
+        return chunk_report(result), rr
 
     def extend(path, text, entry, rr):
         statement = render(rr.refined) if rr.edits else None
@@ -311,7 +307,7 @@ def _cmd_refine(args):
         refined = chunks.rename_chunk(rr.refined, renaming, st) if rr.edits else rr.refined
         return replace(rr, refined=refined)
 
-    reports, unparsed = _each_statement(args, keep, extend, rename)
+    reports, unparsed = _each_statement(args, analyse, extend, rename)
     _apply_rewrites(rewrites)
     return _finish(reports, unparsed, args)
 
@@ -326,7 +322,6 @@ def oracle_check(chunk, prop, cfg, run):
 def _cmd_oracle(args):
     from .oracle import OracleRun, TrialConfig
 
-    loaded, unparsed = _collect(args)
     cfg = TrialConfig(
         trials=args.trials, seed=args.seed, assignment_cap=args.assignment_cap
     )
@@ -349,8 +344,7 @@ def _cmd_oracle(args):
             oracle[prop] = entry
         return chunk_report(result, {"oracle": oracle}), None
 
-    reports = _each_chunk(loaded, analyse, pooled=True)
-    return _finish(reports, unparsed, args)
+    return _finish(*_each_statement(args, analyse, pooled=True), args)
 
 
 def _apply_rewrites(rewrites):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import array
 import bisect
-import difflib
 import functools
 import itertools
 import re
@@ -153,39 +152,33 @@ def verify_patch(pr):
 
 
 _CONTEXT = 3  # lines of context on each side of a statement's hunk
-_HUNK_HEADER = re.compile(r"@@ -(\d+)(\S*) \+(\d+)(\S*) @@")
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
 @functools.lru_cache(maxsize=1)
 def line_table(text):
-    """The lines of a source as str.splitlines(keepends=True) gives them
-    and the offset where each starts (plus len(text)). Cached for the
-    last source, which every patched statement of a file reuses;
+    """The lines of a source, each ending at a line feed or at the end of
+    the source, and the offset where each starts (plus len(text)). Cached for
+    the last source, which every patched statement of a file reuses;
     line_table.cache_clear() frees it."""
-    lines = text.splitlines(keepends=True)
+    lines = _LINE.findall(text)
     return lines, array.array("q", itertools.accumulate(map(len, lines), initial=0))
 
 
-def _diff_line(line, offset):
-    """A line of difflib's diff: a hunk header numbered from offset, and
-    a line with no line break followed by git's marker for it."""
-    if line.startswith("@@"):
-        m = _HUNK_HEADER.match(line)
-        return f"@@ -{int(m[1]) + offset}{m[2]} +{int(m[3]) + offset}{m[4]} @@{line[m.end():]}"
-    if line.splitlines()[0] == line:
-        return line + "\n\\ No newline at end of file\n"
-    return line
+def _range(start, count):
+    """A side of a hunk header, as diff writes it."""
+    return f"{start + 1}" if count == 1 else f"{start + 1},{count}"
 
 
 def render_diff(original_source, pr):
     """Unified diff of the source with the patched statement in place of
-    the original: one hunk, difflib over the statement's lines and three
-    lines of context on each side, numbered as in the whole file. The
-    statement's lines run from the line holding its first byte to the
-    line holding span.byte_end (the last line at the end of the source),
-    so a span that takes in a line break joins the next line to it. The
-    hunk shows every line of that window, so unchanged lines inside a
-    statement never split it. git's marker follows a line with no break."""
+    the original: one hunk, the statement's lines removed and their
+    patched text added, with three lines of context on each side,
+    numbered as in the whole file. Lines end at line feeds only, as git
+    reads them. The statement's lines run from the line holding its first byte
+    to the line holding span.byte_end (the last line at the end of the
+    source), so a span that takes in a line break joins the next line to
+    it."""
     span = pr.patched.span
     if span.byte_end <= span.byte_start or span.byte_end > len(original_source):
         raise SpanStale(f"{span.file}: span out of range")
@@ -202,14 +195,19 @@ def render_diff(original_source, pr):
     lines, starts = line_table(original_source)
     first = bisect.bisect_right(starts, span.byte_start) - 1
     last = min(bisect.bisect_right(starts, span.byte_end) - 1, len(lines) - 1)
-    new = (
+    new = _LINE.findall(
         original_source[starts[first] : span.byte_start]
         + render(pr.patched)
         + original_source[span.byte_end : starts[last + 1]]
-    ).splitlines(keepends=True)
+    )
     lo = max(first - _CONTEXT, 0)
-    hi = last + 1 + _CONTEXT
-    a = lines[lo:hi]
-    b = lines[lo:first] + new + lines[last + 1 : hi]
-    diff = difflib.unified_diff(a, b, f"a/{span.file}", f"b/{span.file}", n=len(a))
-    return "".join(_diff_line(line, lo) for line in diff)
+    before, old = lines[lo:first], lines[first : last + 1]
+    after = lines[last + 1 : last + 1 + _CONTEXT]
+    old_range = _range(lo, len(before) + len(old) + len(after))
+    new_range = _range(lo, len(before) + len(new) + len(after))
+    return f"--- a/{span.file}\n+++ b/{span.file}\n@@ -{old_range} +{new_range} @@\n" + "".join(
+        # git's marker follows a line with no line break
+        mark + line if line.endswith("\n") else f"{mark}{line}\n\\ No newline at end of file\n"
+        for mark, part in ((" ", before), ("-", old), ("+", new), (" ", after))
+        for line in part
+    )

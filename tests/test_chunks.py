@@ -194,6 +194,17 @@ def test_render_writes_size_notes():
     assert render(c) == 'asm ("" : "=q" (y /* size:1 */) : "m" (*p /* size:8 */), "r" (x))'
 
 
+@pytest.mark.parametrize(
+    "template, text",
+    [("nop", 'asm ("nop")'), ("movl %%eax, %%eax", 'asm ("movl %%eax, %%eax" : )')],
+)
+def test_render_keeps_a_template_with_percent_extended(template, text):
+    """With no colon a statement is basic asm, where GCC reads %% as two
+    characters, so a template that holds % keeps one colon."""
+    (c,) = load_chunk_records([{"template": template}])
+    assert render(c) == text
+
+
 def test_schema_rejects_unknown_field():
     with pytest.raises(SchemaViolation):
         load_chunk_records([{"template": "nop", "bogus": 1}])

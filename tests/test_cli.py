@@ -3,6 +3,7 @@ report reproducibility."""
 
 import hashlib
 import json
+import subprocess
 
 import pytest
 
@@ -372,6 +373,35 @@ def test_refine_in_place_round_trip(tmp_path):
     assert "dead" not in refined.split("asm")[1].split(";")[0]
     code, rep = run_json(["check", path], tmp_path)
     assert code == 0 and rep["chunks"][0]["verdict"] == "compliant"
+
+
+def _assert_gcc_assembles(path):
+    """`gcc -m32 -c` takes the file; skipped where gcc cannot compile
+    i386 code at all."""
+    obj = path.with_suffix(".o")
+    empty = path.with_name("empty.c")
+    empty.write_text("")
+    try:
+        probe = subprocess.run(["gcc", "-m32", "-c", "-o", str(obj), str(empty)], capture_output=True)
+    except OSError as e:
+        pytest.skip(f"gcc cannot run: {e}")
+    if probe.returncode:
+        pytest.skip(f"gcc -m32 cannot compile: {probe.stderr.decode()}")
+    done = subprocess.run(["gcc", "-m32", "-c", "-o", str(obj), str(path)], capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_refine_in_place_keeps_a_statement_without_operands_extended(tmp_path):
+    """Both clobbers go, and the rewritten statement keeps a colon: as
+    basic asm, GCC would read %%eax as a register named %eax."""
+    path = write(
+        tmp_path, "r.c",
+        'void f(void) {\n  asm volatile ("movl %%eax, %%eax" : : : "cc", "memory");\n}\n',
+    )
+    code, rep = run_json(["refine", "--in-place", path], tmp_path)
+    assert code == 0
+    assert open(path).read().splitlines()[1] == '  asm volatile ("movl %%eax, %%eax" : );'
+    _assert_gcc_assembles(tmp_path / "r.c")
 
 
 SIZED_SRC = (

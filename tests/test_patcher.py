@@ -364,6 +364,13 @@ _STMT_MULTILINE = 'asm ("addl %1, %0"\n      : "+r" (x)\n      : "r" (y));'
 _NO_NEWLINE = "\\ No newline at end of file\n"
 
 
+def _lines(text):
+    """The lines of a text, each ending at a \\n or at the text's end, as
+    git reads them: \\r, \\f and the other breaks str.splitlines knows
+    are inside a line."""
+    return re.findall(r"[^\n]*\n|[^\n]+", text)
+
+
 def _full_file_diff(source, pr):
     """difflib over every line of the old and new file, with git's
     marker after a line that has no line break: the same bytes as the
@@ -372,12 +379,9 @@ def _full_file_diff(source, pr):
     span = pr.patched.span
     new_source = source[: span.byte_start] + render(pr.patched) + source[span.byte_end :]
     diff = difflib.unified_diff(
-        source.splitlines(keepends=True),
-        new_source.splitlines(keepends=True),
-        fromfile=f"a/{span.file}",
-        tofile=f"b/{span.file}",
+        _lines(source), _lines(new_source), fromfile=f"a/{span.file}", tofile=f"b/{span.file}"
     )
-    return "".join(line + "\n" + _NO_NEWLINE if line.splitlines() == [line] else line for line in diff)
+    return "".join(line if line.endswith("\n") else line + "\n" + _NO_NEWLINE for line in diff)
 
 
 def _patch_nth(source, k):
@@ -389,10 +393,10 @@ def _patch_nth(source, k):
 
 def _apply_hunks(source, diff):
     """Apply a unified diff to source, one line list to another."""
-    old = source.splitlines(keepends=True)
+    old = _lines(source)
     out = []
     done = 0
-    lines = diff.splitlines(keepends=True)[2:]
+    lines = _lines(diff)[2:]
     # git's marker: the line before it has no line break
     lines = [
         line[:-1] if after == _NO_NEWLINE else line
@@ -416,8 +420,8 @@ def _apply_hunks(source, diff):
 
 
 def _line_of(source, offset):
-    """The line holding offset, counted from 0 as str.splitlines counts."""
-    return len((source[:offset] + "x").splitlines()) - 1
+    """The line holding offset, counted from 0."""
+    return source.count("\n", 0, offset)
 
 
 def _assert_statement_hunk(source, pr, diff):
@@ -425,11 +429,11 @@ def _assert_statement_hunk(source, pr, diff):
     and at most three lines before and after them, and applying it gives
     the patched source."""
     span = pr.patched.span
-    headers = [line for line in diff.splitlines() if line.startswith("@@")]
+    headers = [line for line in _lines(diff) if line.startswith("@@")]
     assert len(headers) == 1, diff
     start, length = re.match(r"@@ -(\d+)(?:,(\d+))?", headers[0]).groups()
     start, end = int(start) - 1, int(start) - 1 + int(length or 1)  # old lines [start, end)
-    lines = source.splitlines()
+    lines = _lines(source)
     first = _line_of(source, span.byte_start)
     last = min(_line_of(source, span.byte_end), len(lines) - 1)
     assert first - 3 <= start <= first
@@ -509,10 +513,10 @@ _DIFF_CASES = {
 }
 
 # the cases where whole-file difflib pairs every line near the statement
-# with itself
+# with itself (in copies-middle it pairs the patched line with a copy)
 _LOCAL_IN_WHOLE_FILE = {
     "line-1", "line-2", "last-line", "last-line-no-newline", "crlf", "form-feeds",
-    "lone-cr", "mid-line", "copies-middle", "copy-far", "kept-tail", "ignored-head",
+    "lone-cr", "mid-line", "copy-far", "kept-tail", "ignored-head",
 }
 
 
@@ -552,14 +556,19 @@ def _assert_git_applies(directory, diff):
     assert done.returncode == 0, (done.stderr.decode(), diff)
 
 
-def test_git_applies_the_diffs(tmp_path, monkeypatch):
-    """git takes the diff of a statement on a last line with no line
-    break, and every diff of `ric patch` on the 800-statement file of
-    seed 0."""
-    source, k = _DIFF_CASES["last-line-no-newline"]
+@pytest.mark.parametrize("name", _DIFF_CASES)
+def test_git_applies_each_diff_case(tmp_path, name):
+    """git takes the diff of every case: lines end at \\n only, so a form
+    feed or a lone \\r stays inside its line, and the context after the
+    statement is always in the hunk."""
+    source, k = _DIFF_CASES[name]
     (tmp_path / "f.c").write_text(source, encoding="utf-8", newline="")
     _assert_git_applies(tmp_path, render_diff(source, _patch_nth(source, k)))
 
+
+def test_git_applies_the_diffs(tmp_path, monkeypatch):
+    """git takes every diff of `ric patch` on the 800-statement file of
+    seed 0."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import gen

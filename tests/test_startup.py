@@ -28,7 +28,7 @@ SLOW = {"dataclasses", "inspect"}
 TRIALS = {"copy", "hashlib", "pickle", "multiprocessing", "concurrent"}
 NEVER = {
     "check": {"ric.oracle", "ric.patcher", "ric.refiner", "difflib"} | SLOW,
-    "patch": {"ric.oracle", "ric.refiner"} | SLOW,
+    "patch": {"ric.oracle", "ric.refiner", "difflib"} | SLOW,
     "refine": {"ric.oracle", "ric.patcher", "difflib"} | SLOW,
     "oracle": {"ric.patcher", "ric.refiner", "difflib"} | SLOW | TRIALS,
 }

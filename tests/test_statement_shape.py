@@ -1,8 +1,9 @@
-"""Statement shapes (chunks.statement_shape) and the reuse that `ric
-check`, `ric patch` and `ric refine` build on them: two bodies with one
-shape parse and check to report entries that differ only in the span,
-so a statement whose shape was seen before is neither parsed nor
-analysed, and its patch or refinement is the first one's renamed."""
+"""Statement shapes (chunks.statement_shape) and the reuse that all four
+commands build on them: two bodies with one shape parse and check to
+report entries that differ only in the span, so a statement whose shape
+was seen before is neither parsed nor analysed, its patch or refinement
+is the first one's renamed, and its oracle verdicts are the first
+one's."""
 
 import json
 import re
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ric import checker, chunks
+from ric import checker, chunks, oracle, pool
 from ric.checker import check_chunk
 from ric.chunks import SourceSpan, extract_chunks, load_chunk_records, statement_shape
 from ric.cli import run
@@ -365,8 +366,9 @@ def test_check_reports_as_without_reuse(tmp_path, monkeypatch, capsys):
 
 def test_check_parses_and_analyzes_each_shape_once(tmp_path, monkeypatch):
     """`ric check` parses and analyses the first statement of each of
-    the 54 shapes of the 3 000-statement file of seed 0, and no other.
-    On the 800-statement file, `ric patch --in-place` and `ric refine
+    the 54 shapes of the 3 000-statement file of seed 0, and no other,
+    and `ric oracle` on one worker builds one OracleRun for each of
+    them. On the 800-statement file, `ric patch --in-place` and `ric refine
     --in-place` analyse the first statement of each shape and re-check
     its candidate edits."""
     parsed = []
@@ -387,6 +389,20 @@ def test_check_parses_and_analyzes_each_shape_once(tmp_path, monkeypatch):
     assert len(json.loads(text)["chunks"]) == 3000
     assert len(parsed) == len(analyzed) == 54
 
+    monkeypatch.setattr(pool, "workers", lambda count: 1)
+    init = oracle.OracleRun.__init__
+    built = []
+
+    def counted_init(self, result, cfg):
+        built.append(result.chunk.span.line)
+        init(self, result, cfg)
+
+    monkeypatch.setattr(oracle.OracleRun, "__init__", counted_init)
+    out = tmp_path / "report.json"
+    run(["oracle", "--trials", "1", "--out", str(out), str(tmp_path / "s.c")])
+    assert len(json.loads(out.read_text())["chunks"]) == 3000
+    assert len(built) == 54
+
     source = generated(800, 0)
     for command, most in (("patch", 66), ("refine", 64)):
         analyzed.clear()
@@ -399,6 +415,8 @@ def test_check_parses_and_analyzes_each_shape_once(tmp_path, monkeypatch):
 
 
 def test_reused_entries_time_only_the_lookup(tmp_path, monkeypatch):
+    """A reused entry times only its shape and lookup, and its oracle
+    properties carry no time, since no trial ran for them."""
     monkeypatch.setenv("RIC_TIMINGS", "1")
     source = "".join(
         f'void f{i}(int x{i}) {{ asm ("incl %0" : "+r" (x{i}) : : "cc"); }}\n' for i in range(3)
@@ -408,6 +426,14 @@ def test_reused_entries_time_only_the_lookup(tmp_path, monkeypatch):
     assert set(first["timings"]) >= {"lift_ms", "forward_ms", "total_ms"}
     assert [set(e["timings"]) for e in rest] == [{"total_ms"}] * 2
     assert [e["span"]["line"] for e in rest] == [2, 3]
+
+    out = tmp_path / "report.json"
+    run(["oracle", "--trials", "2", "--out", str(out), str(tmp_path / "s.c")])
+    first, *rest = json.loads(out.read_text())["chunks"]
+    assert all("ms" in p for p in first["oracle"].values())
+    assert [set(e["timings"]) for e in rest] == [{"total_ms"}] * 2
+    untimed = {prop: {k: v for k, v in p.items() if k != "ms"} for prop, p in first["oracle"].items()}
+    assert [e["oracle"] for e in rest] == [untimed] * 2
 
 
 def test_statements_that_do_not_parse_are_not_reused(tmp_path, capsys):
@@ -423,23 +449,93 @@ def test_statements_that_do_not_parse_are_not_reused(tmp_path, capsys):
     assert err.count("unsupported constraint character 'A'") == 2
 
 
-def test_a_statement_whose_check_fails_is_not_reused(tmp_path, monkeypatch, capsys):
+def _crash_at(monkeypatch, file, line):
+    """Make the check of the statement at file:line raise, as a checker
+    defect would; the lines of the checks made, in this process."""
     analyze = checker._analyze
     calls = []
 
-    def crash_once(chunk, opts):
+    def crashing(chunk, opts):
         calls.append(chunk.span.line)
-        if len(calls) == 1:
+        if chunk.span.file.endswith(file) and chunk.span.line == line:
             raise RecursionError("maximum recursion depth exceeded")
         return analyze(chunk, opts)
 
-    monkeypatch.setattr(checker, "_analyze", crash_once)
+    monkeypatch.setattr(checker, "_analyze", crashing)
+    return calls
+
+
+def test_a_statement_whose_check_fails_is_not_reused(tmp_path, monkeypatch, capsys):
+    """In every command, a first statement whose analysis fails is never
+    reused: each later statement of its shape is parsed and analysed on
+    its own. Standard error gives the lines of statements that do not
+    parse first, then those of failed analyses, each in input order."""
+    monkeypatch.setattr(pool, "workers", lambda count: 1)
     source = (
         'void f(int x) { asm ("incl %0" : "+r" (x) : : "cc"); }\n'
         'void g(int y) { asm ("incl %0" : "+r" (y) : : "cc"); }\n'
+        'void h(int z) { asm ("incl %0" : "+A" (z)); }\n'
+        'void k(int w) { asm ("incl %0" : "+r" (w) : : "cc"); }\n'
     )
-    code, text = run_check(tmp_path, source)
-    crashed, clean = json.loads(text)["chunks"]
-    assert crashed["details"].startswith("internal error: RecursionError")
-    assert clean["verdict"] == "compliant" and calls == [1, 2]
-    assert "s.c:1: internal error" in capsys.readouterr().err
+    path = tmp_path / "s.c"
+    out = tmp_path / "report.json"
+    calls = _crash_at(monkeypatch, "s.c", 1)
+    for command in ("check", "patch", "refine", "oracle"):
+        calls.clear()
+        path.write_text(source, encoding="utf-8")
+        assert run([command, "--trials", "2", "--out", str(out), str(path)]) == 1
+        entries = json.loads(out.read_text(encoding="utf-8"))["chunks"]
+        assert [e["verdict"] for e in entries] == ["error", "compliant", "error", "compliant"]
+        assert entries[0]["details"].startswith("internal error: RecursionError")
+        assert sorted(set(calls)) == [1, 2, 4], command
+        first, second = capsys.readouterr().err.splitlines()
+        assert first.endswith("s.c: unsupported constraint character 'A'")
+        assert "s.c:1: internal error: RecursionError" in second
+
+
+ORACLE_PROBE_SRC = (
+    "void f(int *p, int *q, int x, int y, int _ric_dummy0) {\n"
+    '  asm volatile ("addl %1, %0" : "+r" (x) : "r" (y));\n'
+    '  __asm__ __inline ("addl %1, %0" : "+r" (y) : "r" (x));\n'
+    '  asm ("incl %%eax" : : "a" (_ric_dummy0) : "cc");\n'
+    '  asm ("incl %%eax" : : "a" (_ric_dummy0) : "cc");\n'
+    '  asm ("movl $0, %0" : "=m" (*fo\\\no) : "r" (p));\n'
+    '  asm ("movl $0, %0" : "=m" (*ba\\\nr) : "r" (q));\n'
+    '  asm ("incl %0" : "+A" (x));\n'
+    '  asm ("incl %0" : "+A" (y));\n'
+    '  asm ("movl $0, (%1)" : "=m" (*p) : "r" (p));\n'
+    '  asm ("movl $0, (%1)" : "=m" (*q) : "r" (q));\n'
+    '  asm ("movl $0, (%1)" : "=m" (*p) : "r" (q));\n'
+    "}\n"
+)
+
+
+def test_oracle_reports_as_without_reuse(tmp_path, monkeypatch, capsys):
+    """`ric oracle` over ten generated files and a probe file reports,
+    exits and writes standard error as it does when no statement has a
+    shape. The probe holds one shape under other qualifiers, statements
+    never reused (a _ric_dummy0 operand, a line splice, one that does
+    not parse) and a first statement whose check fails."""
+    monkeypatch.delenv("RIC_TIMINGS", raising=False)
+    _crash_at(monkeypatch, "probe.c", 12)
+    paths = []
+    for seed in range(10):
+        paths.append(tmp_path / f"g{seed}.c")
+        paths[-1].write_text(generated(150, seed), encoding="utf-8")
+    paths.append(tmp_path / "probe.c")
+    paths[-1].write_text(ORACLE_PROBE_SRC, encoding="utf-8")
+    argv = ["oracle", "--trials", "5", *map(str, paths)]
+
+    def oracle_run():
+        code = run(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    reused = oracle_run()
+    with monkeypatch.context() as m:
+        m.setattr(chunks, "statement_shape", lambda raw: (None, ()))
+        assert oracle_run() == reused
+    code, text, err = reused
+    probe = [e for e in json.loads(text)["chunks"] if e["span"]["file"].endswith("probe.c")]
+    assert [e["verdict"] for e in probe[6:]] == ["error"] * 3 + ["compliant", "issues"]
+    assert "probe.c:12: internal error" in err.splitlines()[-1]

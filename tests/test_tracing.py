@@ -17,6 +17,7 @@ NOT_FOUND = {
     "ric.patcher.check_chunk",
     "ric.refiner.check_chunk",
     "ric.refiner.build_anchors",
+    "ric.cli._collect",
 }
 
 
@@ -28,19 +29,19 @@ SOURCE = (
 )
 
 
-def test_install_layers_finds_all_but_the_known_names(capsys, tmp_path):
+def test_install_layers_finds_all_but_the_known_names(capsys, tmp_path, monkeypatch):
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import tracing
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    from ric import cli, patcher, refiner
+    from ric import cli, patcher, pool, refiner
 
     # names the commands look up when they call a layer
     wrapped = [
         (patcher, "render_diff"),
-        (cli, "_collect"),
         (cli, "check_chunk"),
+        (cli, "oracle_check"),
         (patcher, "synthesize_patches"),
         (refiner, "refine_interface"),
     ]
@@ -54,10 +55,14 @@ def test_install_layers_finds_all_but_the_known_names(capsys, tmp_path):
             assert getattr(owner, name) is not original, name
         path = tmp_path / "s.c"
         path.write_text(SOURCE, encoding="utf-8")
-        for command in ("patch", "refine"):
-            cli.run([command, "--out", str(tmp_path / "report.json"), str(path)])
+        # one worker, so the oracle's calls are made in this process
+        monkeypatch.setattr(pool, "workers", lambda count: 1)
+        for command in ("patch", "refine", "oracle"):
+            cli.run([command, "--trials", "2", "--out", str(tmp_path / "report.json"), str(path)])
         calls = {span[0] for span in tracer.spans}
-        assert calls >= {"checker.check", "patcher.synthesize", "patcher.diff", "refiner.refine"}
+        assert calls >= {
+            "checker.check", "patcher.synthesize", "patcher.diff", "refiner.refine", "oracle.check"
+        }
     finally:
         tracer.uninstall()
     assert set(re.findall(r"trace: (\S+) not found", err)) == NOT_FOUND
