@@ -215,7 +215,7 @@ def _escape(m):
     raise MalformedInterface("\\x used with no following hex digits")
 
 
-def _decode_strings(text, span):
+def _decode_strings(text):
     """Concatenate adjacent C string literals with escape processing;
     text holds no comment."""
     out = []
@@ -226,18 +226,15 @@ def _decode_strings(text, span):
             break
         body, closed = m.groups()
         if "\\" in body:
-            try:
-                body = _ESCAPE.sub(_escape, body)
-            except MalformedInterface as e:
-                raise MalformedInterface(f"{span.file}:{span.line}: {e}") from None
+            body = _ESCAPE.sub(_escape, body)
         out.append(body)
         if not closed:
-            raise MalformedInterface(f"{span.file}:{span.line}: unterminated string")
+            raise MalformedInterface("unterminated string")
         pos = m.end()
     if text[pos:].strip():
-        raise MalformedInterface(f"{span.file}:{span.line}: expected string literal")
+        raise MalformedInterface("expected string literal")
     if not out:
-        raise MalformedInterface(f"{span.file}:{span.line}: missing template string")
+        raise MalformedInterface("missing template string")
     return "".join(out)
 
 
@@ -269,37 +266,33 @@ def _uncomment(text):
     return "".join(out), note
 
 
-def _parse_entry(text, note, position, span):
+def _parse_entry(text, note, position):
     size = 4
     if note:
         size = int(note.group(1) or note.group(2))
         if size not in (1, 2, 4, 8):
-            raise MalformedInterface(
-                f"{span.file}:{span.line}: size note size:{size} is not 1, 2, 4 or 8"
-            )
+            raise MalformedInterface(f"size note size:{size} is not 1, 2, 4 or 8")
     name, constraint, closed, rest = _ENTRY.match(text).groups()
     if constraint is None:
         what = "entry missing constraint" if name or rest else "empty operand entry"
-        raise MalformedInterface(f"{span.file}:{span.line}: {what}")
+        raise MalformedInterface(what)
     if not closed:
-        raise MalformedInterface(f"{span.file}:{span.line}: unterminated constraint")
+        raise MalformedInterface("unterminated constraint")
     for c in constraint:
         if c not in CONSTRAINT_CHARS:
             raise BadConstraintChar(f"unsupported constraint character {c!r}")
     if not (rest.startswith("(") and rest.endswith(")")):
-        raise MalformedInterface(f"{span.file}:{span.line}: entry missing ( expr )")
+        raise MalformedInterface("entry missing ( expr )")
     return OperandEntry(constraint, rest[1:-1].strip(), position, size, name)
 
 
-def _parse_section(parts, position, span):
+def _parse_section(parts, position):
     """The operand entries of a section, given as its top-level
     comma-separated parts; a blank section has none."""
     parts = [_uncomment(p) for p in parts]
     if len(parts) == 1 and not parts[0][0].strip():
         return ()
-    return tuple(
-        [_parse_entry(text, note, position + i, span) for i, (text, note) in enumerate(parts)]
-    )
+    return tuple([_parse_entry(text, note, position + i) for i, (text, note) in enumerate(parts)])
 
 
 def parse_asm_statement(raw, span, qualifiers=frozenset(), marks=None):
@@ -312,7 +305,7 @@ def parse_asm_statement(raw, span, qualifiers=frozenset(), marks=None):
     if marks is None:
         end, marks = _statement_end(raw + ")", 0)
         if end != len(raw):
-            raise MalformedInterface(f"{span.file}:{span.line}: unbalanced statement body")
+            raise MalformedInterface("unbalanced statement body")
     sections = [[]]  # per section, its top-level comma-separated parts
     start = 0
     for k in marks:
@@ -322,14 +315,14 @@ def parse_asm_statement(raw, span, qualifiers=frozenset(), marks=None):
         start = k + 1
     sections[-1].append(raw[start:])
     if len(sections) > 4:
-        raise MalformedInterface(f"{span.file}:{span.line}: too many ':' sections")
-    template = _decode_strings(_uncomment(",".join(sections[0]))[0], span)
-    outputs = _parse_section(sections[1], 0, span) if len(sections) > 1 else ()
-    inputs = _parse_section(sections[2], len(outputs), span) if len(sections) > 2 else ()
+        raise MalformedInterface("too many ':' sections")
+    template = _decode_strings(_uncomment(",".join(sections[0]))[0])
+    outputs = _parse_section(sections[1], 0) if len(sections) > 1 else ()
+    inputs = _parse_section(sections[2], len(outputs)) if len(sections) > 2 else ()
     clobbers = ()
     if len(sections) > 3:
         parts = [_uncomment(p)[0] for p in sections[3]]
-        clobbers = tuple([_decode_strings(p, span) for p in parts if p.strip()])
+        clobbers = tuple([_decode_strings(p) for p in parts if p.strip()])
     context = ChunkContext(span.file, span.line)
     return ChunkAst(span, frozenset(qualifiers), template, outputs, inputs, clobbers, context)
 

@@ -10,7 +10,7 @@ import time
 from . import chunks
 from .checker import CheckResult, check_chunk
 from .chunks import load_chunk_file, render
-from .errors import BadConstraintChar, MalformedInterface, RicError, SpanStale
+from .errors import BadConstraintChar, MalformedInterface, RicError
 from .expr import format_loc
 from .report import (
     build_report, chunk_report, diagnostic_report, edit_to_json, json_text, render_text,
@@ -61,7 +61,7 @@ def _read(args, unparsed):
 
 
 def _unparsed(path, diagnostic, unparsed):
-    print(f"ric: {path}: {diagnostic}", file=sys.stderr)
+    print(f"ric: {path}:{diagnostic.span.line}: {diagnostic}", file=sys.stderr)
     unparsed.append(diagnostic_report(diagnostic))
 
 
@@ -246,12 +246,9 @@ def _cmd_patch(args):
             "statement": render(pr.patched),
         }
         if text is not None and pr.edits:
-            try:
-                patch["diff"] = patcher.render_diff(text, pr)
-            except SpanStale as e:
-                patch["diff_error"] = str(e)
+            edit = (pr.patched.span, patch["statement"])
+            patch["diff"] = patcher.render_diff(text, *edit)
             if args.in_place and verification["interface_satisfiable"]:
-                edit = (pr.patched.span, patch["statement"])
                 rewrites.setdefault(path, (text, []))[1].append(edit)
         return {**entry, "patch": patch}
 
@@ -264,10 +261,7 @@ def _cmd_patch(args):
                           for f in ("source", "lvalue") if hasattr(e, f)})
             for e in pr.edits
         ]
-        pr = replace(
-            pr, patched=chunks.rename_chunk(pr.patched, renaming, st),
-            original=chunks.rename_chunk(pr.original, renaming, st), edits=edits,
-        )
+        pr = replace(pr, patched=chunks.rename_chunk(pr.patched, renaming, st), edits=edits)
         return pr, verification
 
     reports, unparsed = _each_statement(args, analyse, extend, rename)

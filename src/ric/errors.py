@@ -5,11 +5,7 @@ class RicError(Exception):
     """Base class for all analyzer errors."""
 
 
-class ScanError(RicError):
-    pass
-
-
-class UnterminatedStatement(ScanError):
+class UnterminatedStatement(RicError):
     """An `asm (` without a matching closing parenthesis."""
 
     def __init__(self, span, message="unterminated asm statement"):
@@ -71,10 +67,6 @@ class MissingToken(RicError):
 
 class WidthError(RicError):
     """IR expression or program fails the width discipline."""
-
-
-class SpanStale(RicError):
-    """Source text changed since the chunk was scanned."""
 
 
 class StepLimit(RicError):

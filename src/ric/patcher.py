@@ -14,7 +14,6 @@ import functools
 import itertools
 import re
 
-from .chunks import render
 # enumerate_assignments is unused here but kept: perfbench/tracing.py
 # wraps it by name in each module that imports it
 from .constraints import enumerate_assignments, interface_satisfiable  # noqa: F401
@@ -28,7 +27,6 @@ from .edits import (
     apply_edits,
     search,
 )
-from .errors import SpanStale
 from .expr import Reg, Token, format_loc
 from .value import Record
 
@@ -40,7 +38,6 @@ class PatchResult(Record, frozen=False):
     edits: list
     unresolved: list
     renumber_map: dict
-    original: object = None
     check: object = None  # CheckResult of patched
 
 
@@ -121,7 +118,7 @@ def synthesize_patches(result, issues):
     patched, renumber = apply_edits(result.chunk, edits)
     left = {_finding(i) for i in check.issues}
     unresolved = [i for i in issues if _finding(i, renumber) in left]
-    return PatchResult(patched, edits, unresolved, renumber, result.chunk, check)
+    return PatchResult(patched, edits, unresolved, renumber, check)
 
 
 FRAMING_CATEGORIES = (
@@ -170,35 +167,23 @@ def _range(start, count):
     return f"{start + 1}" if count == 1 else f"{start + 1},{count}"
 
 
-def render_diff(original_source, pr):
-    """Unified diff of the source with the patched statement in place of
-    the original: one hunk, the statement's lines removed and their
-    patched text added, with three lines of context on each side,
+def render_diff(source, span, statement):
+    """Unified diff of the source with statement in place of
+    source[span.byte_start:span.byte_end], the edit `ric patch
+    --in-place` writes: one hunk, the lines the span touches removed and
+    their edited text added, with three lines of context on each side,
     numbered as in the whole file. Lines end at line feeds only, as git
-    reads them. The statement's lines run from the line holding its first byte
+    reads them. The span's lines run from the line holding its first byte
     to the line holding span.byte_end (the last line at the end of the
     source), so a span that takes in a line break joins the next line to
     it."""
-    span = pr.patched.span
-    if span.byte_end <= span.byte_start or span.byte_end > len(original_source):
-        raise SpanStale(f"{span.file}: span out of range")
-    original = pr.original
-    snippet = original_source[span.byte_start : span.byte_end]
-    if original is not None:
-        from .chunks import extract_chunks
-
-        found, _ = extract_chunks(snippet, span.file)
-        if len(found) != 1 or found[0].template != original.template:
-            raise SpanStale(f"{span.file}:{span.line}: source changed since scan")
-    if not pr.edits:
-        return ""
-    lines, starts = line_table(original_source)
+    lines, starts = line_table(source)
     first = bisect.bisect_right(starts, span.byte_start) - 1
     last = min(bisect.bisect_right(starts, span.byte_end) - 1, len(lines) - 1)
     new = _LINE.findall(
-        original_source[starts[first] : span.byte_start]
-        + render(pr.patched)
-        + original_source[span.byte_end : starts[last + 1]]
+        source[starts[first] : span.byte_start]
+        + statement
+        + source[span.byte_end : starts[last + 1]]
     )
     lo = max(first - _CONTEXT, 0)
     before, old = lines[lo:first], lines[first : last + 1]

@@ -223,10 +223,9 @@ def _edit_text(edit):
 
 
 def _edit_lines(name, entry):
-    """One line per edit, suggestion and unresolved finding of a patch or
-    refinement entry, then its verification and statement."""
+    """One line per edit and unresolved finding of a patch or refinement
+    entry, then its verification and statement."""
     lines = [f"  {name} edit: {_edit_text(e)}" for e in entry["edits"]]
-    lines += [f"  {name} suggestion: {_edit_text(e)}" for e in entry.get("suggestions", ())]
     lines += [
         f"  {name} unresolved: {u['category']} at {u['location']}"
         for u in entry.get("unresolved", ())

@@ -526,7 +526,7 @@ def _reference_split_top(text, sep):
     return parts
 
 
-def _reference_decode_strings(text, span):
+def _reference_decode_strings(text):
     out = []
     i = 0
     n = len(text)
@@ -537,7 +537,7 @@ def _reference_decode_strings(text, span):
             i += 1
             continue
         if c != '"':
-            raise MalformedInterface(f"{span.file}:{span.line}: expected string literal")
+            raise MalformedInterface("expected string literal")
         i += 1
         while i < n and text[i] != '"':
             if text[i] == "\\" and i + 1 < n:
@@ -545,9 +545,7 @@ def _reference_decode_strings(text, span):
                 if nxt == "x":
                     m = re.match(r"[0-9a-fA-F]{1,2}", text[i + 2 :])
                     if m is None:
-                        raise MalformedInterface(
-                            f"{span.file}:{span.line}: \\x used with no following hex digits"
-                        )
+                        raise MalformedInterface("\\x used with no following hex digits")
                     out.append(chr(int(m.group(0), 16)))
                     i += 2 + m.end()
                     continue
@@ -557,60 +555,58 @@ def _reference_decode_strings(text, span):
             out.append(text[i])
             i += 1
         if i >= n:
-            raise MalformedInterface(f"{span.file}:{span.line}: unterminated string")
+            raise MalformedInterface("unterminated string")
         i += 1
         seen = True
     if not seen:
-        raise MalformedInterface(f"{span.file}:{span.line}: missing template string")
+        raise MalformedInterface("missing template string")
     return "".join(out)
 
 
-def _reference_parse_entry(text, position, span):
+def _reference_parse_entry(text, position):
     text = text.strip()
     if not text:
-        raise MalformedInterface(f"{span.file}:{span.line}: empty operand entry")
+        raise MalformedInterface("empty operand entry")
     name = None
     m = _REFERENCE_NAMED.match(text)
     if m:
         name = m.group(1)
         text = text[m.end() :]
     if not text.startswith('"'):
-        raise MalformedInterface(f"{span.file}:{span.line}: entry missing constraint")
+        raise MalformedInterface("entry missing constraint")
     end = text.find('"', 1)
     if end < 0:
-        raise MalformedInterface(f"{span.file}:{span.line}: unterminated constraint")
+        raise MalformedInterface("unterminated constraint")
     constraint = text[1:end]
     for c in constraint:
         if c not in CONSTRAINT_CHARS:
             raise BadConstraintChar(f"unsupported constraint character {c!r}")
     rest = text[end + 1 :].strip()
     if not (rest.startswith("(") and rest.endswith(")")):
-        raise MalformedInterface(f"{span.file}:{span.line}: entry missing ( expr )")
+        raise MalformedInterface("entry missing ( expr )")
     return OperandEntry(constraint, rest[1:-1].strip(), position, 4, name)
 
 
-def _reference_parse_section(text, start_pos, span):
+def _reference_parse_section(text, start_pos):
     if not text.strip():
         return ()
     entries = []
     for part in _reference_split_top(text, ","):
-        entries.append(_reference_parse_entry(part, start_pos + len(entries), span))
+        entries.append(_reference_parse_entry(part, start_pos + len(entries)))
     return tuple(entries)
 
 
 def _reference_parse(raw, span, qualifiers=frozenset()):
     sections = _reference_split_top(raw, ":")
     if len(sections) > 4:
-        raise MalformedInterface(f"{span.file}:{span.line}: too many ':' sections")
-    template = _reference_decode_strings(sections[0], span)
-    outputs = _reference_parse_section(sections[1], 0, span) if len(sections) > 1 else ()
-    inputs = (
-        _reference_parse_section(sections[2], len(outputs), span) if len(sections) > 2 else ()
-    )
+        raise MalformedInterface("too many ':' sections")
+    template = _reference_decode_strings(sections[0])
+    outputs = _reference_parse_section(sections[1], 0) if len(sections) > 1 else ()
+    inputs = _reference_parse_section(sections[2], len(outputs)) if len(sections) > 2 else ()
     clobbers = ()
     if len(sections) > 3 and sections[3].strip():
         clobbers = tuple(
-            _reference_decode_strings(p, span)
+            _reference_decode_strings(p)
             for p in _reference_split_top(sections[3], ",")
             if p.strip()
         )

@@ -101,8 +101,8 @@ def test_bad_hex_escape_is_reported_not_a_crash(tmp_path, capsys):
     code, rep = run_json(["check", path], tmp_path)
     assert code == 1
     assert [c["verdict"] for c in rep["chunks"]] == ["error", "compliant"]
-    assert rep["chunks"][0]["details"] == f"{path}:1: \\x used with no following hex digits"
-    assert "x.c:1: \\x used with no following hex digits" in capsys.readouterr().err
+    assert rep["chunks"][0]["details"] == "\\x used with no following hex digits"
+    assert capsys.readouterr().err == f"ric: {path}:1: \\x used with no following hex digits\n"
 
 
 def test_unparsable_statement_is_an_error_entry(tmp_path, capsys):
@@ -120,7 +120,8 @@ def test_unparsable_statement_is_an_error_entry(tmp_path, capsys):
             }
         ]
         assert rep["summary"]["totals"]["error"] == 1
-    assert "unsupported constraint character 'A'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"ric: {path}:3: unsupported constraint character 'A'\n", command
 
 
 def test_text_summary_counts_errors(tmp_path, capsys):

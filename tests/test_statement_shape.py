@@ -369,8 +369,8 @@ def test_check_parses_and_analyzes_each_shape_once(tmp_path, monkeypatch):
     the 54 shapes of the 3 000-statement file of seed 0, and no other,
     and `ric oracle` on one worker builds one OracleRun for each of
     them. On the 800-statement file, `ric patch --in-place` and `ric refine
-    --in-place` analyse the first statement of each shape and re-check
-    its candidate edits."""
+    --in-place` parse only the first statement of each shape, diffs
+    included, analyse it and re-check its candidate edits."""
     parsed = []
     analyzed = []
     parse, analyze = chunks.parse_asm_statement, checker._analyze
@@ -405,12 +405,14 @@ def test_check_parses_and_analyzes_each_shape_once(tmp_path, monkeypatch):
 
     source = generated(800, 0)
     for command, most in (("patch", 66), ("refine", 64)):
+        parsed.clear()
         analyzed.clear()
         path = tmp_path / "s.c"
         path.write_text(source, encoding="utf-8")
         out = tmp_path / "report.json"
         run([command, "--in-place", "--out", str(out), str(path)])
         assert len(json.loads(out.read_text())["chunks"]) == 800
+        assert len(parsed) == 54, command
         assert len(analyzed) <= most, command
 
 
@@ -489,7 +491,7 @@ def test_a_statement_whose_check_fails_is_not_reused(tmp_path, monkeypatch, caps
         assert entries[0]["details"].startswith("internal error: RecursionError")
         assert sorted(set(calls)) == [1, 2, 4], command
         first, second = capsys.readouterr().err.splitlines()
-        assert first.endswith("s.c: unsupported constraint character 'A'")
+        assert first.endswith("s.c:3: unsupported constraint character 'A'")
         assert "s.c:1: internal error: RecursionError" in second
 
 
