@@ -115,7 +115,8 @@ def init_read(loc):
 
 class Region(Record):
     """Where a memory access lands: the cell of an m-class token p
-    ("cell"), bytes behind a pointer token p ("tokptr"), a stack slot
+    ("cell", reached through %p or, for an anchored entry, through its
+    pointer), other bytes behind a pointer token p ("tokptr"), a stack slot
     ("stack") or a place the classifier cannot name ("whole"). off is a
     signed byte offset from the token's address, or from the entry esp
     for the stack (so it is negative there); size is the access size in
@@ -134,10 +135,22 @@ class MemEvent(Record):
     addr: object
 
 
-def make_classifier(fi):
+def make_classifier(fi, anchors):
+    """The classifier of the accesses of one chunk. The bytes an
+    anchored entry names behind its pointer token are that entry's
+    cell, so a place has one name however the template reaches it."""
     reg_to_input = {}
     for p, r in fi.fixed.items():
         reg_to_input.setdefault(r, p)
+    by_base = {}
+    for a in anchors:
+        by_base.setdefault(a.base, []).append(a)
+
+    def pointer(p, c, size):
+        for a in by_base.get(p, ()):
+            if a.offset <= c and c + size <= a.offset + a.size:
+                return Region("cell", fi.canonical(a.entry), c - a.offset, size)
+        return Region("tokptr", p, c, size)
 
     def classify(addr, size):
         """The region of a size-byte access at addr. mk_binop folds the
@@ -149,15 +162,15 @@ def make_classifier(fi):
         if isinstance(addr, ReadLoc) and isinstance(addr.loc, Init):
             base = addr.loc.loc
             if isinstance(base, TokenAddr):
-                return Region("cell", base.index, c, size)
+                return Region("cell", fi.canonical(base.index), c, size)
             if isinstance(base, Token):
-                return Region("tokptr", base.index, c, size)
+                return pointer(base.index, c, size)
             if isinstance(base, Reg):
                 if base.name == "esp":
                     if c < 0:
                         return Region("stack", None, c, size)
                 elif base.name in reg_to_input:
-                    return Region("tokptr", reg_to_input[base.name], c, size)
+                    return pointer(reg_to_input[base.name], c, size)
         return Region("whole", None, 0, size)
 
     return classify
@@ -614,17 +627,6 @@ class Anchor(Record):
     base: int  # pointer token position
     offset: int
     size: int
-    is_input: bool
-    is_output: bool
-
-    def covers(self, region):
-        """Whether region lies inside the bytes this entry names."""
-        return (
-            region.kind == "tokptr"
-            and region.p == self.base
-            and self.offset <= region.off
-            and region.off + region.size <= self.offset + self.size
-        )
 
 
 def _anchor_refs(chunk):
@@ -655,18 +657,23 @@ def build_anchors(chunk, fi):
         base, off = ref
         if base is None or base == e.position or fi.kinds.get(base) == "mem":
             continue
-        spec = fi.constraints[e.position]
-        anchors.append(
-            Anchor(
-                e.position,
-                base,
-                off,
-                e.size_bytes,
-                spec.mode in ("input", "output_readwrite"),
-                e.position in fi.b_o,
-            )
-        )
+        anchors.append(Anchor(e.position, base, off, e.size_bytes))
     return anchors
+
+
+def _unify_anchored(fi, anchors):
+    """fi with each input entry anchored to exactly the bytes of an
+    output entry unified with that output, as a matching digit would
+    unify it: the two name one place."""
+    outputs = {(a.base, a.offset, a.size): a.entry for a in anchors if a.entry in fi.b_o}
+    unified = {
+        a.entry: outputs[a.base, a.offset, a.size]
+        for a in anchors
+        if a.entry in fi.b_i - fi.b_o and (a.base, a.offset, a.size) in outputs
+    }
+    if not unified:
+        return fi
+    return replace(fi, b_i=fi.b_i - set(unified), unified={**fi.unified, **unified})
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +693,7 @@ def _first_writes(events, prog):
     return writes
 
 
-def analyze_frame_write(fi, prog, fwd, anchors, opts):
+def analyze_frame_write(fi, prog, fwd, opts):
     issues = []
     writes = _first_writes(fwd.events, prog)
     prop = opts.expression_propagation
@@ -761,8 +768,6 @@ def analyze_frame_write(fi, prog, fwd, anchors, opts):
                 continue  # scratch below the entry stack pointer
             details = f"stack write at esp{loc.off} without \"memory\""
         elif loc.kind == "tokptr":
-            if any(a.is_output and a.covers(loc) for a in anchors):
-                continue
             details = f"store through %{loc.p}+{loc.off} without \"memory\""
         else:
             details = "memory written without \"memory\" clobber"
@@ -770,7 +775,7 @@ def analyze_frame_write(fi, prog, fwd, anchors, opts):
     return issues, writes, esp_restored
 
 
-def _seed_liveness(fi, coarse, anchors=()):
+def _seed_liveness(fi, coarse):
     seed = LiveSet()
     for p in sorted(fi.b_o):
         bits = min(fi.sizes.get(p, 4) * 8, 32)
@@ -778,14 +783,6 @@ def _seed_liveness(fi, coarse, anchors=()):
         if kind == "fixed":
             seed.add(Reg(fi.fixed[p], 32), _ones(32) if coarse else _ones(bits))
         elif kind == "mem":
-            anchor = next(
-                (a for a in anchors if a.is_output and a.entry == p), None
-            )
-            if anchor is not None:
-                # the entry aliases a region behind another token; demand
-                # those bytes so stores through the pointer satisfy it
-                seed.regions.add(Region("tokptr", anchor.base, anchor.offset, anchor.size))
-                continue
             w = fi.sizes.get(p, 4) * 8
             seed.add(Token(p, w), _ones(w))
         else:
@@ -795,9 +792,9 @@ def _seed_liveness(fi, coarse, anchors=()):
     return seed
 
 
-def analyze_frame_read(fi, prog, fwd, anchors, writes, esp_restored, opts):
+def analyze_frame_read(fi, prog, fwd, writes, esp_restored, opts):
     bwd = BackwardPass(prog, fwd.region, fi, not opts.bit_liveness, esp_restored)
-    seed = _seed_liveness(fi, coarse=not opts.bit_liveness, anchors=anchors)
+    seed = _seed_liveness(fi, coarse=not opts.bit_liveness)
     live_in, live_out = bwd.run(seed)
     entry = live_in[0] if prog.instrs else seed
     issues = []
@@ -866,17 +863,10 @@ def analyze_frame_read(fi, prog, fwd, anchors, writes, esp_restored, opts):
                         "memory read without \"memory\" clobber or m-entry",
                     )
                 )
-    for r in sorted(entry.regions, key=lambda r: (r.p, r.off, r.size)):
-        if not fi.f or any(a.is_input and a.covers(r) for a in anchors):
-            continue
-        owner = next((a for a in anchors if a.is_output and a.covers(r)), None)
-        if owner is None:
-            loc = MemoryWhole()
+    if fi.f:
+        for r in sorted(entry.regions, key=lambda r: (r.p, r.off, r.size)):
             details = f"load through %{r.p}+{r.off} without \"memory\" or m-entry"
-        else:
-            loc = Token(owner.entry, owner.size * 8)
-            details = f"write-only memory entry %{owner.entry} read at entry"
-        issues.append(Issue("UnboundMemoryRead", loc, 0, details))
+            issues.append(Issue("UnboundMemoryRead", MemoryWhole(), 0, details))
 
     # write-only outputs that are never written
     for p in sorted(fi.b_o):
@@ -886,13 +876,8 @@ def analyze_frame_read(fi, prog, fwd, anchors, writes, esp_restored, opts):
         if kind == "fixed":
             written = Reg(fi.fixed[p], 32) in writes
         elif kind == "mem":
-            # a store to the entry's cell, or through a pointer token
-            # inside this entry's anchor, writes the entry
-            mine = [a for a in anchors if a.is_output and a.entry == p]
             written = any(
-                isinstance(loc, Region)
-                and (loc.kind == "cell" and loc.p == p or any(a.covers(loc) for a in mine))
-                for loc in writes
+                isinstance(loc, Region) and loc.kind == "cell" and loc.p == p for loc in writes
             )
         else:
             written = Token(p, 32) in writes
@@ -1020,9 +1005,10 @@ def _analyze(chunk, opts):
     result.parsed = parsed
     result.prog = prog
     result.anchors = anchors = tuple(build_anchors(chunk, fi))
+    result.fi = fi = _unify_anchored(fi, anchors)
 
     t1 = time.perf_counter()
-    fwd = ForwardPass(prog, make_classifier(fi))
+    fwd = ForwardPass(prog, make_classifier(fi, anchors))
     fwd.run()
     result.mem_events = fwd.events
     t2 = time.perf_counter()
@@ -1033,15 +1019,13 @@ def _analyze(chunk, opts):
         # degrade to alarm-only behavior
         loop_opts = replace(opts, expression_propagation=False)
 
-    fw_issues, writes, esp_restored = analyze_frame_write(
-        fi, prog, fwd, anchors, loop_opts
-    )
+    fw_issues, writes, esp_restored = analyze_frame_write(fi, prog, fwd, loop_opts)
     result.writes = writes
     result.esp_restored = esp_restored
     t3 = time.perf_counter()
 
     fr_issues, live_in, live_out = analyze_frame_read(
-        fi, prog, fwd, anchors, writes, esp_restored, opts
+        fi, prog, fwd, writes, esp_restored, opts
     )
     result.entry_live = dict(live_in[0].masks) if prog.instrs else {}
     result.entry_regions = frozenset(live_in[0].regions) if prog.instrs else frozenset()

@@ -391,20 +391,6 @@ def rename_chunk(chunk, renaming, st):
     )
 
 
-def extract_chunks(text, file="<input>"):
-    """scan + parse; returns (chunks, diagnostics). Each diagnostic is
-    an error whose `span` is the statement's."""
-    statements, diagnostics = scan_c_source(text, file)
-    chunks = []
-    for st in statements:
-        try:
-            chunks.append(parse_asm_statement(st.body, st.span, st.qualifiers, st.marks))
-        except (MalformedInterface, BadConstraintChar) as e:
-            e.span = st.span
-            diagnostics.append(e)
-    return chunks, diagnostics
-
-
 # ---------------------------------------------------------------------------
 # Rendering (round-trip and patch output)
 

@@ -473,8 +473,10 @@ class _Skip(Exception):
 def bind_assignment(fi, assignment, rng, cfg, anchors=()):
     """Pin base/index registers so each memory operand resolves to its
     token's sandbox slot. Entries anchored to a pointer token are placed
-    at that token's value plus their declared offset instead. Returns
-    None when the pins conflict."""
+    at that token's value plus their declared offset instead, and the
+    base of such an entry's own operand is pinned so that the operand
+    addresses that place, as in any C execution. Returns None when the
+    pins conflict or an anchored entry's operand has an index."""
     b = Binding({}, {})
     anchored = {a.entry: a for a in anchors}
     region_of = {}
@@ -490,7 +492,13 @@ def bind_assignment(fi, assignment, rng, cfg, anchors=()):
         if op.reg in b.pins and b.pins[op.reg] != region:
             return None
         b.pins[op.reg] = region
-        b.cells[a.entry] = region + a.offset
+        cell = b.cells[a.entry] = region + a.offset
+        own = assignment[a.entry]
+        if isinstance(own, MemOperand) and own.base:  # a collapsed entry has no base
+            pin = (cell - own.disp) & 0xFFFFFFFF
+            if own.index or b.pins.get(own.base, pin) != pin:
+                return None
+            b.pins[own.base] = pin
     mem_tokens = sorted(
         p
         for p, op in assignment.items()

@@ -86,8 +86,9 @@ def _token_used(result, p):
             return True
         if isinstance(loc, Reg) and fi.fixed.get(p) == loc.name and mask:
             return True
-    # an m-class anchor is load-bearing when live regions behind its
-    # pointer base overlap it, though the cell is read through the base
+    # a load inside an anchored entry's bytes reads its cell; one that
+    # straddles their edge stays a region behind the pointer base, and
+    # makes the entry load-bearing too
     anchors = [a for a in result.anchors if a.entry == p]
     return any(
         r.p == p

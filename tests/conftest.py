@@ -55,5 +55,20 @@ def compliant_corpus_oracle(corpus_chunks, corpus_results):
     return SimpleNamespace(verdicts=verdicts, elapsed_s=time.perf_counter() - t0)
 
 
+def parse_c_text(text, file="<input>"):
+    """The asm statements of C text as `ric` reads them: scanned by
+    `chunks.scan_c_source`, each then parsed by `cli._parse`. Returns the
+    chunks and the report entry of each statement that did not scan or
+    parse, as `ric` writes it to standard error and the report."""
+    from ric import chunks, cli
+
+    statements, diagnostics = chunks.scan_c_source(text, file)
+    unparsed = []
+    for d in diagnostics:
+        cli._unparsed(file, d, unparsed)
+    parsed = [cli._parse(file, st, unparsed) for st in statements]
+    return [c for c in parsed if c is not None], unparsed
+
+
 def chunks_with_tag(by_id, labels, tag):
     return [by_id[cid] for cid, lab in labels.items() if tag in lab["tags"]]

@@ -145,7 +145,7 @@ def test_recorded_regions_match_the_reference_evaluator(corpus_chunks):
         result = check_chunk(c)
         if result.prog is None:
             continue
-        classify = make_classifier(result.fi)
+        classify = make_classifier(result.fi, result.anchors)
         fwd = ForwardPass(result.prog, classify)
         fwd.run()
         for i, ins in enumerate(result.prog.instrs):
@@ -203,7 +203,7 @@ def _sums(draw):
 def test_sums_built_by_mk_binop_classify_as_flattened(addr, size):
     """mk_binop keeps a sum's constants in one right operand, so the
     classifier needs no flattening."""
-    classify = make_classifier(_PINNED)
+    classify = make_classifier(_PINNED, ())
     want = _reference_region(
         lambda a, n: _flattened_region(classify, a, n), {}, addr, size
     )
@@ -215,10 +215,10 @@ def test_back_edge_targets_read_the_joined_state():
     along the back edge, while the events keep the first pass."""
     result = check_chunk(BRANCHY[0])
     store = result.prog.instrs[0].lhs
-    fwd = ForwardPass(result.prog, make_classifier(result.fi))
+    fwd = ForwardPass(result.prog, make_classifier(result.fi, result.anchors))
     fwd.run()
     assert fwd.region(0, store) == Region("whole", None, 0, 4)
-    assert [ev.region for ev in fwd.events if ev.point == 0] == [Region("tokptr", 1, 0, 4)]
+    assert [ev.region for ev in fwd.events if ev.point == 0] == [Region("cell", 0, 0, 4)]
     assert fwd.events == result.mem_events
     # a store first reached along a back edge has a region but no event
     reached_late = check_chunk(BRANCHY[2])
@@ -268,6 +268,11 @@ MEMORY_FINDINGS = {
             ("UnboundMemoryWrite", "memory", 1, 'store through %2+3 without "memory"'),
             ("NonWrittenWriteOnlyOutput", "%0", 2, "output %0 is never written"),
         ],
+    ),
+    # bytes an anchored input names are its cell, however they are reached
+    "store through an anchored input's pointer": (
+        _chunk("movl $1, (%0)", inputs=[("r", "p"), ("m", "*p")]),
+        [("ReadOnlyInputClobbered", "%1", 0, "memory entry %1 declared read-only is written")],
     ),
     "load past an anchored input": (
         _chunk("movl 5(%1), %0", outputs=[("=r", "x")], inputs=[("r", "p"), ("m", "*(p + 4)")]),
@@ -330,7 +335,7 @@ def test_merge_point_and_exit_join_alike():
         ]
     )[0]
     result = check_chunk(c)
-    fwd = ForwardPass(result.prog, make_classifier(result.fi))
+    fwd = ForwardPass(result.prog, make_classifier(result.fi, result.anchors))
     fwd.run()
     label = next(i for i, state in enumerate(fwd.in_states) if _havoc_tags(state))
     assert _havoc_tags(fwd.in_states[label]) == {("join", label, "%0")}
@@ -356,8 +361,8 @@ def test_no_address_is_evaluated_after_the_forward_pass(corpus_chunks, monkeypat
         assert not finished, "an expression was evaluated after the forward pass"
         return evaluate(self, *args)
 
-    def watched_classifier(fi):
-        classify = make(fi)
+    def watched_classifier(fi, anchors):
+        classify = make(fi, anchors)
 
         def call(addr, size):
             assert not finished, "an address was classified after the forward pass"

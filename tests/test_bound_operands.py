@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from ric import oracle, pool
 from ric.checker import check_chunk
-from ric.chunks import extract_chunks
 from ric.cli import run
 from ric.constraints import ImmOperand, MemOperand, RegOperand, TokenAssignment
 from ric.errors import MissingToken, RicError
@@ -48,6 +47,8 @@ from ric.oracle import (
     exec_program,
     random_state,
 )
+
+from conftest import parse_c_text
 
 BUDGET = 20_000  # steps per execution; a longer run ends in StepLimit on both sides
 
@@ -210,7 +211,7 @@ def test_uncovered_token_raises_before_running():
         '  asm ("testl %0, %0; jz 1f; movl %1, %0; 1:" : "+r" (x) : "r" (y) : "cc");\n'
         "}\n"
     )
-    (chunk,), _ = extract_chunks(src, "f.c")
+    (chunk,), _ = parse_c_text(src, "f.c")
     run1 = OracleRun(check_chunk(chunk), CFG)
     assert run1.tokens == [0, 1]
     state = oracle.MachineState(CFG.sandbox_size)
@@ -221,6 +222,35 @@ def test_uncovered_token_raises_before_running():
     assert state.regs == before and run1.steps_left == oracle.STEP_BUDGET
     with pytest.raises(MissingToken, match="%0 bound to an immediate is written"):
         run1.run_one(TokenAssignment({0: ImmOperand(1), 1: RegOperand("ebx")}), state)
+
+
+@pytest.mark.parametrize(
+    "own, pins",
+    [
+        # the entry's base is pinned so that -4(%eax) is p
+        (MemOperand(base="eax", disp=-4), {"ebx": 0x4000, "eax": 0x4004}),
+        (MemOperand(base="ebx"), {"ebx": 0x4000}),
+        # an entry with no base is a collapsed placeholder: nothing to pin
+        (MemOperand(disp=0x7000), {"ebx": 0x4000}),
+        # no pin makes 4(%ebx) equal to the value of %ebx
+        (MemOperand(base="ebx", disp=4), None),
+        (MemOperand(base="eax", index="ecx"), None),
+    ],
+)
+def test_anchored_entry_addresses_its_anchor(own, pins):
+    """An anchored entry's own operand addresses its anchor's bytes, as
+    in any C execution of `"=m" (*p) : "r" (p)`; a binding that cannot
+    do so is skipped."""
+    (chunk,), _ = parse_c_text('asm ("movl $0, %0" : "=m" (*p) : "r" (p));')
+    result = check_chunk(chunk)
+    assignment = TokenAssignment({0: own, 1: RegOperand("ebx")})
+    binding = bind_assignment(result.fi, assignment, random.Random(0), CFG, result.anchors)
+    if pins is None:
+        assert binding is None
+    else:
+        base = oracle.SANDBOX_BASE
+        assert binding.pins == {r: base + v for r, v in pins.items()}
+        assert binding.cells == {0: base + 0x4000}
 
 
 @pytest.mark.parametrize("trials", ["20", "100"])

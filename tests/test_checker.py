@@ -299,6 +299,37 @@ def test_anchored_input_allows_loads():
     assert check_chunk(c).verdict == "compliant"
 
 
+# One place, one name: bytes an anchored entry names are its cell, reached
+# through %N or through the pointer; an input anchored to exactly the
+# bytes of an output is that output.
+ONE_PLACE = {
+    "store through the output": chunk("movl $0, %0", [("=m", "*p", 4)], [("r", "p", 4)]),
+    "store of an input through the output": chunk(
+        "movl %1, %0", [("=m", "*q", 4)], [("r", "y", 4), ("r", "q", 4)]
+    ),
+    "increment through the pointer": chunk(
+        "incl (%2)", [("=m", "*p", 4)], [("m", "*p", 4), ("r", "p", 4)], ["cc"]
+    ),
+    "load, increment, store through the pointer": chunk(
+        "movl (%2), %%eax; incl %%eax; movl %%eax, (%2)",
+        [("=m", "*p", 4)],
+        [("m", "*p", 4), ("r", "p", 4)],
+        ["eax", "cc"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PLACE))
+def test_an_anchored_entry_is_one_place(name):
+    """Compliant, and the oracle, which places the entry's own operand
+    at its anchor's address, finds no violation."""
+    c = ONE_PLACE[name]
+    assert check_chunk(c).verdict == "compliant"
+    for prop in ("frame_write", "frame_read", "unicity"):
+        v = oracle_check(c, prop, TrialConfig(trials=100, seed=0))
+        assert v.verdict != "violation", (prop, v.witness)
+
+
 def test_benign_only_is_still_issues_verdict():
     c = chunk("addl %1, %0", [("+r", "x", 4)], [("r", "y", 4)])
     result = check_chunk(c)

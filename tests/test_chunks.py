@@ -16,7 +16,6 @@ from ric.chunks import (
     OperandEntry,
     ScannedStatement,
     SourceSpan,
-    extract_chunks,
     load_chunk_records,
     parse_asm_statement,
     render,
@@ -30,6 +29,8 @@ from ric.errors import (
     SchemaViolation,
     UnterminatedStatement,
 )
+
+from conftest import parse_c_text
 
 
 def scan(text):
@@ -58,7 +59,7 @@ def test_unterminated_statement_recovers():
 
 
 def test_parse_one_entry():
-    chunks, diags = extract_chunks('asm ("incl %0" : "+r" (x));', "t.c")
+    chunks, diags = parse_c_text('asm ("incl %0" : "+r" (x));', "t.c")
     assert not diags
     (c,) = chunks
     assert c.template == "incl %0"
@@ -67,20 +68,20 @@ def test_parse_one_entry():
 
 
 def test_parse_empty_template_clobbers():
-    chunks, _ = extract_chunks('asm ("" : : : "cc");', "t.c")
+    chunks, _ = parse_c_text('asm ("" : : : "cc");', "t.c")
     (c,) = chunks
     assert c.template == "" and c.clobbers == ("cc",)
 
 
 def test_string_concatenation_and_escapes():
-    chunks, _ = extract_chunks('asm ("movl %1, %0\\n" "nop" : "=r"(y) : "r"(x));')
+    chunks, _ = parse_c_text('asm ("movl %1, %0\\n" "nop" : "=r"(y) : "r"(x));')
     (c,) = chunks
     assert c.template == "movl %1, %0\nnop"
 
 
 def test_named_entries_and_size_notes():
     src = 'asm ("movb %[src], %[dst]" : [dst] "=q" (y /* size:1 */) : [src] "q" (x /* size:1 */));'
-    chunks, diags = extract_chunks(src)
+    chunks, diags = parse_c_text(src)
     assert not diags
     (c,) = chunks
     assert c.outputs[0].name == "dst" and c.outputs[0].size_bytes == 1
@@ -93,25 +94,23 @@ def test_positions_dense(corpus_chunks):
 
 
 def test_malformed_entry_is_diagnostic_not_crash():
-    chunks, diags = extract_chunks('asm ("nop" : "=r" x);')
-    assert chunks == [] and len(diags) == 1
-    assert isinstance(diags[0], MalformedInterface)
+    chunks, diags = parse_c_text('asm ("nop" : "=r" x);')
+    assert chunks == [] and [d["verdict"] for d in diags] == ["error"]
 
 
 def test_hex_escape_without_digits_is_diagnostic_not_crash():
     for src in ('asm ("nop\\xg");', 'asm ("nop\\x");', 'asm ("nop" : : : "\\xz");'):
-        chunks, diags = extract_chunks(src)
-        assert chunks == [] and len(diags) == 1, src
-        assert isinstance(diags[0], MalformedInterface)
-        assert "\\x used with no following hex digits" in str(diags[0])
-    (c,), _ = extract_chunks('asm ("nop\\x41\\x9z");')
+        chunks, diags = parse_c_text(src)
+        assert chunks == [] and [d["verdict"] for d in diags] == ["error"], src
+        assert "\\x used with no following hex digits" in diags[0]["details"]
+    (c,), _ = parse_c_text('asm ("nop\\x41\\x9z");')
     assert c.template == "nopA\x09z"
 
 
 def _shape(src):
     """The one chunk of src, without its span and context."""
-    chunks, diags = extract_chunks(src, "t.c")
-    assert not diags, [str(d) for d in diags]
+    chunks, diags = parse_c_text(src, "t.c")
+    assert not diags, diags
     (c,) = chunks
     return c.qualifiers, c.template, c.outputs, c.inputs, c.clobbers
 
@@ -142,7 +141,7 @@ def test_comment_inside_a_statement_is_ignored(src, plain):
 
 
 def test_comment_markers_in_a_literal_are_text():
-    (c,), _ = extract_chunks('asm ("/* x */ nop // y" : "=r" (a));')
+    (c,), _ = parse_c_text('asm ("/* x */ nop // y" : "=r" (a));')
     assert c.template == "/* x */ nop // y"
 
 
@@ -165,32 +164,31 @@ def test_escapes_decode_as_in_c(literal, decoded):
     """A backslash and one to three octal digits, or one of the simple
     escapes, decode as C gives them; a hex escape takes one or two
     digits."""
-    (c,), diags = extract_chunks(f"asm ({literal});")
+    (c,), diags = parse_c_text(f"asm ({literal});")
     assert not diags and c.template == decoded
 
 
 def test_octal_newline_separates_instructions():
-    (c,), _ = extract_chunks('asm ("nop\\012nop");')
+    (c,), _ = parse_c_text('asm ("nop\\012nop");')
     assert check_chunk(c).verdict == "compliant"
 
 
 @pytest.mark.parametrize("note", ["/* size:3 */", "/* size:0 */", "/*size:16*/", "// size:5\n"])
 def test_size_note_outside_1_2_4_8_is_a_diagnostic(note):
-    chunks, diags = extract_chunks(f'asm ("movl %1, %0" : "=r" (x {note}) : "r" (y));', "t.c")
-    assert chunks == [] and len(diags) == 1
-    assert isinstance(diags[0], MalformedInterface)
-    assert "is not 1, 2, 4 or 8" in str(diags[0])
+    chunks, diags = parse_c_text(f'asm ("movl %1, %0" : "=r" (x {note}) : "r" (y));', "t.c")
+    assert chunks == [] and [d["verdict"] for d in diags] == ["error"]
+    assert "is not 1, 2, 4 or 8" in diags[0]["details"]
 
 
 @pytest.mark.parametrize("size", [1, 2, 4, 8])
 def test_size_note_in_1_2_4_8_is_read(size):
-    (c,), _ = extract_chunks(f'asm ("" : "=r" (x /* size:{size} */) : "r" (y // size:{size}\n));')
+    (c,), _ = parse_c_text(f'asm ("" : "=r" (x /* size:{size} */) : "r" (y // size:{size}\n));')
     assert [e.size_bytes for e in c.entries] == [size, size]
     assert [e.expr_text for e in c.entries] == ["x", "y"]
 
 
 def test_render_writes_size_notes():
-    (c,), _ = extract_chunks('asm ("" : "=q" (y /* size:1 */) : "m" (*p /* size:8 */), "r" (x));')
+    (c,), _ = parse_c_text('asm ("" : "=q" (y /* size:1 */) : "m" (*p /* size:8 */), "r" (x));')
     assert render(c) == 'asm ("" : "=q" (y /* size:1 */) : "m" (*p /* size:8 */), "r" (x))'
 
 
@@ -250,7 +248,7 @@ def test_render_round_trips_escaped_templates(template):
     )
     text = render(c)
     assert "\r" not in text and "\n" not in text  # a C string literal cannot span lines
-    chunks, diags = extract_chunks(text + ";")
+    chunks, diags = parse_c_text(text + ";")
     assert not diags and [c2.template for c2 in chunks] == [template]
 
 
@@ -435,7 +433,7 @@ def test_line_comment_ends_at_a_lone_cr():
     # it is no part of the comment
     text = 'int f(int x)\r{\r  // note\r  asm ("incl %0" : "+r" (x));\r  return x;\r}\r'
     assert [s.body for s in scan(text)] == ['"incl %0" : "+r" (x)']
-    chunks, diagnostics = extract_chunks(text, "cr.c")
+    chunks, diagnostics = parse_c_text(text, "cr.c")
     assert [c.template for c in chunks] == ["incl %0"] and not diagnostics
 
 
@@ -462,7 +460,7 @@ SPLICED = (
 @pytest.mark.parametrize("eol", _SPLICE_EOLS)
 def test_line_splices_are_deleted_before_parsing(eol):
     text = SPLICED.format(eol=eol)
-    chunks, diagnostics = extract_chunks(text, "m.c")
+    chunks, diagnostics = parse_c_text(text, "m.c")
     assert not diagnostics
     first, second = chunks
     assert (first.template, first.clobbers) == ("incl %0", ("cc",))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ric.checker import check_chunk
-from ric.chunks import extract_chunks, load_chunk_records, render
+from ric.chunks import load_chunk_records, render
 from ric.cli import run
 from ric.edits import (
     AddClobber,
@@ -31,7 +31,7 @@ from ric.patcher import (
 )
 from ric.value import replace
 
-from conftest import CORPUS, ROOT
+from conftest import CORPUS, ROOT, parse_c_text
 
 
 def chunk(template, outputs=(), inputs=(), clobbers=()):
@@ -323,9 +323,7 @@ def test_patch_minimality_on_corpus(corpus_chunks):
 
 def test_render_diff_roundtrip():
     src = 'int f(int x) {\n  asm ("addl %1, %0" : "+r" (x) : "r" (x));\n  return x;\n}\n'
-    from ric.chunks import extract_chunks
-
-    (c,), _ = extract_chunks(src, "f.c")
+    (c,), _ = parse_c_text(src, "f.c")
     result = check_chunk(c)
     pr = synthesize_patches(result, result.issues)
     diff = _diff(src, pr)
@@ -377,7 +375,7 @@ def _diff(source, pr):
 
 
 def _patch_nth(source, k):
-    chunks, _ = extract_chunks(source, "f.c")
+    chunks, _ = parse_c_text(source, "f.c")
     c = chunks[k]
     result = check_chunk(c)
     return synthesize_patches(result, result.issues)
@@ -629,7 +627,7 @@ def test_render_diff_equals_full_file_diff(lines, statement, at, k, end, padding
     source = "".join(lines).replace("\n", "\r\n") if end == "\r\n" else "".join(lines)
     if not end:
         source = source[:-1]
-    chunks, _ = extract_chunks(source, "f.c")
+    chunks, _ = parse_c_text(source, "f.c")
     pr = _patch_nth(source, k % len(chunks))
     _assert_statement_hunk(source, pr, _diff(source, pr))
 
@@ -675,7 +673,7 @@ def _patched_file(functions):
         + ";\n}\n\n"
         for k in range(functions)
     )
-    chunks, _ = extract_chunks(source, "f.c")
+    chunks, _ = parse_c_text(source, "f.c")
     patches = [
         PatchResult(replace(c, clobbers=c.clobbers + ("cc",)), [AddClobber("cc")], [], {})
         for c in chunks

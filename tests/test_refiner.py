@@ -147,6 +147,16 @@ def _chunk(template, outputs, inputs, clobbers):
 MEMORY_EVENTS = {
     # the cell of an "m" entry is declared already
     "cell": (("movl $1, %0", [("=m", "*q")], []), [DropMemoryKeyword()]),
+    # so are the bytes an anchored entry names, reached through its
+    # pointer: no second entry names them
+    "cell through an anchored input's pointer": (
+        ("movl (%1), %0", [("=r", "x")], [("r", "p"), ("m", "*p")]),
+        [DropMemoryKeyword()],
+    ),
+    "cell through an anchored output's pointer": (
+        ("movl $1, (%1)", [("=m", "*p")], [("r", "p")]),
+        [DropMemoryKeyword()],
+    ),
     # a stack slot is private scratch when esp is restored
     "stack": (("pushl %1; popl %0", [("=r", "x")], [("r", "y")]), [DropMemoryKeyword()]),
     # an address of two registers is no pointer token plus an offset
@@ -158,7 +168,7 @@ MEMORY_EVENTS = {
 def test_memory_refinement_follows_the_event_regions(region):
     (template, outputs, inputs), edits = MEMORY_EVENTS[region]
     result = check_chunk(_chunk(template, outputs, inputs, ["memory"]))
-    assert {ev.region.kind for ev in result.mem_events} == {region}
+    assert {ev.region.kind for ev in result.mem_events} == {region.split()[0]}
     assert refine_interface(result).edits == edits
 
 

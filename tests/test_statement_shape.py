@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from ric import checker, chunks, oracle, pool
 from ric.checker import check_chunk
-from ric.chunks import SourceSpan, extract_chunks, load_chunk_records, statement_shape
+from ric.chunks import SourceSpan, load_chunk_records, statement_shape
 from ric.cli import run
 from ric.errors import BadConstraintChar, MalformedInterface
 from ric.report import build_report, chunk_report, json_text
 
-from conftest import CORPUS, ROOT
+from conftest import CORPUS, ROOT, parse_c_text
 
 CHUNKS = load_chunk_records(json.loads(CORPUS.read_text(encoding="utf-8")), str(CORPUS))
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -274,19 +274,21 @@ def test_a_body_with_a_line_splice_has_no_shape(eol):
 
 
 SPLICE_SRC = (
-    "void f(int *foo, int *bax) {\n"
-    '  asm ("movl $0, %0" : "=m" (*fo\\\no) : "r" (foo));\n'
-    '  asm ("movl $0, %0" : "=m" (*ba\\\nr) : "r" (bax));\n'
+    "void f(int x, int *foo, int *bax) {\n"
+    '  asm ("movl (%1), %0" : "=r" (x) : "r" (foo), "m" (*fo\\\no));\n'
+    '  asm ("movl (%1), %0" : "=r" (x) : "r" (bax), "m" (*ba\\\nr));\n'
     "}\n"
 )
 
 
 def test_spliced_statements_are_checked_each(tmp_path):
-    """The parser deletes the splice, so *fo\\o names "r" (foo) and *ba\\r
-    names nothing: the first is serious, the second compliant."""
+    """The parser deletes the splice, so *fo\\o names the bytes "r" (foo)
+    points to and *ba\\r names nothing: the first load is declared, the
+    second is serious."""
     code, text = run_check(tmp_path, SPLICE_SRC)
     first, second = json.loads(text)["chunks"]
-    assert first["verdict"] == "issues" and second["verdict"] == "compliant"
+    assert first["verdict"] == "compliant" and second["verdict"] == "issues"
+    assert [i["category"] for i in second["issues"]] == ["UnboundMemoryRead"]
 
 
 # Statements of a few shapes, most of them twice: a cast whose qualifier
@@ -340,7 +342,7 @@ def test_check_reports_as_without_reuse(tmp_path, monkeypatch, capsys):
     shape, though they parse fewer statements."""
     monkeypatch.delenv("RIC_TIMINGS", raising=False)
     source = generated(400, 1)
-    found, diagnostics = extract_chunks(source, str(tmp_path / "s.c"))
+    found, diagnostics = parse_c_text(source, str(tmp_path / "s.c"))
     assert not diagnostics
     fresh = build_report([chunk_report(check_chunk(c)) for c in found])
     code, text = run_check(tmp_path, source)
