@@ -1,12 +1,13 @@
 """Compliance analyses: frame-write, frame-read, and unicity.
 
 Three passes over the lifted IR:
- - a forward symbolic pass tracking each location's value as an
-   expression over entry-state symbols, with store-to-load forwarding
-   for stack scratch slots and token cells; it also classifies every
-   memory access (token cell, stack slot, pointer-token region, or
-   unresolved whole-memory) and records the region of each load and
-   store, which the other two passes read,
+ - a forward symbolic pass, run to a fixpoint over loops, tracking each
+   location's value as an expression over entry-state symbols, with
+   store-to-load forwarding for stack scratch slots and token cells; it
+   also classifies every memory access (token cell, stack slot,
+   pointer-token region, or unresolved whole-memory) and keeps one
+   record of each load and store, from its point's final in-state,
+   which the other two passes read,
  - a backward liveness pass over per-location bitsets seeded with the
    declared output widths,
  - a unicity pass checking every interface-visible write against the
@@ -18,6 +19,7 @@ a token cell or a stack scratch slot.
 
 from __future__ import annotations
 
+import heapq
 import re
 import time
 
@@ -213,6 +215,14 @@ class MemModel:
         m.any_store = self.any_store or other.any_store
         return m
 
+    def __eq__(self, other):
+        return (self.known, self.written, self.wild, self.any_store) == (
+            other.known,
+            other.written,
+            other.wild,
+            other.any_store,
+        )
+
     def load(self, region, addr, havoc):
         if region.kind in ("cell", "stack"):
             if region in self.known:
@@ -236,20 +246,21 @@ class MemModel:
 
 
 class ForwardPass:
+    """Kildall's worklist over the lifted IR (Kildall, "A unified
+    approach to global program optimization", POPL 1973): a point is
+    stepped again whenever its in-state changes, until none does. Havoc
+    tags name the join point or the load that made them, so a location
+    at a join point changes at most twice (unset, a value, its havoc)
+    and memory facts only shrink or grow; the pass ends."""
+
     def __init__(self, prog, classify):
         self.prog = prog
         self.classify = classify
-        self.nhavoc = 0
+        self.accesses = {}  # (point, Load or StoreLhs) -> MemEvent of the last visit
         self.events = []
-        self.regions = {}  # (point, Load or StoreLhs) -> Region
         self.in_states = [None] * len(prog.instrs)
         self.in_mems = [None] * len(prog.instrs)
         self.exit_state = None
-        self.exit_mem = None
-
-    def havoc(self, width, tag):
-        self.nhavoc += 1
-        return ReadLoc(Havoc((tag, self.nhavoc), width))
 
     def join(self, a, b, tag):
         """The join of two register states: a location the two disagree
@@ -258,19 +269,19 @@ class ForwardPass:
         for k in set(a) | set(b):
             x = a.get(k, init_read(k))
             y = b.get(k, init_read(k))
-            joined[k] = x if x == y else self.havoc(k.width, (*tag, format_loc(k)))
+            joined[k] = x if x == y else ReadLoc(Havoc((*tag, format_loc(k)), k.width))
         return joined
 
     def region(self, point, node):
         """The region classified for the load or store node at point;
         all of memory at a point the pass never reached."""
-        return self.regions.get((point, node)) or Region("whole", None, 0, node.size)
+        ev = self.accesses.get((point, node))
+        return ev.region if ev else Region("whole", None, 0, node.size)
 
     def access(self, point, node, kind, addr):
         """Classify and record a memory access; returns its region."""
         region = self.classify(addr, node.size)
-        self.events.append(MemEvent(point, kind, region, addr))
-        self.regions[point, node] = region
+        self.accesses[point, node] = MemEvent(point, kind, region, addr)
         return region
 
     def eval(self, e, state, mem, point):
@@ -281,7 +292,7 @@ class ForwardPass:
         if isinstance(e, Load):
             addr = self.eval(e.addr, state, mem, point)
             region = self.access(point, e, "load", addr)
-            return mem.load(region, addr, lambda: self.havoc(e.size * 8, point))
+            return mem.load(region, addr, lambda: ReadLoc(Havoc((point, e), e.size * 8)))
         if isinstance(e, UnOp):
             return mk_unop(e.op, self.eval(e.e, state, mem, point))
         if isinstance(e, Cast):
@@ -320,50 +331,31 @@ class ForwardPass:
             out_state[ins.lhs] = val
         return out_state, out_mem
 
+    def merge(self, i, state, mem):
+        """Join (state, mem) into the in-state of point i; whether that
+        changed it."""
+        old, old_mem = self.in_states[i], self.in_mems[i]
+        if old is not None:
+            state, mem = self.join(old, state, ("join", i)), old_mem.join(mem)
+            if state == old and mem == old_mem:
+                return False
+        self.in_states[i], self.in_mems[i] = state, mem
+        return True
+
     def run(self):
-        prog = self.prog
-        n = len(prog.instrs)
-        if n == 0:
-            self.exit_state, self.exit_mem = {}, MemModel()
-            return
-        self.in_states[0] = {}
-        self.in_mems[0] = MemModel()
-
-        def merge(i, state, mem):
-            if self.in_states[i] is None:
-                self.in_states[i] = dict(state)
-                self.in_mems[i] = mem.copy()
-            else:
-                self.in_states[i] = self.join(self.in_states[i], state, ("join", i))
-                self.in_mems[i] = self.in_mems[i].join(mem)
-
-        back_targets = set()
-        for i in range(n):
-            state = self.in_states[i]
-            mem = self.in_mems[i]
-            if state is None:
-                continue  # unreachable
-            if isinstance(prog.instrs[i], Halt):
-                if self.exit_state is None:
-                    self.exit_state, self.exit_mem = dict(state), mem.copy()
-                else:
-                    self.exit_state = self.join(self.exit_state, state, ("exit",))
-                    self.exit_mem = self.exit_mem.join(mem)
-                continue
-            out_state, out_mem = self.step(i, state, mem)
-            for s in prog.successors(i):
-                if s <= i:
-                    back_targets.add(s)
-                merge(s, out_state, out_mem)
-        # a back edge joins into a point already passed: classify its
-        # accesses again against the joined in-state; events keep the
-        # first pass
-        events, self.events = self.events, []
-        for i in sorted(back_targets):
-            self.step(i, self.in_states[i], self.in_mems[i])
-        self.events = events
-        if self.exit_state is None:
-            self.exit_state, self.exit_mem = {}, MemModel()
+        """Step points smallest first until no in-state changes, so
+        loop-free code steps each point once. The lifter's one Halt is
+        the last point, and its in-state is the exit state."""
+        self.merge(0, {}, MemModel())
+        work = [0]
+        while work:
+            i = heapq.heappop(work)
+            out_state, out_mem = self.step(i, self.in_states[i], self.in_mems[i])
+            for s in self.prog.successors(i):
+                if self.merge(s, out_state, out_mem) and s not in work:
+                    heapq.heappush(work, s)
+        self.events = sorted(self.accesses.values(), key=lambda ev: ev.point)
+        self.exit_state = self.in_states[-1] or {}
 
 
 # ---------------------------------------------------------------------------
@@ -1013,13 +1005,7 @@ def _analyze(chunk, opts):
     result.mem_events = fwd.events
     t2 = time.perf_counter()
 
-    loop_opts = opts
-    if prog.has_back_edge():
-        # restore proofs are unsound across joins widened at loop heads;
-        # degrade to alarm-only behavior
-        loop_opts = replace(opts, expression_propagation=False)
-
-    fw_issues, writes, esp_restored = analyze_frame_write(fi, prog, fwd, loop_opts)
+    fw_issues, writes, esp_restored = analyze_frame_write(fi, prog, fwd, opts)
     result.writes = writes
     result.esp_restored = esp_restored
     t3 = time.perf_counter()

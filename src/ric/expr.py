@@ -516,9 +516,6 @@ class IRProgram(Record, frozen=False):
             return [self.resolve(ins.then_target), self.resolve(ins.else_target)]
         return [i + 1] if i + 1 < len(self.instrs) else []
 
-    def has_back_edge(self):
-        return any(s <= i for i in range(len(self.instrs)) for s in self.successors(i))
-
     def validate(self):
         for i, ins in enumerate(self.instrs):
             if isinstance(ins, Assign):

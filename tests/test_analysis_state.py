@@ -140,6 +140,10 @@ def _accesses(ins):
 
 
 def test_recorded_regions_match_the_reference_evaluator(corpus_chunks):
+    """Each access at a reached point has one record, with the region the
+    reference evaluator finds from the point's final in-state; the
+    events are those records in program order, so every event's region
+    is the one `fwd.region` gives its node."""
     kinds = collections.Counter()
     for c in list(corpus_chunks) + BRANCHY:
         result = check_chunk(c)
@@ -148,11 +152,18 @@ def test_recorded_regions_match_the_reference_evaluator(corpus_chunks):
         classify = make_classifier(result.fi, result.anchors)
         fwd = ForwardPass(result.prog, classify)
         fwd.run()
+        reached = set()
         for i, ins in enumerate(result.prog.instrs):
             for node, addr in _accesses(ins):
                 want = _reference_region(classify, fwd.in_states[i], addr, node.size)
                 assert fwd.region(i, node) == want, (c.template, i, node)
+                if fwd.in_states[i] is not None:
+                    reached.add((i, node))
                 kinds[want.kind] += 1
+        assert set(fwd.accesses) == reached, c.template
+        assert fwd.events == sorted(fwd.accesses.values(), key=lambda ev: ev.point)
+        for (i, node), ev in fwd.accesses.items():
+            assert ev.point == i and ev.region == fwd.region(i, node), (c.template, i, node)
     assert set(kinds) == {"cell", "stack", "tokptr", "whole"} and sum(kinds.values()) > 30
 
 
@@ -211,18 +222,20 @@ def test_sums_built_by_mk_binop_classify_as_flattened(addr, size):
 
 
 def test_back_edge_targets_read_the_joined_state():
-    """At a loop head the recorded region comes from the in-state joined
-    along the back edge, while the events keep the first pass."""
+    """At a loop head the one record of an access comes from the
+    in-state joined along the back edge, and a store first reached along
+    a back edge has its record too."""
     result = check_chunk(BRANCHY[0])
     store = result.prog.instrs[0].lhs
     fwd = ForwardPass(result.prog, make_classifier(result.fi, result.anchors))
     fwd.run()
     assert fwd.region(0, store) == Region("whole", None, 0, 4)
-    assert [ev.region for ev in fwd.events if ev.point == 0] == [Region("cell", 0, 0, 4)]
+    assert [ev.region for ev in fwd.events if ev.point == 0] == [Region("whole", None, 0, 4)]
     assert fwd.events == result.mem_events
-    # a store first reached along a back edge has a region but no event
     reached_late = check_chunk(BRANCHY[2])
-    assert reached_late.mem_events == []
+    assert [(ev.kind, ev.region) for ev in reached_late.mem_events] == [
+        ("store", Region("whole", None, 0, 4))
+    ]
 
 
 def _chunk(template, outputs=(), inputs=()):
@@ -316,14 +329,14 @@ def test_every_memory_place_is_a_region(corpus_results):
 
 def _havoc_tags(state):
     return {
-        v.loc.tag[0] for v in state.values() if isinstance(v, ReadLoc) and isinstance(v.loc, Havoc)
+        v.loc.tag for v in state.values() if isinstance(v, ReadLoc) and isinstance(v.loc, Havoc)
     }
 
 
 def test_merge_point_and_exit_join_alike():
-    """A merge point and the exit join states the same way: a location
-    the two disagree on becomes a havoc tagged with the join's tag and
-    its name, and a location one side lacks reads its entry value."""
+    """The exit state is the in-state of the lifter's one Halt, joined
+    there as at any merge point: a location the incoming states disagree
+    on becomes a havoc tagged ("join", point, its name)."""
     c = load_chunk_records(
         [
             {
@@ -339,12 +352,85 @@ def test_merge_point_and_exit_join_alike():
     fwd.run()
     label = next(i for i, state in enumerate(fwd.in_states) if _havoc_tags(state))
     assert _havoc_tags(fwd.in_states[label]) == {("join", label, "%0")}
+    assert fwd.exit_state is fwd.in_states[-1]
+
+
+class _Counted(ForwardPass):
+    """A forward pass that counts its steps at each point."""
+
+    def __init__(self, prog, classify):
+        super().__init__(prog, classify)
+        self.steps = collections.Counter()
+
+    def step(self, i, state, mem):
+        self.steps[i] += 1
+        return super().step(i, state, mem)
+
+
+def _counted(c):
+    """The counted forward pass of c; None if c does not lift."""
+    result = check_chunk(c)
+    if result.prog is None:
+        return None
+    fwd = _Counted(result.prog, make_classifier(result.fi, result.anchors))
+    fwd.run()
+    return fwd
+
+
+def _has_back_edge(prog):
+    return any(s <= i for i in range(len(prog.instrs)) for s in prog.successors(i))
+
+
+# two nested loops, each with a push, a store through a pointer and a
+# register swap, so registers, stack slots and memory all change per trip
+NESTED = load_chunk_records(
+    [
+        {
+            "template": "2: movl %2, %%ecx; 1: pushl %%ecx; addl %%ecx, (%0); "
+            "movl (%%esp), %%eax; xchgl %%eax, %%ebx; decl %%ecx; jnz 1b; "
+            "decl %1; jnz 2b; movl (%0,%%eax,4), %%edx",
+            "outputs": [
+                {"constraint": "+r", "expr_text": "p"},
+                {"constraint": "+r", "expr_text": "n"},
+            ],
+            "inputs": [{"constraint": "r", "expr_text": "m"}],
+            "clobbers": ["cc", "eax", "ebx", "ecx", "edx", "memory"],
+        }
+    ]
+)[0]
+
+
+def test_forward_pass_steps_to_a_fixpoint(corpus_chunks):
+    """Loop-free code steps each reached point once; loops step again
+    until no in-state changes, which a deterministic havoc per join point
+    and location makes happen within a few trips."""
+    loop_free = 0
+    for c in corpus_chunks:
+        fwd = _counted(c)
+        if fwd is None or _has_back_edge(fwd.prog):
+            continue
+        reached = {i for i, state in enumerate(fwd.in_states) if state is not None}
+        assert fwd.steps == dict.fromkeys(reached, 1), c.template
+        loop_free += 1
+    assert loop_free >= 60
+    for c in [NESTED] + BRANCHY[:3]:
+        fwd = _counted(c)
+        assert _has_back_edge(fwd.prog)
+        # NESTED takes 96 steps for its 37 IR instructions
+        assert sum(fwd.steps.values()) <= 3 * len(fwd.prog.instrs), c.template
+        # a fixpoint: stepping any reached point again changes no in-state
+        for i, state in enumerate(fwd.in_states):
+            if state is not None:
+                out = fwd.step(i, state, fwd.in_mems[i])
+                assert not any(fwd.merge(s, *out) for s in fwd.prog.successors(i)), (c.template, i)
+    # joining the same two states twice at one point gives the same
+    # havoc node, and a location one side lacks reads its entry value
     eax, ebx, ecx = (Reg(name, 32) for name in ("eax", "ebx", "ecx"))
-    joined = fwd.join(
-        {eax: Const(1, 32), ebx: Const(2, 32), ecx: init_read(ecx)}, {eax: Const(1, 32)}, ("exit",)
-    )
+    a, b = {eax: Const(1, 32), ebx: Const(2, 32), ecx: init_read(ecx)}, {eax: Const(1, 32)}
+    joined = fwd.join(a, b, ("join", 5))
     assert joined[eax] == Const(1, 32) and joined[ecx] == init_read(ecx)
-    assert _havoc_tags(joined) == {("exit", "ebx")}
+    assert _havoc_tags(joined) == {("join", 5, "ebx")}
+    assert fwd.join(a, b, ("join", 5))[ebx] is joined[ebx]
 
 
 def test_no_address_is_evaluated_after_the_forward_pass(corpus_chunks, monkeypatch):

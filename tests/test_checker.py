@@ -337,6 +337,89 @@ def test_benign_only_is_still_issues_verdict():
     assert all(i.category == "FlagClobbered" for i in result.issues)
 
 
+# ---------------------------------------------------------------------------
+# Loops: the forward pass runs to a fixpoint, so a finding holds for
+# every trip round a loop. Each row's comment gives the findings of the
+# single sweep that stood in for it, which re-stepped only loop heads
+# and turned restore proofs off in any chunk with a back edge.
+
+_STORE_REACHED_BY_BACK_EDGE = "jmp 2f; 1: movl $0,(%0); 2: addl $4,%0; decl %1; jnz 1b"
+_STORE_AND_ADVANCE = "1: movl $0,(%1); addl $4,%1; decl %2; jnz 1b"
+_PTR_COUNTER = [("+D", "p", 4), ("+c", "n", 4)]
+
+LOOPS = {
+    # was compliant: the store had no memory event
+    "store-reached-by-back-edge": (
+        _STORE_REACHED_BY_BACK_EDGE,
+        [("+r", "p", 4), ("+r", "n", 4)],
+        ["cc"],
+        ["UnboundMemoryWrite"],
+    ),
+    # was compliant
+    "store-reached-by-back-edge-memory": (
+        _STORE_REACHED_BY_BACK_EDGE,
+        [("+r", "p", 4), ("+r", "n", 4)],
+        ["cc", "memory"],
+        [],
+    ),
+    # was compliant: the event kept the first trip's cell
+    "+m-store-and-advance": (
+        _STORE_AND_ADVANCE,
+        [("+m", "*p", 4)] + _PTR_COUNTER,
+        ["cc"],
+        ["UnboundMemoryWrite"],
+    ),
+    # was UnboundMemoryRead. NonWrittenWriteOnlyOutput is imprecise: the
+    # first trip does write the cell, but the store's one region is the
+    # one every trip shares, all of memory
+    "=m-store-and-advance": (
+        _STORE_AND_ADVANCE,
+        [("=m", "*p", 4)] + _PTR_COUNTER,
+        ["cc"],
+        ["NonWrittenWriteOnlyOutput", "UnboundMemoryRead", "UnboundMemoryWrite"],
+    ),
+    # was UnboundMemoryWrite, UnboundRegisterClobbered twice and Unicity
+    "push-pop-in-loop": (
+        "1: pushl %%ebx; popl %%ebx; decl %0; jnz 1b",
+        [("+r", "n", 4)],
+        ["cc"],
+        ["Unicity"],
+    ),
+    # was UnboundRegisterClobbered and Unicity
+    "dec-inc-in-loop": (
+        "1: decl %%ebx; incl %%ebx; decl %0; jnz 1b",
+        [("+r", "n", 4)],
+        ["cc"],
+        ["Unicity"],
+    ),
+    # unchanged: ebx is restored only after the last trip, by one, so
+    # its exit value is no entry value; restore proofs stay sound in loops
+    "inc-in-loop-dec-after": (
+        "1: incl %%ebx; decl %0; jnz 1b; decl %%ebx",
+        [("+r", "n", 4)],
+        ["cc"],
+        ["UnboundRegisterClobbered", "Unicity"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOPS))
+def test_loop_findings(name):
+    template, outputs, clobbers, want = LOOPS[name]
+    result = check_chunk(chunk(template, outputs, [], clobbers))
+    assert sorted(i.category for i in result.issues) == want
+
+
+@pytest.mark.parametrize("name", ["push-pop-in-loop", "dec-inc-in-loop"])
+def test_a_loop_finds_what_its_restoring_body_finds(name):
+    """A body that leaves every location as it found it gives the same
+    findings run once or round a loop."""
+    template, outputs, clobbers, _ = LOOPS[name]
+    body = template.removeprefix("1: ").removesuffix("; jnz 1b")
+    loop, once = (check_chunk(chunk(t, outputs, [], clobbers)) for t in (template, body))
+    assert findings(loop) == findings(once)
+
+
 def _leas(reg, n):
     return "; ".join([f"leal ({reg},{reg}), {reg}"] * n)
 
