@@ -16,6 +16,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from ric.checker import check_chunk  # noqa: E402
 from ric.chunks import load_chunk_file  # noqa: E402
+from ric.cli import positive_int  # noqa: E402
 from ric.oracle import OracleRun, TrialConfig, oracle_check  # noqa: E402
 from ric.pool import in_order  # noqa: E402
 from ric.report import classify_pattern, severity_policy  # noqa: E402
@@ -26,9 +27,9 @@ def main():
     ap.add_argument("--corpus", default=str(ROOT / "corpus" / "corpus.json"))
     ap.add_argument("--labels", default=str(ROOT / "corpus" / "labels.json"))
     ap.add_argument("--oracle", action="store_true")
-    ap.add_argument("--trials", type=int, default=100)
+    ap.add_argument("--trials", type=positive_int, default=100)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--assignment-cap", type=int, default=256)
+    ap.add_argument("--assignment-cap", type=positive_int, default=256)
     args = ap.parse_args()
 
     chunks = load_chunk_file(args.corpus)

@@ -786,9 +786,8 @@ def _seed_liveness(fi, coarse):
 
 def analyze_frame_read(fi, prog, fwd, writes, esp_restored, opts):
     bwd = BackwardPass(prog, fwd.region, fi, not opts.bit_liveness, esp_restored)
-    seed = _seed_liveness(fi, coarse=not opts.bit_liveness)
-    live_in, live_out = bwd.run(seed)
-    entry = live_in[0] if prog.instrs else seed
+    live_in, live_out = bwd.run(_seed_liveness(fi, coarse=not opts.bit_liveness))
+    entry = live_in[0]
     issues = []
     eff = fi.effective_inputs
     allowed_regs = {fi.fixed[p] for p in fi.fixed if p in eff or fi.canonical(p) in eff}
@@ -878,7 +877,7 @@ def analyze_frame_read(fi, prog, fwd, writes, esp_restored, opts):
                 Issue(
                     "NonWrittenWriteOnlyOutput",
                     Token(p, 32),
-                    max(len(prog.instrs) - 1, 0),
+                    len(prog.instrs) - 1,
                     f"output %{p} is never written",
                 )
             )
@@ -1013,8 +1012,8 @@ def _analyze(chunk, opts):
     fr_issues, live_in, live_out = analyze_frame_read(
         fi, prog, fwd, writes, esp_restored, opts
     )
-    result.entry_live = dict(live_in[0].masks) if prog.instrs else {}
-    result.entry_regions = frozenset(live_in[0].regions) if prog.instrs else frozenset()
+    result.entry_live = dict(live_in[0].masks)
+    result.entry_regions = frozenset(live_in[0].regions)
     t4 = time.perf_counter()
 
     domains = abstract_domain(fi)

@@ -19,6 +19,14 @@ from .report import (
 from .value import replace
 
 
+def positive_int(text):
+    """An argparse type: an integer of 1 or more."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not 1 or more")
+    return value
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="ric", description="inline assembly interface compliance"
@@ -30,8 +38,10 @@ def _parser():
         sp.add_argument("--out", default=None)
         sp.add_argument("--in-place", action="store_true", dest="in_place")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=100)
-        sp.add_argument("--assignment-cap", type=int, default=256, dest="assignment_cap")
+        sp.add_argument("--trials", type=positive_int, default=100)
+        sp.add_argument(
+            "--assignment-cap", type=positive_int, default=256, dest="assignment_cap"
+        )
         sp.add_argument("--no-refine-inputs", action="store_true")
         sp.add_argument("--no-refine-clobbers", action="store_true")
         sp.add_argument("--no-refine-memory", action="store_true")

@@ -70,6 +70,7 @@ REUSED_TRIALS = 100
 GP = GP_REGS
 FLAG_NAMES = ("z", "c", "s", "o", "p", "a")
 WIDE = MMX_REGS + XMM_REGS
+FLAG_LOCS = tuple(f"flag:{f}" for f in FLAG_NAMES)
 
 
 class TrialConfig(Record, frozen=False):
@@ -140,23 +141,23 @@ class PageBytes:
 
 
 class MachineState:
-    """Registers, flags and a sandbox of `size` bytes at SANDBOX_BASE.
+    """Registers, flags, temps and a sandbox of `size` bytes at
+    SANDBOX_BASE.
 
-    The sandbox is a byte source `mem`, never written, under `stored`, a
-    sparse map from offset to each byte written since. Copies share the
-    source, so a copy costs only the overlay. An integer assigned to
-    `mem` stands for its bytes, byte i being bits 8i..8i+7. `operands`
-    maps each token to the Operand bound to it while a program runs.
+    `locs` maps each register, flag and temp, by its format_loc name
+    (`eax`, `mm0`, `flag:z`, `t12`), to its value. The sandbox is a byte
+    source `mem`, never written, under `stored`, a sparse map from
+    offset to each byte written since. Copies share the source, so a
+    copy costs only the overlay. An integer assigned to `mem` stands for
+    its bytes, byte i being bits 8i..8i+7. `operands` maps each token to
+    the Operand bound to it while a program runs.
     """
 
     def __init__(self, sandbox_size):
-        self.regs = {r: 0 for r in GP}
-        self.wide = {r: 0 for r in WIDE}
-        self.flags = {f: 0 for f in FLAG_NAMES}
+        self.locs = dict.fromkeys(GP + WIDE + FLAG_LOCS, 0)
         self.size = sandbox_size
         self._mem = _ZEROS
         self.stored = {}
-        self.temps = {}
         self.operands = {}
 
     @property
@@ -169,11 +170,8 @@ class MachineState:
 
     def copy(self):
         m = MachineState.__new__(MachineState)
-        m.regs = dict(self.regs)
-        m.wide = dict(self.wide)
-        m.flags = dict(self.flags)
+        m.locs = dict(self.locs)
         m.copy_memory(self)
-        m.temps = {}
         m.operands = {}
         return m
 
@@ -238,14 +236,14 @@ class Operand:
             r = op.reg
 
             def write_reg(s, v):
-                s.regs[r] = v & _M32
+                s.locs[r] = v & _M32
 
-            self.read, self.write = lambda s: s.regs[r] & _M32, write_reg
+            self.read, self.write = lambda s: s.locs[r] & _M32, write_reg
         else:
-            # a missing base or index reads as 0: regs has no key None
+            # a missing base or index reads as 0: locs has no key None
             base, index, scale, disp = op.base, op.index, op.scale, op.disp
             addr = self.addr = lambda s: (
-                s.regs.get(base, 0) + s.regs.get(index, 0) * scale + disp
+                s.locs.get(base, 0) + s.locs.get(index, 0) * scale + disp
             ) & _M32
             self.read = lambda s: s.load(addr(s), 4)
             self.write = lambda s, v: s.store(addr(s), 4, v)
@@ -284,35 +282,22 @@ def program_tokens(prog):
 # instruction to a function that runs it and returns the next pc.
 
 
-def _temp_key(t):
-    """Temps keyed by their fields: a tuple hashes faster than the
-    record."""
-    return (t.index, t.width)
+def _loc_key(loc):
+    """The key of a location that is not a token in MachineState.locs."""
+    if not isinstance(loc, (Reg, Flag, Temp)):
+        raise RicError(f"no concrete location {format_loc(loc)}")
+    return format_loc(loc)
 
 
 def _compile_read(loc, m):
-    if isinstance(loc, Reg):
-        name = loc.name
-        if name in GP:
-            return lambda s: s.regs[name] & m
-        return lambda s: s.wide[name] & m
-    if isinstance(loc, Flag):
-        name = loc.name
-        return lambda s: s.flags[name] & m
-    if isinstance(loc, Temp):
-        key = _temp_key(loc)
-        return lambda s: s.temps[key] & m
     if isinstance(loc, Token):
         p = loc.index
         return lambda s: s.operands[p].read(s)
     if isinstance(loc, TokenAddr):
         p = loc.index
         return lambda s: s.operands[p].addr(s)
-
-    def unbound(s):
-        raise RicError(f"unbound location {format_loc(loc)} in concrete execution")
-
-    return unbound
+    name = _loc_key(loc)
+    return lambda s: s.locs[name] & m
 
 
 def compile_expr(e):
@@ -352,38 +337,6 @@ def compile_expr(e):
 
 def _compile_write(loc, f, nxt):
     """Run `loc <- f`, masked to the location's width, and go to nxt."""
-    if isinstance(loc, Reg) and loc.name in GP:
-        name = loc.name
-
-        def write_reg(s):
-            s.regs[name] = f(s) & 0xFFFFFFFF
-            return nxt
-
-        return write_reg
-    if isinstance(loc, Reg):
-        name, m = loc.name, _ones(loc.width)
-
-        def write_wide(s):
-            s.wide[name] = f(s) & m
-            return nxt
-
-        return write_wide
-    if isinstance(loc, Flag):
-        name = loc.name
-
-        def write_flag(s):
-            s.flags[name] = f(s) & 1
-            return nxt
-
-        return write_flag
-    if isinstance(loc, Temp):
-        key, m = _temp_key(loc), _ones(loc.width)
-
-        def write_temp(s):
-            s.temps[key] = f(s) & m
-            return nxt
-
-        return write_temp
     if isinstance(loc, Token):
         p = loc.index
 
@@ -392,12 +345,13 @@ def _compile_write(loc, f, nxt):
             return nxt
 
         return write_token
+    name, m = _loc_key(loc), _ones(loc.width)
 
-    def unwritable(s):
-        f(s)
-        raise RicError(f"cannot write location {format_loc(loc)}")
+    def write(s):
+        s.locs[name] = f(s) & m
+        return nxt
 
-    return unwritable
+    return write
 
 
 def _compile_instr(prog, i):
@@ -562,23 +516,24 @@ def random_state(rng, cfg, binding, fi=None, esp_base=None):
         while r >= slots:
             r = getrandbits(k)
         pool.append(data_lo + r * 8)
-    regs = {}
+    locs = {}
     for name in GP:
         r = getrandbits(3)
         while r >= 4:
             r = getrandbits(3)
-        regs[name] = pool[r]
-    m = MachineState.__new__(MachineState)
-    m.regs = regs
-    m.wide = {name: getrandbits(64) for name in WIDE}
-    m.flags = {name: getrandbits(1) for name in FLAG_NAMES}
+        locs[name] = pool[r]
+    for name in WIDE:
+        locs[name] = getrandbits(64)
+    for name in FLAG_LOCS:
+        locs[name] = getrandbits(1)
     if esp_base is None:
         r = getrandbits(5)
         while r >= 16:
             r = getrandbits(5)
         esp_base = SANDBOX_BASE + size - 0x400 - r * 4
-    regs["esp"] = esp_base
-    m.size, m._mem, m.temps, m.operands = size, PageBytes(getrandbits(64)), {}, {}
+    locs["esp"] = esp_base
+    m = MachineState.__new__(MachineState)
+    m.locs, m.size, m._mem, m.operands = locs, size, PageBytes(getrandbits(64)), {}
     m.stored = stored = {}
     if fi is not None:
         sizes = fi.sizes
@@ -596,7 +551,7 @@ def random_state(rng, cfg, binding, fi=None, esp_base=None):
                 for i in range(off, off + n):
                     stored[i] = value & 0xFF
                     value >>= 8
-    regs.update(binding.pins)
+    locs.update(binding.pins)
     return m
 
 
@@ -607,7 +562,7 @@ def token_value(state, fi, assignment, binding, p):
     if isinstance(op, ImmOperand):
         return op.value & ((1 << bits) - 1)
     if isinstance(op, RegOperand):
-        return state.regs[op.reg] & ((1 << min(bits, 32)) - 1)
+        return state.locs[op.reg] & ((1 << min(bits, 32)) - 1)
     return state.load(binding.cells[p], fi.sizes.get(p, 4))
 
 
@@ -644,10 +599,10 @@ def _fmt_assignment(a):
 def _scratch_range(m_in, m_out):
     """Bytes below the entry stack pointer are scratch when esp is
     restored, mirroring the checker's stack-slot exemption."""
-    if m_out.regs["esp"] != m_in.regs["esp"]:
+    esp = m_in.locs["esp"]
+    if m_out.locs["esp"] != esp:
         return None
-    lo = max(m_in.regs["esp"] - 128, SANDBOX_BASE)
-    return (lo - SANDBOX_BASE, m_in.regs["esp"] - SANDBOX_BASE)
+    return (max(esp - 128, SANDBOX_BASE) - SANDBOX_BASE, esp - SANDBOX_BASE)
 
 
 def _mem_equal(m1, m2, exempt_ranges):
@@ -873,26 +828,15 @@ def _check_frame_write(run, trial, cfg):
         run.executed[trial] = (rng, assignment, binding, m_in, m_out, steps_left - run.steps_left)
 
     assignable = run.assignable(assignment)
-    for r in GP:
-        if r in assignable or r == "esp":
+    before, after = m_in.locs, m_out.locs
+    for r in GP + WIDE + (() if "cc" in fi.s_c else FLAG_LOCS):
+        if r in assignable or after[r] == before[r]:
             continue
-        if m_out.regs[r] != m_in.regs[r]:
-            return Witness("frame_write", r, _fmt_assignment(assignment.mapping),
-                           detail=f"{r}: {m_in.regs[r]:#x} -> {m_out.regs[r]:#x}")
-    if m_out.regs["esp"] != m_in.regs["esp"] and "esp" not in assignable:
-        return Witness("frame_write", "esp", _fmt_assignment(assignment.mapping),
-                       detail=f"esp: {m_in.regs['esp']:#x} -> {m_out.regs['esp']:#x}")
-    for r in WIDE:
-        if r in assignable:
-            continue
-        if m_out.wide[r] != m_in.wide[r]:
-            return Witness("frame_write", r, _fmt_assignment(assignment.mapping),
-                           detail=f"{r} changed")
-    if "cc" not in fi.s_c:
-        for f in FLAG_NAMES:
-            if m_out.flags[f] != m_in.flags[f]:
-                return Witness("frame_write", f"flag:{f}", _fmt_assignment(assignment.mapping),
-                               detail=f"flag {f} changed")
+        if r in GP:
+            detail = f"{r}: {before[r]:#x} -> {after[r]:#x}"
+        else:
+            detail = f"{r.replace(':', ' ')} changed"  # mm0 changed, flag z changed
+        return Witness("frame_write", r, _fmt_assignment(assignment.mapping), detail=detail)
     if fi.f:
         exempt = _output_cell_ranges(fi, assignment, binding)
         scratch = _scratch_range(m_in, m_out)
@@ -909,13 +853,11 @@ def _check_frame_write(run, trial, cfg):
     return None
 
 
-def _equalize_inputs(run, assignment, binding, m_src, m_dst, assignment2=None, binding2=None):
-    """Copy input-token evaluations from m_src into m_dst. Returns False
-    on a pin conflict."""
+def _equalize_inputs(run, a1, b1, m1, a2, b2, m2):
+    """Give m2 under (a2, b2) the input-token evaluations of m1 under
+    (a1, b1). Returns False on a pin conflict."""
     fi = run.fi
-    a2 = assignment2 or assignment
-    b2 = binding2 or binding
-    wanted = [(p, token_value(m_src, fi, assignment, binding, p)) for p in run.inputs]
+    wanted = [(p, token_value(m1, fi, a1, b1, p)) for p in run.inputs]
     for p, val in wanted:
         op = a2[p]
         if isinstance(op, ImmOperand):
@@ -925,80 +867,72 @@ def _equalize_inputs(run, assignment, binding, m_src, m_dst, assignment2=None, b
         if isinstance(op, RegOperand):
             if op.reg in b2.pins and b2.pins[op.reg] != val:
                 return False
-            m_dst.regs[op.reg] = val & 0xFFFFFFFF
+            m2.locs[op.reg] = val & 0xFFFFFFFF
             continue
-        m_dst.store(b2.cells[p], fi.sizes.get(p, 4), val)
+        m2.store(b2.cells[p], fi.sizes.get(p, 4), val)
     # inputs sharing a register or overlapping cells must agree, or the
     # pair is not realizable
     for p, want in wanted:
-        if token_value(m_dst, fi, a2, b2, p) != want:
+        if token_value(m2, fi, a2, b2, p) != want:
             return False
     return True
 
 
-def _check_frame_read(run, trial, cfg):
-    """Frame-write's trial of the same number drew the same assignment,
-    binding and first state, and ran them: its record, when there is
-    one, stands for those draws and the first run. Sharing m1 with it is
-    safe: copy_memory copies the stored bytes, and only m2 is written."""
+def _pair(run, prop, rng, cfg, a1, b1, m1, a2, b2, o1=None, steps=None):
+    """The differential run of frame-read and unicity: a1 runs on m1,
+    a2 on a second state drawn from rng with equal inputs, and the
+    outputs must agree. o1, when given, is m1's run made earlier in
+    `steps` steps, which are charged instead of running it again."""
     fi = run.fi
-    executed = run.executed.pop(trial, None)
-    if executed is None:
-        rng = _trial_rng(cfg, trial)
-        assignment = rng.choice(run.assignments)
-        binding = run.bind(assignment, rng)
-        m1 = random_state(rng, cfg, binding, fi)
-    else:
-        rng, assignment, binding, m1, o1, steps = executed
-    m2 = random_state(rng, cfg, binding, fi, esp_base=m1.regs["esp"])
+    m2 = random_state(rng, cfg, b2, fi, esp_base=m1.locs["esp"])
     if not fi.f:
+        # the memory-equality clause of input equivalence
         m2.copy_memory(m1)
-    if not _equalize_inputs(run, assignment, binding, m1, m2):
+    if not _equalize_inputs(run, a1, b1, m1, a2, b2, m2):
         raise _Skip
-
-    if executed is None:
-        o1 = run.run_one(assignment, m1.copy())
+    if not fi.f and _mem_equal(m1, m2, []) is not None:
+        raise _Skip
+    if o1 is None:
+        o1 = run.run_one(a1, m1.copy())
     else:
         run.charge(steps)
-    o2 = run.run_one(assignment, m2.copy())
-    return _compare_outputs(
-        run, "frame_read", assignment, binding, assignment, binding, m1, m2, o1, o2
-    )
+    o2 = run.run_one(a2, m2.copy())
 
+    def witness(location, detail):
+        a2_json = _fmt_assignment(a2.mapping) if a2 is not a1 else None
+        return Witness(prop, location, _fmt_assignment(a1.mapping), a2_json, detail)
 
-def _compare_outputs(run, prop, a1, b1, a2, b2, m1, m2, o1, o2):
-    fi = run.fi
     for p in run.outputs:
         v1 = token_value(o1, fi, a1, b1, p)
         v2 = token_value(o2, fi, a2, b2, p)
         if v1 != v2:
-            return Witness(
-                prop,
-                f"%{p}",
-                _fmt_assignment(a1.mapping),
-                assignment2=_fmt_assignment(a2.mapping) if a2 is not a1 else None,
-                detail=f"output %{p}: {v1:#x} vs {v2:#x}",
-            )
+            return witness(f"%{p}", f"output %{p}: {v1:#x} vs {v2:#x}")
     if not fi.f:
-        exempt = []
         s1 = _scratch_range(m1, o1)
-        s2 = _scratch_range(m2, o2)
-        if s1 and s2 and s1 == s2:
-            exempt.append(s1)
+        exempt = [s1] if s1 and s1 == _scratch_range(m2, o2) else []
         bad = _mem_equal(o1, o2, exempt)
         if bad is not None:
-            return Witness(
-                prop,
-                "memory",
-                _fmt_assignment(a1.mapping),
-                assignment2=_fmt_assignment(a2.mapping) if a2 is not a1 else None,
-                detail=f"memory differs at {SANDBOX_BASE + bad:#x}",
-            )
+            return witness("memory", f"memory differs at {SANDBOX_BASE + bad:#x}")
     return None
 
 
+def _check_frame_read(run, trial, cfg):
+    """The pair with one assignment on both sides. Frame-write's trial
+    of the same number drew the same assignment, binding and first
+    state, and ran them: its record, when there is one, stands for
+    those draws and the first run. Sharing m1 with it is safe:
+    copy_memory copies the stored bytes, and only m2 is written."""
+    executed = run.executed.pop(trial, None)
+    if executed is not None:
+        rng, a, b, m1, o1, steps = executed
+        return _pair(run, "frame_read", rng, cfg, a, b, m1, a, b, o1, steps)
+    rng = _trial_rng(cfg, trial)
+    a = rng.choice(run.assignments)
+    b = run.bind(a, rng)
+    return _pair(run, "frame_read", rng, cfg, a, b, random_state(rng, cfg, b, run.fi), a, b)
+
+
 def _check_unicity(run, trial, cfg):
-    fi = run.fi
     rng = _trial_rng(cfg, trial)
     a1 = rng.choice(run.assignments)
     a2 = rng.choice(run.assignments)
@@ -1011,15 +945,4 @@ def _check_unicity(run, trial, cfg):
             raise _Skip
     b1 = run.bind(a1, rng)
     b2 = run.bind(a2, rng)
-    m1 = random_state(rng, cfg, b1, fi)
-    m2 = random_state(rng, cfg, b2, fi, esp_base=m1.regs["esp"])
-    if not fi.f:
-        # the memory-equality clause of input equivalence
-        m2.copy_memory(m1)
-    if not _equalize_inputs(run, a1, b1, m1, m2, assignment2=a2, binding2=b2):
-        raise _Skip
-    if not fi.f and _mem_equal(m1, m2, []) is not None:
-        raise _Skip
-    o1 = run.run_one(a1, m1.copy())
-    o2 = run.run_one(a2, m2.copy())
-    return _compare_outputs(run, "unicity", a1, b1, a2, b2, m1, m2, o1, o2)
+    return _pair(run, "unicity", rng, cfg, a1, b1, random_state(rng, cfg, b1, run.fi), a2, b2)

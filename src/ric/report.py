@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from json.encoder import encode_basestring_ascii as _quote
 
-from .expr import MMX_REGS, XMM_REGS, MemoryWhole, Reg, StackSlot, format_loc
+from .expr import MMX_REGS, XMM_REGS, MemoryWhole, Reg, format_loc
 from .lift import uses_push_pop
 from .value import Record, asdict
 
@@ -35,7 +35,7 @@ def classify_pattern(issue, result):
         return PatternTag("P1", "condition flags clobbered without a cc clobber")
     if name == "ebx" or "ebx" in issue.details.split():
         return PatternTag("P2", "ebx written; reserved for PIC code")
-    if (name == "esp" or isinstance(loc, StackSlot)) and uses_push_pop(result.parsed):
+    if name == "esp" and uses_push_pop(result.parsed):
         return PatternTag("P3", "stack pointer manipulated via push/pop")
     if (
         issue.category in ("UnboundMemoryWrite", "UnboundMemoryRead")

@@ -144,13 +144,13 @@ def runs(corpus_chunks, corpus_results):
 
 
 def _outcome(execute, state):
-    """(steps or the exception's type, registers, flags, wide registers,
-    stored bytes) after execute(state)."""
+    """(steps or the exception's type, locations, stored bytes) after
+    execute(state)."""
     try:
         steps = execute(state)
     except RicError as e:
         return type(e).__name__
-    return steps, state.regs, state.flags, state.wide, state.stored
+    return steps, state.locs, state.stored
 
 
 # an immediate anywhere in (and past) the 32-bit range, negative ones too
@@ -189,7 +189,7 @@ def test_compiled_once_matches_substituted(runs, data):
             continue
         state = random_state(rng, CFG, binding, run.fi)
         for r in GP:
-            state.regs[r] |= high
+            state.locs[r] |= high
 
         def substituted(s):
             return exec_program(compile_program(substitute(run.prog, mapping)), s, BUDGET)
@@ -215,11 +215,11 @@ def test_uncovered_token_raises_before_running():
     run1 = OracleRun(check_chunk(chunk), CFG)
     assert run1.tokens == [0, 1]
     state = oracle.MachineState(CFG.sandbox_size)
-    state.regs["eax"] = 0  # %0 = 0: the branch skips the read of %1
-    before = dict(state.regs)
+    state.locs["eax"] = 0  # %0 = 0: the branch skips the read of %1
+    before = dict(state.locs)
     with pytest.raises(MissingToken, match="%1 not covered"):
         run1.run_one(TokenAssignment({0: RegOperand("eax")}), state)
-    assert state.regs == before and run1.steps_left == oracle.STEP_BUDGET
+    assert state.locs == before and run1.steps_left == oracle.STEP_BUDGET
     with pytest.raises(MissingToken, match="%0 bound to an immediate is written"):
         run1.run_one(TokenAssignment({0: ImmOperand(1), 1: RegOperand("ebx")}), state)
 

@@ -4,12 +4,13 @@ report reproducibility."""
 import hashlib
 import json
 import subprocess
+import sys
 
 import pytest
 
 from ric.cli import run
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 
 FAULTY_SRC = (
     "int f(int x, int y) {\n"
@@ -232,6 +233,21 @@ def test_exit_two_on_bad_usage(tmp_path, capsys):
     assert run(["check", str(tmp_path / "missing.c")]) == 2
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--trials", "-5"), ("--trials", "0"), ("--assignment-cap", "0")],
+)
+def test_trial_count_and_cap_below_one_are_bad_usage(tmp_path, capsys, option, value):
+    """Not a pass of -5 trials, nor an inconclusive verdict of none."""
+    assert run(["oracle", option, value, write(tmp_path, "g.c", CLEAN_SRC)]) == 2
+    assert f"argument {option}" in capsys.readouterr().err
+    script = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_corpus.py"), "--oracle", option, value],
+        capture_output=True, text=True,
+    )
+    assert script.returncode == 2 and f"argument {option}" in script.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -313,10 +313,10 @@ def test_exec_add_sets_flags():
     m = run_program(
         "addl %%ebx, %%eax",
         clobbers=["eax", "ebx", "cc"],
-        setup=lambda m: m.regs.update(eax=0xFFFFFFFF, ebx=1),
+        setup=lambda m: m.locs.update(eax=0xFFFFFFFF, ebx=1),
     )
-    assert m.regs["eax"] == 0
-    assert m.flags["z"] == 1 and m.flags["c"] == 1
+    assert m.locs["eax"] == 0
+    assert m.locs["flag:z"] == 1 and m.locs["flag:c"] == 1
 
 
 def test_exec_loop_terminates():
@@ -324,26 +324,26 @@ def test_exec_loop_terminates():
         "movl $4, %%ecx\n1: decl %%ecx\njnz 1b",
         clobbers=["ecx", "cc"],
     )
-    assert m.regs["ecx"] == 0
+    assert m.locs["ecx"] == 0
 
 
 def test_exec_push_pop_restores_esp():
     m = run_program(
         "pushl %%eax\npopl %%ebx",
         clobbers=["ebx"],
-        setup=lambda m: m.regs.update(eax=0x1234, esp=SANDBOX_BASE + 2048),
+        setup=lambda m: m.locs.update(eax=0x1234, esp=SANDBOX_BASE + 2048),
     )
-    assert m.regs["ebx"] == 0x1234
-    assert m.regs["esp"] == SANDBOX_BASE + 2048
+    assert m.locs["ebx"] == 0x1234
+    assert m.locs["esp"] == SANDBOX_BASE + 2048
 
 
 def test_exec_bswap():
     m = run_program(
         "bswapl %%eax",
         clobbers=["eax"],
-        setup=lambda m: m.regs.update(eax=0x11223344),
+        setup=lambda m: m.locs.update(eax=0x11223344),
     )
-    assert m.regs["eax"] == 0x44332211
+    assert m.locs["eax"] == 0x44332211
 
 
 @pytest.mark.parametrize(
@@ -357,10 +357,10 @@ def test_exec_bswap():
     ],
 )
 def test_exec_rotates_as_the_cpu_does(template, before, after, cf, of):
-    m = run_program(template, clobbers=["eax", "cc"], setup=lambda m: m.regs.update(eax=before))
-    assert (m.regs["eax"], m.flags["c"]) == (after, cf)
+    m = run_program(template, clobbers=["eax", "cc"], setup=lambda m: m.locs.update(eax=before))
+    assert (m.locs["eax"], m.locs["flag:c"]) == (after, cf)
     if of is not None:
-        assert m.flags["o"] == of
+        assert m.locs["flag:o"] == of
 
 
 @pytest.mark.parametrize("template", ["rolb $16, %b0", "rolb $9, %b0; rorb $9, %b0"])
@@ -371,7 +371,7 @@ def test_rotates_that_restore_a_read_only_input_pass_the_oracle(template):
 
 def test_exec_memory_store_load():
     def setup(m):
-        m.regs.update(eax=0xDEADBEEF, ebx=SANDBOX_BASE + 512)
+        m.locs.update(eax=0xDEADBEEF, ebx=SANDBOX_BASE + 512)
 
     m = run_program(
         "movl %%eax, (%%ebx)\nmovzbl (%%ebx), %%ecx",
@@ -379,7 +379,7 @@ def test_exec_memory_store_load():
         setup=setup,
     )
     assert m.load(SANDBOX_BASE + 512, 4) == 0xDEADBEEF
-    assert m.regs["ecx"] == 0xEF
+    assert m.locs["ecx"] == 0xEF
 
 
 # ---------------------------------------------------------------------------

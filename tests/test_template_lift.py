@@ -113,12 +113,12 @@ def test_every_condition_classifies_and_lifts_in_each_family(cc):
         flags = dict(zip("zcsop", ((bits >> i) & 1 for i in range(5))))
         taken = bool(REFERENCE_CONDITIONS[cc](*flags.values()))
         m = MachineState(0)
-        m.flags.update(flags)
-        m.regs.update(eax=0x100, ebx=0xB, ecx=0xC, edx=0xD, esi=0)
+        m.locs.update({f"flag:{f}": v for f, v in flags.items()})
+        m.locs.update(eax=0x100, ebx=0xB, ecx=0xC, edx=0xD, esi=0)
         exec_program(prog, m)
-        assert m.regs["eax"] == 0x100 | taken, flags
-        assert (m.regs["edx"], m.regs["ebx"]) == ((0xC, 0xC) if taken else (0xD, 0xB)), flags
-        assert m.regs["esi"] == (0 if taken else 1), flags
+        assert m.locs["eax"] == 0x100 | taken, flags
+        assert (m.locs["edx"], m.locs["ebx"]) == ((0xC, 0xC) if taken else (0xD, 0xB)), flags
+        assert m.locs["esi"] == (0 if taken else 1), flags
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +396,7 @@ def _env_state(seed):
     """A machine state that reads registers and memory as _env does."""
     get_loc, load_mem = _env(seed)
     s = MachineState(0)
-    s.regs.update({r.name: get_loc(r) for r in _REGS})
+    s.locs.update({r.name: get_loc(r) for r in _REGS})
     s.load = load_mem
     return s
 

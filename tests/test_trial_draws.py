@@ -51,12 +51,12 @@ def _reference_random_state(rng, cfg, binding, fi=None, esp_base=None):
         for _ in range(POOL_SIZE)
     ]
     for r in GP:
-        m.regs[r] = rng.choice(pool)
+        m.locs[r] = rng.choice(pool)
     for r in WIDE:
-        m.wide[r] = rng.getrandbits(64)
+        m.locs[r] = rng.getrandbits(64)
     for f in FLAG_NAMES:
-        m.flags[f] = rng.getrandbits(1)
-    m.regs["esp"] = esp_base if esp_base is not None else (
+        m.locs[f"flag:{f}"] = rng.getrandbits(1)
+    m.locs["esp"] = esp_base if esp_base is not None else (
         SANDBOX_BASE + cfg.sandbox_size - 0x400 - rng.randrange(0, 16) * 4
     )
     m.mem = PageBytes(rng.getrandbits(64))
@@ -66,7 +66,7 @@ def _reference_random_state(rng, cfg, binding, fi=None, esp_base=None):
             for off in range(0, size, 4):
                 m.store(addr + off, min(4, size - off), rng.choice(pool))
     for reg, val in binding.pins.items():
-        m.regs[reg] = val
+        m.locs[reg] = val
     return m
 
 
@@ -77,7 +77,7 @@ def _outcome(make):
         m = make()
     except OutOfSandbox as e:
         return ("out of sandbox", str(e))
-    return (m.regs, m.wide, m.flags, m.size, m.mem.key, m.stored, m.temps, m.operands)
+    return (m.locs, m.size, m.mem.key, m.stored, m.operands)
 
 
 SIZES = (0x4000, 0x8000, 65536)
