@@ -38,9 +38,9 @@ def main():
             keys = {(i.category, str(i.location)) for i in result.issues}
             alarms += len(keys)
             if name == "full precision":
-                baseline[c.context.file] = keys
-            elif keys - baseline[c.context.file]:
-                noisy.append((c.context.file, len(keys - baseline[c.context.file])))
+                baseline[c.span.file] = keys
+            elif keys - baseline[c.span.file]:
+                noisy.append((c.span.file, len(keys - baseline[c.span.file])))
         extra = alarms - sum(len(v) for v in baseline.values())
         print(f"{name:28s} {alarms:4d} alarms ({extra:+d} vs full precision)")
         for f, n in noisy:

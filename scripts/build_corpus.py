@@ -272,7 +272,7 @@ def main():
     chunks = load_chunk_records(RECORDS, file="corpus/corpus.json")
     bad = 0
     for chunk in chunks:
-        cid = chunk.context.file
+        cid = chunk.span.file
         label = LABELS[cid]
         result = check_chunk(chunk)
         got = actual_findings(result)

@@ -29,7 +29,6 @@ def main():
     ap.add_argument("--oracle", action="store_true")
     ap.add_argument("--trials", type=positive_int, default=100)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--assignment-cap", type=positive_int, default=256)
     args = ap.parse_args()
 
     chunks = load_chunk_file(args.corpus)
@@ -40,8 +39,8 @@ def main():
     results = {}
     for c in chunks:
         result = check_chunk(c)
-        results[c.context.file] = result
-        label = labels[c.context.file]
+        results[c.span.file] = result
+        label = labels[c.span.file]
         got = sorted(
             (
                 i.category,
@@ -57,7 +56,7 @@ def main():
         if result.verdict != label["verdict"] or got != want:
             status = "MISMATCH"
             mismatches += 1
-        print(f"{c.context.file:32s} {result.verdict:12s} {len(result.issues)} issue(s) {status}")
+        print(f"{c.span.file:32s} {result.verdict:12s} {len(result.issues)} issue(s) {status}")
     elapsed = time.perf_counter() - t0
     print(
         f"\nchecked {len(chunks)} chunks in {elapsed:.2f} s "
@@ -65,21 +64,19 @@ def main():
     )
 
     if args.oracle:
-        cfg = TrialConfig(
-            trials=args.trials, seed=args.seed, assignment_cap=args.assignment_cap
-        )
-        compliant = [c for c in chunks if results[c.context.file].verdict == "compliant"]
+        cfg = TrialConfig(trials=args.trials, seed=args.seed)
+        compliant = [c for c in chunks if results[c.span.file].verdict == "compliant"]
 
         def refuted(i):
             """The 'UNSOUND' line of each property the oracle refutes on
             compliant chunk i."""
             c = compliant[i]
-            run = OracleRun(results[c.context.file], cfg)
+            run = OracleRun(results[c.span.file], cfg)
             lines = []
             for prop in ("frame_write", "frame_read", "unicity"):
-                v = oracle_check(c, prop, cfg, run=run)
+                v = oracle_check(run, prop)
                 if v.verdict == "violation":
-                    lines.append(f"UNSOUND {c.context.file} {prop}: {v.witness.location}")
+                    lines.append(f"UNSOUND {c.span.file} {prop}: {v.witness.location}")
             return lines
 
         unsound = 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 
+from .constraints import LETTER_TABLE
 from .errors import (
     BadConstraintChar,
     MalformedInterface,
@@ -49,13 +50,6 @@ class OperandEntry(Record):
     name: str = None
 
 
-class ChunkContext(Record):
-    file: str = None
-    line: int = None
-    single_chunk_function: bool = None
-    notes: str = ""
-
-
 class ChunkAst(Record):
     span: SourceSpan
     qualifiers: frozenset
@@ -63,7 +57,9 @@ class ChunkAst(Record):
     outputs: tuple
     inputs: tuple
     clobbers: tuple
-    context: ChunkContext = ChunkContext()
+    # a chunk file's context may say whether the chunk is the whole body
+    # of its function; report pattern P4 reads it
+    single_chunk_function: bool = None
 
     @property
     def entries(self):
@@ -238,7 +234,7 @@ def _decode_strings(text):
     return "".join(out)
 
 
-CONSTRAINT_CHARS = set("=+&%abcdSDUqQrRinpmg0123456789,[]")
+CONSTRAINT_CHARS = set(LETTER_TABLE) | set("=+&%0123456789,[]")
 _SIZE_NOTE = re.compile(r"/\*\s*size:(\d+)\s*\*/|//\s*size:(\d+)")
 # [name] "constraint" rest: every part may be missing, and an empty
 # group 3 means the constraint does not end
@@ -323,8 +319,7 @@ def parse_asm_statement(raw, span, qualifiers=frozenset(), marks=None):
     if len(sections) > 3:
         parts = [_uncomment(p)[0] for p in sections[3]]
         clobbers = tuple([_decode_strings(p) for p in parts if p.strip()])
-    context = ChunkContext(span.file, span.line)
-    return ChunkAst(span, frozenset(qualifiers), template, outputs, inputs, clobbers, context)
+    return ChunkAst(span, frozenset(qualifiers), template, outputs, inputs, clobbers)
 
 
 def _has_splice(raw):
@@ -387,7 +382,7 @@ def rename_chunk(chunk, renaming, st):
     k = len(chunk.outputs)
     return replace(
         chunk, span=st.span, qualifiers=st.qualifiers, outputs=tuple(entries[:k]),
-        inputs=tuple(entries[k:]), context=ChunkContext(st.span.file, st.span.line),
+        inputs=tuple(entries[k:]),
     )
 
 
@@ -487,14 +482,7 @@ def load_chunk_records(records, file="<chunks>"):
         if not isinstance(ctx, dict):
             raise SchemaViolation(f"{path}.context", "must be an object")
         _check_fields(ctx, _CONTEXT_FIELDS, f"{path}.context")
-        srcfile = ctx.get("file", file)
-        line = ctx.get("line", idx + 1)
-        span = SourceSpan(srcfile, line, 1, 0, 0)
-        context = ChunkContext(
-            file=srcfile,
-            line=line,
-            single_chunk_function=ctx.get("single_chunk_function"),
-        )
+        span = SourceSpan(ctx.get("file", file), ctx.get("line", idx + 1), 1, 0, 0)
         chunks.append(
             ChunkAst(
                 span,
@@ -503,7 +491,7 @@ def load_chunk_records(records, file="<chunks>"):
                 outputs,
                 inputs,
                 tuple(clobbers),
-                context,
+                ctx.get("single_chunk_function"),
             )
         )
     return chunks

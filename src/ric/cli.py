@@ -28,6 +28,9 @@ def positive_int(text):
 
 
 def _parser():
+    """Each command takes only the options it reads: every command
+    --format, --out and --chunks, patch and refine also --in-place, and
+    oracle also --seed and --trials."""
     p = argparse.ArgumentParser(
         prog="ric", description="inline assembly interface compliance"
     )
@@ -36,16 +39,12 @@ def _parser():
         sp = sub.add_parser(name)
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--in-place", action="store_true", dest="in_place")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=positive_int, default=100)
-        sp.add_argument(
-            "--assignment-cap", type=positive_int, default=256, dest="assignment_cap"
-        )
-        sp.add_argument("--no-refine-inputs", action="store_true")
-        sp.add_argument("--no-refine-clobbers", action="store_true")
-        sp.add_argument("--no-refine-memory", action="store_true")
         sp.add_argument("--chunks", action="append", default=[], metavar="FILE.json")
+        if name in ("patch", "refine"):
+            sp.add_argument("--in-place", action="store_true", dest="in_place")
+        if name == "oracle":
+            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--trials", type=positive_int, default=100)
         sp.add_argument("files", nargs="*")
     return p
 
@@ -283,16 +282,11 @@ def _cmd_patch(args):
 def _cmd_refine(args):
     from . import refiner
 
-    options = refiner.RefineOptions(
-        refine_inputs=not args.no_refine_inputs,
-        refine_clobbers=not args.no_refine_clobbers,
-        refine_memory=not args.no_refine_memory,
-    )
     rewrites = {}
 
     def analyse(chunk):
         result = check_chunk(chunk)
-        rr = refiner.refine_interface(result, options) if result.verdict == "compliant" else None
+        rr = refiner.refine_interface(result) if result.verdict == "compliant" else None
         return chunk_report(result), rr
 
     def extend(path, text, entry, rr):
@@ -316,19 +310,17 @@ def _cmd_refine(args):
     return _finish(reports, unparsed, args)
 
 
-def oracle_check(chunk, prop, cfg, run):
+def oracle_check(run, prop):
     """ric.oracle.oracle_check, imported on the first call."""
     from .oracle import oracle_check
 
-    return oracle_check(chunk, prop, cfg, run=run)
+    return oracle_check(run, prop)
 
 
 def _cmd_oracle(args):
     from .oracle import OracleRun, TrialConfig
 
-    cfg = TrialConfig(
-        trials=args.trials, seed=args.seed, assignment_cap=args.assignment_cap
-    )
+    cfg = TrialConfig(trials=args.trials, seed=args.seed)
     timed = timings_enabled()
 
     def analyse(chunk):
@@ -337,7 +329,7 @@ def _cmd_oracle(args):
         oracle = {}
         for prop in ("frame_write", "frame_read", "unicity"):
             t0 = time.perf_counter()
-            verdict = oracle_check(chunk, prop, cfg, run=run)
+            verdict = oracle_check(run, prop)
             entry = {"verdict": verdict.verdict, "trials": verdict.trials_run}
             if verdict.reason:
                 entry["reason"] = verdict.reason

@@ -21,9 +21,6 @@ from .value import Record
 
 R_SET = ("eax", "ebx", "ecx", "edx", "esi", "edi", "ebp")
 Q_SET = ("eax", "ebx", "ecx", "edx")
-ADDR_BASES = R_SET + ("esp",)  # plus the absent base, handled structurally
-ADDR_INDICES = R_SET
-ADDR_SCALES = (1, 2, 4, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +44,6 @@ class MemoryRef(Record):
     """The x86 address family: base + scale*index + displacement."""
 
     deref: bool  # True for 'm' (*p), False for 'p'
-    bases: tuple = ADDR_BASES
-    indices: tuple = ADDR_INDICES
-    scales: tuple = ADDR_SCALES
 
 
 class UnionClass(Record):

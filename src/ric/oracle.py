@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 
-from .checker import check_chunk
 from .constraints import (
     ImmOperand,
     MemOperand,
@@ -62,6 +61,10 @@ from .template import template_tokens
 from .value import Record
 
 SANDBOX_BASE = 0x10000
+SANDBOX_SIZE = 65536
+# valid assignments enumerated per chunk: a chunk with more gets no
+# pass, since its trials draw only from the first ones in DFS order
+ASSIGNMENT_CAP = 256
 STEP_BUDGET = 10**6  # IR steps per (chunk, property), across all trials
 # frame-write trials whose draws and run frame-read takes over; the
 # rest it draws again, so the oracle's memory does not grow with --trials
@@ -76,8 +79,6 @@ FLAG_LOCS = tuple(f"flag:{f}" for f in FLAG_NAMES)
 class TrialConfig(Record, frozen=False):
     trials: int = 100
     seed: int = 0
-    assignment_cap: int = 256
-    sandbox_size: int = 65536
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +425,7 @@ class _Skip(Exception):
     """Trial cannot be set up under this assignment; try another."""
 
 
-def bind_assignment(fi, assignment, rng, cfg, anchors=()):
+def bind_assignment(fi, assignment, rng, anchors=()):
     """Pin base/index registers so each memory operand resolves to its
     token's sandbox slot. Entries anchored to a pointer token are placed
     at that token's value plus their declared offset instead, and the
@@ -475,7 +476,7 @@ def bind_assignment(fi, assignment, rng, cfg, anchors=()):
         slot = _slot(i)
         if op.base in b.pins:
             addr = (b.pins[op.base] + op.disp + idx_part) & 0xFFFFFFFF
-            if not (SANDBOX_BASE <= addr and addr + 16 <= SANDBOX_BASE + cfg.sandbox_size):
+            if not (SANDBOX_BASE <= addr and addr + 16 <= SANDBOX_BASE + SANDBOX_SIZE):
                 return None
             b.cells[p] = addr
         else:
@@ -490,7 +491,7 @@ def bind_assignment(fi, assignment, rng, cfg, anchors=()):
 POOL_SIZE = 4
 
 
-def random_state(rng, cfg, binding, fi=None, esp_base=None):
+def random_state(rng, binding, fi=None, esp_base=None):
     """Fresh randomized state. Register values and token-cell contents
     are drawn from a small per-state pool of sandbox addresses, so that
     equality-dependent control flow (cmp, cmpxchg) is actually exercised
@@ -504,11 +505,9 @@ def random_state(rng, cfg, binding, fi=None, esp_base=None):
     unless esp_base is given, the sandbox key, and a pool entry for each
     4-byte piece of each token cell."""
     getrandbits = rng.getrandbits
-    size = cfg.sandbox_size
+    size = SANDBOX_SIZE
     data_lo = SANDBOX_BASE + 0x1000
     slots = (size - 0x2800) // 8  # 8-byte slots from data_lo to size - 0x1800
-    if slots <= 0:
-        raise ValueError(f"a sandbox of {size} bytes has no data area")
     k = slots.bit_length()
     pool = []
     for _ in range(POOL_SIZE):
@@ -672,7 +671,7 @@ class OracleRun:
             return
         refs = template_tokens(result.parsed)
         collapse = frozenset(a.entry for a in self.anchors if a.entry not in refs)
-        aset = enumerate_assignments(self.fi, cap=cfg.assignment_cap, collapse=collapse)
+        aset = enumerate_assignments(self.fi, cap=ASSIGNMENT_CAP, collapse=collapse)
         tokens, self.addressed, self.written = program_tokens(self.prog)
         self.tokens = sorted(tokens)
         # the assembler rejects a write to an immediate operand, so no
@@ -695,7 +694,7 @@ class OracleRun:
         if hit is not None:
             b = hit[1]
         else:
-            b = bind_assignment(self.fi, assignment, rng, self.cfg, self.anchors)
+            b = bind_assignment(self.fi, assignment, rng, self.anchors)
             if not any(
                 isinstance(op, MemOperand) and op.index for op in assignment.mapping.values()
             ):
@@ -757,10 +756,9 @@ class OracleRun:
         self.steps_left -= steps
 
 
-def oracle_check(chunk, prop, cfg=None, run=None):
-    """Verdict of one property. Pass `run`, the chunk's OracleRun, to
-    check several properties on one derivation; its cfg then applies."""
-    run = run or OracleRun(check_chunk(chunk), cfg or TrialConfig())
+def oracle_check(run, prop):
+    """Verdict of one property on run, a chunk's OracleRun, under its
+    TrialConfig."""
     cfg = run.cfg
     if run.unrunnable:
         return OracleVerdict("inconclusive", reason=run.unrunnable)
@@ -775,7 +773,7 @@ def oracle_check(chunk, prop, cfg=None, run=None):
     bad_trials = 0
     for trial in range(cfg.trials):
         try:
-            witness = checker(run, trial, cfg)
+            witness = checker(run, trial)
         except StepLimit:
             return OracleVerdict(
                 "inconclusive",
@@ -816,12 +814,12 @@ def _output_cell_ranges(fi, assignment, binding):
     return ranges
 
 
-def _check_frame_write(run, trial, cfg):
+def _check_frame_write(run, trial):
     fi = run.fi
-    rng = _trial_rng(cfg, trial)
+    rng = _trial_rng(run.cfg, trial)
     assignment = rng.choice(run.assignments)
     binding = run.bind(assignment, rng)
-    m_in = random_state(rng, cfg, binding, fi)
+    m_in = random_state(rng, binding, fi)
     steps_left = run.steps_left
     m_out = run.run_one(assignment, m_in.copy())
     if trial < REUSED_TRIALS:
@@ -878,19 +876,21 @@ def _equalize_inputs(run, a1, b1, m1, a2, b2, m2):
     return True
 
 
-def _pair(run, prop, rng, cfg, a1, b1, m1, a2, b2, o1=None, steps=None):
+def _pair(run, prop, rng, a1, b1, m1, a2, b2, o1=None, steps=None):
     """The differential run of frame-read and unicity: a1 runs on m1,
     a2 on a second state drawn from rng with equal inputs, and the
     outputs must agree. o1, when given, is m1's run made earlier in
     `steps` steps, which are charged instead of running it again."""
     fi = run.fi
-    m2 = random_state(rng, cfg, b2, fi, esp_base=m1.locs["esp"])
+    m2 = random_state(rng, b2, fi, esp_base=m1.locs["esp"])
     if not fi.f:
         # the memory-equality clause of input equivalence
         m2.copy_memory(m1)
     if not _equalize_inputs(run, a1, b1, m1, a2, b2, m2):
         raise _Skip
-    if not fi.f and _mem_equal(m1, m2, []) is not None:
+    # with one binding on both sides, equalizing writes m1's own cell
+    # bytes back into its copied memory, so the two cannot differ
+    if not fi.f and b2 is not b1 and _mem_equal(m1, m2, []) is not None:
         raise _Skip
     if o1 is None:
         o1 = run.run_one(a1, m1.copy())
@@ -916,7 +916,7 @@ def _pair(run, prop, rng, cfg, a1, b1, m1, a2, b2, o1=None, steps=None):
     return None
 
 
-def _check_frame_read(run, trial, cfg):
+def _check_frame_read(run, trial):
     """The pair with one assignment on both sides. Frame-write's trial
     of the same number drew the same assignment, binding and first
     state, and ran them: its record, when there is one, stands for
@@ -925,15 +925,15 @@ def _check_frame_read(run, trial, cfg):
     executed = run.executed.pop(trial, None)
     if executed is not None:
         rng, a, b, m1, o1, steps = executed
-        return _pair(run, "frame_read", rng, cfg, a, b, m1, a, b, o1, steps)
-    rng = _trial_rng(cfg, trial)
+        return _pair(run, "frame_read", rng, a, b, m1, a, b, o1, steps)
+    rng = _trial_rng(run.cfg, trial)
     a = rng.choice(run.assignments)
     b = run.bind(a, rng)
-    return _pair(run, "frame_read", rng, cfg, a, b, random_state(rng, cfg, b, run.fi), a, b)
+    return _pair(run, "frame_read", rng, a, b, random_state(rng, b, run.fi), a, b)
 
 
-def _check_unicity(run, trial, cfg):
-    rng = _trial_rng(cfg, trial)
+def _check_unicity(run, trial):
+    rng = _trial_rng(run.cfg, trial)
     a1 = rng.choice(run.assignments)
     a2 = rng.choice(run.assignments)
     # immediates cannot be equalized across the pair; require equality
@@ -945,4 +945,4 @@ def _check_unicity(run, trial, cfg):
             raise _Skip
     b1 = run.bind(a1, rng)
     b2 = run.bind(a2, rng)
-    return _pair(run, "unicity", rng, cfg, a1, b1, random_state(rng, cfg, b1, run.fi), a2, b2)
+    return _pair(run, "unicity", rng, a1, b1, random_state(rng, b1, run.fi), a2, b2)

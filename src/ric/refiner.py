@@ -20,12 +20,6 @@ from .expr import Flag, Reg, Token
 from .value import Record
 
 
-class RefineOptions(Record, frozen=False):
-    refine_inputs: bool = True
-    refine_clobbers: bool = True
-    refine_memory: bool = True
-
-
 class RefineResult(Record, frozen=False):
     edits: list
     refined: object  # ChunkAst
@@ -103,18 +97,16 @@ def _clobber_written(result, name):
     return any(isinstance(loc, Reg) and loc.name == name for loc in result.writes)
 
 
-def _candidates(result, options):
+def _candidates(result):
     """One group per refinement: its edits as the one alternative."""
     chunk, fi = result.chunk, result.fi
-    if options.refine_inputs:
-        for e in chunk.inputs:
-            if e.position in fi.b_i and not _token_used(result, e.position):
-                yield [(DropInput(e.position),)]
-    if options.refine_clobbers:
-        for name in chunk.clobbers:
-            if name != "memory" and not _clobber_written(result, name):
-                yield [(DropClobber(name),)]
-    if options.refine_memory and not fi.f:
+    for e in chunk.inputs:
+        if e.position in fi.b_i and not _token_used(result, e.position):
+            yield [(DropInput(e.position),)]
+    for name in chunk.clobbers:
+        if name != "memory" and not _clobber_written(result, name):
+            yield [(DropClobber(name),)]
+    if not fi.f:
         edit = memory_to_m_entries(result)
         if edit is not None:
             yield [(*([edit] if edit.spans else []), DropMemoryKeyword())]
@@ -124,11 +116,11 @@ def _still_compliant(best, check):
     return check.verdict == "compliant"
 
 
-def refine_interface(result, options=None):
-    """Compute guarded refinements for a compliant check result; a
-    result that is not compliant gets none."""
-    options = options or RefineOptions()
+def refine_interface(result):
+    """Compute guarded refinements for a compliant check result: dead
+    inputs and clobbers dropped, and "memory" made precise. A result
+    that is not compliant gets none."""
     if result.verdict != "compliant" or result.fi is None:
         return RefineResult([], result.chunk)
-    edits, check = search(result, _candidates(result, options), _still_compliant)
+    edits, check = search(result, _candidates(result), _still_compliant)
     return RefineResult(edits, check.chunk)

@@ -40,7 +40,7 @@ def classify_pattern(issue, result):
     if (
         issue.category in ("UnboundMemoryWrite", "UnboundMemoryRead")
         or isinstance(loc, MemoryWhole)
-    ) and chunk.context.single_chunk_function:
+    ) and chunk.single_chunk_function:
         return PatternTag("P4", "memory effects assumed private to a one-chunk function")
     if name in MMX_REGS:
         return PatternTag("P5", "MMX register affected without a clobber")

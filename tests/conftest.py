@@ -25,14 +25,14 @@ def corpus_labels():
 
 @pytest.fixture(scope="session")
 def corpus_by_id(corpus_chunks):
-    return {c.context.file: c for c in corpus_chunks}
+    return {c.span.file: c for c in corpus_chunks}
 
 
 @pytest.fixture(scope="session")
 def corpus_results(corpus_chunks):
     from ric.checker import check_chunk
 
-    return {c.context.file: check_chunk(c) for c in corpus_chunks}
+    return {c.span.file: check_chunk(c) for c in corpus_chunks}
 
 
 @pytest.fixture(scope="session")
@@ -42,16 +42,16 @@ def compliant_corpus_oracle(corpus_chunks, corpus_results):
     the wall time of that oracle work."""
     from ric.oracle import OracleRun, TrialConfig, oracle_check
 
-    cfg = TrialConfig(trials=100, seed=0, assignment_cap=256)
+    cfg = TrialConfig(trials=100, seed=0)
     t0 = time.perf_counter()
     verdicts = {}
     for c in corpus_chunks:
-        result = corpus_results[c.context.file]
+        result = corpus_results[c.span.file]
         if result.verdict != "compliant":
             continue
         run = OracleRun(result, cfg)
         for prop in ("frame_write", "frame_read", "unicity"):
-            verdicts[c.context.file, prop] = oracle_check(c, prop, cfg, run=run)
+            verdicts[c.span.file, prop] = oracle_check(run, prop)
     return SimpleNamespace(verdicts=verdicts, elapsed_s=time.perf_counter() - t0)
 
 

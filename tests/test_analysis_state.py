@@ -476,7 +476,7 @@ def test_oracle_derives_parses_and_lifts_once_per_chunk(corpus_chunks, monkeypat
             if name == "parse_template" and tagging:
                 calls["parse_template in classify_pattern"] += 1
             if name == "derive_interface":
-                derived[args[0].context.file] += 1
+                derived[args[0].span.file] += 1
             return fn(*args, **kwargs)
 
         return wrapper

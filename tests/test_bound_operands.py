@@ -139,7 +139,7 @@ CFG = TrialConfig(trials=20, seed=0)
 @pytest.fixture(scope="module")
 def runs(corpus_chunks, corpus_results):
     """The OracleRun of every runnable corpus chunk."""
-    out = [OracleRun(corpus_results[c.context.file], CFG) for c in corpus_chunks]
+    out = [OracleRun(corpus_results[c.span.file], CFG) for c in corpus_chunks]
     return [r for r in out if not r.unrunnable]
 
 
@@ -184,10 +184,10 @@ def test_compiled_once_matches_substituted(runs, data):
                 mapping[p] = data.draw(_MEMORY if p in run.addressed else _OPERANDS)
         assignment = TokenAssignment(mapping)
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        binding = bind_assignment(run.fi, assignment, rng, CFG, run.anchors)
+        binding = bind_assignment(run.fi, assignment, rng, run.anchors)
         if binding is None:
             continue
-        state = random_state(rng, CFG, binding, run.fi)
+        state = random_state(rng, binding, run.fi)
         for r in GP:
             state.locs[r] |= high
 
@@ -214,7 +214,7 @@ def test_uncovered_token_raises_before_running():
     (chunk,), _ = parse_c_text(src, "f.c")
     run1 = OracleRun(check_chunk(chunk), CFG)
     assert run1.tokens == [0, 1]
-    state = oracle.MachineState(CFG.sandbox_size)
+    state = oracle.MachineState(oracle.SANDBOX_SIZE)
     state.locs["eax"] = 0  # %0 = 0: the branch skips the read of %1
     before = dict(state.locs)
     with pytest.raises(MissingToken, match="%1 not covered"):
@@ -244,7 +244,7 @@ def test_anchored_entry_addresses_its_anchor(own, pins):
     (chunk,), _ = parse_c_text('asm ("movl $0, %0" : "=m" (*p) : "r" (p));')
     result = check_chunk(chunk)
     assignment = TokenAssignment({0: own, 1: RegOperand("ebx")})
-    binding = bind_assignment(result.fi, assignment, random.Random(0), CFG, result.anchors)
+    binding = bind_assignment(result.fi, assignment, random.Random(0), result.anchors)
     if pins is None:
         assert binding is None
     else:

@@ -10,7 +10,7 @@ from ric.chunks import load_chunk_records
 from ric.constraints import derive_interface
 from ric.edits import DropMemoryKeyword
 from ric.expr import BinOp, ReadLoc, Reg, Token, _same_graph, clear_nodes, mk_binop
-from ric.oracle import TrialConfig, oracle_check
+from ric.oracle import OracleRun, TrialConfig, oracle_check
 from ric.refiner import refine_interface
 from ric.report import classify_pattern, severity_policy
 
@@ -79,14 +79,14 @@ def test_motivating_example_interface(corpus_by_id):
 
 def test_corpus_labels_match(corpus_chunks, corpus_labels):
     for c in corpus_chunks:
-        label = corpus_labels[c.context.file]
+        label = corpus_labels[c.span.file]
         result = check_chunk(c)
-        assert result.verdict == label["verdict"], c.context.file
+        assert result.verdict == label["verdict"], c.span.file
         want = sorted(
             ((i["category"], i["severity"], i["pattern"]) for i in label["issues"]),
             key=lambda t: (t[0], t[1], t[2] or ""),
         )
-        assert findings(result) == want, c.context.file
+        assert findings(result) == want, c.span.file
 
 
 def test_corpus_covers_all_categories_and_patterns(corpus_labels):
@@ -128,20 +128,20 @@ def test_restore_idioms_need_propagation(corpus_by_id, corpus_labels):
     suite = chunks_with_tag(corpus_by_id, corpus_labels, "restore-idiom")
     assert len(suite) >= 5
     for c in suite:
-        assert check_chunk(c).verdict == "compliant", c.context.file
+        assert check_chunk(c).verdict == "compliant", c.span.file
         coarse = check_chunk(c, NO_PROP)
         frame_write_cats = {"ReadOnlyInputClobbered", "UnboundRegisterClobbered"}
-        assert any(i.category in frame_write_cats for i in coarse.issues), c.context.file
+        assert any(i.category in frame_write_cats for i in coarse.issues), c.span.file
 
 
 def test_subregister_writes_need_bit_liveness(corpus_by_id, corpus_labels):
     suite = chunks_with_tag(corpus_by_id, corpus_labels, "subregister")
     assert len(suite) >= 5
     for c in suite:
-        assert check_chunk(c).verdict == "compliant", c.context.file
+        assert check_chunk(c).verdict == "compliant", c.span.file
         coarse = check_chunk(c, NO_BITS)
         frame_read_cats = {"UnboundRegisterRead", "UnboundMemoryRead"}
-        assert any(i.category in frame_read_cats for i in coarse.issues), c.context.file
+        assert any(i.category in frame_read_cats for i in coarse.issues), c.span.file
 
 
 def test_optimizations_only_remove_alarms(corpus_chunks):
@@ -154,7 +154,7 @@ def test_optimizations_only_remove_alarms(corpus_chunks):
         for opts in (NO_PROP, NO_BITS):
             coarse = check_chunk(c, opts)
             coarse_keys = {(i.category, str(i.location)) for i in coarse.issues}
-            assert precise_keys <= coarse_keys, c.context.file
+            assert precise_keys <= coarse_keys, c.span.file
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def test_saved_register_is_not_read_with_or_without_memory(clobbers):
     result = check_chunk(c)
     assert result.verdict == "compliant", result.issues
     for prop in ("frame_write", "frame_read", "unicity"):
-        v = oracle_check(c, prop, TrialConfig(trials=50, seed=0))
+        v = oracle_check(OracleRun(check_chunk(c), TrialConfig(trials=50, seed=0)), prop)
         assert v.verdict == "pass", (prop, v.reason)
     want = [DropMemoryKeyword()] if clobbers else []
     assert refine_interface(result).edits == want
@@ -215,7 +215,7 @@ def test_two_outputs_are_never_one_register(template, outputs, inputs):
     c = chunk(template, outputs, inputs, ["cc"])
     assert check_chunk(c).verdict == "compliant"
     for prop in ("frame_write", "frame_read", "unicity"):
-        v = oracle_check(c, prop, TrialConfig(trials=200, seed=0))
+        v = oracle_check(OracleRun(check_chunk(c), TrialConfig(trials=200, seed=0)), prop)
         assert v.verdict == "pass", (prop, v.reason)
 
 
@@ -228,7 +228,8 @@ def test_register_output_may_share_a_memory_outputs_address(constraint):
     assert [(i.category, i.location) for i in check_chunk(c).issues] == [
         ("Unicity", Token(0, 32))
     ]
-    assert oracle_check(c, "unicity", TrialConfig(trials=100, seed=0)).verdict == "violation"
+    run = OracleRun(check_chunk(c), TrialConfig(trials=100, seed=0))
+    assert oracle_check(run, "unicity").verdict == "violation"
 
 
 @pytest.mark.parametrize("clobbers", [[], ["memory"]], ids=["", "memory"])
@@ -326,7 +327,7 @@ def test_an_anchored_entry_is_one_place(name):
     c = ONE_PLACE[name]
     assert check_chunk(c).verdict == "compliant"
     for prop in ("frame_write", "frame_read", "unicity"):
-        v = oracle_check(c, prop, TrialConfig(trials=100, seed=0))
+        v = oracle_check(OracleRun(check_chunk(c), TrialConfig(trials=100, seed=0)), prop)
         assert v.verdict != "violation", (prop, v.witness)
 
 

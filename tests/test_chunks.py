@@ -12,7 +12,6 @@ from ric.chunks import (
     CONSTRAINT_CHARS,
     QUALIFIERS,
     ChunkAst,
-    ChunkContext,
     OperandEntry,
     ScannedStatement,
     SourceSpan,
@@ -23,6 +22,7 @@ from ric.chunks import (
 )
 from ric.checker import check_chunk
 from ric.cli import run as cli_run
+from ric.constraints import LETTER_TABLE
 from ric.errors import (
     BadConstraintChar,
     MalformedInterface,
@@ -98,6 +98,27 @@ def test_malformed_entry_is_diagnostic_not_crash():
     assert chunks == [] and [d["verdict"] for d in diags] == ["error"]
 
 
+def test_constraint_alphabet_is_the_letter_table_and_the_modifiers():
+    """The parser and the chunk-file loader take a constraint character
+    exactly when it is a letter of constraints.LETTER_TABLE, a modifier
+    (=+&%), a digit, or one of ,[]."""
+    assert CONSTRAINT_CHARS == set(LETTER_TABLE) | set("=+&%0123456789,[]")
+    span = SourceSpan("t.c", 1, 1, 0, 0)
+    for c in map(chr, range(32, 127)):
+        if c in '"\\':
+            continue
+        body = f'"" : : "{c}" (x)'
+        record = [{"template": "", "inputs": [{"constraint": c}]}]
+        if c in CONSTRAINT_CHARS:
+            assert parse_asm_statement(body, span).inputs[0].constraint == c
+            load_chunk_records(record)
+        else:
+            with pytest.raises(BadConstraintChar):
+                parse_asm_statement(body, span)
+            with pytest.raises(SchemaViolation):
+                load_chunk_records(record)
+
+
 def test_hex_escape_without_digits_is_diagnostic_not_crash():
     for src in ('asm ("nop\\xg");', 'asm ("nop\\x");', 'asm ("nop" : : : "\\xz");'):
         chunks, diags = parse_c_text(src)
@@ -108,7 +129,7 @@ def test_hex_escape_without_digits_is_diagnostic_not_crash():
 
 
 def _shape(src):
-    """The one chunk of src, without its span and context."""
+    """The one chunk of src, without its span."""
     chunks, diags = parse_c_text(src, "t.c")
     assert not diags, diags
     (c,) = chunks
@@ -222,7 +243,7 @@ def test_schema_minimal_record():
 
 def test_corpus_file_is_valid_json_and_loads(corpus_chunks, corpus_labels):
     assert len(corpus_chunks) >= 60
-    ids = [c.context.file for c in corpus_chunks]
+    ids = [c.span.file for c in corpus_chunks]
     assert len(set(ids)) == len(ids)
     assert set(ids) == set(corpus_labels)
 
@@ -608,8 +629,7 @@ def _reference_parse(raw, span, qualifiers=frozenset()):
             for p in _reference_split_top(sections[3], ",")
             if p.strip()
         )
-    context = ChunkContext(span.file, span.line)
-    return ChunkAst(span, frozenset(qualifiers), template, outputs, inputs, clobbers, context)
+    return ChunkAst(span, frozenset(qualifiers), template, outputs, inputs, clobbers)
 
 
 # Balanced in parentheses and quotes, so each body is one the scanner

@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, output formats, in-place rewriting, and
 report reproducibility."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+from ric import cli
 from ric.cli import run
 
 from conftest import CORPUS, ROOT
@@ -148,7 +150,8 @@ def test_one_chunk_crash_is_an_error_entry(tmp_path, monkeypatch, capsys):
 
     path = write(tmp_path, "lea.c", LEA_CHAIN_SRC)
     for command in ("check", "patch", "refine", "oracle"):
-        code, rep = run_json([command, "--trials", "5", path], tmp_path)
+        trials = ["--trials", "5"] if command == "oracle" else []
+        code, rep = run_json([command, *trials, path], tmp_path)
         assert code == 0, command
         assert [c["verdict"] for c in rep["chunks"]] == ["compliant"] * 2, command
 
@@ -161,7 +164,8 @@ def test_one_chunk_crash_is_an_error_entry(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(checker, "_analyze", crash_on_the_leas)
     for command in ("check", "patch", "refine", "oracle"):
-        code, rep = run_json([command, "--trials", "5", path], tmp_path)
+        trials = ["--trials", "5"] if command == "oracle" else []
+        code, rep = run_json([command, *trials, path], tmp_path)
         assert code == 1, command
         crashed, clean = rep["chunks"]
         assert crashed["verdict"] == "error" and crashed["issues"] == [], command
@@ -233,11 +237,38 @@ def test_exit_two_on_bad_usage(tmp_path, capsys):
     assert run(["check", str(tmp_path / "missing.c")]) == 2
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
+    # an option of another command
+    path = write(tmp_path, "g.c", CLEAN_SRC)
+    for argv, option in [
+        (["check", "--trials", "5"], "--trials"),
+        (["oracle", "--in-place"], "--in-place"),
+    ]:
+        assert run([*argv, path]) == 2, argv
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err, argv
+
+
+# the options each command reads, and takes: 16 in all
+OPTIONS = {
+    "check": {"--format", "--out", "--chunks"},
+    "patch": {"--format", "--out", "--chunks", "--in-place"},
+    "refine": {"--format", "--out", "--chunks", "--in-place"},
+    "oracle": {"--format", "--out", "--chunks", "--seed", "--trials"},
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    (commands,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {}
+    for name, sub in commands.choices.items():
+        got[name] = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        assert [a.dest for a in sub._actions if not a.option_strings] == ["files"], name
+    assert got == OPTIONS
+    assert sum(map(len, got.values())) == 16
 
 
 @pytest.mark.parametrize(
     "option, value",
-    [("--trials", "-5"), ("--trials", "0"), ("--assignment-cap", "0")],
+    [("--trials", "-5"), ("--trials", "0")],
 )
 def test_trial_count_and_cap_below_one_are_bad_usage(tmp_path, capsys, option, value):
     """Not a pass of -5 trials, nor an inconclusive verdict of none."""
@@ -452,13 +483,6 @@ def test_refine_in_place_keeps_the_size_of_a_memory_entry(tmp_path):
     assert '"m" (*(p) /* size:8 */)' in open(path).read()
     code, rep = run_json(["check", path], tmp_path)
     assert code == 0 and rep["chunks"][0]["verdict"] == "compliant"
-
-
-def test_refine_flags_can_disable_phases(tmp_path):
-    path = write(tmp_path, "r.c", REFINABLE_SRC)
-    code, rep = run_json(["refine", "--no-refine-inputs", path], tmp_path)
-    assert code == 0
-    assert rep["chunks"][0]["refinements"]["edits"] == []
 
 
 def test_oracle_command(tmp_path):

@@ -193,7 +193,7 @@ def test_enumeration_revalidates(corpus_chunks):
             continue
         aset = enumerate_assignments(fi, cap=128)
         for t in aset.assignments:
-            assert assignment_valid(fi, t), (c.context.file, t.mapping)
+            assert assignment_valid(fi, t), (c.span.file, t.mapping)
 
 
 def test_unsatisfiable_interface():

@@ -29,7 +29,7 @@ from ric.oracle import (
 
 from conftest import CORPUS
 
-CFG = TrialConfig(trials=100, seed=0, assignment_cap=256)
+CFG = TrialConfig(trials=100, seed=0)
 
 
 def chunk(template, outputs=(), inputs=(), clobbers=()):
@@ -69,7 +69,7 @@ FAULTY = [
 
 @pytest.mark.parametrize("cid,prop,loc_hint", FAULTY)
 def test_faulty_chunk_violates(corpus_by_id, cid, prop, loc_hint):
-    v = oracle_check(corpus_by_id[cid], prop, CFG)
+    v = oracle_check(OracleRun(check_chunk(corpus_by_id[cid]), CFG), prop)
     assert v.verdict == "violation", (cid, v.reason)
     assert loc_hint in v.witness.location
     assert v.witness.assignment is not None
@@ -77,15 +77,16 @@ def test_faulty_chunk_violates(corpus_by_id, cid, prop, loc_hint):
 
 def test_motivating_unicity_violates_within_100_trials(corpus_by_id):
     c = corpus_by_id["paper/cas8_x86.c"]
-    few = oracle_check(c, "unicity", TrialConfig(trials=100, seed=0))
+    few = oracle_check(OracleRun(check_chunk(c), TrialConfig(trials=100, seed=0)), "unicity")
     assert (few.verdict, few.trials_run) == ("violation", 33)
-    many = oracle_check(c, "unicity", TrialConfig(trials=600, seed=0))
+    many = oracle_check(OracleRun(check_chunk(c), TrialConfig(trials=600, seed=0)), "unicity")
     assert many.verdict == "violation"
     assert "%0" in many.witness.location
 
 
 def test_motivating_frame_write_violates(corpus_by_id):
-    v = oracle_check(corpus_by_id["paper/cas8_x86.c"], "frame_write", CFG)
+    c = corpus_by_id["paper/cas8_x86.c"]
+    v = oracle_check(OracleRun(check_chunk(c), CFG), "frame_write")
     assert v.verdict == "violation"
 
 
@@ -99,14 +100,15 @@ def test_no_violation_on_compliant_corpus(compliant_corpus_oracle):
 
 
 def test_truncated_assignment_set_is_inconclusive():
+    # three "r" inputs have 7**3 = 343 valid assignments, over ASSIGNMENT_CAP
     c = chunk("nop", inputs=[("r", "x", 4), ("r", "y", 4), ("r", "z", 4)])
-    v = oracle_check(c, "frame_write", TrialConfig(trials=10, assignment_cap=4))
+    v = oracle_check(OracleRun(check_chunk(c), TrialConfig(trials=10)), "frame_write")
     assert v.verdict == "inconclusive"
     assert "truncated" in v.reason
 
 
 def test_out_of_scope_is_inconclusive(corpus_by_id):
-    v = oracle_check(corpus_by_id["oos/fld.c"], "frame_write", CFG)
+    v = oracle_check(OracleRun(check_chunk(corpus_by_id["oos/fld.c"]), CFG), "frame_write")
     assert v.verdict == "inconclusive"
     assert "out of scope" in v.reason
 
@@ -125,7 +127,7 @@ def test_unrunnable_reason_is_the_raw_error(corpus_by_id):
             assert result.verdict == "error"
             want = result.details.split(": ", 1)[1]
         assert run.unrunnable == want
-        assert oracle_check(c, "unicity", CFG).reason == want
+        assert oracle_check(run, "unicity").reason == want
 
 
 WRITTEN_IMMEDIATE_SRC = (
@@ -158,8 +160,8 @@ def test_assignment_writing_an_immediate_is_left_out(tmp_path):
 
 def test_oracle_is_deterministic(corpus_by_id):
     c = corpus_by_id["bad/reg_clobbered.c"]
-    a = oracle_check(c, "frame_write", CFG)
-    b = oracle_check(c, "frame_write", CFG)
+    a = oracle_check(OracleRun(check_chunk(c), CFG), "frame_write")
+    b = oracle_check(OracleRun(check_chunk(c), CFG), "frame_write")
     assert (a.verdict, a.trials_run) == (b.verdict, b.trials_run)
     assert (a.witness.location, a.witness.assignment, a.witness.detail) == (
         b.witness.location,
@@ -224,19 +226,48 @@ def test_frame_read_taking_over_runs_out_of_steps_as_a_rerun_would():
     result = check_chunk(c)
     cfg = TrialConfig(trials=20, seed=0)
     shared = OracleRun(result, cfg)
-    oracle_check(c, "frame_write", run=shared)
+    oracle_check(shared, "frame_write")
     assert shared.executed
-    taken = oracle_check(c, "frame_read", run=shared)
-    redrawn = oracle_check(c, "frame_read", run=OracleRun(result, cfg))
+    taken = oracle_check(shared, "frame_read")
+    redrawn = oracle_check(OracleRun(result, cfg), "frame_read")
     assert taken.verdict == "inconclusive" and "step budget" in taken.reason
     assert (taken.verdict, taken.trials_run, taken.reason) == (
         redrawn.verdict, redrawn.trials_run, redrawn.reason
     )
 
 
+def test_frame_read_of_a_memory_chunk_compares_only_the_final_states(corpus_by_id):
+    """With "memory" clobbered, the second state takes the first one's
+    memory; both sides of a frame-read pair share one binding, so
+    equalizing the inputs writes the first state's own cell bytes back,
+    and the two memories cannot differ before the runs. Each trial
+    compares memory once: the two states its runs left."""
+    c = corpus_by_id["ok/store_memory.c"]
+    assert "memory" in c.clobbers
+    run = OracleRun(check_chunk(c), TrialConfig(trials=20, seed=0))
+    ran, compared = [], []
+    run_one, mem_equal = run.run_one, oracle._mem_equal
+
+    def recorded_run(assignment, state):
+        ran.append(run_one(assignment, state))
+        return ran[-1]
+
+    def recorded_compare(m1, m2, exempt):
+        compared.append((m1, m2))
+        return mem_equal(m1, m2, exempt)
+
+    run.run_one = recorded_run
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_mem_equal", recorded_compare)
+        v = oracle_check(run, "frame_read")
+    assert (v.verdict, v.trials_run) == ("pass", 20)
+    assert len(compared) == 20
+    assert compared == list(zip(ran[::2], ran[1::2]))
+
+
 def test_seed_changes_witness_search(corpus_by_id):
     c = corpus_by_id["bad/reg_clobbered.c"]
-    a = oracle_check(c, "frame_write", TrialConfig(trials=100, seed=1))
+    a = oracle_check(OracleRun(check_chunk(c), TrialConfig(trials=100, seed=1)), "frame_write")
     assert a.verdict == "violation"  # the bug is found under any seed
 
 
@@ -251,7 +282,7 @@ def test_step_budget_bounds_a_data_dependent_loop(monkeypatch):
         return exec_program(prog, state, budget)
 
     monkeypatch.setattr(oracle, "exec_program", counted)
-    v = oracle_check(c, "frame_write", CFG)
+    v = oracle_check(OracleRun(check_chunk(c), CFG), "frame_write")
     assert v.verdict == "inconclusive"
     assert f"step budget of {STEP_BUDGET} steps" in v.reason
     assert f"after {v.trials_run} of {CFG.trials} trials" in v.reason
@@ -289,7 +320,7 @@ def test_runs_that_leave_the_sandbox_are_charged_to_the_step_budget(monkeypatch)
     for prop in ("frame_write", "frame_read"):
         steps.clear()
         left.clear()
-        oracle_check(c, prop, run=run)
+        oracle_check(run, prop)
         assert left, prop
         assert sum(steps) <= STEP_BUDGET, prop
 
@@ -366,7 +397,7 @@ def test_exec_rotates_as_the_cpu_does(template, before, after, cf, of):
 @pytest.mark.parametrize("template", ["rolb $16, %b0", "rolb $9, %b0; rorb $9, %b0"])
 def test_rotates_that_restore_a_read_only_input_pass_the_oracle(template):
     c = chunk(template, inputs=[("q", "x", 4)], clobbers=["cc"])
-    assert oracle_check(c, "frame_write", CFG).verdict == "pass"
+    assert oracle_check(OracleRun(check_chunk(c), CFG), "frame_write").verdict == "pass"
 
 
 def test_exec_memory_store_load():

@@ -261,7 +261,7 @@ def test_fully_compliant_patches_pass_the_oracle(corpus_chunks):
     on the searched statements, passes all three oracle properties."""
     from ric.oracle import OracleRun, TrialConfig, oracle_check
 
-    cfg = TrialConfig(trials=100, seed=0, assignment_cap=256)
+    cfg = TrialConfig(trials=100, seed=0)
     passed = []
     for c in list(corpus_chunks) + [c for c, _ in SEARCHED.values()]:
         result = check_chunk(c)
@@ -272,8 +272,8 @@ def test_fully_compliant_patches_pass_the_oracle(corpus_chunks):
             continue
         run = OracleRun(pr.check, cfg)
         for prop in ("frame_write", "frame_read", "unicity"):
-            v = oracle_check(pr.patched, prop, cfg, run=run)
-            assert v.verdict == "pass", (c.context.file, prop, v.reason)
+            v = oracle_check(run, prop)
+            assert v.verdict == "pass", (c.span.file, prop, v.reason)
         passed.append(c)
     assert len(passed) >= 15
 
@@ -292,8 +292,8 @@ def test_framing_guarantee_on_corpus(corpus_chunks):
         if pr.unresolved:
             continue
         v = verify_patch(pr)
-        assert v["framing_ok"], c.context.file
-        assert v["interface_satisfiable"], c.context.file
+        assert v["framing_ok"], c.span.file
+        assert v["interface_satisfiable"], c.span.file
 
 
 def test_patch_minimality_on_corpus(corpus_chunks):
@@ -312,7 +312,7 @@ def test_patch_minimality_on_corpus(corpus_chunks):
             if [repr(e) for e in pr.edits] == full_edits:
                 continue  # another issue demands the same edit
             assert check_chunk(pr.patched).verdict != "compliant", (
-                c.context.file,
+                c.span.file,
                 result.issues[k],
             )
 

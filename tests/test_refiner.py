@@ -11,11 +11,11 @@ from ric.edits import (
     EntrySpan,
     MemoryToEntries,
 )
-from ric.refiner import RefineOptions, refine_interface
+from ric.refiner import refine_interface
 
 
-def refine(chunk, options=None):
-    return refine_interface(check_chunk(chunk), options)
+def refine(chunk):
+    return refine_interface(check_chunk(chunk))
 
 
 def test_dead_input_dropped(corpus_by_id):
@@ -102,21 +102,15 @@ def test_non_compliant_chunk_fails(corpus_by_id):
     assert rr.edits == [] and rr.refined is corpus_by_id["bad/flags.c"]
 
 
-def test_options_gate_each_phase(corpus_by_id):
-    c = corpus_by_id["refine/dead_input.c"]
-    rr = refine(c, RefineOptions(refine_inputs=False))
-    assert rr.edits == []
-
-
 def test_guarded_acceptance_over_corpus(corpus_chunks, corpus_results):
     """Every accepted refinement leaves the chunk compliant, and no
     edits leave it as it is."""
     for c in corpus_chunks:
-        result = corpus_results[c.context.file]
+        result = corpus_results[c.span.file]
         if result.verdict != "compliant":
             continue
         rr = refine_interface(result)
-        assert check_chunk(rr.refined).verdict == "compliant", c.context.file
+        assert check_chunk(rr.refined).verdict == "compliant", c.span.file
         if not rr.edits:
             assert rr.refined is c or rr.refined == c
 

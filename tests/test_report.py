@@ -38,14 +38,14 @@ def test_pattern_tags_match_labels(corpus_chunks, corpus_labels):
     for c in corpus_chunks:
         want = sorted(
             (i["category"], i["pattern"])
-            for i in corpus_labels[c.context.file]["issues"]
+            for i in corpus_labels[c.span.file]["issues"]
         )
         got = []
         result = check_chunk(c)
         for issue in result.issues:
             tag = classify_pattern(issue, result)
             got.append((issue.category, tag.tag if tag else None))
-        assert sorted(got) == want, c.context.file
+        assert sorted(got) == want, c.span.file
 
 
 def test_chunk_report_has_no_timings_by_default(corpus_by_id, monkeypatch):

@@ -32,20 +32,20 @@ from ric.oracle import (
     GP,
     POOL_SIZE,
     SANDBOX_BASE,
+    SANDBOX_SIZE,
     WIDE,
     Binding,
     MachineState,
     PageBytes,
-    TrialConfig,
     random_state,
 )
 from ric.template import template_tokens
 
 
-def _reference_random_state(rng, cfg, binding, fi=None, esp_base=None):
-    m = MachineState(cfg.sandbox_size)
+def _reference_random_state(rng, binding, fi=None, esp_base=None):
+    m = MachineState(SANDBOX_SIZE)
     data_lo = SANDBOX_BASE + 0x1000
-    data_hi = SANDBOX_BASE + cfg.sandbox_size - 0x1800
+    data_hi = SANDBOX_BASE + SANDBOX_SIZE - 0x1800
     pool = [
         data_lo + rng.randrange(0, (data_hi - data_lo) // 8) * 8
         for _ in range(POOL_SIZE)
@@ -57,7 +57,7 @@ def _reference_random_state(rng, cfg, binding, fi=None, esp_base=None):
     for f in FLAG_NAMES:
         m.locs[f"flag:{f}"] = rng.getrandbits(1)
     m.locs["esp"] = esp_base if esp_base is not None else (
-        SANDBOX_BASE + cfg.sandbox_size - 0x400 - rng.randrange(0, 16) * 4
+        SANDBOX_BASE + SANDBOX_SIZE - 0x400 - rng.randrange(0, 16) * 4
     )
     m.mem = PageBytes(rng.getrandbits(64))
     if fi is not None:
@@ -80,12 +80,9 @@ def _outcome(make):
     return (m.locs, m.size, m.mem.key, m.stored, m.operands)
 
 
-SIZES = (0x4000, 0x8000, 65536)
-
-
 @st.composite
 def state_cases(draw):
-    size = draw(st.sampled_from(SIZES))
+    size = SANDBOX_SIZE
     cells, sizes = {}, {}
     for p in range(draw(st.integers(0, 4))):
         # mostly inside the sandbox; sometimes past either end
@@ -96,33 +93,31 @@ def state_cases(draw):
     esp_base = draw(st.one_of(st.none(), st.integers(SANDBOX_BASE, SANDBOX_BASE + size)))
     with_cells = draw(st.booleans())
     fi = SimpleNamespace(sizes=sizes) if with_cells else None
-    return size, Binding(pins, cells), fi, esp_base
+    return Binding(pins, cells), fi, esp_base
 
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**64), case=state_cases())
 def test_random_state_matches_library_draws(seed, case):
-    size, binding, fi, esp_base = case
-    cfg = TrialConfig(sandbox_size=size)
+    binding, fi, esp_base = case
     ref_rng, rng = random.Random(seed), random.Random(seed)
-    want = _outcome(lambda: _reference_random_state(ref_rng, cfg, binding, fi, esp_base))
-    got = _outcome(lambda: random_state(rng, cfg, binding, fi, esp_base))
+    want = _outcome(lambda: _reference_random_state(ref_rng, binding, fi, esp_base))
+    got = _outcome(lambda: random_state(rng, binding, fi, esp_base))
     assert got == want
     assert rng.getstate() == ref_rng.getstate()
 
 
 def test_random_state_of_the_trial_stream_matches(corpus_chunks):
     """The seeds `oracle_check` gives its trials, on corpus bindings."""
-    cfg = TrialConfig()
-    result = check_chunk(next(c for c in corpus_chunks if c.context.file == "paper/cas8_x86.c"))
+    result = check_chunk(next(c for c in corpus_chunks if c.span.file == "paper/cas8_x86.c"))
     fi = result.fi
     cells = {p: SANDBOX_BASE + 0x800 + 64 * p for p in fi.sizes}
     binding = Binding({"esi": SANDBOX_BASE + 0x800}, cells)
     for trial in range(200):
         seed = trial * 2654435761 % 2**31
         ref_rng, rng = random.Random(seed), random.Random(seed)
-        want = _outcome(lambda: _reference_random_state(ref_rng, cfg, binding, fi))
-        assert _outcome(lambda: random_state(rng, cfg, binding, fi)) == want
+        want = _outcome(lambda: _reference_random_state(ref_rng, binding, fi))
+        assert _outcome(lambda: random_state(rng, binding, fi)) == want
         assert rng.getstate() == ref_rng.getstate()
 
 
@@ -208,12 +203,12 @@ def _interfaces(corpus_chunks):
         result = check_chunk(c)
         if result.fi is None:
             continue
-        out.append((c.context.file, result.fi, frozenset()))
+        out.append((c.span.file, result.fi, frozenset()))
         if result.parsed is not None:
             refs = template_tokens(result.parsed)
             collapse = frozenset(a.entry for a in result.anchors if a.entry not in refs)
             if collapse:
-                out.append((c.context.file, result.fi, collapse))
+                out.append((c.span.file, result.fi, collapse))
     return out
 
 

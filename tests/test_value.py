@@ -2,7 +2,7 @@
 
 import pytest
 
-from ric.chunks import ChunkContext, OperandEntry, SourceSpan
+from ric.chunks import OperandEntry, SourceSpan
 from ric.checker import CheckResult
 from ric.edits import EntrySpan, MemoryToEntries
 from ric.expr import Const, Expr, IRProgram, Reg, Temp, Token
@@ -89,8 +89,7 @@ def test_mutable_records_take_fresh_defaults_and_no_hash():
 
 def test_defaults_fill_the_fields_not_given():
     assert OperandEntry("=r", "x", 0, 1) == OperandEntry("=r", "x", 0, 1, None)
-    assert ChunkContext("f.c") == ChunkContext("f.c", None, None, "")
-    assert ChunkContext(line=3) == ChunkContext(None, 3, None, "")
+    assert OperandEntry("=r", "x", 0, name="y") == OperandEntry("=r", "x", 0, 4, "y")
 
 
 def test_missing_and_unknown_arguments_are_errors():
